@@ -59,7 +59,6 @@ from .conformal import (
     transport_residual,
 )
 from .worldlines import (
-    StepperParams,
     WorldlinePath,
     eps_null_check,
     integral_curve,

@@ -7,6 +7,7 @@ sections or keys are rejected.  Command-line flags win over file values.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .catalog import validate_parameters
@@ -105,6 +106,21 @@ def _get_int(section, key, default):
         raise ConfigError(f"key {key!r} must be an integer: {exc}") from exc
 
 
+def _get_count(section, key, default, least=1):
+    value = _get_int(section, key, default)
+    if value < least:
+        raise ConfigError(f"key {key!r} must be at least {least}, got {value}")
+    return value
+
+
+def _get_finite(section, key, default, positive=False):
+    value = _get_float(section, key, default)
+    if not math.isfinite(value) or (value <= 0.0 if positive else value < 0.0):
+        kind = "positive" if positive else "non-negative"
+        raise ConfigError(f"key {key!r} must be a finite {kind} number, got {value}")
+    return value
+
+
 def load_config(path: str = None, overrides: dict = None) -> SuiteConfig:
     """Parse, validate and resolve a configuration.
 
@@ -149,7 +165,7 @@ def load_config(path: str = None, overrides: dict = None) -> SuiteConfig:
         try:
             cfg.engine = DerivativeEngine(
                 mode=mode,
-                h=_get_float(sec, "h", 1e-4),
+                h=_get_finite(sec, "h", 1e-4, positive=True),
                 richardson=_get_int(sec, "richardson", 0),
             )
         except ValueError as exc:
@@ -157,13 +173,13 @@ def load_config(path: str = None, overrides: dict = None) -> SuiteConfig:
 
     if parser.has_section("tolerances"):
         sec = parser["tolerances"]
-        kwargs = {k: _get_float(sec, k, getattr(Tolerances, k)) for k in sec}
+        kwargs = {k: _get_finite(sec, k, getattr(Tolerances, k)) for k in sec}
         cfg.tols = Tolerances(**kwargs)
 
     if parser.has_section("samples"):
         sec = parser["samples"]
-        cfg.grid_per_axis = _get_int(sec, "grid_per_axis", cfg.grid_per_axis)
-        cfg.random_points = _get_int(sec, "random_points", cfg.random_points)
+        cfg.grid_per_axis = _get_count(sec, "grid_per_axis", cfg.grid_per_axis)
+        cfg.random_points = _get_count(sec, "random_points", cfg.random_points)
 
     if parser.has_section("conformal"):
         sec = parser["conformal"]
@@ -173,14 +189,16 @@ def load_config(path: str = None, overrides: dict = None) -> SuiteConfig:
                 cfg.weight_override = int(weight)
             except ValueError as exc:
                 raise ConfigError("conformal weight must be 'auto' or an integer") from exc
-        cfg.seeded_factors = _get_int(sec, "seeded_factors", cfg.seeded_factors)
+        cfg.seeded_factors = _get_count(sec, "seeded_factors", cfg.seeded_factors)
 
     if parser.has_section("frame"):
         sec = parser["frame"]
         interpolation = sec.get("interpolation", "cubic")
         if interpolation not in ("linear", "cubic"):
             raise ConfigError("frame interpolation must be 'linear' or 'cubic'")
-        nodes = _get_int(sec, "grid_nodes", 0) if "grid_nodes" in sec else None
+        # a cubic spline needs four nodes per axis, a linear one two
+        least = 4 if interpolation == "cubic" else 2
+        nodes = _get_count(sec, "grid_nodes", 0, least) if "grid_nodes" in sec else None
         cfg.frame_params = FrameSolverParams(
             grid_nodes=nodes,
             interpolation=interpolation,
@@ -197,8 +215,8 @@ def load_config(path: str = None, overrides: dict = None) -> SuiteConfig:
         if timing not in ("on", "off"):
             raise ConfigError("run timing must be 'on' or 'off'")
         cfg.timing = timing == "on"
-        cfg.rays = _get_int(sec, "rays", cfg.rays)
-        cfg.nonmetricity_pairs = _get_int(sec, "nonmetricity_pairs", cfg.nonmetricity_pairs)
+        cfg.rays = _get_count(sec, "rays", cfg.rays)
+        cfg.nonmetricity_pairs = _get_count(sec, "nonmetricity_pairs", cfg.nonmetricity_pairs)
 
     if parser.has_section("geodesic"):
         cfg.geodesic = dict(parser["geodesic"])

@@ -31,7 +31,7 @@ from . import autodiff as ad
 from .interpolation import build_interpolator
 from .connections import eps_connection
 from .conservation import SliceSpec
-from .errors import GaugeError, ReachabilityError, StiffnessError, TransversalityError
+from .errors import GaugeError, ReachabilityError, TransversalityError
 from .fluid import FluidState, WeylBundle, fluid_covector
 from .geometry import (
     DerivativeEngine,
@@ -41,6 +41,7 @@ from .geometry import (
     metric_aux,
     scalar_field,
 )
+from .integrators import embedded_step, integrate_adaptive
 
 
 class ConformalFactor:
@@ -196,70 +197,39 @@ def current_invariance_check(J: TensorField, J2: TensorField, pts) -> float:
 
 @dataclass(frozen=True)
 class FrameSolverParams:
-    """Characteristic integrator and memo-grid settings.
+    """Memo-grid settings of the preferred-frame solver."""
 
-    ``max_step``/``initial_step`` default to fractions of the slice-axis
-    interval; accuracy is controlled by the embedded error estimate, the
-    cap only keeps the final-step crossing interpolation honest.
-    """
-
-    rtol: float = 1e-8
-    atol: float = 1e-10
-    initial_step: float = None
-    max_step: float = None
-    max_steps: int = 4000
     # int, per-axis tuple, or None to take the preset hint (default 17)
     grid_nodes: object = None
     interpolation: str = "cubic"
-    transversality_eps: float = 1e-8
-    chunk: int = 24576
 
 
-# Fehlberg 4(5) tableau; the fifth-order solution is propagated.
-_RK_C = np.array([0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2])
-_RK_A = [
-    np.array([]),
-    np.array([1 / 4]),
-    np.array([3 / 32, 9 / 32]),
-    np.array([1932 / 2197, -7200 / 2197, 7296 / 2197]),
-    np.array([439 / 216, -8.0, 3680 / 513, -845 / 4104]),
-    np.array([-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40]),
-]
-_RK_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
-_RK_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
-
-
-def _rk_stage_batch(rhs, y, h):
-    """One embedded step for a batch of states ``(B, d)`` with per-ray step
-    sizes ``(B,)``; returns the fifth-order state and the error estimate."""
-    ks = []
-    for i in range(6):
-        yi = y.copy()
-        for j, aij in enumerate(_RK_A[i]):
-            yi += (h * aij)[:, None] * ks[j]
-        ks.append(rhs(yi))
-    y5 = y.copy()
-    err = np.zeros_like(y)
-    for i in range(6):
-        y5 += (h * _RK_B5[i])[:, None] * ks[i]
-        err += (h * (_RK_B5[i] - _RK_B4[i]))[:, None] * ks[i]
-    return y5, err
+# Characteristic integrator controls.  The step cap is an eighth of the
+# slice-axis interval and the first step a fifth of the cap: accuracy is
+# controlled by the embedded error estimate, the cap only keeps the
+# final-step crossing interpolation honest.
+_RTOL = 1e-8
+_ATOL = 1e-10
+_MAX_STEPS = 4000
+_MAX_GROWTH = 2.5
+_MIN_STEP = 1e-14
+_TRANSVERSALITY_EPS = 1e-8
+_CHUNK = 24576  # points per transport block
 
 
 class _Transport:
     """Backward characteristic transport of the log-factor to a seed slice."""
 
-    def __init__(self, g, n, engine, axis, value, params):
+    def __init__(self, g, n, engine, axis, value):
         self.g = g
         self.n = n
         self.engine = engine
         self.axis = axis
         self.value = value
-        self.params = params
         self.m = g.chart.dim
         a, b = g.chart.intervals[axis]
-        self.max_step = params.max_step or (b - a) / 8.0
-        self.initial_step = params.initial_step or self.max_step / 5.0
+        self.max_step = (b - a) / 8.0
+        self.initial_step = self.max_step / 5.0
 
     def _flow_and_source(self, pts):
         # only the metric trace d ln sqrt|g| is needed, not the full
@@ -275,13 +245,12 @@ class _Transport:
         """Log-factor values at the given points (chunked batch integration)."""
         pts = self.g.chart.as_points(pts)
         out = np.empty(len(pts))
-        for start in range(0, len(pts), self.params.chunk):
-            block = slice(start, start + self.params.chunk)
+        for start in range(0, len(pts), _CHUNK):
+            block = slice(start, start + _CHUNK)
             out[block] = self._solve_block(pts[block])
         return out
 
     def _solve_block(self, pts) -> np.ndarray:
-        p = self.params
         b = len(pts)
         xk = pts[:, self.axis]
         dirs = np.sign(xk - self.value)
@@ -290,45 +259,24 @@ class _Transport:
 
         # state: m coordinates plus the accumulated source integral
         y = np.concatenate([pts, np.zeros((b, 1))], axis=1)
-        h = np.full(b, self.initial_step)
         lo, hi = self.g.chart.bounds(0.0)
 
-        def rhs(state):
+        def rhs(idx, state):
             q = state[:, : self.m]
             nval, src = self._flow_and_source(q)
-            bad = nval[:, self.axis] <= p.transversality_eps
-            if np.any(bad & active_stage):
-                k = int(np.argmax(bad & active_stage))
+            bad = nval[:, self.axis] <= _TRANSVERSALITY_EPS
+            if np.any(bad):
+                k = int(np.argmax(bad))
                 raise TransversalityError(
                     f"flow component along slice axis is "
                     f"{nval[k, self.axis]:.3e} <= 0 near point {q[k]}"
                 )
             d = np.zeros_like(state)
-            d[:, : self.m] = -dirs[batch_idx, None] * nval
+            d[:, : self.m] = -dirs[idx, None] * nval
             d[:, self.m] = src
             return d
 
-        for _ in range(p.max_steps):
-            if not np.any(active):
-                break
-            batch_idx = np.flatnonzero(active)
-            active_stage = np.ones(len(batch_idx), dtype=bool)
-            ya = y[batch_idx]
-            ha = np.minimum(h[batch_idx], self.max_step)
-            y5, err = _rk_stage_batch(rhs, ya, ha)
-            scale = p.atol + p.rtol * np.maximum(np.abs(ya), np.abs(y5))
-            ratio = np.max(np.abs(err) / scale, axis=1)
-            accept = ratio <= 1.0
-            grow = 0.9 * np.power(np.maximum(ratio, 1e-16), -0.2)
-            h[batch_idx] = ha * np.clip(grow, 0.2, 2.5)
-            if np.any(h[batch_idx] < 1e-14):
-                raise StiffnessError("characteristic step size underflow")
-            if not np.any(accept):
-                continue
-
-            acc_idx = batch_idx[accept]
-            y_old = y[acc_idx]
-            y_new = y5[accept]
+        def advance(acc_idx, y_old, y_new, h, ratio):
             xo = y_old[:, self.axis] - self.value
             xn = y_new[:, self.axis] - self.value
             crossed = (xo * xn <= 0.0) | (np.abs(xn) < 1e-13)
@@ -337,9 +285,8 @@ class _Transport:
                 # final step and redo it with the clipped step size
                 ci = acc_idx[crossed]
                 theta = xo[crossed] / (xo[crossed] - xn[crossed])
-                batch_idx = ci
-                active_stage = np.ones(len(ci), dtype=bool)
-                yc, _ = _rk_stage_batch(rhs, y_old[crossed], ha[accept][crossed] * theta)
+                yc, _ = embedded_step(
+                    lambda state: rhs(ci, state), y_old[crossed], h[crossed] * theta)
                 out[ci] = -dirs[ci] * yc[:, self.m]
                 active[ci] = False
             keep = acc_idx[~crossed]
@@ -355,8 +302,11 @@ class _Transport:
                         f"before reaching the seed slice"
                     )
                 y[keep] = kept
-        else:
-            raise StiffnessError("characteristic integration exceeded max_steps")
+
+        integrate_adaptive(
+            rhs, y, np.full(b, self.initial_step), active, advance,
+            rtol=_RTOL, atol=_ATOL, step_cap=self.max_step, max_growth=_MAX_GROWTH,
+            min_step=_MIN_STEP, max_steps=_MAX_STEPS)
         return out
 
 
@@ -380,7 +330,7 @@ def preferred_frame(
     """
     params = params or FrameSolverParams()
     chart = g.chart
-    transport = _Transport(g, n, engine, seed_slice.axis, seed_slice.value, params)
+    transport = _Transport(g, n, engine, seed_slice.axis, seed_slice.value)
 
     nodes_spec = grid_nodes if grid_nodes is not None else params.grid_nodes
     if nodes_spec is None:

@@ -47,7 +47,9 @@ class ReachabilityError(WeylFluidError):
 
 
 class StiffnessError(WeylFluidError):
-    """Adaptive step size underflowed; the ODE is too stiff for the stepper."""
+    """The adaptive stepper gave up: its step size fell below the floor, or
+    it ran out of its step budget before the rays ended.  Either way the ODE
+    is too stiff (or its coefficients too rough) for an explicit stepper."""
 
 
 class ComparisonError(WeylFluidError):

@@ -47,6 +47,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
             seed=config.seed,
             weight_override=config.weight_override,
             frame_params=config.frame_params,
+            seeded_factors=config.seeded_factors,
             rays=config.rays,
             nonmetricity_pairs=config.nonmetricity_pairs,
         )

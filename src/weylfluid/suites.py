@@ -48,7 +48,6 @@ from .errors import WeylFluidError
 from .fluid import WeylBundle, fluid_connection, fluid_covector, geodesic_defect, stress_energy
 from .geometry import DerivativeEngine, constant_scalar, metric_aux, scalar_field
 from .worldlines import (
-    StepperParams,
     eps_null_check,
     integral_curve,
     integrate_autoparallel,
@@ -461,14 +460,13 @@ def worldlines_suite(ctx: SuiteContext):
     rng = np.random.default_rng(ctx.seed + 101)
     lo, hi = chart.bounds(chart.margin + 0.15)
     s_max = meta.get("ray_s_max", 1.0)
-    stepper = StepperParams()
 
     x0s = lo + rng.random((ctx.rays, chart.dim)) * (hi - lo)
     dirs = rng.normal(size=(ctx.rays, chart.dim - 1))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     k0s = np.stack([null_tangent(g, x0, d) for x0, d in zip(x0s, dirs)])
-    paths_g = integrate_null_geodesic_batch(g, x0s, k0s, s_max, engine, stepper)
-    paths_w = integrate_autoparallel_batch(bundle.gamma, x0s, k0s, s_max, stepper)
+    paths_g = integrate_null_geodesic_batch(g, x0s, k0s, s_max, engine)
+    paths_w = integrate_autoparallel_batch(bundle.gamma, x0s, k0s, s_max)
 
     worst_dev = 0.0
     worst_ortho = 0.0
@@ -493,8 +491,8 @@ def worldlines_suite(ctx: SuiteContext):
         worst_dev, tols.trajectory))
 
     x0 = 0.5 * (lo + hi)
-    flow_path = integral_curve(st.n, x0, s_max, engine, stepper)
-    auto_path = integrate_autoparallel(bundle.gamma, x0, st.n(x0[None, :])[0], s_max, stepper)
+    flow_path = integral_curve(st.n, x0, s_max, engine)
+    auto_path = integrate_autoparallel(bundle.gamma, x0, st.n(x0[None, :])[0], s_max)
     checks.append(ctx.record(
         "flow-line-trajectory", "flow lines are autoparallel trajectories",
         trajectory_compare(flow_path, auto_path), tols.trajectory))

@@ -19,31 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import ConnectionField, levi_civita
-from .errors import ComparisonError, StiffnessError
+from .errors import ComparisonError
 from .geometry import Chart, DerivativeEngine, MetricField, TensorField
+from .integrators import embedded_step, integrate_adaptive
 
-_RK_A = [
-    np.array([]),
-    np.array([1 / 4]),
-    np.array([3 / 32, 9 / 32]),
-    np.array([1932 / 2197, -7200 / 2197, 7296 / 2197]),
-    np.array([439 / 216, -8.0, 3680 / 513, -845 / 4104]),
-    np.array([-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40]),
-]
-_RK_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
-_RK_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
-
-
-@dataclass(frozen=True)
-class StepperParams:
-    """Embedded adaptive Runge-Kutta controls."""
-
-    rtol: float = 1e-10
-    atol: float = 1e-10
-    initial_step: float = 1e-3
-    max_step_fraction: float = 0.02  # of the full parameter range
-    min_step: float = 1e-13
-    max_steps: int = 200000
+# adaptive stepper controls
+_RTOL = 1e-10
+_ATOL = 1e-10
+_INITIAL_STEP = 1e-3
+_MAX_STEP_FRACTION = 0.02  # of the full parameter range
+_MIN_STEP = 1e-13
+_MAX_STEPS = 200000
+_MAX_GROWTH = 5.0
 
 
 @dataclass
@@ -96,23 +83,7 @@ class WorldlinePath:
                 )
 
 
-def _rk_step_batch(rhs, y, h):
-    """One embedded step for states ``(B, d)`` with per-ray sizes ``(B,)``."""
-    ks = []
-    for i in range(6):
-        yi = y.copy()
-        for j, aij in enumerate(_RK_A[i]):
-            yi += (h * aij)[:, None] * ks[j]
-        ks.append(rhs(yi))
-    y5 = y.copy()
-    err = np.zeros_like(y)
-    for i in range(6):
-        y5 += (h * _RK_B5[i])[:, None] * ks[i]
-        err += (h * (_RK_B5[i] - _RK_B4[i]))[:, None] * ks[i]
-    return y5, err
-
-
-def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float, params: StepperParams):
+def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float):
     """Adaptive embedded integration of ``x'' = accel(x, v)`` for a batch of
     independent rays with per-ray step control.
 
@@ -131,42 +102,19 @@ def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float, params: Steppe
 
     y = np.concatenate([x0s, v0s], axis=1)
     s = np.zeros(nrays)
-    h = np.full(nrays, min(params.initial_step, s_max))
-    h_cap = params.max_step_fraction * s_max
     nodes_s = [[0.0] for _ in range(nrays)]
     nodes_y = [[y[i].copy()] for i in range(nrays)]
-    attempts = np.zeros(nrays, dtype=int)
     max_ratio = np.zeros(nrays)
     exited = np.zeros(nrays, dtype=bool)
     active = np.ones(nrays, dtype=bool)
 
-    for _ in range(params.max_steps):
-        if not np.any(active):
-            break
-        idx = np.flatnonzero(active)
-        ya = y[idx]
-        ha = np.minimum(np.minimum(h[idx], h_cap), s_max - s[idx])
-        y5, err = _rk_step_batch(rhs, ya, ha)
-        scale = params.atol + params.rtol * np.maximum(np.abs(ya), np.abs(y5))
-        ratio = np.max(np.abs(err) / scale, axis=1)
-        attempts[idx] += 1
-        accept = ratio <= 1.0
-        h[idx] = ha * np.clip(0.9 * np.maximum(ratio, 1e-16) ** -0.2, 0.2, 5.0)
-        if np.any(h[idx] < params.min_step):
-            k = idx[int(np.argmin(h[idx]))]
-            raise StiffnessError(f"step size underflow at s = {s[k]:.6g}")
-        acc = idx[accept]
-        if len(acc) == 0:
-            continue
-        y_new = y5[accept]
-        h_acc = ha[accept]
+    def advance(acc, y_old, y_new, h_acc, ratio):
         inside = np.all((y_new[:, :m] >= lo) & (y_new[:, :m] <= hi), axis=1)
-
         kept = acc[inside]
-        max_ratio[kept] = np.maximum(max_ratio[kept], ratio[accept][inside])
+        max_ratio[kept] = np.maximum(max_ratio[kept], ratio[inside])
         s[kept] += h_acc[inside]
         y[kept] = y_new[inside]
-        for i, ray in enumerate(kept):
+        for ray in kept:
             nodes_s[ray].append(s[ray])
             nodes_y[ray].append(y[ray].copy())
         finished = kept[s[kept] >= s_max * (1.0 - 1e-14)]
@@ -179,7 +127,7 @@ def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float, params: Steppe
             base = y[ray][None, :]
             for _ in range(60):
                 h_mid = 0.5 * (h_in + h_out)
-                y_mid, _ = _rk_step_batch(rhs, base, np.array([h_mid]))
+                y_mid, _ = embedded_step(rhs, base, np.array([h_mid]))
                 if np.all((y_mid[0, :m] >= lo) & (y_mid[0, :m] <= hi)):
                     h_in, y_in = h_mid, y_mid[0]
                 else:
@@ -190,8 +138,12 @@ def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float, params: Steppe
                 nodes_y[ray].append(y_in)
             exited[ray] = True
             active[ray] = False
-    else:
-        raise StiffnessError("integration exceeded the step budget")
+
+    h = np.full(nrays, min(_INITIAL_STEP, s_max))
+    attempts = integrate_adaptive(
+        lambda idx, state: rhs(state), y, h, active, advance,
+        rtol=_RTOL, atol=_ATOL, step_cap=_MAX_STEP_FRACTION * s_max, max_growth=_MAX_GROWTH, min_step=_MIN_STEP, max_steps=_MAX_STEPS,
+        remaining=lambda idx: s_max - s[idx])
 
     paths = []
     for i in range(nrays):
@@ -207,16 +159,6 @@ def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float, params: Steppe
     return paths
 
 
-def _integrate(chart: Chart, accel, x0, v0, s_max: float, params: StepperParams):
-    """Single-ray convenience wrapper over the batch integrator."""
-    def accel_batch(xs, vs):
-        return accel(xs, vs)
-
-    x0 = np.asarray(x0, dtype=float)[None, :]
-    v0 = np.asarray(v0, dtype=float)[None, :]
-    return _integrate_batch(chart, accel_batch, x0, v0, s_max, params)[0]
-
-
 def _autoparallel_accel(gamma):
     def accel(xs, vs):
         return -np.einsum("nabc,nb,nc->na", gamma(xs), vs, vs)
@@ -224,26 +166,20 @@ def _autoparallel_accel(gamma):
     return accel
 
 
-def integrate_autoparallel(
-    gamma: ConnectionField, x0, v0, s_max: float, params: StepperParams = None
-) -> WorldlinePath:
+def integrate_autoparallel(gamma: ConnectionField, x0, v0, s_max: float) -> WorldlinePath:
     """Solve ``x''^a + Gamma^a_{bc} x'^b x'^c = 0``."""
-    params = params or StepperParams()
     chart = gamma.chart
     chart.require_inside(chart.as_points(x0))
     if not np.any(np.asarray(v0, dtype=float)):
         raise ValueError("initial tangent must be nonzero")
-    return _integrate(chart, _autoparallel_accel(gamma), x0, v0, s_max, params)
+    return _integrate_batch(chart, _autoparallel_accel(gamma), x0, v0, s_max)[0]
 
 
-def integrate_autoparallel_batch(
-    gamma: ConnectionField, x0s, v0s, s_max: float, params: StepperParams = None
-):
+def integrate_autoparallel_batch(gamma: ConnectionField, x0s, v0s, s_max: float):
     """Independent autoparallels integrated together (per-ray step control)."""
-    params = params or StepperParams()
     chart = gamma.chart
     chart.require_inside(chart.as_points(x0s))
-    return _integrate_batch(chart, _autoparallel_accel(gamma), x0s, v0s, s_max, params)
+    return _integrate_batch(chart, _autoparallel_accel(gamma), x0s, v0s, s_max)
 
 
 def integrate_null_geodesic(
@@ -252,7 +188,6 @@ def integrate_null_geodesic(
     k0,
     s_max: float,
     engine: DerivativeEngine,
-    params: StepperParams = None,
     null_eps: float = 1e-10,
 ) -> WorldlinePath:
     """Affine null geodesic of the metric; the initial tangent must already
@@ -264,7 +199,7 @@ def integrate_null_geodesic(
     norm0 = float(k0 @ gv @ k0)
     if abs(norm0) > null_eps:
         raise ValueError(f"initial tangent is not null: g(k,k) = {norm0:.3e}")
-    return integrate_autoparallel(levi_civita(g, engine), x0, k0, s_max, params)
+    return integrate_autoparallel(levi_civita(g, engine), x0, k0, s_max)
 
 
 def integrate_null_geodesic_batch(
@@ -273,7 +208,6 @@ def integrate_null_geodesic_batch(
     k0s,
     s_max: float,
     engine: DerivativeEngine,
-    params: StepperParams = None,
     null_eps: float = 1e-10,
 ):
     """Independent null geodesics integrated together."""
@@ -283,7 +217,7 @@ def integrate_null_geodesic_batch(
     if np.any(np.abs(norms) > null_eps):
         k = int(np.argmax(np.abs(norms)))
         raise ValueError(f"initial tangent {k} is not null: g(k,k) = {norms[k]:.3e}")
-    return integrate_autoparallel_batch(levi_civita(g, engine), x0s, k0s, s_max, params)
+    return integrate_autoparallel_batch(levi_civita(g, engine), x0s, k0s, s_max)
 
 
 def null_norm_drift(g: MetricField, path: WorldlinePath) -> float:
@@ -343,16 +277,13 @@ def trajectory_compare(path_a: WorldlinePath, path_b: WorldlinePath, count: int 
     return float(np.max(np.linalg.norm(interp_a - interp_b, axis=1)))
 
 
-def integral_curve(
-    n: TensorField, x0, s_max: float, engine: DerivativeEngine, params: StepperParams = None
-) -> WorldlinePath:
+def integral_curve(n: TensorField, x0, s_max: float, engine: DerivativeEngine) -> WorldlinePath:
     """Integral curve of a vector field.
 
     Solved in second-order form ``x'' = (dn) x'`` with ``x'(0) = n(x0)``,
     whose unique solution keeps ``x' = n(x)``; this reuses the worldline
     stepper and records the velocity for trajectory comparison.
     """
-    params = params or StepperParams()
 
     def accel(xs, vs):
         jac = engine.jacobian(n, xs)
@@ -360,4 +291,4 @@ def integral_curve(
 
     x0 = np.asarray(x0, dtype=float)
     v0 = n(x0[None, :])[0]
-    return _integrate(n.chart, accel, x0, v0, s_max, params)
+    return _integrate_batch(n.chart, accel, x0, v0, s_max)[0]

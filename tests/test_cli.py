@@ -2,10 +2,12 @@
 exit-code contract."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from weylfluid import suites
 from weylfluid.config import load_config
 from weylfluid.errors import ConfigError
 from weylfluid.harness import run_suite
@@ -57,6 +59,18 @@ frobnicate = yes
 
 MALFORMED_CFG = "[run\nsuites = connection\n"
 
+# (section, key, values that load_config must reject)
+OUT_OF_RANGE = [
+    ("run", "rays", ["0", "-1"]),
+    ("run", "nonmetricity_pairs", ["0"]),
+    ("conformal", "seeded_factors", ["0"]),
+    ("samples", "grid_per_axis", ["0"]),
+    ("samples", "random_points", ["0"]),
+    ("frame", "grid_nodes", ["3", "0"]),  # cubic interpolation by default
+    ("engine", "h", ["nan", "inf", "0", "-1e-4"]),
+    *(("tolerances", f.name, ["-1e-9", "nan", "inf"]) for f in fields(suites.Tolerances)),
+]
+
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
@@ -98,6 +112,29 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/path.cfg")
+
+    @pytest.mark.parametrize("section,key,values", OUT_OF_RANGE,
+                             ids=[key for _, key, _ in OUT_OF_RANGE])
+    def test_out_of_range_value_rejected(self, tmp_path, section, key, values):
+        for value in values:
+            path = _write(tmp_path, "bad.cfg", f"[{section}]\n{key} = {value}\n")
+            with pytest.raises(ConfigError, match=f"key '{key}'"):
+                load_config(path)
+
+    def test_range_edges_accepted(self, tmp_path):
+        text = ("[run]\nrays = 1\nnonmetricity_pairs = 1\n"
+                "[samples]\ngrid_per_axis = 1\nrandom_points = 1\n"
+                "[conformal]\nseeded_factors = 1\n"
+                "[engine]\nmode = central-difference\nh = 1e-300\n"
+                "[tolerances]\nidentity = 0\n"
+                "[frame]\ngrid_nodes = 4\n")
+        cfg = load_config(_write(tmp_path, "edge.cfg", text))
+        assert (cfg.rays, cfg.seeded_factors, cfg.frame_params.grid_nodes) == (1, 1, 4)
+        assert cfg.engine.h == 1e-300 and cfg.tols.identity == 0.0
+        linear = "[frame]\ninterpolation = linear\ngrid_nodes = 2\n"
+        assert load_config(_write(tmp_path, "lin.cfg", linear)).frame_params.grid_nodes == 2
+        with pytest.raises(ConfigError, match="key 'grid_nodes'"):
+            load_config(_write(tmp_path, "lin.cfg", linear.replace("= 2", "= 1")))
 
 
 class TestReportSerialization:
@@ -150,6 +187,25 @@ class TestRunSuite:
         assert all(c.name.split(":")[0] in ("connection", "fluid") for c in report.checks)
         assert report.runtime_seconds == 0.0  # timing off
 
+    def test_seeded_factors_sets_orbit_size(self, tmp_path, monkeypatch):
+        seeds = []
+        real = suites.seeded_positive_factor
+
+        def recording(chart, seed):
+            seeds.append(seed)
+            return real(chart, seed)
+
+        monkeypatch.setattr(suites, "seeded_positive_factor", recording)
+        conformal = PASS_CFG.replace("suites = connection fluid", "suites = conformal")
+        orbit_sizes = []
+        for extra in ("", "[conformal]\nseeded_factors = 3\n"):
+            seeds.clear()
+            run_suite(load_config(_write(tmp_path, "orbit.cfg", conformal + extra)))
+            # orbit factors take offsets 0..k-1 of seed * 100; the other
+            # checks of the suite use offsets 41-43
+            orbit_sizes.append(sum(1 for s in seeds if s % 100 < 41))
+        assert orbit_sizes == [10, 3]
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = load_config(_write(tmp_path, "ok.cfg", PASS_CFG))
         first = to_json(run_suite(cfg))
@@ -179,7 +235,7 @@ class TestExitCodes:
                            "conformal:slice-count-gauge-invariance"}
 
     def test_config_error_is_two(self, tmp_path):
-        for text in (BAD_KEY_CFG, MALFORMED_CFG):
+        for text in (BAD_KEY_CFG, MALFORMED_CFG, PASS_CFG + "rays = 0\n"):
             path = _write(tmp_path, "bad.cfg", text)
             proc = _cli(["verify", "--config", path], cwd=tmp_path)
             assert proc.returncode == 2, (proc.stdout, proc.stderr)

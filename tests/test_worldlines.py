@@ -65,8 +65,9 @@ class TestAutoparallel:
         assert path.points[-1, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_stiffness_error_on_rough_coefficients(self, flat):
-        # coefficients rough at every scale keep the error estimate O(1),
-        # driving the step size below the floor
+        # coefficients rough at every scale keep the error estimate O(1), so
+        # the step size hovers above the floor while the steps run out the
+        # step budget
         from weylfluid.connections import external_connection
 
         preset, _ = flat
