@@ -34,8 +34,8 @@ def study(name: str, nodes: int, outdir: pathlib.Path):
     engine = DerivativeEngine()
     preset = build(name)
     meta = preset.meta
-    spec = SliceSpec(meta["slice_axis"], meta["slice_values"][0], meta["slice_box"])
-    params = FrameSolverParams(grid_nodes=nodes or meta.get("frame_nodes"))
+    spec = SliceSpec(meta.slice_axis, meta.slice_values[0], meta.slice_box)
+    params = FrameSolverParams(grid_nodes=nodes or meta.frame_nodes)
 
     t0 = time.perf_counter()
     factor = preferred_frame(preset.g, preset.state.n, spec, engine, params)
@@ -49,9 +49,8 @@ def study(name: str, nodes: int, outdir: pathlib.Path):
 
     line = (f"{name:24s} solve {solve_s:6.2f}s  transport {transport:9.2e}  "
             f"divergence {incomp:9.2e}")
-    closed_builder = meta.get("closed_frame")
-    if closed_builder is not None:
-        closed = closed_builder(meta["slice_values"][0])
+    if meta.closed_frame is not None:
+        closed = meta.closed_frame(meta.slice_values[0])
         mesh = np.meshgrid(*factor.grid_axes, indexing="ij")
         grid_pts = np.stack([g.ravel() for g in mesh], axis=-1)
         err = np.abs(factor.grid_values.ravel() - closed.ln(grid_pts)).max()

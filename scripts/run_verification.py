@@ -17,7 +17,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from weylfluid.catalog import build, verification_matrix
+from weylfluid.catalog import PRESETS, build, verification_matrix
 from weylfluid.config import SuiteConfig
 from weylfluid.harness import run_suite
 from weylfluid.report import emit_report
@@ -35,23 +35,11 @@ def main():
     overall = True
     t_start = time.perf_counter()
     for name in verification_matrix():
-        meta = build(name, seed=args.seed).meta
         suites = ["connection", "fluid", "conservation", "conformal", "worldlines"]
-        if meta.get("frame_ready"):
+        if build(name, seed=args.seed).meta.frame_ready:
             suites.append("frame")
-        spacetime, _, fluid = name.partition("-")
-        if name.startswith("flrw-power"):
-            spacetime, fluid = "flrw-power", name[len("flrw-power-"):]
-        elif name.startswith("flrw"):
-            spacetime, fluid = "flrw", name[len("flrw-"):]
-        elif name.startswith("minkowski3"):
-            spacetime, fluid = "minkowski3", name[len("minkowski3-"):]
-        elif name.startswith("minkowski"):
-            spacetime, fluid = "minkowski", name[len("minkowski-"):]
-        elif name.startswith("schwarzschild"):
-            spacetime, fluid = "schwarzschild", "static"
-
-        cfg = SuiteConfig(spacetime=spacetime, fluid=fluid, seed=args.seed,
+        entry = PRESETS[name]
+        cfg = SuiteConfig(spacetime=entry.spacetime, fluid=entry.fluid, seed=args.seed,
                           suites=tuple(suites))
         t0 = time.perf_counter()
         report = run_suite(cfg)

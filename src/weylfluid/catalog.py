@@ -10,7 +10,9 @@ the suites to pick sensible slices, rays and closed-form cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +32,23 @@ from .geometry import (
 )
 
 
+@dataclass(frozen=True)
+class PresetMeta:
+    """Suite hints a preset records about itself; ``closed_frame`` maps a
+    seed-slice value to the closed-form frame factor."""
+
+    conserved: bool
+    eos_w: float
+    slice_axis: int
+    slice_values: tuple
+    slice_box: tuple
+    frame_ready: bool
+    ray_s_max: float
+    frame_nodes: tuple = None
+    closed_frame: Callable = None
+    rs: float = None
+
+
 @dataclass
 class CatalogBundle:
     """A fully validated (chart, metric, fluid) instance plus suite hints."""
@@ -38,7 +57,7 @@ class CatalogBundle:
     chart: Chart
     g: MetricField
     state: FluidState
-    meta: dict = dc_field(default_factory=dict)
+    meta: PresetMeta
 
 
 # -- polynomial ingredients ---------------------------------------------------
@@ -232,16 +251,7 @@ def sheared_flow(chart: Chart, g: MetricField, eps: float, profile=None) -> Tens
     return normalize_timelike(g, vector_field(chart, fn, name="sheared"))
 
 
-# -- preset registry ----------------------------------------------------------
-
-
-def _merge(defaults: dict, parameters: dict, name: str) -> dict:
-    params = dict(defaults)
-    for key, val in (parameters or {}).items():
-        if key not in defaults:
-            raise ConstructionError(f"unknown parameter {key!r} for preset {name!r}")
-        params[key] = float(val)
-    return params
+# -- preset builders: (merged parameters, seed) -> (chart, g, state, meta) -----
 
 
 def _flrw_conserved_density(chart, kind, param, rho0):
@@ -272,15 +282,7 @@ def _flrw_closed_frame(chart, kind, param):
     return build
 
 
-def _build_minkowski(kind: str, parameters: dict, seed: int) -> CatalogBundle:
-    defaults = {
-        "rest": {"rho0": 1.0, "phi": 0.0, "w": 0.0, "dim": 4},
-        "phi": {"rho0": 1.0, "phi": 0.5, "w": 0.0, "dim": 4},
-        "radiation": {"rho0": 1.0, "phi": 0.3, "w": 1.0 / 3.0, "dim": 4},
-        "sheared": {"rho0": 1.0, "eps": 0.1, "phi_scale": 0.1, "w": 0.0, "dim": 4},
-        "perturbed": {"rho0": 1.0, "phi": 0.2, "eps": 0.01, "w": 0.0, "dim": 4},
-    }[kind]
-    params = _merge(defaults, parameters, f"minkowski-{kind}")
+def _build_minkowski(kind: str, params: dict, seed: int):
     m = int(params["dim"])
     rng = np.random.default_rng(seed)
 
@@ -303,27 +305,19 @@ def _build_minkowski(kind: str, parameters: dict, seed: int) -> CatalogBundle:
     p = constant_scalar(chart, params["w"] * params["rho0"], name="p")
     state = FluidState(n=n, p=p, rho=rho, phi=phi)
 
-    space_box = tuple((-0.5, 0.5) for _ in range(m - 1))
-    meta = {
-        "conserved": kind == "rest",
-        "eos_w": params["w"],
-        "slice_axis": 0,
-        "slice_values": (0.0, 0.25) if kind == "sheared" else (0.0, 0.5),
-        "slice_box": space_box,
-        "frame_ready": kind in ("rest", "sheared"),
-        "ray_s_max": 0.8 if kind == "sheared" else 1.5,
-        "closed_frame": None,
-    }
-    return CatalogBundle(f"minkowski-{kind}", chart, g, state, meta)
+    meta = PresetMeta(
+        conserved=kind == "rest",
+        eos_w=params["w"],
+        slice_axis=0,
+        slice_values=(0.0, 0.25) if kind == "sheared" else (0.0, 0.5),
+        slice_box=tuple((-0.5, 0.5) for _ in range(m - 1)),
+        frame_ready=kind in ("rest", "sheared"),
+        ray_s_max=0.8 if kind == "sheared" else 1.5,
+    )
+    return chart, g, state, meta
 
 
-def _build_flrw(kind: str, parameters: dict, seed: int) -> CatalogBundle:
-    defaults = {
-        "comoving-dust": {"H": 0.1, "rho0": 1.0, "w": 0.0, "dim": 4},
-        "radiation": {"H": 0.1, "rho0": 1.0, "w": 1.0 / 3.0, "phi": 0.1, "dim": 4},
-        "power-dust": {"q": 2.0 / 3.0, "rho0": 1.0, "w": 0.0, "dim": 4},
-    }[kind]
-    params = _merge(defaults, parameters, f"flrw-{kind}")
+def _build_flrw(kind: str, params: dict, seed: int):
     m = int(params["dim"])
 
     if kind == "power-dust":
@@ -357,22 +351,21 @@ def _build_flrw(kind: str, parameters: dict, seed: int) -> CatalogBundle:
 
     p = scalar_field(chart, p_fn, name="p")
     state = FluidState(n=n, p=p, rho=rho, phi=phi)
-    meta = {
-        "conserved": conserved,
-        "eos_w": params["w"],
-        "slice_axis": 0,
-        "slice_values": slice_values,
-        "slice_box": tuple((-0.5, 0.5) for _ in range(m - 1)),
-        "frame_ready": True,
-        "frame_nodes": frame_nodes,
-        "ray_s_max": 1.5,
-        "closed_frame": _flrw_closed_frame(chart, sf_kind, sf_param),
-    }
-    return CatalogBundle(f"flrw-{kind}", chart, g, state, meta)
+    meta = PresetMeta(
+        conserved=conserved,
+        eos_w=params["w"],
+        slice_axis=0,
+        slice_values=slice_values,
+        slice_box=tuple((-0.5, 0.5) for _ in range(m - 1)),
+        frame_ready=True,
+        frame_nodes=frame_nodes,
+        ray_s_max=1.5,
+        closed_frame=_flrw_closed_frame(chart, sf_kind, sf_param),
+    )
+    return chart, g, state, meta
 
 
-def _build_schwarzschild(parameters: dict, seed: int) -> CatalogBundle:
-    params = _merge({"rs": 1.0, "rho0": 1.0, "phi": 0.0, "w": 0.0}, parameters, "schwarzschild-static")
+def _build_schwarzschild(params: dict, seed: int):
     rs = params["rs"]
     if rs <= 0:
         raise ConstructionError("Schwarzschild radius must be positive")
@@ -385,65 +378,87 @@ def _build_schwarzschild(parameters: dict, seed: int) -> CatalogBundle:
         rho=constant_scalar(chart, params["rho0"], name="rho"),
         phi=constant_scalar(chart, params["phi"], name="phi"),
     )
-    meta = {
-        "conserved": False,
-        "eos_w": params["w"],
-        "slice_axis": 0,
-        "slice_values": (10.0, 30.0),
-        "slice_box": ((3.0, 9.0), (0.9, 2.2), (0.5, 5.5)),
-        "frame_ready": False,
-        "ray_s_max": 2.0,
-        "closed_frame": None,
-        "rs": rs,
-    }
-    return CatalogBundle("schwarzschild-static", chart, g, state, meta)
+    meta = PresetMeta(
+        conserved=False,
+        eos_w=params["w"],
+        slice_axis=0,
+        slice_values=(10.0, 30.0),
+        slice_box=((3.0, 9.0), (0.9, 2.2), (0.5, 5.5)),
+        frame_ready=False,
+        ray_s_max=2.0,
+        rs=rs,
+    )
+    return chart, g, state, meta
 
 
-_BUILDERS = {
-    "minkowski-dust-rest": lambda p, s: _build_minkowski("rest", p, s),
-    "minkowski-dust-phi": lambda p, s: _build_minkowski("phi", p, s),
-    "minkowski-radiation": lambda p, s: _build_minkowski("radiation", p, s),
-    "minkowski-sheared": lambda p, s: _build_minkowski("sheared", p, s),
-    "minkowski-perturbed": lambda p, s: _build_minkowski("perturbed", p, s),
-    "minkowski3-dust": lambda p, s: _build_minkowski("phi", {**(p or {}), "dim": 3, "phi": 0.4}, s),
-    "flrw-comoving-dust": lambda p, s: _build_flrw("comoving-dust", p, s),
-    "flrw-radiation": lambda p, s: _build_flrw("radiation", p, s),
-    "flrw-power-dust": lambda p, s: _build_flrw("power-dust", p, s),
-    "schwarzschild-static": _build_schwarzschild,
-}
+# -- preset registry ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Preset:
+    """One catalog entry: the ``(spacetime, fluid)`` pair a config names,
+    the settable parameters with their defaults, and the builder."""
+
+    spacetime: str
+    fluid: str
+    defaults: dict
+    builder: Callable
+
+
+# keyed by "<spacetime>-<fluid>", the name SuiteConfig.preset_name gives
+PRESETS = {f"{entry.spacetime}-{entry.fluid}": entry for entry in (
+    Preset("minkowski", "dust-rest", {"rho0": 1.0, "phi": 0.0, "w": 0.0, "dim": 4},
+           partial(_build_minkowski, "rest")),
+    Preset("minkowski", "dust-phi", {"rho0": 1.0, "phi": 0.5, "w": 0.0, "dim": 4},
+           partial(_build_minkowski, "phi")),
+    Preset("minkowski", "radiation", {"rho0": 1.0, "phi": 0.3, "w": 1.0 / 3.0, "dim": 4},
+           partial(_build_minkowski, "radiation")),
+    Preset("minkowski", "sheared",
+           {"rho0": 1.0, "eps": 0.1, "phi_scale": 0.1, "w": 0.0, "dim": 4},
+           partial(_build_minkowski, "sheared")),
+    Preset("minkowski", "perturbed",
+           {"rho0": 1.0, "phi": 0.2, "eps": 0.01, "w": 0.0, "dim": 4},
+           partial(_build_minkowski, "perturbed")),
+    Preset("minkowski3", "dust", {"rho0": 1.0, "phi": 0.4, "w": 0.0},
+           lambda params, seed: _build_minkowski("phi", {**params, "dim": 3}, seed)),
+    Preset("flrw", "comoving-dust", {"H": 0.1, "rho0": 1.0, "w": 0.0, "dim": 4},
+           partial(_build_flrw, "comoving-dust")),
+    Preset("flrw", "radiation", {"H": 0.1, "rho0": 1.0, "w": 1.0 / 3.0, "phi": 0.1, "dim": 4},
+           partial(_build_flrw, "radiation")),
+    Preset("flrw-power", "dust", {"q": 2.0 / 3.0, "rho0": 1.0, "w": 0.0, "dim": 4},
+           partial(_build_flrw, "power-dust")),
+    Preset("schwarzschild", "static", {"rs": 1.0, "rho0": 1.0, "phi": 0.0, "w": 0.0},
+           _build_schwarzschild),
+)}
 
 
 def preset_names() -> tuple:
-    return tuple(sorted(_BUILDERS))
-
-
-_PRESET_DEFAULTS = {
-    "minkowski-dust-rest": {"rho0", "phi", "w", "dim"},
-    "minkowski-dust-phi": {"rho0", "phi", "w", "dim"},
-    "minkowski-radiation": {"rho0", "phi", "w", "dim"},
-    "minkowski-sheared": {"rho0", "eps", "phi_scale", "w", "dim"},
-    "minkowski-perturbed": {"rho0", "phi", "eps", "w", "dim"},
-    "minkowski3-dust": {"rho0", "phi", "w", "dim"},
-    "flrw-comoving-dust": {"H", "rho0", "w", "dim"},
-    "flrw-radiation": {"H", "rho0", "w", "phi", "dim"},
-    "flrw-power-dust": {"q", "rho0", "w", "dim"},
-    "schwarzschild-static": {"rs", "rho0", "phi", "w"},
-}
+    return tuple(sorted(PRESETS))
 
 
 def validate_parameters(name: str, parameters: dict) -> None:
-    """Reject unknown presets or parameter keys without building anything."""
-    if name not in _BUILDERS:
+    """Reject unknown presets, unknown parameter keys, non-finite values and
+    a ``dim`` that is not a supported chart dimension, without building
+    anything."""
+    if name not in PRESETS:
         raise ConstructionError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         )
-    allowed = _PRESET_DEFAULTS[name]
-    for key in parameters or {}:
+    allowed = PRESETS[name].defaults
+    for key, value in (parameters or {}).items():
         if key not in allowed:
             raise ConstructionError(
                 f"unknown parameter {key!r} for preset {name!r} "
                 f"(allowed: {', '.join(sorted(allowed))})"
             )
+        value = float(value)
+        if not math.isfinite(value):
+            raise ConstructionError(
+                f"parameter {key!r} of preset {name!r} must be finite, got {value}")
+        if key == "dim" and not (value.is_integer() and 2 <= value <= len(_COORD_NAMES)):
+            raise ConstructionError(
+                f"parameter 'dim' of preset {name!r} must be an integer "
+                f"from 2 to {len(_COORD_NAMES)}, got {value}")
 
 
 def build(name: str, parameters: dict = None, seed: int = 0) -> CatalogBundle:
@@ -453,12 +468,10 @@ def build(name: str, parameters: dict = None, seed: int = 0) -> CatalogBundle:
     :class:`ConstructionError` for unknown names or invalid parameters and
     propagates signature/timelike failures from validation.
     """
-    if name not in _BUILDERS:
-        raise ConstructionError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        )
-    bundle = _BUILDERS[name](parameters, seed)
-    bundle.name = name
+    validate_parameters(name, parameters)
+    entry = PRESETS[name]
+    params = {**entry.defaults, **{k: float(v) for k, v in (parameters or {}).items()}}
+    bundle = CatalogBundle(name, *entry.builder(params, seed))
     pts = bundle.chart.sample_points(per_axis=3, extra=32, seed=seed)
     try:
         bundle.g.check_signature(pts)
@@ -469,19 +482,8 @@ def build(name: str, parameters: dict = None, seed: int = 0) -> CatalogBundle:
 
 
 def verification_matrix() -> tuple:
-    """The preset instances swept by the acceptance checks."""
-    return (
-        "minkowski-dust-rest",
-        "minkowski-dust-phi",
-        "minkowski-radiation",
-        "minkowski-sheared",
-        "minkowski-perturbed",
-        "minkowski3-dust",
-        "flrw-comoving-dust",
-        "flrw-radiation",
-        "flrw-power-dust",
-        "schwarzschild-static",
-    )
+    """The preset instances swept by the acceptance checks, in table order."""
+    return tuple(PRESETS)
 
 
 # -- initial-data helpers -----------------------------------------------------
@@ -508,7 +510,7 @@ def circular_orbit_init(bundle: CatalogBundle, r: float):
     """Timelike circular-orbit initial data in the equatorial plane of the
     static spherically symmetric preset.  Returns ``(x0, v0, proper_period)``.
     """
-    rs = bundle.meta.get("rs")
+    rs = bundle.meta.rs
     if rs is None:
         raise ConstructionError("circular orbits are defined for the Schwarzschild preset")
     omega = math.sqrt(0.5 * rs / r**3)

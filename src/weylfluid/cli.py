@@ -97,8 +97,8 @@ def _cmd_frame(args) -> int:
         config.out = "frame_grid.csv"
     preset = build(config.preset_name, config.parameters, config.seed)
     meta = preset.meta
-    spec = SliceSpec(meta["slice_axis"], meta["slice_values"][0], meta["slice_box"])
-    nodes = config.frame_params.grid_nodes or meta.get("frame_nodes")
+    spec = SliceSpec(meta.slice_axis, meta.slice_values[0], meta.slice_box)
+    nodes = config.frame_params.grid_nodes or meta.frame_nodes
     factor = preferred_frame(
         preset.g, preset.state.n, spec, config.engine, config.frame_params,
         grid_nodes=nodes)
@@ -114,36 +114,40 @@ def _cmd_frame(args) -> int:
     return EXIT_PASS
 
 
+def _chart_vector(geo, key, size, default):
+    """The ``[geodesic]`` vector ``key`` as ``size`` finite numbers, or
+    ``default`` when the key is not set."""
+    if key not in geo:
+        return default
+    try:
+        vec = np.array([float(v) for v in geo[key].split()])
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r} must hold numbers: {exc}") from exc
+    if vec.size != size or not np.all(np.isfinite(vec)):
+        raise ConfigError(f"key {key!r} must hold {size} finite numbers, got {geo[key]!r}")
+    return vec
+
+
 def _cmd_geodesic(args) -> int:
     config = _load(args)
     if args.out is None and config.out.endswith(".json"):
         config.out = "worldline.csv"
     preset = build(config.preset_name, config.parameters, config.seed)
     geo = config.geodesic
-    kind = geo.get("kind", "null")
-    s_max = float(geo.get("s_max", preset.meta.get("ray_s_max", 1.0)))
+    dim = preset.chart.dim
+    s_max = geo.get("s_max", preset.meta.ray_s_max)
     lo, hi = preset.chart.bounds(preset.chart.margin + 0.15)
-    if "start" in geo:
-        x0 = np.array([float(v) for v in geo["start"].split()])
-    else:
-        x0 = 0.5 * (lo + hi)
-    if kind == "null":
-        if "direction" in geo:
-            direction = np.array([float(v) for v in geo["direction"].split()])
-        else:
-            direction = np.zeros(preset.chart.dim - 1)
-            direction[0] = 1.0
+    x0 = _chart_vector(geo, "start", dim, 0.5 * (lo + hi))
+    if geo.get("kind", "null") == "null":
+        direction = _chart_vector(geo, "direction", dim - 1, np.eye(dim - 1)[0])
         k0 = null_tangent(preset.g, x0, direction)
         path = integrate_null_geodesic(preset.g, x0, k0, s_max, config.engine)
-    elif kind == "autoparallel":
+    else:
         bundle = fluid_connection(preset.g, preset.state.n, preset.state.phi, config.engine)
-        if "tangent" in geo:
-            v0 = np.array([float(v) for v in geo["tangent"].split()])
-        else:
+        v0 = _chart_vector(geo, "tangent", dim, None)
+        if v0 is None:
             v0 = preset.state.n(x0[None, :])[0]
         path = integrate_autoparallel(bundle.gamma, x0, v0, s_max)
-    else:
-        raise ConfigError(f"unknown geodesic kind {kind!r}")
     path.to_csv(config.out)
     print(f"wrote {config.out}: {len(path.s)} nodes, exited={path.exited}")
     return EXIT_PASS

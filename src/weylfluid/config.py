@@ -219,7 +219,16 @@ def load_config(path: str = None, overrides: dict = None) -> SuiteConfig:
         cfg.nonmetricity_pairs = _get_count(sec, "nonmetricity_pairs", cfg.nonmetricity_pairs)
 
     if parser.has_section("geodesic"):
-        cfg.geodesic = dict(parser["geodesic"])
+        sec = parser["geodesic"]
+        kind = sec.get("kind", "null")
+        if kind not in ("null", "autoparallel"):
+            raise ConfigError(f"key 'kind' must be 'null' or 'autoparallel', got {kind!r}")
+        unused = "tangent" if kind == "null" else "direction"
+        if unused in sec:
+            raise ConfigError(f"key {unused!r} does not apply to geodesic kind {kind!r}")
+        cfg.geodesic = dict(sec)  # start, tangent and direction are checked against the chart
+        if "s_max" in sec:
+            cfg.geodesic["s_max"] = _get_finite(sec, "s_max", 0.0, positive=True)
 
     for flag, value in (overrides or {}).items():
         if value is None:
@@ -235,6 +244,8 @@ def load_config(path: str = None, overrides: dict = None) -> SuiteConfig:
         else:
             raise ConfigError(f"unknown override {flag!r}")
 
+    if cfg.seed < 0:
+        raise ConfigError(f"key 'seed' must be at least 0, got {cfg.seed}")
     unknown = [s for s in cfg.suites if s not in SUITES]
     if unknown:
         raise ConfigError(

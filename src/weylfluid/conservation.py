@@ -96,21 +96,6 @@ def weyl_divergence_T(
     return vector_field(g.chart, eval_fn=eval_fn, name=f"divT({T.name})")
 
 
-def _flow_kinematics(g, gamma, n, engine, pts):
-    """Shared contractions: metric data, flow value/jacobian, lowered flow,
-    Gamma- and g-divergences of the flow, and the g-acceleration (upper)."""
-    data = metric_aux(g, pts, engine)
-    nval, njac = engine.value_and_jacobian(n, pts)
-    n_low = np.einsum("nab,nb->na", data.val, nval)
-    gam = gamma(pts)
-    div_flow_gamma = np.einsum("naa->n", njac) + np.einsum("nvlv,nl->n", gam, nval)
-    div_flow_g = np.einsum("naa->n", njac) + np.einsum("nc,nc->n", data.gamma_trace, nval)
-    acc_up = np.einsum("nc,nac->na", nval, njac) + np.einsum(
-        "nabc,nb,nc->na", data.gamma, nval, nval
-    )
-    return data, nval, njac, n_low, div_flow_gamma, div_flow_g, acc_up
-
-
 def conservation_condition_residuals(
     g: MetricField,
     gamma: ConnectionField,
@@ -130,13 +115,18 @@ def conservation_condition_residuals(
     """
 
     def eval_c1(pts):
-        _, nval, _, _, div_gamma, _, _ = _flow_kinematics(g, gamma, n, engine, pts)
+        nval, njac = engine.value_and_jacobian(n, pts)
+        div_gamma = np.einsum("naa->n", njac) + np.einsum("nvlv,nl->n", gamma(pts), nval)
         drho = engine.jacobian(rho, pts)
         pv, rv, fv = p(pts), rho(pts), phi(pts)
         return (pv + rv) * div_gamma - (pv - rv) * fv + np.einsum("na,na->n", nval, drho)
 
     def eval_c2(pts):
-        data, nval, _, _, _, _, acc_up = _flow_kinematics(g, gamma, n, engine, pts)
+        data = metric_aux(g, pts, engine)
+        nval, njac = engine.value_and_jacobian(n, pts)
+        acc_up = np.einsum("nc,nac->na", nval, njac) + np.einsum(
+            "nabc,nb,nc->na", data.gamma, nval, nval
+        )
         dp = engine.jacobian(p, pts)
         proj = data.inv + np.einsum("na,nb->nab", nval, nval)
         return np.einsum("nab,nb->na", proj, dp) - 2.0 * p(pts)[:, None] * acc_up
@@ -322,13 +312,15 @@ def condition_scalars(
     m = g.chart.dim
 
     def contract(pts):
-        data, nval, njac, n_low, _, div_g, _ = _flow_kinematics(g, gamma, n, engine, pts)
-        gam = gamma(pts)
+        data = metric_aux(g, pts, engine)
+        nval, njac = engine.value_and_jacobian(n, pts)
+        n_low = np.einsum("nab,nb->na", data.val, nval)
+        div_g = np.einsum("naa->n", njac) + np.einsum("nc,nc->n", data.gamma_trace, nval)
         # nabla^Gamma_c n_b, derivative index last
         dn_low = np.einsum("nbad,na->nbd", data.dg, nval) + np.einsum(
             "nba,nad->nbd", data.val, njac
         )
-        cov_low = dn_low - np.einsum("nlbc,nl->nbc", gam, n_low)
+        cov_low = dn_low - np.einsum("nlbc,nl->nbc", gamma(pts), n_low)
         tv = t_up(pts)
         s1 = np.einsum("nmv,nvm->n", tv, cov_low)
         s2 = np.einsum("nm,nmv,nv->n", A(pts), tv, n_low)

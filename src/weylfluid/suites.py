@@ -294,13 +294,13 @@ def conservation_suite(ctx: SuiteContext):
         "condition-scalar-covector", "contracted covector scalar equals rho phi",
         _maxabs(cs.s2_residual(pts)), tols.derivative))
 
-    if meta.get("conserved"):
+    if meta.conserved:
         checks.append(ctx.record(
             "current-conservation", "conserved preset has divergence-free current",
             _maxabs(current_divergence(J, engine)(pts)), tols.identity))
-        axis = meta["slice_axis"]
-        v1, v2 = meta["slice_values"]
-        box = meta["slice_box"]
+        axis = meta.slice_axis
+        v1, v2 = meta.slice_values
+        box = meta.slice_box
         n1, e1 = number_on_slice(J, SliceSpec(axis, v1, box))
         n2, e2 = number_on_slice(J, SliceSpec(axis, v2, box))
         rel = abs(n1 - n2) / max(abs(n1), abs(n2), 1e-300)
@@ -379,13 +379,12 @@ def conformal_suite(ctx: SuiteContext):
         current_invariance_check(J, J2, pts), tols.current_weight))
 
     meta = ctx.preset.meta
-    if meta.get("slice_box") is not None:
-        spec = SliceSpec(meta["slice_axis"], meta["slice_values"][0], meta["slice_box"])
-        n1, _ = number_on_slice(J, spec)
-        n2, _ = number_on_slice(J2, spec)
-        checks.append(ctx.record(
-            "slice-count-gauge-invariance", "slice counts are gauge invariant",
-            abs(n1 - n2) / max(abs(n1), 1e-300), tols.quadrature_rel))
+    spec = SliceSpec(meta.slice_axis, meta.slice_values[0], meta.slice_box)
+    n1, _ = number_on_slice(J, spec)
+    n2, _ = number_on_slice(J2, spec)
+    checks.append(ctx.record(
+        "slice-count-gauge-invariance", "slice counts are gauge invariant",
+        abs(n1 - n2) / max(abs(n1), 1e-300), tols.quadrature_rel))
     return checks
 
 
@@ -399,19 +398,17 @@ def frame_suite(ctx: SuiteContext):
     chart = g.chart
     checks = []
 
-    axis = meta["slice_axis"]
-    value = meta["slice_values"][0]
-    spec = SliceSpec(axis, value, meta["slice_box"])
-    nodes = ctx.frame_params.grid_nodes or meta.get("frame_nodes")
+    value = meta.slice_values[0]
+    spec = SliceSpec(meta.slice_axis, value, meta.slice_box)
+    nodes = ctx.frame_params.grid_nodes or meta.frame_nodes
     factor = preferred_frame(g, st.n, spec, engine, ctx.frame_params, grid_nodes=nodes)
 
     checks.append(ctx.record(
         "frame-transport", "solved factor satisfies the transport equation",
         _maxabs(transport_residual(factor, g, st.n, engine)(pts)), tols.frame))
 
-    closed_builder = meta.get("closed_frame")
-    if closed_builder is not None:
-        closed = closed_builder(value)
+    if meta.closed_frame is not None:
+        closed = meta.closed_frame(value)
         lo, hi = chart.bounds(chart.margin / 2.0)
         grid_pts = np.stack(
             [m.ravel() for m in np.meshgrid(*factor.grid_axes, indexing="ij")], axis=-1)
@@ -452,14 +449,13 @@ def frame_suite(ctx: SuiteContext):
 def worldlines_suite(ctx: SuiteContext):
     g, engine, tols = ctx.preset.g, ctx.engine, ctx.tols
     st = ctx.preset.state
-    meta = ctx.preset.meta
     chart = g.chart
     bundle = ctx.bundle
     checks = []
 
     rng = np.random.default_rng(ctx.seed + 101)
     lo, hi = chart.bounds(chart.margin + 0.15)
-    s_max = meta.get("ray_s_max", 1.0)
+    s_max = ctx.preset.meta.ray_s_max
 
     x0s = lo + rng.random((ctx.rays, chart.dim)) * (hi - lo)
     dirs = rng.normal(size=(ctx.rays, chart.dim - 1))

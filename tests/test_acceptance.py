@@ -181,7 +181,7 @@ def test_c07_condition_scalar_closed_forms(presets):
             preset.g, bundle.gamma, bundle.A, st.n, st.p, st.rho, st.phi, ENGINE)
         worst = max(worst, float(np.abs(cs.s1_residual(pts)).max()),
                     float(np.abs(cs.s2_residual(pts)).max()))
-        if preset.meta["eos_w"] == 0.0:
+        if preset.meta.eos_w == 0.0:
             dust = cs.s1(pts) - st.rho(pts) * st.phi(pts)
             worst_dust = max(worst_dust, float(np.abs(dust).max()))
     _report(7, "condition scalars match their closed forms", worst, 1e-9)
@@ -240,7 +240,7 @@ def test_c10_null_compatibility(presets):
     for name, (preset, bundle, pts) in presets.items():
         rng = np.random.default_rng(SEED + 77)
         lo, hi = preset.chart.bounds(preset.chart.margin + 0.15)
-        s_max = preset.meta["ray_s_max"]
+        s_max = preset.meta.ray_s_max
         m = preset.chart.dim
         x0s = lo + rng.random((5, m)) * (hi - lo)
         dirs = rng.normal(size=(5, m - 1))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from weylfluid.catalog import (
+    PRESETS,
     build,
     circular_orbit_init,
     null_tangent,
@@ -12,6 +13,7 @@ from weylfluid.catalog import (
     validate_parameters,
     verification_matrix,
 )
+from weylfluid.config import SuiteConfig
 from weylfluid.errors import ConstructionError
 
 
@@ -93,3 +95,21 @@ def test_preset_names_sorted_and_complete():
     names = preset_names()
     assert names == tuple(sorted(names))
     assert set(verification_matrix()) <= set(names)
+
+
+def test_table_pairs_give_back_preset_names():
+    for name in verification_matrix():
+        entry = PRESETS[name]
+        assert SuiteConfig(entry.spacetime, entry.fluid).preset_name == name
+
+
+def test_minkowski3_dust_honours_phi():
+    preset = build("minkowski3-dust", {"phi": 0.9})
+    pts = preset.chart.sample_points(3, 8, seed=0)
+    assert preset.chart.dim == 3
+    assert np.all(preset.state.phi(pts) == 0.9)
+
+
+def test_minkowski3_dust_rejects_dim():
+    with pytest.raises(ConstructionError, match="unknown parameter 'dim'"):
+        validate_parameters("minkowski3-dust", {"dim": 4})

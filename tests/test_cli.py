@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from weylfluid import suites
+from weylfluid import cli, suites
 from weylfluid.config import load_config
 from weylfluid.errors import ConfigError
 from weylfluid.harness import run_suite
@@ -61,6 +61,7 @@ MALFORMED_CFG = "[run\nsuites = connection\n"
 
 # (section, key, values that load_config must reject)
 OUT_OF_RANGE = [
+    ("run", "seed", ["-1"]),
     ("run", "rays", ["0", "-1"]),
     ("run", "nonmetricity_pairs", ["0"]),
     ("conformal", "seeded_factors", ["0"]),
@@ -69,6 +70,24 @@ OUT_OF_RANGE = [
     ("frame", "grid_nodes", ["3", "0"]),  # cubic interpolation by default
     ("engine", "h", ["nan", "inf", "0", "-1e-4"]),
     *(("tolerances", f.name, ["-1e-9", "nan", "inf"]) for f in fields(suites.Tolerances)),
+]
+
+
+# (section, key, value) preset parameters that load_config must reject
+BAD_PARAMETERS = [
+    ("fluid", "rho0", "nan"),
+    ("spacetime", "dim", "7"),
+    ("spacetime", "dim", "1"),
+    ("spacetime", "dim", "2.5"),
+]
+
+# (key, [geodesic] lines) that `weylfluid geodesic` must reject with exit 2
+BAD_GEODESIC = [
+    ("kind", ["kind = spacelike"]),
+    ("s_max", ["s_max = abc", "s_max = 0", "s_max = inf"]),
+    ("start", ["start = 0 0", "start = 0 0 0 x", "start = 0 0 0 nan"]),
+    ("tangent", ["kind = autoparallel\ntangent = 1 0", "tangent = 1 0 0 0"]),
+    ("direction", ["direction = 1 0 0 0", "kind = autoparallel\ndirection = 1 0 0"]),
 ]
 
 
@@ -120,6 +139,26 @@ class TestConfig:
             path = _write(tmp_path, "bad.cfg", f"[{section}]\n{key} = {value}\n")
             with pytest.raises(ConfigError, match=f"key '{key}'"):
                 load_config(path)
+
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
+        out = str(tmp_path / "report.json")
+        assert cli.main(["verify", "--seed", "-1", "--out", out]) == 2
+        assert "key 'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", BAD_PARAMETERS,
+                             ids=[f"{key}={value}" for _, key, value in BAD_PARAMETERS])
+    def test_bad_preset_parameter_rejected(self, tmp_path, section, key, value):
+        path = _write(tmp_path, "bad.cfg", f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"parameter '{key}'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key,lines", BAD_GEODESIC, ids=[k for k, _ in BAD_GEODESIC])
+    def test_bad_geodesic_key_exits_two(self, tmp_path, capsys, key, lines):
+        for line in lines:
+            path = _write(tmp_path, "geo.cfg", PASS_CFG + f"[geodesic]\n{line}\n")
+            out = str(tmp_path / "ray.csv")
+            assert cli.main(["geodesic", "--config", path, "--out", out]) == 2, line
+            assert f"key '{key}'" in capsys.readouterr().err
 
     def test_range_edges_accepted(self, tmp_path):
         text = ("[run]\nrays = 1\nnonmetricity_pairs = 1\n"

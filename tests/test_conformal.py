@@ -200,14 +200,14 @@ class TestPreferredFrame:
 
     def test_closed_form_factor_incompressibility(self):
         preset, bundle, pts = _setup("flrw-comoving-dust")
-        closed = preset.meta["closed_frame"](0.0)
+        closed = preset.meta.closed_frame(0.0)
         b2, s2 = conformal_rescale(bundle, preset.state, closed, ENG)
         inc = incompressibility_residual(b2.g, s2.n, ENG)(pts)
         assert np.abs(inc).max() < 1e-10
 
     def test_preferred_covector_scalars(self):
         preset, bundle, pts = _setup("flrw-comoving-dust")
-        closed = preset.meta["closed_frame"](0.0)
+        closed = preset.meta.closed_frame(0.0)
         b2, s2 = conformal_rescale(bundle, preset.state, closed, ENG)
         A2 = preferred_weyl_covector(b2.g, s2.n, ENG)
         pb = WeylBundle(b2.g, A2, eps_connection(b2.g, A2, ENG))

@@ -155,7 +155,7 @@ class TestNullCompatibility:
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
             k0 = null_tangent(preset.g, x0, d)
-            s_max = preset.meta["ray_s_max"]
+            s_max = preset.meta.ray_s_max
             path_g = integrate_null_geodesic(preset.g, x0, k0, s_max, ENG)
             report = eps_null_check(preset.g, bundle.gamma, path_g, ENG)
             assert report["max_orthogonal"] < 1e-8
