@@ -3,8 +3,12 @@
 the reports.
 
 Writes one JSON report per preset into ``reports/`` and prints a summary
-line per preset.  The frame suite runs only where the preset is marked
-frame-ready (transversal flow and an affordable memo grid).
+line per preset, with its wall time.  The frame suite runs only where the
+preset is marked frame-ready (transversal flow and an affordable memo grid).
+
+Reports are written with ``timing = off``, so two sweeps at one seed on one
+machine give byte-identical files unless a residual moved: ``diff -r`` of the
+``reports/`` of two source trees is a check that a change kept every report.
 
 Usage:
     python scripts/run_verification.py [--seed N] [--outdir reports]
@@ -40,7 +44,7 @@ def main():
             suites.append("frame")
         entry = PRESETS[name]
         cfg = SuiteConfig(spacetime=entry.spacetime, fluid=entry.fluid, seed=args.seed,
-                          suites=tuple(suites))
+                          suites=tuple(suites), timing=False)
         t0 = time.perf_counter()
         report = run_suite(cfg)
         emit_report(report, str(outdir / f"{name}.json"))

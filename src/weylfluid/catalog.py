@@ -114,10 +114,10 @@ def perturbed_metric(base: MetricField, eps: float, seed: int) -> MetricField:
     """``g + eps * h`` with a seeded symmetric polynomial perturbation.
 
     The caller must re-check the signature; construction enforces
-    ``eps <= 0.01`` which keeps every catalog chart Lorentzian.
+    ``|eps| <= 0.01`` which keeps every catalog chart Lorentzian.
     """
-    if eps > 0.01:
-        raise ConstructionError("metric perturbations are validated only for eps <= 0.01")
+    if abs(eps) > 0.01:
+        raise ConstructionError("metric perturbations are validated only for |eps| <= 0.01")
     chart = base.chart
     m = chart.dim
     rng = np.random.default_rng(seed)
@@ -367,8 +367,6 @@ def _build_flrw(kind: str, params: dict, seed: int):
 
 def _build_schwarzschild(params: dict, seed: int):
     rs = params["rs"]
-    if rs <= 0:
-        raise ConstructionError("Schwarzschild radius must be positive")
     chart = schwarzschild_chart(rs)
     g = schwarzschild_metric(chart, rs)
     n = comoving_flow(chart, g)
@@ -437,9 +435,10 @@ def preset_names() -> tuple:
 
 
 def validate_parameters(name: str, parameters: dict) -> None:
-    """Reject unknown presets, unknown parameter keys, non-finite values and
-    a ``dim`` that is not a supported chart dimension, without building
-    anything."""
+    """Reject unknown presets, unknown parameter keys, non-finite values, a
+    ``dim`` that is not a supported chart dimension, a metric perturbation
+    ``eps`` above 0.01 in size and a non-positive Schwarzschild radius
+    ``rs``, without building anything."""
     if name not in PRESETS:
         raise ConstructionError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
@@ -459,6 +458,12 @@ def validate_parameters(name: str, parameters: dict) -> None:
             raise ConstructionError(
                 f"parameter 'dim' of preset {name!r} must be an integer "
                 f"from 2 to {len(_COORD_NAMES)}, got {value}")
+        if key == "eps" and name == "minkowski-perturbed" and abs(value) > 0.01:
+            raise ConstructionError(
+                f"parameter 'eps' of preset {name!r} must be at most 0.01 in size, got {value}")
+        if key == "rs" and value <= 0:
+            raise ConstructionError(
+                f"parameter 'rs' of preset {name!r} must be positive, got {value}")
 
 
 def build(name: str, parameters: dict = None, seed: int = 0) -> CatalogBundle:

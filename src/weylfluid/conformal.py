@@ -32,13 +32,12 @@ from .interpolation import build_interpolator
 from .connections import eps_connection
 from .conservation import SliceSpec
 from .errors import GaugeError, ReachabilityError, TransversalityError
-from .fluid import FluidState, WeylBundle, fluid_covector
+from .fluid import FluidState, WeylBundle, flow_jet, fluid_covector
 from .geometry import (
     DerivativeEngine,
     MetricField,
     TensorField,
     constant_scalar,
-    metric_aux,
     scalar_field,
 )
 from .integrators import embedded_step, integrate_adaptive
@@ -361,10 +360,8 @@ def transport_residual(
 
     def eval_fn(pts):
         dln = engine.jacobian(factor.ln, pts)
-        data = metric_aux(g, pts, engine)
-        nval, njac = engine.value_and_jacobian(n, pts)
-        div = np.einsum("naa->n", njac) + np.einsum("nc,nc->n", data.gamma_trace, nval)
-        return np.einsum("na,na->n", nval, dln) + div / (m - 1.0)
+        jet = flow_jet(g, n, engine, pts)
+        return np.einsum("na,na->n", jet.n, dln) + jet.div / (m - 1.0)
 
     return scalar_field(g.chart, eval_fn=eval_fn, name="transport-residual")
 
@@ -372,12 +369,8 @@ def transport_residual(
 def incompressibility_residual(g2: MetricField, n2: TensorField, engine: DerivativeEngine) -> TensorField:
     """Metric divergence of the rescaled flow, ``nabla^{g~}_a n~^a``."""
 
-    def eval_fn(pts):
-        data = metric_aux(g2, pts, engine)
-        nval, njac = engine.value_and_jacobian(n2, pts)
-        return np.einsum("naa->n", njac) + np.einsum("nc,nc->n", data.gamma_trace, nval)
-
-    return scalar_field(g2.chart, eval_fn=eval_fn, name="incompressibility-residual")
+    return scalar_field(g2.chart, eval_fn=lambda pts: flow_jet(g2, n2, engine, pts).div,
+                        name="incompressibility-residual")
 
 
 def preferred_weyl_covector(g2: MetricField, n2: TensorField, engine: DerivativeEngine) -> TensorField:

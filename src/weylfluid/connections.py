@@ -138,8 +138,10 @@ def density_divergence_sqrtg(
 ) -> np.ndarray:
     """Weight-1 covariant derivative of the volume factor:
     ``d_c sqrt|g| - Gamma^l_{lc} sqrt|g|``, shape ``(N, m)``."""
-    data = metric_aux(g, pts, engine)
-    gam = gamma(pts)
+    return _density_divergence(metric_aux(g, pts, engine), gamma(pts))
+
+
+def _density_divergence(data, gam) -> np.ndarray:
     return data.dsqrt_det - np.einsum("nllc->nc", gam) * data.sqrt_det[:, None]
 
 
@@ -172,7 +174,5 @@ def sqrt_det_trace_residual(
     """Residual of the density trace identity
     ``nabla^Gamma_c sqrt|g| = m A_c sqrt|g|``, shape ``(N, m)``."""
     pts = g.chart.as_points(pts)
-    lhs = density_divergence_sqrtg(g, gamma, engine, pts)
-    data = metric_aux(g, pts)
-    rhs = g.chart.dim * A(pts) * data.sqrt_det[:, None]
-    return lhs - rhs
+    data = metric_aux(g, pts, engine)
+    return _density_divergence(data, gamma(pts)) - g.chart.dim * A(pts) * data.sqrt_det[:, None]

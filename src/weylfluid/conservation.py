@@ -30,7 +30,7 @@ from . import autodiff as ad
 from ._signs import SIGN_FLOW, SIGN_ORTHO
 from .connections import ConnectionField
 from .errors import CapabilityError
-from .fluid import stress_energy
+from .fluid import flow_jet, stress_energy
 from .geometry import (
     Chart,
     DerivativeEngine,
@@ -122,13 +122,12 @@ def conservation_condition_residuals(
         return (pv + rv) * div_gamma - (pv - rv) * fv + np.einsum("na,na->n", nval, drho)
 
     def eval_c2(pts):
-        data = metric_aux(g, pts, engine)
-        nval, njac = engine.value_and_jacobian(n, pts)
-        acc_up = np.einsum("nc,nac->na", nval, njac) + np.einsum(
-            "nabc,nb,nc->na", data.gamma, nval, nval
+        jet = flow_jet(g, n, engine, pts)
+        acc_up = np.einsum("nc,nac->na", jet.n, jet.dn) + np.einsum(
+            "nabc,nb,nc->na", jet.data.gamma, jet.n, jet.n
         )
         dp = engine.jacobian(p, pts)
-        proj = data.inv + np.einsum("na,nb->nab", nval, nval)
+        proj = jet.data.inv + np.einsum("na,nb->nab", jet.n, jet.n)
         return np.einsum("nab,nb->na", proj, dp) - 2.0 * p(pts)[:, None] * acc_up
 
     c1 = scalar_field(g.chart, eval_fn=eval_c1, name="C1")
@@ -281,7 +280,8 @@ def number_on_slice(J: TensorField, spec: SliceSpec):
 
 @dataclass(frozen=True)
 class ConditionScalars:
-    """Directly contracted condition scalars and their closed forms.
+    """Directly contracted condition scalars and their closed-form
+    residuals on one point batch, each of shape ``(N,)``.
 
     ``s1 = T^{mu nu} nabla^Gamma_mu n_nu`` has closed form
     ``p nabla^g_mu n^mu + (rho + (m-1) p) phi`` and ``s2 = T^{mu nu} A_mu
@@ -289,10 +289,10 @@ class ConditionScalars:
     where the flow is divergence-free and affinely parametrized.
     """
 
-    s1: TensorField
-    s2: TensorField
-    s1_residual: TensorField
-    s2_residual: TensorField
+    s1: np.ndarray
+    s2: np.ndarray
+    s1_residual: np.ndarray
+    s2_residual: np.ndarray
 
 
 def condition_scalars(
@@ -304,49 +304,26 @@ def condition_scalars(
     rho: TensorField,
     phi: TensorField,
     engine: DerivativeEngine,
+    pts,
 ) -> ConditionScalars:
-    """Contract the condition scalars directly and compare with their
-    closed forms."""
-    T = stress_energy(g, n, p, rho)
-    t_up = raise_indices2(g, T)
+    """Contract the condition scalars directly at ``pts`` and compare with
+    their closed forms."""
+    pts = g.chart.as_points(pts)
+    t_up = raise_indices2(g, stress_energy(g, n, p, rho))
     m = g.chart.dim
-
-    def contract(pts):
-        data = metric_aux(g, pts, engine)
-        nval, njac = engine.value_and_jacobian(n, pts)
-        n_low = np.einsum("nab,nb->na", data.val, nval)
-        div_g = np.einsum("naa->n", njac) + np.einsum("nc,nc->n", data.gamma_trace, nval)
-        # nabla^Gamma_c n_b, derivative index last
-        dn_low = np.einsum("nbad,na->nbd", data.dg, nval) + np.einsum(
-            "nba,nad->nbd", data.val, njac
-        )
-        cov_low = dn_low - np.einsum("nlbc,nl->nbc", gamma(pts), n_low)
-        tv = t_up(pts)
-        s1 = np.einsum("nmv,nvm->n", tv, cov_low)
-        s2 = np.einsum("nm,nmv,nv->n", A(pts), tv, n_low)
-        return s1, s2, div_g
-
-    def eval_s1(pts):
-        return contract(pts)[0]
-
-    def eval_s2(pts):
-        return contract(pts)[1]
-
-    def eval_res1(pts):
-        s1, _, div_g = contract(pts)
-        closed = p(pts) * div_g + (rho(pts) + (m - 1) * p(pts)) * phi(pts)
-        return s1 - closed
-
-    def eval_res2(pts):
-        _, s2, _ = contract(pts)
-        return s2 - rho(pts) * phi(pts)
-
-    return ConditionScalars(
-        s1=scalar_field(g.chart, eval_fn=eval_s1, name="s1"),
-        s2=scalar_field(g.chart, eval_fn=eval_s2, name="s2"),
-        s1_residual=scalar_field(g.chart, eval_fn=eval_res1, name="s1-closed-form-residual"),
-        s2_residual=scalar_field(g.chart, eval_fn=eval_res2, name="s2-closed-form-residual"),
-    )
+    jet = flow_jet(g, n, engine, pts)
+    # nabla^Gamma_c n_b, derivative index last
+    cov_low = jet.dn_low - np.einsum("nlbc,nl->nbc", gamma(pts), jet.n_low)
+    tv = t_up(pts)
+    s1 = np.einsum("nmv,nvm->n", tv, cov_low)
+    s2 = np.einsum("nm,nmv,nv->n", A(pts), tv, jet.n_low)
+    closed = p(pts) * jet.div + (rho(pts) + (m - 1) * p(pts)) * phi(pts)
+    out = ConditionScalars(s1, s2, s1 - closed, s2 - rho(pts) * phi(pts))
+    for name, val in (("s1", out.s1), ("s2", out.s2), ("s1-closed-form-residual", out.s1_residual),
+                      ("s2-closed-form-residual", out.s2_residual)):
+        if not np.all(np.isfinite(val)):
+            raise ValueError(f"field {name} is not finite at a sample")
+    return out
 
 
 def current_identity_residual(
@@ -366,18 +343,12 @@ def current_identity_residual(
     m = g.chart.dim
 
     def eval_fn(pts):
-        data = metric_aux(g, pts, engine)
-        nval, njac = engine.value_and_jacobian(n, pts)
-        n_low = np.einsum("nab,nb->na", data.val, nval)
-        gam = gamma(pts)
-        dn_low = np.einsum("nbad,na->nbd", data.dg, nval) + np.einsum(
-            "nba,nad->nbd", data.val, njac
-        )
-        cov_low = dn_low - np.einsum("nlbc,nl->nbc", gam, n_low)
+        jet = flow_jet(g, n, engine, pts)
+        cov_low = jet.dn_low - np.einsum("nlbc,nl->nbc", gamma(pts), jet.n_low)
         tv = t_up(pts)
-        term1 = np.einsum("nv,nv->n", div_t(pts), n_low)
+        term1 = np.einsum("nv,nv->n", div_t(pts), jet.n_low)
         term2 = np.einsum("nmv,nvm->n", tv, cov_low)
-        term3 = m * np.einsum("nm,nmv,nv->n", A(pts), tv, n_low)
-        return div_j(pts) - data.sqrt_det * (term1 + term2 + term3)
+        term3 = m * np.einsum("nm,nmv,nv->n", A(pts), tv, jet.n_low)
+        return div_j(pts) - jet.data.sqrt_det * (term1 + term2 + term3)
 
     return scalar_field(g.chart, eval_fn=eval_fn, name="current-identity-residual")

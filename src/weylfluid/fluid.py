@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import ConnectionField, eps_connection
+from .connections import ConnectionField, eps_shift
 from .errors import CapabilityError
 from .geometry import (
     DerivativeEngine,
+    MetricData,
     MetricField,
     TensorField,
     covector_field,
@@ -68,15 +69,35 @@ class WeylBundle:
     gamma: ConnectionField
 
 
-def _acceleration(g: MetricField, n: TensorField, engine: DerivativeEngine, pts):
-    """Covariant acceleration ``n^a nabla^g_a n_b`` with the index lowered."""
+@dataclass(frozen=True)
+class FlowJet:
+    """The metric data and the first jet of the flow on one point batch:
+    ``n^a``, ``d_c n^a``, ``n_a``, ``d_c n_b`` (derivative index last) and
+    the metric divergence ``nabla^g_a n^a``."""
+
+    data: MetricData
+    n: np.ndarray
+    dn: np.ndarray
+    n_low: np.ndarray
+    dn_low: np.ndarray
+    div: np.ndarray
+
+
+def flow_jet(g: MetricField, n: TensorField, engine: DerivativeEngine, pts) -> FlowJet:
+    """Evaluate the metric and the flow once and form their first jet."""
     data = metric_aux(g, pts, engine)
     nval, njac = engine.value_and_jacobian(n, pts)
     n_low = np.einsum("nab,nb->na", data.val, nval)
     # d_c n_b = d_c (g_ba n^a)
     dn_low = np.einsum("nbad,na->nbd", data.dg, nval) + np.einsum("nba,nad->nbd", data.val, njac)
-    cov = dn_low - np.einsum("nlbc,nl->nbc", data.gamma, n_low)
-    return np.einsum("nc,nbc->nb", nval, cov), nval, n_low
+    div = np.einsum("naa->n", njac) + np.einsum("nc,nc->n", data.gamma_trace, nval)
+    return FlowJet(data, nval, njac, n_low, dn_low, div)
+
+
+def _covector(jet: FlowJet, phi: TensorField, pts) -> np.ndarray:
+    """``A_b = n^c nabla^g_c n_b + phi n_b`` from the flow jet."""
+    cov = jet.dn_low - np.einsum("nlbc,nl->nbc", jet.data.gamma, jet.n_low)
+    return np.einsum("nc,nbc->nb", jet.n, cov) + phi(pts)[:, None] * jet.n_low
 
 
 def fluid_covector(
@@ -85,20 +106,24 @@ def fluid_covector(
     """The Weyl covector induced by a unit flow and its parametrization."""
     if n.variance != ("u",):
         raise CapabilityError("fluid_covector expects a vector flow field")
-
-    def eval_fn(pts):
-        acc, _, n_low = _acceleration(g, n, engine, pts)
-        return acc + phi(pts)[:, None] * n_low
-
-    return covector_field(g.chart, eval_fn=eval_fn, name="A(fluid)")
+    return covector_field(
+        g.chart, eval_fn=lambda pts: _covector(flow_jet(g, n, engine, pts), phi, pts),
+        name="A(fluid)")
 
 
 def fluid_connection(
     g: MetricField, n: TensorField, phi: TensorField, engine: DerivativeEngine
 ) -> WeylBundle:
-    """Bundle the metric with the flow-induced covector and its connection."""
+    """Bundle the metric with the flow-induced covector and its connection,
+    ``eps_connection(g, A)`` evaluated from one flow jet per call."""
     A = fluid_covector(g, n, phi, engine)
-    return WeylBundle(g=g, A=A, gamma=eps_connection(g, A, engine))
+
+    def eval_fn(pts):
+        jet = flow_jet(g, n, engine, pts)
+        return jet.data.gamma + eps_shift(jet.data.inv, jet.data.val, _covector(jet, phi, pts))
+
+    gamma = ConnectionField(g.chart, eval_fn, provenance="eps(A)", name=f"eps({g.name},{A.name})")
+    return WeylBundle(g=g, A=A, gamma=gamma)
 
 
 def geodesic_defect(

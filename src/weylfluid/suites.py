@@ -286,13 +286,13 @@ def conservation_suite(ctx: SuiteContext):
         _maxabs(current_identity_residual(g, bundle.gamma, bundle.A, T, st.n, engine)(pts)),
         tols.identity))
 
-    cs = condition_scalars(g, bundle.gamma, bundle.A, st.n, st.p, st.rho, st.phi, engine)
+    cs = condition_scalars(g, bundle.gamma, bundle.A, st.n, st.p, st.rho, st.phi, engine, pts)
     checks.append(ctx.record(
         "condition-scalar-transport", "contracted flow-transport scalar matches closed form",
-        _maxabs(cs.s1_residual(pts)), tols.derivative))
+        _maxabs(cs.s1_residual), tols.derivative))
     checks.append(ctx.record(
         "condition-scalar-covector", "contracted covector scalar equals rho phi",
-        _maxabs(cs.s2_residual(pts)), tols.derivative))
+        _maxabs(cs.s2_residual), tols.derivative))
 
     if meta.conserved:
         checks.append(ctx.record(
@@ -430,13 +430,13 @@ def frame_suite(ctx: SuiteContext):
     A2 = preferred_weyl_covector(b2.g, s2.n, engine)
     pb = WeylBundle(b2.g, A2, eps_connection(b2.g, A2, engine))
     zero = constant_scalar(chart, 0.0)
-    cs = condition_scalars(pb.g, pb.gamma, pb.A, s2.n, s2.p, s2.rho, zero, engine)
+    cs = condition_scalars(pb.g, pb.gamma, pb.A, s2.n, s2.p, s2.rho, zero, engine, pts)
     checks.append(ctx.record(
         "preferred-scalar-transport", "first obstruction scalar vanishes in the frame",
-        _maxabs(cs.s1(pts)), tols.frame))
+        _maxabs(cs.s1), tols.frame))
     checks.append(ctx.record(
         "preferred-scalar-covector", "second obstruction scalar vanishes in the frame",
-        _maxabs(cs.s2(pts)), tols.frame))
+        _maxabs(cs.s2), tols.frame))
     checks.append(ctx.record(
         "preferred-geodesic-defect", "flow is affinely autoparallel in the frame",
         _maxabs(geodesic_defect(pb, s2.n, zero, engine)(pts)), tols.frame))

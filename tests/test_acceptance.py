@@ -178,11 +178,11 @@ def test_c07_condition_scalar_closed_forms(presets):
     for preset, bundle, pts in presets.values():
         st = preset.state
         cs = condition_scalars(
-            preset.g, bundle.gamma, bundle.A, st.n, st.p, st.rho, st.phi, ENGINE)
-        worst = max(worst, float(np.abs(cs.s1_residual(pts)).max()),
-                    float(np.abs(cs.s2_residual(pts)).max()))
+            preset.g, bundle.gamma, bundle.A, st.n, st.p, st.rho, st.phi, ENGINE, pts)
+        worst = max(worst, float(np.abs(cs.s1_residual).max()),
+                    float(np.abs(cs.s2_residual).max()))
         if preset.meta.eos_w == 0.0:
-            dust = cs.s1(pts) - st.rho(pts) * st.phi(pts)
+            dust = cs.s1 - st.rho(pts) * st.phi(pts)
             worst_dust = max(worst_dust, float(np.abs(dust).max()))
     _report(7, "condition scalars match their closed forms", worst, 1e-9)
     _report(7, "pressureless transport scalar reduces to rho phi", worst_dust, 1e-9)
@@ -211,8 +211,8 @@ def test_c08_preferred_frame(presets):
     A2 = preferred_weyl_covector(b2.g, s2.n, ENGINE)
     pb = WeylBundle(b2.g, A2, eps_connection(b2.g, A2, ENGINE))
     zero = constant_scalar(mk.chart, 0.0)
-    cs = condition_scalars(pb.g, pb.gamma, pb.A, s2.n, s2.p, s2.rho, zero, ENGINE)
-    worst_s = max(float(np.abs(cs.s1(mk_pts)).max()), float(np.abs(cs.s2(mk_pts)).max()))
+    cs = condition_scalars(pb.g, pb.gamma, pb.A, s2.n, s2.p, s2.rho, zero, ENGINE, mk_pts)
+    worst_s = max(float(np.abs(cs.s1).max()), float(np.abs(cs.s2).max()))
     _report(8, "obstruction scalars vanish in the preferred frame", worst_s, 1e-4)
 
 

@@ -3,6 +3,7 @@ exit-code contract."""
 
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from weylfluid.report import (
 from weylfluid.suites import CheckRecord
 
 from conftest import run_weylfluid as _cli
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 PASS_CFG = """\
 [spacetime]
@@ -73,12 +76,17 @@ OUT_OF_RANGE = [
 ]
 
 
-# (section, key, value) preset parameters that load_config must reject
+# (section, key, value, (spacetime, fluid)) preset parameters that
+# load_config must reject
+REST = ("minkowski", "dust-rest")
 BAD_PARAMETERS = [
-    ("fluid", "rho0", "nan"),
-    ("spacetime", "dim", "7"),
-    ("spacetime", "dim", "1"),
-    ("spacetime", "dim", "2.5"),
+    ("fluid", "rho0", "nan", REST),
+    ("spacetime", "dim", "7", REST),
+    ("spacetime", "dim", "1", REST),
+    ("spacetime", "dim", "2.5", REST),
+    ("spacetime", "eps", "0.5", ("minkowski", "perturbed")),
+    ("spacetime", "eps", "-5", ("minkowski", "perturbed")),
+    ("spacetime", "rs", "-1", ("schwarzschild", "static")),
 ]
 
 # (key, [geodesic] lines) that `weylfluid geodesic` must reject with exit 2
@@ -145,12 +153,15 @@ class TestConfig:
         assert cli.main(["verify", "--seed", "-1", "--out", out]) == 2
         assert "key 'seed'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section,key,value", BAD_PARAMETERS,
-                             ids=[f"{key}={value}" for _, key, value in BAD_PARAMETERS])
-    def test_bad_preset_parameter_rejected(self, tmp_path, section, key, value):
-        path = _write(tmp_path, "bad.cfg", f"[{section}]\n{key} = {value}\n")
-        with pytest.raises(ConfigError, match=f"parameter '{key}'"):
-            load_config(path)
+    @pytest.mark.parametrize("section,key,value,preset", BAD_PARAMETERS,
+                             ids=[f"{key}={value}" for _, key, value, _ in BAD_PARAMETERS])
+    def test_bad_preset_parameter_rejected(self, tmp_path, section, key, value, preset):
+        body = {"spacetime": f"preset = {preset[0]}\n", "fluid": f"preset = {preset[1]}\n"}
+        body[section] += f"{key} = {value}\n"
+        text = "".join(f"[{name}]\n{lines}" for name, lines in body.items())
+        with pytest.raises(ConfigError, match=f"parameter '{key}'") as err:
+            load_config(_write(tmp_path, "bad.cfg", text))
+        assert "unknown parameter" not in str(err.value)
 
     @pytest.mark.parametrize("key,lines", BAD_GEODESIC, ids=[k for k, _ in BAD_GEODESIC])
     def test_bad_geodesic_key_exits_two(self, tmp_path, capsys, key, lines):
@@ -174,6 +185,10 @@ class TestConfig:
         assert load_config(_write(tmp_path, "lin.cfg", linear)).frame_params.grid_nodes == 2
         with pytest.raises(ConfigError, match="key 'grid_nodes'"):
             load_config(_write(tmp_path, "lin.cfg", linear.replace("= 2", "= 1")))
+        # the eps bound is the perturbed metric's; on the sheared flow eps is the shear
+        for fluid, eps in (("perturbed", "0.01"), ("perturbed", "-0.01"), ("sheared", "0.5")):
+            text = f"[spacetime]\npreset = minkowski\neps = {eps}\n[fluid]\npreset = {fluid}\n"
+            assert load_config(_write(tmp_path, "ok.cfg", text)).parameters["eps"] == float(eps)
 
 
 class TestReportSerialization:
@@ -286,13 +301,14 @@ class TestExitCodes:
         assert proc.returncode == 3, proc.stderr
 
     def test_build_failure_writes_partial_report(self, tmp_path):
-        # parameters that parse but fail construction: runtime error with a
-        # partial report carrying the error record
+        # parameters that parse but fail construction (a shear this large
+        # tips the flow out of the light cone): runtime error with a partial
+        # report carrying the error record
         text = PASS_CFG.replace(
             "[spacetime]\npreset = minkowski",
-            "[spacetime]\npreset = schwarzschild\nrs = -1.0",
-        ).replace("preset = dust-rest", "preset = static")
-        path = _write(tmp_path, "bad-rs.cfg", text)
+            "[spacetime]\npreset = minkowski\neps = 5.0",
+        ).replace("preset = dust-rest", "preset = sheared")
+        path = _write(tmp_path, "bad-eps.cfg", text)
         out = tmp_path / "partial.json"
         proc = _cli(["verify", "--config", path, "--out", str(out)], cwd=tmp_path)
         assert proc.returncode == 3, proc.stderr
@@ -330,3 +346,17 @@ class TestOtherCommands:
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert data.shape == (5**4, 5)
         assert np.abs(data[:, 4]).max() < 1e-12  # already incompressible
+
+
+class TestCommittedConfigs:
+    def test_every_config_loads(self):
+        paths = sorted(CONFIG_DIR.glob("*.cfg"))
+        assert paths
+        for path in paths:
+            load_config(str(path))
+
+    def test_negative_control_fails(self, tmp_path):
+        out = str(tmp_path / "report.json")
+        path = str(CONFIG_DIR / "flrw-wrong-weight.cfg")
+        assert cli.main(["verify", "--config", path, "--out", out]) == 1
+        assert json.loads(open(out).read())["pass"] is False

@@ -212,9 +212,9 @@ class TestPreferredFrame:
         A2 = preferred_weyl_covector(b2.g, s2.n, ENG)
         pb = WeylBundle(b2.g, A2, eps_connection(b2.g, A2, ENG))
         zero = constant_scalar(preset.chart, 0.0)
-        cs = condition_scalars(pb.g, pb.gamma, pb.A, s2.n, s2.p, s2.rho, zero, ENG)
-        assert np.abs(cs.s1(pts)).max() < 1e-10
-        assert np.abs(cs.s2(pts)).max() < 1e-10
+        cs = condition_scalars(pb.g, pb.gamma, pb.A, s2.n, s2.p, s2.rho, zero, ENG, pts)
+        assert np.abs(cs.s1).max() < 1e-10
+        assert np.abs(cs.s2).max() < 1e-10
         assert np.abs(geodesic_defect(pb, s2.n, zero, ENG)(pts)).max() < 1e-10
 
     def test_reachability_error(self):

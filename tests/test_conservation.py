@@ -225,11 +225,11 @@ class TestConditionScalars:
         preset, bundle, pts = flat_phi
         st = preset.state
         cs = condition_scalars(
-            preset.g, bundle.gamma, bundle.A, st.n, st.p, st.rho, st.phi, ENG)
-        assert np.allclose(cs.s1(pts), 0.5, atol=1e-13)
-        assert np.allclose(cs.s2(pts), 0.5, atol=1e-13)
-        assert np.abs(cs.s1_residual(pts)).max() < 1e-13
-        assert np.abs(cs.s2_residual(pts)).max() < 1e-13
+            preset.g, bundle.gamma, bundle.A, st.n, st.p, st.rho, st.phi, ENG, pts)
+        assert np.allclose(cs.s1, 0.5, atol=1e-13)
+        assert np.allclose(cs.s2, 0.5, atol=1e-13)
+        assert np.abs(cs.s1_residual).max() < 1e-13
+        assert np.abs(cs.s2_residual).max() < 1e-13
 
     def test_dust_scaled(self):
         preset = build("minkowski-dust-phi", {"rho0": 2.0})
@@ -237,8 +237,8 @@ class TestConditionScalars:
         bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
         pts = preset.chart.sample_points(3, 4, seed=8)
         cs = condition_scalars(
-            preset.g, bundle.gamma, bundle.A, st.n, st.p, st.rho, st.phi, ENG)
-        assert np.allclose(cs.s1(pts), 1.0, atol=1e-13)  # rho phi = 2 * 0.5
+            preset.g, bundle.gamma, bundle.A, st.n, st.p, st.rho, st.phi, ENG, pts)
+        assert np.allclose(cs.s1, 1.0, atol=1e-13)  # rho phi = 2 * 0.5
 
     def test_vanishing_case(self):
         preset = build("minkowski-radiation", {"phi": 0.0})
@@ -246,9 +246,9 @@ class TestConditionScalars:
         bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
         pts = preset.chart.sample_points(3, 4, seed=9)
         cs = condition_scalars(
-            preset.g, bundle.gamma, bundle.A, st.n, st.p, st.rho, st.phi, ENG)
-        assert np.abs(cs.s1(pts)).max() < 1e-14
-        assert np.abs(cs.s2(pts)).max() < 1e-14
+            preset.g, bundle.gamma, bundle.A, st.n, st.p, st.rho, st.phi, ENG, pts)
+        assert np.abs(cs.s1).max() < 1e-14
+        assert np.abs(cs.s2).max() < 1e-14
 
     def test_pressure_case_value_and_oracle(self):
         # comoving exponential cosmology: metric divergence of the flow is
@@ -260,17 +260,17 @@ class TestConditionScalars:
         p = constant_scalar(chart, 0.2)
         rho = constant_scalar(chart, 1.0)
         bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
-        cs = condition_scalars(
-            preset.g, bundle.gamma, bundle.A, st.n, p, rho, st.phi, ENG)
         pts = chart.sample_points(3, 4, seed=10)
-        assert np.allclose(cs.s1(pts), 0.54, atol=1e-12)
-        assert np.abs(cs.s1_residual(pts)).max() < 1e-12
+        cs = condition_scalars(
+            preset.g, bundle.gamma, bundle.A, st.n, p, rho, st.phi, ENG, pts)
+        assert np.allclose(cs.s1, 0.54, atol=1e-12)
+        assert np.abs(cs.s1_residual).max() < 1e-12
 
         T = stress_energy(preset.g, st.n, p, rho)
         t_up = raise_indices2(preset.g, T)
         ref = covector_transport_contraction(
             preset.g, bundle.gamma, lambda x: t_up(x[None, :])[0], st.n, pts[0])
-        assert cs.s1(pts)[0] == pytest.approx(ref, abs=1e-8)
+        assert cs.s1[0] == pytest.approx(ref, abs=1e-8)
 
 
 class TestCurrentIdentity:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from weylfluid import connections, fluid
 from weylfluid.catalog import (
+    build,
     flrw_chart,
     flrw_metric,
     minkowski_chart,
@@ -11,6 +13,7 @@ from weylfluid.catalog import (
     polynomial_scalar,
     comoving_flow,
     sheared_flow,
+    verification_matrix,
 )
 from weylfluid.connections import eps_connection
 from weylfluid.fluid import (
@@ -99,6 +102,33 @@ class TestGeodesicDefect:
                     polynomial_scalar(chart, np.random.default_rng(7), 0.2)):
             bundle = fluid_connection(g, n, phi, ENG)
             assert np.abs(geodesic_defect(bundle, n, phi, ENG)(pts)).max() < 1e-10
+
+
+class TestSingleJetConnection:
+    @pytest.mark.parametrize("name", verification_matrix())
+    def test_matches_eps_connection(self, name):
+        preset = build(name)
+        st = preset.state
+        bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
+        pts = preset.chart.sample_points(2, 8, seed=3)
+        reference = eps_connection(preset.g, bundle.A, ENG)
+        assert np.array_equal(bundle.gamma(pts), reference(pts))
+        assert (bundle.gamma.provenance, bundle.gamma.name) == (reference.provenance, reference.name)
+
+    def test_one_metric_evaluation_per_call(self, cosmo, monkeypatch):
+        chart, g, n, pts = cosmo
+        bundle = fluid_connection(g, n, constant_scalar(chart, 0.3), ENG)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return metric_aux(*args, **kwargs)
+
+        # every module that a bundle's connection may evaluate the metric from
+        for module in (fluid, connections):
+            monkeypatch.setattr(module, "metric_aux", counted)
+        bundle.gamma(pts)
+        assert len(calls) == 1
 
 
 class TestStressEnergy:
