@@ -63,11 +63,6 @@ class CatalogBundle:
 # -- polynomial ingredients ---------------------------------------------------
 
 
-def _normalized(chart, coords, j):
-    a, b = chart.intervals[j]
-    return (coords[j] - 0.5 * (a + b)) / (0.5 * (b - a))
-
-
 def polynomial_scalar(chart: Chart, rng, scale: float, name: str = "poly") -> TensorField:
     """Degree-<=2 polynomial in box-normalized coordinates with seeded
     coefficients of size ``scale``.

@@ -17,8 +17,10 @@ divergence-free.  Its log-factor solves the transport equation
 
     n^a d_a ln Phi = -(1/(m-1)) nabla^g_a n^a,      ln Phi = 0 on a seed slice
 
-integrated backward along flow characteristics and memoized on a tensor
-grid for cheap derivative evaluation.
+integrated along the flow characteristics with the slice coordinate as the
+independent variable.  The solution is memoized on a tensor grid, filled
+layer by layer outward from the seed slice: each node is carried back one
+layer and reads its start value off that layer's interpolant.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .geometry import (
     constant_scalar,
     scalar_field,
 )
-from .integrators import embedded_step, integrate_adaptive
+from .integrators import integrate_adaptive
 
 
 class ConformalFactor:
@@ -203,21 +205,24 @@ class FrameSolverParams:
     interpolation: str = "cubic"
 
 
-# Characteristic integrator controls.  The step cap is an eighth of the
-# slice-axis interval and the first step a fifth of the cap: accuracy is
-# controlled by the embedded error estimate, the cap only keeps the
-# final-step crossing interpolation honest.
+# Characteristic integrator controls, in units of the slice coordinate.
+# The step cap is an eighth of the slice-axis interval, and the first
+# attempt of a carry is the cap or the whole carry if that is shorter;
+# accuracy is controlled by the embedded error estimate.  A carry shorter
+# than the minimum step counts as lying on its target slice.
 _RTOL = 1e-8
 _ATOL = 1e-10
 _MAX_STEPS = 4000
 _MAX_GROWTH = 2.5
 _MIN_STEP = 1e-14
 _TRANSVERSALITY_EPS = 1e-8
-_CHUNK = 24576  # points per transport block
+_CHUNK = 24576  # points per integration batch
 
 
 class _Transport:
-    """Backward characteristic transport of the log-factor to a seed slice."""
+    """Characteristic transport of the log-factor, stepped on the slice
+    coordinate ``x_k``: ``dx/dx_k = n / n^k`` and
+    ``d ln Phi/dx_k = -src / n^k``."""
 
     def __init__(self, g, n, engine, axis, value):
         self.g = g
@@ -228,7 +233,6 @@ class _Transport:
         self.m = g.chart.dim
         a, b = g.chart.intervals[axis]
         self.max_step = (b - a) / 8.0
-        self.initial_step = self.max_step / 5.0
 
     def _flow_and_source(self, pts):
         # only the metric trace d ln sqrt|g| is needed, not the full
@@ -241,72 +245,65 @@ class _Transport:
         return nval, div / (self.m - 1.0)
 
     def solve(self, pts) -> np.ndarray:
-        """Log-factor values at the given points (chunked batch integration)."""
+        """Log-factor values at the given points: each characteristic is
+        carried to the seed slice, where the log-factor vanishes."""
+        return self.carry(pts, self.value)[1]
+
+    def carry(self, pts, to):
+        """Follow the characteristic through each point to the slice
+        ``x_k = to``; returns the landing points and
+        ``ln Phi(pts) - ln Phi(landing)``, in batches of ``_CHUNK`` points."""
         pts = self.g.chart.as_points(pts)
-        out = np.empty(len(pts))
+        landing = np.empty_like(pts)
+        delta = np.empty(len(pts))
         for start in range(0, len(pts), _CHUNK):
             block = slice(start, start + _CHUNK)
-            out[block] = self._solve_block(pts[block])
-        return out
+            landing[block], delta[block] = self._carry_block(pts[block], to)
+        return landing, delta
 
-    def _solve_block(self, pts) -> np.ndarray:
-        b = len(pts)
-        xk = pts[:, self.axis]
-        dirs = np.sign(xk - self.value)
-        out = np.zeros(b)
-        active = dirs != 0.0
+    def _carry_block(self, pts, to):
+        b, m, k = len(pts), self.m, self.axis
+        # x_k advances by dirs * h in a step of size h, so the integrator's
+        # `remaining` ends each ray exactly on the slice
+        dirs = np.sign(to - pts[:, k])
+        left = np.abs(to - pts[:, k])
+        active = left > _MIN_STEP
 
         # state: m coordinates plus the accumulated source integral
         y = np.concatenate([pts, np.zeros((b, 1))], axis=1)
         lo, hi = self.g.chart.bounds(0.0)
 
         def rhs(idx, state):
-            q = state[:, : self.m]
+            q = state[:, :m]
             nval, src = self._flow_and_source(q)
-            bad = nval[:, self.axis] <= _TRANSVERSALITY_EPS
+            bad = nval[:, k] <= _TRANSVERSALITY_EPS
             if np.any(bad):
-                k = int(np.argmax(bad))
+                i = int(np.argmax(bad))
                 raise TransversalityError(
                     f"flow component along slice axis is "
-                    f"{nval[k, self.axis]:.3e} <= 0 near point {q[k]}"
+                    f"{nval[i, k]:.3e} <= 0 near point {q[i]}"
                 )
-            d = np.zeros_like(state)
-            d[:, : self.m] = -dirs[idx, None] * nval
-            d[:, self.m] = src
-            return d
+            rate = dirs[idx] / nval[:, k]
+            return np.concatenate([rate[:, None] * nval, (rate * src)[:, None]], axis=1)
 
         def advance(acc_idx, y_old, y_new, h, ratio):
-            xo = y_old[:, self.axis] - self.value
-            xn = y_new[:, self.axis] - self.value
-            crossed = (xo * xn <= 0.0) | (np.abs(xn) < 1e-13)
-            if np.any(crossed):
-                # locate the crossing by linear interpolation within the
-                # final step and redo it with the clipped step size
-                ci = acc_idx[crossed]
-                theta = xo[crossed] / (xo[crossed] - xn[crossed])
-                yc, _ = embedded_step(
-                    lambda state: rhs(ci, state), y_old[crossed], h[crossed] * theta)
-                out[ci] = -dirs[ci] * yc[:, self.m]
-                active[ci] = False
-            keep = acc_idx[~crossed]
-            if len(keep):
-                kept = y_new[~crossed]
-                inside = np.all(
-                    (kept[:, : self.m] >= lo) & (kept[:, : self.m] <= hi), axis=1
+            inside = np.all((y_new[:, :m] >= lo) & (y_new[:, :m] <= hi), axis=1)
+            if not np.all(inside):
+                i = int(np.argmax(~inside))
+                raise ReachabilityError(
+                    f"characteristic from point {pts[acc_idx[i]]} left the chart "
+                    f"before reaching the seed slice"
                 )
-                if not np.all(inside):
-                    k = int(np.argmax(~inside))
-                    raise ReachabilityError(
-                        f"characteristic from point {pts[keep[k]]} left the chart "
-                        f"before reaching the seed slice"
-                    )
-                y[keep] = kept
+            y[acc_idx] = y_new
+            left[acc_idx] -= h
+            active[acc_idx[left[acc_idx] <= _MIN_STEP]] = False
 
         integrate_adaptive(
-            rhs, y, np.full(b, self.initial_step), active, advance,
+            rhs, y, np.full(b, self.max_step), active, advance,
             rtol=_RTOL, atol=_ATOL, step_cap=self.max_step, max_growth=_MAX_GROWTH,
-            min_step=_MIN_STEP, max_steps=_MAX_STEPS)
-        return out
+            min_step=_MIN_STEP, max_steps=_MAX_STEPS, remaining=lambda idx: left[idx])
+        y[:, k] = to
+        return y[:, :m], y[:, m]
 
 
 def preferred_frame(
@@ -319,17 +316,22 @@ def preferred_frame(
 ) -> ConformalFactor:
     """Solve for the gauge factor making the flow divergence-free.
 
-    ``ln Phi`` vanishes on the seed slice and is obtained at any point by
-    integrating the flow characteristic back to the slice.  The solved
-    values are memoized on a tensor grid spanning the half-margin inset of
-    the chart box (node counts may differ per axis), with an interpolating
-    tensor spline for cheap finite-difference derivatives; direct per-point
-    integration stays available for spot checks via the returned factor's
-    ``solve_at`` attribute.
+    ``ln Phi`` vanishes on the seed slice.  It is memoized on a tensor grid
+    spanning the half-margin inset of the chart box (node counts may differ
+    per axis), filled one layer of the slice axis at a time, outward from
+    the seed slice on each side (a semi-Lagrangian sweep, Staniforth & Cote
+    1991).  The layer nearest the slice carries its characteristics
+    straight to it; every later layer carries them one layer back and adds
+    the previous layer's interpolant at the landing point, or, where the
+    landing leaves the memo box, the direct solve from it.  An interpolating
+    tensor spline over the grid gives cheap finite-difference derivatives;
+    direct integration to the seed slice stays available for spot checks
+    via the returned factor's ``solve_at`` attribute.
     """
     params = params or FrameSolverParams()
     chart = g.chart
-    transport = _Transport(g, n, engine, seed_slice.axis, seed_slice.value)
+    k, value = seed_slice.axis, seed_slice.value
+    transport = _Transport(g, n, engine, k, value)
 
     nodes_spec = grid_nodes if grid_nodes is not None else params.grid_nodes
     if nodes_spec is None:
@@ -338,9 +340,32 @@ def preferred_frame(
         nodes_spec = (int(nodes_spec),) * chart.dim
     lo, hi = chart.bounds(chart.margin / 2.0)
     axes = [np.linspace(lo[j], hi[j], nodes_spec[j]) for j in range(chart.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([a.ravel() for a in mesh], axis=-1)
-    values = transport.solve(nodes).reshape(mesh[0].shape)
+    across = axes[:k] + axes[k + 1:]
+    shape = [len(a) for a in across]
+    plane = np.stack([a.ravel() for a in np.meshgrid(*across, indexing="ij")], axis=-1)
+    layers = np.zeros((len(axes[k]), len(plane)))
+
+    # a layer within a minimum step of the seed slice lies on it
+    offset = axes[k] - value
+    after = np.flatnonzero(offset > _MIN_STEP)
+    before = np.flatnonzero(offset < -_MIN_STEP)[::-1]
+    for side in (after, before):
+        prev = None
+        for i in side:
+            layer = np.insert(plane, k, axes[k][i], axis=1)
+            if prev is None:
+                _, layers[i] = transport.carry(layer, value)
+            else:
+                landing, delta = transport.carry(layer, axes[k][prev])
+                inbox = chart.contains(landing, shrink=chart.margin / 2.0)
+                interp = build_interpolator(
+                    across, layers[prev].reshape(shape), params.interpolation)
+                start = np.empty(len(plane))
+                start[inbox] = interp(np.delete(landing[inbox], k, axis=1))
+                start[~inbox] = transport.solve(landing[~inbox])
+                layers[i] = delta + start
+            prev = i
+    values = np.moveaxis(layers.reshape([len(axes[k])] + shape), 0, k)
     interp = build_interpolator(axes, values, params.interpolation)
 
     ln = scalar_field(chart, eval_fn=lambda pts: interp(pts), name="ln(frame-factor)")

@@ -6,8 +6,7 @@ the Fehlberg 4(5) pair (Fehlberg 1969, NASA TR R-315) propagates its
 fifth-order solution, and the step size follows the usual error-ratio
 controller (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4).  What an
 accepted step means is the caller's business: recording nodes, locating a
-chart exit or a slice crossing, and ending a ray all happen in its
-``advance`` callback.
+chart exit and ending a ray all happen in its ``advance`` callback.
 """
 
 from __future__ import annotations

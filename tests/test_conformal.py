@@ -8,6 +8,7 @@ from weylfluid.conformal import (
     ConformalFactor,
     ConformalWeights,
     FrameSolverParams,
+    _Transport,
     conformal_rescale,
     current_invariance_check,
     incompressibility_residual,
@@ -216,6 +217,41 @@ class TestPreferredFrame:
         assert np.abs(cs.s1).max() < 1e-10
         assert np.abs(cs.s2).max() < 1e-10
         assert np.abs(geodesic_defect(pb, s2.n, zero, ENG)(pts)).max() < 1e-10
+
+    def test_sweep_matches_direct_transport(self, monkeypatch):
+        # on the 9-node grid some one-layer landings leave the memo box and
+        # are finished by the direct solve
+        preset, bundle, pts = _setup("minkowski-sheared")
+        spec = SliceSpec(0, 0.0, ((-0.5, 0.5),) * 3)
+        finished = []
+        solve = _Transport.solve
+
+        def counting_solve(transport, q):
+            finished.append(len(q))
+            return solve(transport, q)
+
+        monkeypatch.setattr(_Transport, "solve", counting_solve)
+        fac = preferred_frame(preset.g, preset.state.n, spec, ENG, FAST_FRAME)
+        assert sum(finished) > 0
+        nodes = np.stack(
+            [a.ravel() for a in np.meshgrid(*fac.grid_axes, indexing="ij")], axis=-1)
+        assert np.abs(fac.grid_values.ravel() - fac.solve_at(nodes)).max() <= 1e-8
+
+    @pytest.mark.parametrize("name", ["flrw-comoving-dust", "minkowski-sheared"])
+    def test_sweep_work_per_node(self, name, monkeypatch):
+        # one layer per carry: about one embedded step (6 stages) per node
+        preset, bundle, pts = _setup(name)
+        spec = SliceSpec(0, preset.meta.slice_values[0], preset.meta.slice_box)
+        counted = []
+        flow_and_source = _Transport._flow_and_source
+
+        def counting(transport, q):
+            counted.append(len(q))
+            return flow_and_source(transport, q)
+
+        monkeypatch.setattr(_Transport, "_flow_and_source", counting)
+        fac = preferred_frame(preset.g, preset.state.n, spec, ENG, FAST_FRAME)
+        assert sum(counted) <= 8 * fac.grid_values.size
 
     def test_reachability_error(self):
         # a characteristic from the box corner drifts out before reaching
