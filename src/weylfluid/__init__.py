@@ -54,7 +54,6 @@ from .conformal import (
     current_invariance_check,
     incompressibility_residual,
     preferred_frame,
-    preferred_weyl_covector,
     rescaled_stress_energy_check,
     transport_residual,
 )

@@ -432,8 +432,8 @@ def preset_names() -> tuple:
 def validate_parameters(name: str, parameters: dict) -> None:
     """Reject unknown presets, unknown parameter keys, non-finite values, a
     ``dim`` that is not a supported chart dimension, a metric perturbation
-    ``eps`` above 0.01 in size and a non-positive Schwarzschild radius
-    ``rs``, without building anything."""
+    ``eps`` above 0.01 in size, a shear ``eps`` of 1 or more in size and a
+    non-positive Schwarzschild radius ``rs``, without building anything."""
     if name not in PRESETS:
         raise ConstructionError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
@@ -456,6 +456,10 @@ def validate_parameters(name: str, parameters: dict) -> None:
         if key == "eps" and name == "minkowski-perturbed" and abs(value) > 0.01:
             raise ConstructionError(
                 f"parameter 'eps' of preset {name!r} must be at most 0.01 in size, got {value}")
+        # the shear d_t + eps x d_x is timelike only while |eps x| < 1 on x in [-1, 1]
+        if key == "eps" and name == "minkowski-sheared" and abs(value) >= 1.0:
+            raise ConstructionError(
+                f"parameter 'eps' of preset {name!r} must be below 1 in size, got {value}")
         if key == "rs" and value <= 0:
             raise ConstructionError(
                 f"parameter 'rs' of preset {name!r} must be positive, got {value}")

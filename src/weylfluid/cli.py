@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -98,10 +99,9 @@ def _cmd_frame(args) -> int:
     preset = build(config.preset_name, config.parameters, config.seed)
     meta = preset.meta
     spec = SliceSpec(meta.slice_axis, meta.slice_values[0], meta.slice_box)
-    nodes = config.frame_params.grid_nodes or meta.frame_nodes
-    factor = preferred_frame(
-        preset.g, preset.state.n, spec, config.engine, config.frame_params,
-        grid_nodes=nodes)
+    params = replace(config.frame_params,
+                     grid_nodes=config.frame_params.grid_nodes or meta.frame_nodes)
+    factor = preferred_frame(preset.g, preset.state.n, spec, config.engine, params)
     mesh = np.meshgrid(*factor.grid_axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=-1)
     values = factor.grid_values.ravel()

@@ -34,12 +34,11 @@ from .interpolation import build_interpolator
 from .connections import eps_connection
 from .conservation import SliceSpec
 from .errors import GaugeError, ReachabilityError, TransversalityError
-from .fluid import FluidState, WeylBundle, flow_jet, fluid_covector
+from .fluid import FluidState, WeylBundle, flow_jet
 from .geometry import (
     DerivativeEngine,
     MetricField,
     TensorField,
-    constant_scalar,
     scalar_field,
 )
 from .integrators import integrate_adaptive
@@ -312,7 +311,6 @@ def preferred_frame(
     seed_slice: SliceSpec,
     engine: DerivativeEngine,
     params: FrameSolverParams = None,
-    grid_nodes=None,
 ) -> ConformalFactor:
     """Solve for the gauge factor making the flow divergence-free.
 
@@ -333,9 +331,7 @@ def preferred_frame(
     k, value = seed_slice.axis, seed_slice.value
     transport = _Transport(g, n, engine, k, value)
 
-    nodes_spec = grid_nodes if grid_nodes is not None else params.grid_nodes
-    if nodes_spec is None:
-        nodes_spec = 17
+    nodes_spec = 17 if params.grid_nodes is None else params.grid_nodes
     if np.isscalar(nodes_spec):
         nodes_spec = (int(nodes_spec),) * chart.dim
     lo, hi = chart.bounds(chart.margin / 2.0)
@@ -397,8 +393,3 @@ def incompressibility_residual(g2: MetricField, n2: TensorField, engine: Derivat
     return scalar_field(g2.chart, eval_fn=lambda pts: flow_jet(g2, n2, engine, pts).div,
                         name="incompressibility-residual")
 
-
-def preferred_weyl_covector(g2: MetricField, n2: TensorField, engine: DerivativeEngine) -> TensorField:
-    """The covector of the preferred gauge: the flow's own acceleration,
-    with the reparametrization scalar pinned to zero."""
-    return fluid_covector(g2, n2, constant_scalar(g2.chart, 0.0), engine)

@@ -24,6 +24,7 @@ from .geometry import (
     MetricField,
     TensorField,
     metric_aux,
+    require_finite,
 )
 
 
@@ -38,10 +39,7 @@ class ConnectionField:
 
     def __call__(self, pts) -> np.ndarray:
         pts = self.chart.as_points(pts)
-        out = np.asarray(self.eval_fn(pts), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"connection {self.name} is not finite at a sample")
-        return out
+        return require_finite(np.asarray(self.eval_fn(pts), dtype=float), f"connection {self.name}")
 
     def torsion(self, pts) -> np.ndarray:
         gam = self(pts)
@@ -145,34 +143,37 @@ def _density_divergence(data, gam) -> np.ndarray:
     return data.dsqrt_det - np.einsum("nllc->nc", gam) * data.sqrt_det[:, None]
 
 
+def nonmetricity_residuals(
+    g: MetricField, gamma: ConnectionField, A: TensorField, engine: DerivativeEngine, pts
+):
+    """``(nabla^Gamma_c g_ab - 2 A_c g_ab, nabla^Gamma_c sqrt|g| - m A_c sqrt|g|)``,
+    shapes ``(N, m, m, m)`` (derivative index last) and ``(N, m)``, from one
+    evaluation each of the metric data, ``Gamma`` and ``A``.  Both vanish
+    exactly when ``Gamma`` is the Weyl-compatible connection of ``(g, A)``."""
+    pts = g.chart.as_points(pts)
+    data = metric_aux(g, pts, engine)
+    gam = gamma(pts)
+    aval = A(pts)
+    nabla_g = (
+        data.dg
+        - np.einsum("nlac,nlb->nabc", gam, data.val)
+        - np.einsum("nlbc,nal->nabc", gam, data.val)
+    )
+    metric = nabla_g - 2.0 * np.einsum("nc,nab->nabc", aval, data.val)
+    trace = _density_divergence(data, gam) - g.chart.dim * aval * data.sqrt_det[:, None]
+    return metric, trace
+
+
 def nonmetricity_residual(
     gamma: ConnectionField, g: MetricField, A: TensorField, engine: DerivativeEngine
 ) -> TensorField:
-    """Residual ``nabla^Gamma_c g_{ab} - 2 A_c g_{ab}`` as a rank-3 field.
-
-    Index order of the result is ``(a, b, c)`` with the derivative index
-    last.  Vanishes (to derivative-engine tolerance) exactly when the
-    connection is the Weyl-compatible connection of ``(g, A)``.
-    """
-
-    def eval_fn(pts):
-        data = metric_aux(g, pts, engine)
-        gam = gamma(pts)
-        nabla_g = (
-            data.dg
-            - np.einsum("nlac,nlb->nabc", gam, data.val)
-            - np.einsum("nlbc,nal->nabc", gam, data.val)
-        )
-        return nabla_g - 2.0 * np.einsum("nc,nab->nabc", A(pts), data.val)
-
-    return TensorField(g.chart, ("d", "d", "d"), eval_fn=eval_fn, name="nonmetricity-residual")
+    """The first of :func:`nonmetricity_residuals` as a rank-3 field."""
+    return TensorField(g.chart, ("d", "d", "d"), name="nonmetricity-residual",
+                       eval_fn=lambda pts: nonmetricity_residuals(g, gamma, A, engine, pts)[0])
 
 
 def sqrt_det_trace_residual(
     g: MetricField, gamma: ConnectionField, A: TensorField, engine: DerivativeEngine, pts
 ) -> np.ndarray:
-    """Residual of the density trace identity
-    ``nabla^Gamma_c sqrt|g| = m A_c sqrt|g|``, shape ``(N, m)``."""
-    pts = g.chart.as_points(pts)
-    data = metric_aux(g, pts, engine)
-    return _density_divergence(data, gamma(pts)) - g.chart.dim * A(pts) * data.sqrt_det[:, None]
+    """The density trace residual of :func:`nonmetricity_residuals`."""
+    return nonmetricity_residuals(g, gamma, A, engine, pts)[1]

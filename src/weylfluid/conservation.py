@@ -30,13 +30,14 @@ from . import autodiff as ad
 from ._signs import SIGN_FLOW, SIGN_ORTHO
 from .connections import ConnectionField
 from .errors import CapabilityError
-from .fluid import flow_jet, stress_energy
+from .fluid import FlowJet, flow_jet, stress_energy
 from .geometry import (
     Chart,
     DerivativeEngine,
     MetricField,
     TensorField,
     metric_aux,
+    require_finite,
     scalar_field,
     tensor2_field,
     vector_field,
@@ -79,26 +80,42 @@ def raise_indices2(g: MetricField, T: TensorField) -> TensorField:
     return tensor2_field(g.chart, eval_fn=eval_fn, variance=("u", "u"), name=f"raise({T.name})")
 
 
+def _divergence_T(t_up: TensorField, gam: np.ndarray, engine: DerivativeEngine, pts) -> np.ndarray:
+    """``nabla^Gamma_nu T^{mu nu}`` of the raised tensor for connection
+    coefficients ``gam`` already evaluated at ``pts``."""
+    val, jac = engine.value_and_jacobian(t_up, pts)
+    div = np.einsum("nmvv->nm", jac)
+    div += np.einsum("nmlv,nlv->nm", gam, val)
+    div += np.einsum("nvlv,nml->nm", gam, val)
+    return require_finite(div, "field divT")
+
+
 def weyl_divergence_T(
     g: MetricField, gamma: ConnectionField, T: TensorField, engine: DerivativeEngine
 ) -> TensorField:
     """``nabla^Gamma_nu T^{mu nu}`` with indices raised by the metric."""
     t_up = raise_indices2(g, T)
+    return vector_field(g.chart, eval_fn=lambda pts: _divergence_T(t_up, gamma(pts), engine, pts),
+                        name=f"divT({T.name})")
 
-    def eval_fn(pts):
-        val, jac = engine.value_and_jacobian(t_up, pts)
-        gam = gamma(pts)
-        div = np.einsum("nmvv->nm", jac)
-        div += np.einsum("nmlv,nlv->nm", gam, val)
-        div += np.einsum("nvlv,nml->nm", gam, val)
-        return div
 
-    return vector_field(g.chart, eval_fn=eval_fn, name=f"divT({T.name})")
+def _conditions(jet: FlowJet, p: TensorField, rho: TensorField, engine: DerivativeEngine, pts):
+    """``(C1 (N,), C2 (N, m))`` of :func:`conservation_condition_residuals`
+    from the flow jet of the bundle."""
+    div_gamma = np.einsum("naa->n", jet.dn) + np.einsum("nvlv,nl->n", jet.Gamma, jet.n)
+    drho = engine.jacobian(rho, pts)
+    pv, rv, fv = p(pts), rho(pts), jet.phi(pts)
+    c1 = (pv + rv) * div_gamma - (pv - rv) * fv + np.einsum("na,na->n", jet.n, drho)
+    acc_up = np.einsum("nc,nac->na", jet.n, jet.dn) + np.einsum(
+        "nabc,nb,nc->na", jet.data.gamma, jet.n, jet.n
+    )
+    proj = jet.data.inv + np.einsum("na,nb->nab", jet.n, jet.n)
+    c2 = np.einsum("nab,nb->na", proj, engine.jacobian(p, pts)) - 2.0 * pv[:, None] * acc_up
+    return require_finite(c1, "field C1"), require_finite(c2, "field C2")
 
 
 def conservation_condition_residuals(
     g: MetricField,
-    gamma: ConnectionField,
     n: TensorField,
     p: TensorField,
     rho: TensorField,
@@ -106,7 +123,7 @@ def conservation_condition_residuals(
     engine: DerivativeEngine,
 ):
     """The two scalars whose joint vanishing is equivalent to
-    ``nabla^Gamma_nu T^{mu nu} = 0`` for the flow-built bundle:
+    ``nabla^Gamma_nu T^{mu nu} = 0`` for the bundle built from ``(g, n, phi)``:
 
         C1   = (p + rho) nabla^Gamma_nu n^nu - (p - rho) phi + n^nu d_nu rho
         C2^mu = (g^{mu nu} + n^mu n^nu) d_nu p - 2 p n^nu nabla^g_nu n^mu
@@ -114,30 +131,16 @@ def conservation_condition_residuals(
     Returns ``(C1 scalar field, C2 vector field)``.
     """
 
-    def eval_c1(pts):
-        nval, njac = engine.value_and_jacobian(n, pts)
-        div_gamma = np.einsum("naa->n", njac) + np.einsum("nvlv,nl->n", gamma(pts), nval)
-        drho = engine.jacobian(rho, pts)
-        pv, rv, fv = p(pts), rho(pts), phi(pts)
-        return (pv + rv) * div_gamma - (pv - rv) * fv + np.einsum("na,na->n", nval, drho)
+    def conditions(pts):
+        return _conditions(flow_jet(g, n, engine, pts, phi), p, rho, engine, pts)
 
-    def eval_c2(pts):
-        jet = flow_jet(g, n, engine, pts)
-        acc_up = np.einsum("nc,nac->na", jet.n, jet.dn) + np.einsum(
-            "nabc,nb,nc->na", jet.data.gamma, jet.n, jet.n
-        )
-        dp = engine.jacobian(p, pts)
-        proj = jet.data.inv + np.einsum("na,nb->nab", jet.n, jet.n)
-        return np.einsum("nab,nb->na", proj, dp) - 2.0 * p(pts)[:, None] * acc_up
-
-    c1 = scalar_field(g.chart, eval_fn=eval_c1, name="C1")
-    c2 = vector_field(g.chart, eval_fn=eval_c2, name="C2")
+    c1 = scalar_field(g.chart, eval_fn=lambda pts: conditions(pts)[0], name="C1")
+    c2 = vector_field(g.chart, eval_fn=lambda pts: conditions(pts)[1], name="C2")
     return c1, c2
 
 
 def decomposition_residuals(
     g: MetricField,
-    gamma: ConnectionField,
     n: TensorField,
     p: TensorField,
     rho: TensorField,
@@ -146,7 +149,7 @@ def decomposition_residuals(
     pts,
 ):
     """Residuals of the sign-fixed decomposition of the stress-energy
-    divergence into the condition pair:
+    divergence of the ``(g, n, phi)`` bundle into the condition pair:
 
         n_mu nabla_nu T^{mu nu}                    = SIGN_FLOW  * C1
         (delta^mu_l + n^mu n_l) nabla_nu T^{l nu}  = SIGN_ORTHO * C2^mu
@@ -155,15 +158,11 @@ def decomposition_residuals(
     ``_signs.py``.  Returns ``(flow_residual (N,), ortho_residual (N, m))``.
     """
     pts = g.chart.as_points(pts)
-    T = stress_energy(g, n, p, rho)
-    div = weyl_divergence_T(g, gamma, T, engine)(pts)
-    gv = g(pts)
-    nval = n(pts)
-    n_low = np.einsum("nab,nb->na", gv, nval)
-    c1, c2 = conservation_condition_residuals(g, gamma, n, p, rho, phi, engine)
-    flow = np.einsum("na,na->n", n_low, div) - SIGN_FLOW * c1(pts)
-    ortho = div + nval * np.einsum("na,na->n", n_low, div)[:, None] - SIGN_ORTHO * c2(pts)
-    return flow, ortho
+    jet = flow_jet(g, n, engine, pts, phi)
+    div = _divergence_T(raise_indices2(g, stress_energy(g, n, p, rho)), jet.Gamma, engine, pts)
+    c1, c2 = _conditions(jet, p, rho, engine, pts)
+    flow_div = np.einsum("na,na->n", jet.n_low, div)
+    return flow_div - SIGN_FLOW * c1, div + jet.n * flow_div[:, None] - SIGN_ORTHO * c2
 
 
 def particle_current(g: MetricField, T: TensorField, n: TensorField) -> VectorDensityField:
@@ -295,10 +294,15 @@ class ConditionScalars:
     s2_residual: np.ndarray
 
 
+def _contractions(jet: FlowJet, tv: np.ndarray):
+    """``(T^{mu nu} nabla^Gamma_mu n_nu, T^{mu nu} A_mu n_nu)`` for the raised
+    stress-energy values ``tv``."""
+    cov_low = jet.dn_low - np.einsum("nlbc,nl->nbc", jet.Gamma, jet.n_low)
+    return np.einsum("nmv,nvm->n", tv, cov_low), np.einsum("nm,nmv,nv->n", jet.A, tv, jet.n_low)
+
+
 def condition_scalars(
     g: MetricField,
-    gamma: ConnectionField,
-    A: TensorField,
     n: TensorField,
     p: TensorField,
     rho: TensorField,
@@ -306,49 +310,36 @@ def condition_scalars(
     engine: DerivativeEngine,
     pts,
 ) -> ConditionScalars:
-    """Contract the condition scalars directly at ``pts`` and compare with
-    their closed forms."""
+    """Contract the condition scalars of the bundle built from
+    ``(g, n, phi)`` directly at ``pts`` and compare with their closed
+    forms."""
     pts = g.chart.as_points(pts)
     t_up = raise_indices2(g, stress_energy(g, n, p, rho))
     m = g.chart.dim
-    jet = flow_jet(g, n, engine, pts)
-    # nabla^Gamma_c n_b, derivative index last
-    cov_low = jet.dn_low - np.einsum("nlbc,nl->nbc", gamma(pts), jet.n_low)
-    tv = t_up(pts)
-    s1 = np.einsum("nmv,nvm->n", tv, cov_low)
-    s2 = np.einsum("nm,nmv,nv->n", A(pts), tv, jet.n_low)
+    jet = flow_jet(g, n, engine, pts, phi)
+    s1, s2 = _contractions(jet, t_up(pts))
     closed = p(pts) * jet.div + (rho(pts) + (m - 1) * p(pts)) * phi(pts)
     out = ConditionScalars(s1, s2, s1 - closed, s2 - rho(pts) * phi(pts))
     for name, val in (("s1", out.s1), ("s2", out.s2), ("s1-closed-form-residual", out.s1_residual),
                       ("s2-closed-form-residual", out.s2_residual)):
-        if not np.all(np.isfinite(val)):
-            raise ValueError(f"field {name} is not finite at a sample")
+        require_finite(val, f"field {name}")
     return out
 
 
 def current_identity_residual(
-    g: MetricField,
-    gamma: ConnectionField,
-    A: TensorField,
-    T: TensorField,
-    n: TensorField,
-    engine: DerivativeEngine,
+    g: MetricField, T: TensorField, n: TensorField, phi: TensorField, engine: DerivativeEngine
 ) -> TensorField:
-    """Residual of the divergence identity for the current built from the
-    same ``(g, T, n)``; an identity, independent of conservation holding."""
-    J = particle_current(g, T, n)
-    div_j = current_divergence(J, engine)
-    div_t = weyl_divergence_T(g, gamma, T, engine)
+    """Residual of the divergence identity for the current built from
+    ``(g, T, n)`` and the connection of the bundle built from
+    ``(g, n, phi)``; an identity, independent of conservation holding."""
+    div_j = current_divergence(particle_current(g, T, n), engine)
     t_up = raise_indices2(g, T)
     m = g.chart.dim
 
     def eval_fn(pts):
-        jet = flow_jet(g, n, engine, pts)
-        cov_low = jet.dn_low - np.einsum("nlbc,nl->nbc", gamma(pts), jet.n_low)
-        tv = t_up(pts)
-        term1 = np.einsum("nv,nv->n", div_t(pts), jet.n_low)
-        term2 = np.einsum("nmv,nvm->n", tv, cov_low)
-        term3 = m * np.einsum("nm,nmv,nv->n", A(pts), tv, jet.n_low)
-        return div_j(pts) - jet.data.sqrt_det * (term1 + term2 + term3)
+        jet = flow_jet(g, n, engine, pts, phi)
+        s1, s2 = _contractions(jet, t_up(pts))
+        div_t = np.einsum("nv,nv->n", _divergence_T(t_up, jet.Gamma, engine, pts), jet.n_low)
+        return div_j(pts) - jet.data.sqrt_det * (div_t + s1 + m * s2)
 
     return scalar_field(g.chart, eval_fn=eval_fn, name="current-identity-residual")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .geometry import (
     TensorField,
     covector_field,
     metric_aux,
+    require_finite,
     tensor2_field,
     vector_field,
 )
@@ -73,7 +75,10 @@ class WeylBundle:
 class FlowJet:
     """The metric data and the first jet of the flow on one point batch:
     ``n^a``, ``d_c n^a``, ``n_a``, ``d_c n_b`` (derivative index last) and
-    the metric divergence ``nabla^g_a n^a``."""
+    the metric divergence ``nabla^g_a n^a``.  Given the reparametrization
+    scalar ``phi``, the jet also carries the flow-built covector ``A`` and
+    its connection ``Gamma``, each formed on first read; every residual
+    defined for the bundle of ``(g, n, phi)`` reads them from here."""
 
     data: MetricData
     n: np.ndarray
@@ -81,23 +86,33 @@ class FlowJet:
     n_low: np.ndarray
     dn_low: np.ndarray
     div: np.ndarray
+    phi: TensorField
+    pts: np.ndarray
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """``A_b = n^c nabla^g_c n_b + phi n_b``."""
+        cov = self.dn_low - np.einsum("nlbc,nl->nbc", self.data.gamma, self.n_low)
+        A = np.einsum("nc,nbc->nb", self.n, cov) + self.phi(self.pts)[:, None] * self.n_low
+        return require_finite(A, "field A(fluid)")
+
+    @cached_property
+    def Gamma(self) -> np.ndarray:
+        """``Gamma^a_bc``, the Weyl-compatible connection of ``(g, A)``."""
+        gamma = self.data.gamma + eps_shift(self.data.inv, self.data.val, self.A)
+        return require_finite(gamma, "connection eps(A(fluid))")
 
 
-def flow_jet(g: MetricField, n: TensorField, engine: DerivativeEngine, pts) -> FlowJet:
-    """Evaluate the metric and the flow once and form their first jet."""
+def flow_jet(g: MetricField, n: TensorField, engine: DerivativeEngine, pts, phi=None) -> FlowJet:
+    """Evaluate the metric and the flow once and form their first jet
+    (``phi`` is needed only to read the jet's ``A`` and ``Gamma``)."""
     data = metric_aux(g, pts, engine)
     nval, njac = engine.value_and_jacobian(n, pts)
     n_low = np.einsum("nab,nb->na", data.val, nval)
     # d_c n_b = d_c (g_ba n^a)
     dn_low = np.einsum("nbad,na->nbd", data.dg, nval) + np.einsum("nba,nad->nbd", data.val, njac)
     div = np.einsum("naa->n", njac) + np.einsum("nc,nc->n", data.gamma_trace, nval)
-    return FlowJet(data, nval, njac, n_low, dn_low, div)
-
-
-def _covector(jet: FlowJet, phi: TensorField, pts) -> np.ndarray:
-    """``A_b = n^c nabla^g_c n_b + phi n_b`` from the flow jet."""
-    cov = jet.dn_low - np.einsum("nlbc,nl->nbc", jet.data.gamma, jet.n_low)
-    return np.einsum("nc,nbc->nb", jet.n, cov) + phi(pts)[:, None] * jet.n_low
+    return FlowJet(data, nval, njac, n_low, dn_low, div, phi, pts)
 
 
 def fluid_covector(
@@ -107,8 +122,7 @@ def fluid_covector(
     if n.variance != ("u",):
         raise CapabilityError("fluid_covector expects a vector flow field")
     return covector_field(
-        g.chart, eval_fn=lambda pts: _covector(flow_jet(g, n, engine, pts), phi, pts),
-        name="A(fluid)")
+        g.chart, eval_fn=lambda pts: flow_jet(g, n, engine, pts, phi).A, name="A(fluid)")
 
 
 def fluid_connection(
@@ -117,12 +131,8 @@ def fluid_connection(
     """Bundle the metric with the flow-induced covector and its connection,
     ``eps_connection(g, A)`` evaluated from one flow jet per call."""
     A = fluid_covector(g, n, phi, engine)
-
-    def eval_fn(pts):
-        jet = flow_jet(g, n, engine, pts)
-        return jet.data.gamma + eps_shift(jet.data.inv, jet.data.val, _covector(jet, phi, pts))
-
-    gamma = ConnectionField(g.chart, eval_fn, provenance="eps(A)", name=f"eps({g.name},{A.name})")
+    gamma = ConnectionField(g.chart, lambda pts: flow_jet(g, n, engine, pts, phi).Gamma,
+                            provenance="eps(A)", name=f"eps({g.name},{A.name})")
     return WeylBundle(g=g, A=A, gamma=gamma)
 
 

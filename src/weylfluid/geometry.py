@@ -110,6 +110,14 @@ class Chart:
         return np.concatenate([self.grid_points(per_axis), self.random_points(extra, seed)])
 
 
+def require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """Return ``values``, or raise ``ValueError`` naming ``what`` if any
+    entry is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} is not finite at a sample")
+    return values
+
+
 class TensorField:
     """A point-indexed component array produced by an evaluable map.
 
@@ -153,9 +161,7 @@ class TensorField:
             out = ad.pack(self.fn(coords), len(pts), self.chart.dim, want_grad=False)
         if out.shape != (len(pts), *self.shape):
             out = np.broadcast_to(out, (len(pts), *self.shape)).copy()
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"field {self.name or '<anonymous>'} is not finite at a sample")
-        return out
+        return require_finite(out, f"field {self.name or '<anonymous>'}")
 
     def dual_eval(self, pts):
         """Exact value and jacobian via forward-mode duals."""

@@ -8,7 +8,7 @@ exercises, so reports are self-documenting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -30,11 +30,10 @@ from .conformal import (
     current_invariance_check,
     incompressibility_residual,
     preferred_frame,
-    preferred_weyl_covector,
     rescaled_stress_energy_check,
     transport_residual,
 )
-from .connections import eps_connection, levi_civita, nonmetricity_residual, sqrt_det_trace_residual
+from .connections import eps_connection, levi_civita, nonmetricity_residuals
 from .conservation import (
     SliceSpec,
     condition_scalars,
@@ -161,14 +160,13 @@ def connection_suite(ctx: SuiteContext):
         "zero-covector-reduction", "vanishing covector reproduces the metric connection",
         _maxabs(eps_connection(g, zero_cov, engine)(pts) - lc(pts)), 0.0))
 
+    metric_res, trace_res = nonmetricity_residuals(g, bundle.gamma, bundle.A, engine, pts)
     checks.append(ctx.record(
         "nonmetricity", "covariant metric derivative equals twice covector times metric",
-        _maxabs(nonmetricity_residual(bundle.gamma, g, bundle.A, engine)(pts)),
-        tols.derivative))
+        _maxabs(metric_res), tols.derivative))
     checks.append(ctx.record(
         "volume-trace", "weight-1 derivative of sqrt|g| equals m A sqrt|g|",
-        _maxabs(sqrt_det_trace_residual(g, bundle.gamma, bundle.A, engine, pts)),
-        tols.derivative))
+        _maxabs(trace_res), tols.derivative))
 
     worst_pair = 0.0
     base = ctx.preset.g
@@ -176,9 +174,9 @@ def connection_suite(ctx: SuiteContext):
         rng_seed = ctx.seed * 1000 + k
         gk = perturbed_metric(base, 0.01, rng_seed) if base.supports_ad else base
         ak = polynomial_covector(chart, np.random.default_rng(rng_seed + 1), 0.3)
-        gammak = eps_connection(gk, ak, engine)
-        worst_pair = max(worst_pair, _maxabs(nonmetricity_residual(gammak, gk, ak, engine)(pts)))
-        worst_pair = max(worst_pair, _maxabs(sqrt_det_trace_residual(gk, gammak, ak, engine, pts)))
+        metric_res, trace_res = nonmetricity_residuals(
+            gk, eps_connection(gk, ak, engine), ak, engine, pts)
+        worst_pair = max(worst_pair, _maxabs(metric_res), _maxabs(trace_res))
     checks.append(ctx.record(
         "nonmetricity-seeded-pairs",
         "non-metricity and trace identities over seeded metric/covector pairs",
@@ -261,8 +259,7 @@ def conservation_suite(ctx: SuiteContext):
     bundle = ctx.bundle
     checks = []
 
-    flow_res, ortho_res = decomposition_residuals(
-        g, bundle.gamma, st.n, st.p, st.rho, st.phi, engine, pts)
+    flow_res, ortho_res = decomposition_residuals(g, st.n, st.p, st.rho, st.phi, engine, pts)
     checks.append(ctx.record(
         "divergence-decomposition-flow",
         "flow projection of the stress-energy divergence matches the first condition",
@@ -283,10 +280,10 @@ def conservation_suite(ctx: SuiteContext):
     checks.append(ctx.record(
         "current-divergence-identity",
         "coordinate current divergence equals its connection decomposition",
-        _maxabs(current_identity_residual(g, bundle.gamma, bundle.A, T, st.n, engine)(pts)),
+        _maxabs(current_identity_residual(g, T, st.n, st.phi, engine)(pts)),
         tols.identity))
 
-    cs = condition_scalars(g, bundle.gamma, bundle.A, st.n, st.p, st.rho, st.phi, engine, pts)
+    cs = condition_scalars(g, st.n, st.p, st.rho, st.phi, engine, pts)
     checks.append(ctx.record(
         "condition-scalar-transport", "contracted flow-transport scalar matches closed form",
         _maxabs(cs.s1_residual), tols.derivative))
@@ -400,8 +397,8 @@ def frame_suite(ctx: SuiteContext):
 
     value = meta.slice_values[0]
     spec = SliceSpec(meta.slice_axis, value, meta.slice_box)
-    nodes = ctx.frame_params.grid_nodes or meta.frame_nodes
-    factor = preferred_frame(g, st.n, spec, engine, ctx.frame_params, grid_nodes=nodes)
+    params = replace(ctx.frame_params, grid_nodes=ctx.frame_params.grid_nodes or meta.frame_nodes)
+    factor = preferred_frame(g, st.n, spec, engine, params)
 
     checks.append(ctx.record(
         "frame-transport", "solved factor satisfies the transport equation",
@@ -427,10 +424,9 @@ def frame_suite(ctx: SuiteContext):
         "incompressibility", "solved gauge makes the flow divergence-free",
         _maxabs(incompressibility_residual(b2.g, s2.n, engine)(pts)), tols.frame))
 
-    A2 = preferred_weyl_covector(b2.g, s2.n, engine)
-    pb = WeylBundle(b2.g, A2, eps_connection(b2.g, A2, engine))
     zero = constant_scalar(chart, 0.0)
-    cs = condition_scalars(pb.g, pb.gamma, pb.A, s2.n, s2.p, s2.rho, zero, engine, pts)
+    pb = fluid_connection(b2.g, s2.n, zero, engine)
+    cs = condition_scalars(b2.g, s2.n, s2.p, s2.rho, zero, engine, pts)
     checks.append(ctx.record(
         "preferred-scalar-transport", "first obstruction scalar vanishes in the frame",
         _maxabs(cs.s1), tols.frame))

@@ -1,5 +1,6 @@
 """Shared test helpers: running the ``python -m weylfluid`` CLI in a child
-process against the same source tree that the test process imported."""
+process against the same source tree that the test process imported, and
+counting metric evaluations."""
 
 import functools
 import os
@@ -58,3 +59,20 @@ def run_weylfluid(args, cwd):
         pytest.fail(problem, pytrace=False)
     return subprocess.run([sys.executable, "-m", "weylfluid", *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
+
+
+@pytest.fixture
+def metric_calls(monkeypatch):
+    """A list that gains one entry per ``metric_aux`` call made through any
+    ``weylfluid`` module while the test runs."""
+    calls = []
+    original = weylfluid.geometry.metric_aux
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "weylfluid" and getattr(module, "metric_aux", None) is original:
+            monkeypatch.setattr(module, "metric_aux", counting)
+    return calls

@@ -27,7 +27,6 @@ from weylfluid.conformal import (
     current_invariance_check,
     incompressibility_residual,
     preferred_frame,
-    preferred_weyl_covector,
     rescaled_stress_energy_check,
     transport_residual,
 )
@@ -41,7 +40,7 @@ from weylfluid.conservation import (
     number_on_slice,
     particle_current,
 )
-from weylfluid.fluid import WeylBundle, fluid_connection, geodesic_defect, stress_energy
+from weylfluid.fluid import fluid_connection, geodesic_defect, stress_energy
 from weylfluid.geometry import DerivativeEngine, constant_scalar, scalar_field
 from weylfluid.worldlines import (
     eps_null_check,
@@ -156,7 +155,7 @@ def test_c05_current_divergence_identity(presets):
     for preset, bundle, pts in presets.values():
         st = preset.state
         T = stress_energy(preset.g, st.n, st.p, st.rho)
-        res = current_identity_residual(preset.g, bundle.gamma, bundle.A, T, st.n, ENGINE)
+        res = current_identity_residual(preset.g, T, st.n, st.phi, ENGINE)
         worst = max(worst, float(np.abs(res(pts)).max()))
     _report(5, "coordinate current divergence decomposes through the connection",
             worst, 1e-8)
@@ -167,7 +166,7 @@ def test_c06_conservation_decomposition(presets):
     for preset, bundle, pts in presets.values():
         st = preset.state
         flow, ortho = decomposition_residuals(
-            preset.g, bundle.gamma, st.n, st.p, st.rho, st.phi, ENGINE, pts)
+            preset.g, st.n, st.p, st.rho, st.phi, ENGINE, pts)
         worst = max(worst, float(np.abs(flow).max()), float(np.abs(ortho).max()))
     _report(6, "divergence projections match the frozen-sign conditions", worst, 1e-8)
 
@@ -178,7 +177,7 @@ def test_c07_condition_scalar_closed_forms(presets):
     for preset, bundle, pts in presets.values():
         st = preset.state
         cs = condition_scalars(
-            preset.g, bundle.gamma, bundle.A, st.n, st.p, st.rho, st.phi, ENGINE, pts)
+            preset.g, st.n, st.p, st.rho, st.phi, ENGINE, pts)
         worst = max(worst, float(np.abs(cs.s1_residual).max()),
                     float(np.abs(cs.s2_residual).max()))
         if preset.meta.eos_w == 0.0:
@@ -208,10 +207,8 @@ def test_c08_preferred_frame(presets):
     _report(8, "sheared-chart transport residual", worst_transport, 1e-4)
     _report(8, "sheared-chart rescaled flow divergence", worst_inc, 1e-4)
 
-    A2 = preferred_weyl_covector(b2.g, s2.n, ENGINE)
-    pb = WeylBundle(b2.g, A2, eps_connection(b2.g, A2, ENGINE))
     zero = constant_scalar(mk.chart, 0.0)
-    cs = condition_scalars(pb.g, pb.gamma, pb.A, s2.n, s2.p, s2.rho, zero, ENGINE, mk_pts)
+    cs = condition_scalars(b2.g, s2.n, s2.p, s2.rho, zero, ENGINE, mk_pts)
     worst_s = max(float(np.abs(cs.s1).max()), float(np.abs(cs.s2).max()))
     _report(8, "obstruction scalars vanish in the preferred frame", worst_s, 1e-4)
 

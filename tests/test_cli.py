@@ -86,6 +86,8 @@ BAD_PARAMETERS = [
     ("spacetime", "dim", "2.5", REST),
     ("spacetime", "eps", "0.5", ("minkowski", "perturbed")),
     ("spacetime", "eps", "-5", ("minkowski", "perturbed")),
+    ("spacetime", "eps", "1.0", ("minkowski", "sheared")),
+    ("spacetime", "eps", "-5.0", ("minkowski", "sheared")),
     ("spacetime", "rs", "-1", ("schwarzschild", "static")),
 ]
 
@@ -301,14 +303,14 @@ class TestExitCodes:
         assert proc.returncode == 3, proc.stderr
 
     def test_build_failure_writes_partial_report(self, tmp_path):
-        # parameters that parse but fail construction (a shear this large
-        # tips the flow out of the light cone): runtime error with a partial
-        # report carrying the error record
+        # parameters that parse but fail construction (a Hubble rate this
+        # large overflows the scale factor exp(H t) on the chart): runtime
+        # error with a partial report carrying the error record
         text = PASS_CFG.replace(
             "[spacetime]\npreset = minkowski",
-            "[spacetime]\npreset = minkowski\neps = 5.0",
-        ).replace("preset = dust-rest", "preset = sheared")
-        path = _write(tmp_path, "bad-eps.cfg", text)
+            "[spacetime]\npreset = flrw\nH = 100",
+        ).replace("preset = dust-rest", "preset = comoving-dust")
+        path = _write(tmp_path, "bad-h.cfg", text)
         out = tmp_path / "partial.json"
         proc = _cli(["verify", "--config", path, "--out", str(out)], cwd=tmp_path)
         assert proc.returncode == 3, proc.stderr

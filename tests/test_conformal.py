@@ -13,14 +13,12 @@ from weylfluid.conformal import (
     current_invariance_check,
     incompressibility_residual,
     preferred_frame,
-    preferred_weyl_covector,
     rescaled_stress_energy_check,
     transport_residual,
 )
-from weylfluid.connections import eps_connection
 from weylfluid.conservation import SliceSpec, condition_scalars, number_on_slice, particle_current
 from weylfluid.errors import GaugeError, ReachabilityError
-from weylfluid.fluid import WeylBundle, fluid_connection, fluid_covector, geodesic_defect, stress_energy
+from weylfluid.fluid import fluid_connection, fluid_covector, geodesic_defect, stress_energy
 from weylfluid.geometry import DerivativeEngine, constant_scalar, scalar_field
 
 ENG = DerivativeEngine()
@@ -210,10 +208,9 @@ class TestPreferredFrame:
         preset, bundle, pts = _setup("flrw-comoving-dust")
         closed = preset.meta.closed_frame(0.0)
         b2, s2 = conformal_rescale(bundle, preset.state, closed, ENG)
-        A2 = preferred_weyl_covector(b2.g, s2.n, ENG)
-        pb = WeylBundle(b2.g, A2, eps_connection(b2.g, A2, ENG))
         zero = constant_scalar(preset.chart, 0.0)
-        cs = condition_scalars(pb.g, pb.gamma, pb.A, s2.n, s2.p, s2.rho, zero, ENG, pts)
+        pb = fluid_connection(b2.g, s2.n, zero, ENG)
+        cs = condition_scalars(b2.g, s2.n, s2.p, s2.rho, zero, ENG, pts)
         assert np.abs(cs.s1).max() < 1e-10
         assert np.abs(cs.s2).max() < 1e-10
         assert np.abs(geodesic_defect(pb, s2.n, zero, ENG)(pts)).max() < 1e-10

@@ -20,6 +20,7 @@ from weylfluid.connections import (
     eps_connection,
     levi_civita,
     nonmetricity_residual,
+    nonmetricity_residuals,
     sqrt_det_trace_residual,
 )
 from weylfluid.errors import CapabilityError
@@ -189,6 +190,16 @@ class TestNonMetricity:
         pts = chart.sample_points(2, 6, seed=seed)
         assert np.abs(nonmetricity_residual(gam, g, A, ENG)(pts)).max() < 1e-9
         assert np.abs(sqrt_det_trace_residual(g, gam, A, ENG, pts)).max() < 1e-9
+
+    def test_seeded_pair_evaluates_metric_at_most_twice(self, metric_calls):
+        # once inside the connection, once for the metric data of the pair
+        chart = minkowski_chart(4)
+        g = perturbed_metric(minkowski_metric(chart), 0.01, 5)
+        A = polynomial_covector(chart, np.random.default_rng(6), 0.3)
+        gam = eps_connection(g, A, ENG)
+        metric, trace = nonmetricity_residuals(g, gam, A, ENG, chart.sample_points(2, 6, seed=5))
+        assert len(metric_calls) <= 2
+        assert np.abs(metric).max() < 1e-9 and np.abs(trace).max() < 1e-9
 
     def test_density_derivative_metric_connection(self, flrw):
         # Levi-Civita transports the volume factor: weight-1 derivative vanishes

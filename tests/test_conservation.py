@@ -4,6 +4,7 @@ and the condition scalars with their closed forms."""
 import numpy as np
 import pytest
 
+from weylfluid import fluid
 from weylfluid.catalog import build
 from weylfluid.conservation import (
     SliceSpec,
@@ -84,10 +85,9 @@ class TestConditionResiduals:
     def test_rest_dust_vanishes(self):
         preset = build("minkowski-dust-rest")
         st = preset.state
-        bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
         pts = preset.chart.sample_points(3, 8, seed=3)
         c1, c2 = conservation_condition_residuals(
-            preset.g, bundle.gamma, st.n, st.p, st.rho, st.phi, ENG)
+            preset.g, st.n, st.p, st.rho, st.phi, ENG)
         assert np.abs(c1(pts)).max() == 0.0
         assert np.abs(c2(pts)).max() == 0.0
 
@@ -96,17 +96,16 @@ class TestConditionResiduals:
         preset, bundle, pts = flat_phi
         st = preset.state
         c1, c2 = conservation_condition_residuals(
-            preset.g, bundle.gamma, st.n, st.p, st.rho, st.phi, ENG)
+            preset.g, st.n, st.p, st.rho, st.phi, ENG)
         assert np.allclose(c1(pts), 2.5, atol=1e-13)
         assert np.abs(c2(pts)).max() < 1e-13
 
     def test_constant_pressure_fluid(self):
         preset = build("minkowski-radiation", {"phi": 0.0})
         st = preset.state
-        bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
         pts = preset.chart.sample_points(3, 8, seed=4)
         c1, c2 = conservation_condition_residuals(
-            preset.g, bundle.gamma, st.n, st.p, st.rho, st.phi, ENG)
+            preset.g, st.n, st.p, st.rho, st.phi, ENG)
         assert np.abs(c1(pts)).max() < 1e-14
         assert np.abs(c2(pts)).max() < 1e-14
 
@@ -114,17 +113,16 @@ class TestConditionResiduals:
         preset, bundle, pts = flat_phi
         st = preset.state
         flow, ortho = decomposition_residuals(
-            preset.g, bundle.gamma, st.n, st.p, st.rho, st.phi, ENG, pts)
+            preset.g, st.n, st.p, st.rho, st.phi, ENG, pts)
         assert np.abs(flow).max() < 1e-12
         assert np.abs(ortho).max() < 1e-12
 
     def test_decomposition_signs_with_pressure(self):
         preset = build("flrw-radiation")
         st = preset.state
-        bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
         pts = preset.chart.sample_points(3, 8, seed=5)
         flow, ortho = decomposition_residuals(
-            preset.g, bundle.gamma, st.n, st.p, st.rho, st.phi, ENG, pts)
+            preset.g, st.n, st.p, st.rho, st.phi, ENG, pts)
         assert np.abs(flow).max() < 1e-10
         assert np.abs(ortho).max() < 1e-10
 
@@ -225,7 +223,7 @@ class TestConditionScalars:
         preset, bundle, pts = flat_phi
         st = preset.state
         cs = condition_scalars(
-            preset.g, bundle.gamma, bundle.A, st.n, st.p, st.rho, st.phi, ENG, pts)
+            preset.g, st.n, st.p, st.rho, st.phi, ENG, pts)
         assert np.allclose(cs.s1, 0.5, atol=1e-13)
         assert np.allclose(cs.s2, 0.5, atol=1e-13)
         assert np.abs(cs.s1_residual).max() < 1e-13
@@ -234,19 +232,17 @@ class TestConditionScalars:
     def test_dust_scaled(self):
         preset = build("minkowski-dust-phi", {"rho0": 2.0})
         st = preset.state
-        bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
         pts = preset.chart.sample_points(3, 4, seed=8)
         cs = condition_scalars(
-            preset.g, bundle.gamma, bundle.A, st.n, st.p, st.rho, st.phi, ENG, pts)
+            preset.g, st.n, st.p, st.rho, st.phi, ENG, pts)
         assert np.allclose(cs.s1, 1.0, atol=1e-13)  # rho phi = 2 * 0.5
 
     def test_vanishing_case(self):
         preset = build("minkowski-radiation", {"phi": 0.0})
         st = preset.state
-        bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
         pts = preset.chart.sample_points(3, 4, seed=9)
         cs = condition_scalars(
-            preset.g, bundle.gamma, bundle.A, st.n, st.p, st.rho, st.phi, ENG, pts)
+            preset.g, st.n, st.p, st.rho, st.phi, ENG, pts)
         assert np.abs(cs.s1).max() < 1e-14
         assert np.abs(cs.s2).max() < 1e-14
 
@@ -262,7 +258,7 @@ class TestConditionScalars:
         bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
         pts = chart.sample_points(3, 4, seed=10)
         cs = condition_scalars(
-            preset.g, bundle.gamma, bundle.A, st.n, p, rho, st.phi, ENG, pts)
+            preset.g, st.n, p, rho, st.phi, ENG, pts)
         assert np.allclose(cs.s1, 0.54, atol=1e-12)
         assert np.abs(cs.s1_residual).max() < 1e-12
 
@@ -277,17 +273,16 @@ class TestCurrentIdentity:
     def test_trivial(self):
         preset = build("minkowski-dust-rest")
         st = preset.state
-        bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
         T = stress_energy(preset.g, st.n, st.p, st.rho)
         pts = preset.chart.sample_points(3, 8, seed=11)
-        res = current_identity_residual(preset.g, bundle.gamma, bundle.A, T, st.n, ENG)
+        res = current_identity_residual(preset.g, T, st.n, st.phi, ENG)
         assert np.abs(res(pts)).max() == 0.0
 
     def test_nonconserved_identity_holds(self, flat_phi):
         preset, bundle, pts = flat_phi
         st = preset.state
         T = stress_energy(preset.g, st.n, st.p, st.rho)
-        res = current_identity_residual(preset.g, bundle.gamma, bundle.A, T, st.n, ENG)
+        res = current_identity_residual(preset.g, T, st.n, st.phi, ENG)
         assert np.abs(res(pts)).max() < 1e-12
 
     @pytest.mark.parametrize("name", ["flrw-radiation", "minkowski-radiation",
@@ -295,8 +290,42 @@ class TestCurrentIdentity:
     def test_identity_across_presets(self, name):
         preset = build(name)
         st = preset.state
-        bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
         T = stress_energy(preset.g, st.n, st.p, st.rho)
         pts = preset.chart.sample_points(3, 8, seed=12)
-        res = current_identity_residual(preset.g, bundle.gamma, bundle.A, T, st.n, ENG)
+        res = current_identity_residual(preset.g, T, st.n, st.phi, ENG)
         assert np.abs(res(pts)).max() < 1e-9
+
+
+class TestWorkGuards:
+    """Each residual of the flow-built bundle reads one flow jet per call."""
+
+    @pytest.mark.parametrize("residual", ["condition_scalars", "decomposition_residuals",
+                                          "C1", "C2", "current_identity_residual"])
+    def test_one_metric_evaluation_per_call(self, flrw_dust, metric_calls, residual):
+        preset, _, pts = flrw_dust
+        g, st = preset.g, preset.state
+        c1, c2 = conservation_condition_residuals(g, st.n, st.p, st.rho, st.phi, ENG)
+        identity = current_identity_residual(
+            g, stress_energy(g, st.n, st.p, st.rho), st.n, st.phi, ENG)
+        call = {
+            "condition_scalars": lambda: condition_scalars(
+                g, st.n, st.p, st.rho, st.phi, ENG, pts),
+            "decomposition_residuals": lambda: decomposition_residuals(
+                g, st.n, st.p, st.rho, st.phi, ENG, pts),
+            "C1": lambda: c1(pts),
+            "C2": lambda: c2(pts),
+            "current_identity_residual": lambda: identity(pts),
+        }[residual]
+        before = len(metric_calls)
+        call()
+        assert len(metric_calls) - before == 1
+
+    def test_non_finite_connection_raises(self, flrw_dust, monkeypatch):
+        preset, _, pts = flrw_dust
+        g, st = preset.g, preset.state
+        monkeypatch.setattr(fluid, "eps_shift", lambda ginv, gval, aval: np.full(
+            (len(aval),) + (aval.shape[1],) * 3, np.nan))
+        with pytest.raises(ValueError, match="connection .* is not finite"):
+            condition_scalars(g, st.n, st.p, st.rho, st.phi, ENG, pts)
+        with pytest.raises(ValueError, match="connection .* is not finite"):
+            decomposition_residuals(g, st.n, st.p, st.rho, st.phi, ENG, pts)
