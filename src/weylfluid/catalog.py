@@ -95,7 +95,8 @@ def polynomial_scalar(chart: Chart, rng, scale: float, name: str = "poly") -> Te
 
 def polynomial_covector(chart: Chart, rng, scale: float, name: str = "A(poly)") -> TensorField:
     comps = [polynomial_scalar(chart, rng, scale) for _ in range(chart.dim)]
-    return covector_field(chart, lambda coords: [f.fn(coords) for f in comps], name=name)
+    return covector_field(chart, lambda coords: [f.fn(coords) for f in comps], reads=comps,
+                          name=name)
 
 
 def seeded_positive_factor(chart: Chart, seed: int, scale: float = 0.2) -> ConformalFactor:
@@ -130,7 +131,8 @@ def perturbed_metric(base: MetricField, eps: float, seed: int) -> MetricField:
             for i in range(m)
         ]
 
-    return MetricField(chart, fn, name=f"{base.name}+{eps}h")
+    polys = [entries[i][j] for i in range(m) for j in range(i, m)]
+    return MetricField(chart, fn, reads=(base, *polys), name=f"{base.name}+{eps}h")
 
 
 # -- metric constructors ------------------------------------------------------
@@ -344,7 +346,7 @@ def _build_flrw(kind: str, params: dict, seed: int):
     def p_fn(coords):
         return params["w"] * rho.fn(coords)
 
-    p = scalar_field(chart, p_fn, name="p")
+    p = scalar_field(chart, p_fn, reads=(rho,), name="p")
     state = FluidState(n=n, p=p, rho=rho, phi=phi)
     meta = PresetMeta(
         conserved=conserved,

@@ -161,15 +161,15 @@ def load_config(path: str = None, overrides: dict = None) -> SuiteConfig:
 
     if parser.has_section("engine"):
         sec = parser["engine"]
-        mode = sec.get("mode", "forward-dual")
-        try:
-            cfg.engine = DerivativeEngine(
-                mode=mode,
-                h=_get_finite(sec, "h", 1e-4, positive=True),
-                richardson=_get_int(sec, "richardson", 0),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        modes = ("forward-dual", "central-difference")
+        mode = sec.get("mode", modes[0])
+        if mode not in modes:
+            raise ConfigError(f"key 'mode' must be one of {', '.join(modes)}, got {mode!r}")
+        richardson = _get_int(sec, "richardson", 0)
+        if richardson not in (0, 1):
+            raise ConfigError(f"key 'richardson' must be 0 or 1, got {richardson}")
+        cfg.engine = DerivativeEngine(
+            mode=mode, h=_get_finite(sec, "h", 1e-4, positive=True), richardson=richardson)
 
     if parser.has_section("tolerances"):
         sec = parser["tolerances"]
@@ -244,6 +244,8 @@ def load_config(path: str = None, overrides: dict = None) -> SuiteConfig:
         else:
             raise ConfigError(f"unknown override {flag!r}")
 
+    if not cfg.suites:
+        raise ConfigError(f"key 'suites' must name at least one of {', '.join(SUITES)}")
     if cfg.seed < 0:
         raise ConfigError(f"key 'seed' must be at least 0, got {cfg.seed}")
     unknown = [s for s in cfg.suites if s not in SUITES]

@@ -48,7 +48,8 @@ class ConformalFactor:
     """A positive gauge factor together with its cached logarithm.
 
     Closed-form factors stay dual-differentiable; solver output is wrapped
-    from the log side and flagged numeric (finite differences only).
+    from the log side, and the factor built from it is differentiated by
+    finite differences only.
     """
 
     def __init__(self, phi: TensorField, ln: TensorField):
@@ -58,19 +59,13 @@ class ConformalFactor:
 
     @classmethod
     def from_scalar(cls, phi: TensorField) -> "ConformalFactor":
-        if phi.supports_ad:
-            ln = scalar_field(phi.chart, lambda c: ad.log(phi.fn(c)), name=f"ln({phi.name})")
-        else:
-            ln = scalar_field(phi.chart, eval_fn=lambda pts: np.log(phi(pts)), name=f"ln({phi.name})")
-        return cls(phi, ln)
+        return cls(phi, scalar_field(phi.chart, lambda c: ad.log(phi.fn(c)), reads=(phi,),
+                                     name=f"ln({phi.name})"))
 
     @classmethod
     def from_log(cls, ln: TensorField) -> "ConformalFactor":
-        if ln.supports_ad:
-            phi = scalar_field(ln.chart, lambda c: ad.exp(ln.fn(c)), name=f"exp({ln.name})")
-        else:
-            phi = scalar_field(ln.chart, eval_fn=lambda pts: np.exp(ln(pts)), name=f"exp({ln.name})")
-        return cls(phi, ln)
+        return cls(scalar_field(ln.chart, lambda c: ad.exp(ln.fn(c)), reads=(ln,),
+                                name=f"exp({ln.name})"), ln)
 
     def validate(self, pts, tol: float = 1e-12) -> None:
         v = self.phi(pts)
@@ -107,19 +102,12 @@ class ConformalWeights:
 def _pow_scale(field: TensorField, factor: ConformalFactor, power: float, name: str):
     """Multiply a scalar/vector/tensor field by ``Phi**power``."""
     phi = factor.phi
-    if field.supports_ad and phi.supports_ad:
-        def fn(coords):
-            s = phi.fn(coords) ** power
-            return _scale_tree(field.fn(coords), s)
 
-        return TensorField(field.chart, field.variance, fn, name=name)
+    def fn(coords):
+        s = phi.fn(coords) ** power
+        return _scale_tree(field.fn(coords), s)
 
-    def eval_fn(pts):
-        s = phi(pts) ** power
-        v = field(pts)
-        return v * s.reshape((-1,) + (1,) * field.rank)
-
-    return TensorField(field.chart, field.variance, eval_fn=eval_fn, name=name)
+    return TensorField(field.chart, field.variance, fn, reads=(field, phi), name=name)
 
 
 def _scale_tree(components, s):
@@ -152,9 +140,7 @@ def conformal_rescale(
     phi_f, ln_f = factor.phi, factor.ln
 
     g2_scaled = _pow_scale(bundle.g, factor, 2.0, name=f"{bundle.g.name}~")
-    g2 = MetricField(
-        bundle.g.chart, g2_scaled.fn, eval_fn=g2_scaled.eval_fn, name=g2_scaled.name
-    )
+    g2 = MetricField(bundle.g.chart, g2_scaled.fn, reads=(g2_scaled,), name=g2_scaled.name)
     n2 = _pow_scale(state.n, factor, -1.0, name=f"{state.n.name}~")
     p2 = _pow_scale(state.p, factor, float(weights.w), name=f"{state.p.name}~")
     rho2 = _pow_scale(state.rho, factor, float(weights.w), name=f"{state.rho.name}~")

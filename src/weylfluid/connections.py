@@ -151,16 +151,19 @@ def nonmetricity_residuals(
     evaluation each of the metric data, ``Gamma`` and ``A``.  Both vanish
     exactly when ``Gamma`` is the Weyl-compatible connection of ``(g, A)``."""
     pts = g.chart.as_points(pts)
-    data = metric_aux(g, pts, engine)
-    gam = gamma(pts)
-    aval = A(pts)
+    return _nonmetricity(metric_aux(g, pts, engine), gamma(pts), A(pts))
+
+
+def _nonmetricity(data, gam: np.ndarray, aval: np.ndarray):
+    """:func:`nonmetricity_residuals` from the metric data and the values of
+    ``Gamma`` and ``A`` on one point batch."""
     nabla_g = (
         data.dg
         - np.einsum("nlac,nlb->nabc", gam, data.val)
         - np.einsum("nlbc,nal->nabc", gam, data.val)
     )
     metric = nabla_g - 2.0 * np.einsum("nc,nab->nabc", aval, data.val)
-    trace = _density_divergence(data, gam) - g.chart.dim * aval * data.sqrt_det[:, None]
+    trace = _density_divergence(data, gam) - aval.shape[1] * aval * data.sqrt_det[:, None]
     return metric, trace
 
 

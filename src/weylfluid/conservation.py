@@ -36,7 +36,6 @@ from .geometry import (
     DerivativeEngine,
     MetricField,
     TensorField,
-    metric_aux,
     require_finite,
     scalar_field,
     tensor2_field,
@@ -49,35 +48,28 @@ class VectorDensityField(TensorField):
 
     weight = 1
 
-    def __init__(self, chart, fn=None, *, eval_fn=None, name=""):
-        super().__init__(chart, ("u",), fn, eval_fn=eval_fn, name=name)
+    def __init__(self, chart, fn=None, *, eval_fn=None, reads=(), name=""):
+        super().__init__(chart, ("u",), fn, eval_fn=eval_fn, reads=reads, name=name)
 
 
 def raise_indices2(g: MetricField, T: TensorField) -> TensorField:
-    """``T^{ab} = g^{ac} g^{bd} T_{cd}`` as an evaluable field (dual-capable
-    when both inputs are closed-form)."""
+    """``T^{ab} = g^{ac} g^{bd} T_{cd}`` as an evaluable field."""
     m = g.chart.dim
-    if g.supports_ad and T.supports_ad:
-        def fn(coords):
-            nb = np.size(ad.value(coords[0]))
-            ginv = ad.mat_inv(g.fn(coords), nb, m)
-            tc = T.fn(coords)
-            half = [
-                [sum(ginv[a][c] * tc[c][d] for c in range(m)) for d in range(m)]
-                for a in range(m)
-            ]
-            return [
-                [sum(half[a][d] * ginv[b][d] for d in range(m)) for b in range(m)]
-                for a in range(m)
-            ]
 
-        return tensor2_field(g.chart, fn, variance=("u", "u"), name=f"raise({T.name})")
+    def fn(coords):
+        nb = np.size(ad.value(coords[0]))
+        ginv = ad.mat_inv(g.fn(coords), nb, m)
+        tc = T.fn(coords)
+        half = [
+            [sum(ginv[a][c] * tc[c][d] for c in range(m)) for d in range(m)]
+            for a in range(m)
+        ]
+        return [
+            [sum(half[a][d] * ginv[b][d] for d in range(m)) for b in range(m)]
+            for a in range(m)
+        ]
 
-    def eval_fn(pts):
-        inv = metric_aux(g, pts).inv
-        return np.einsum("nac,nbd,ncd->nab", inv, inv, T(pts))
-
-    return tensor2_field(g.chart, eval_fn=eval_fn, variance=("u", "u"), name=f"raise({T.name})")
+    return tensor2_field(g.chart, fn, reads=(g, T), variance=("u", "u"), name=f"raise({T.name})")
 
 
 def _divergence_T(t_up: TensorField, gam: np.ndarray, engine: DerivativeEngine, pts) -> np.ndarray:
@@ -168,26 +160,18 @@ def decomposition_residuals(
 def particle_current(g: MetricField, T: TensorField, n: TensorField) -> VectorDensityField:
     """``J^mu = sqrt|g| T^{mu nu} n_nu``, a weight-1 vector density."""
     m = g.chart.dim
-    if g.supports_ad and T.supports_ad and n.supports_ad:
-        def fn(coords):
-            nb = np.size(ad.value(coords[0]))
-            gc = g.fn(coords)
-            tc = T.fn(coords)
-            nc = n.fn(coords)
-            ginv = ad.mat_inv(gc, nb, m)
-            sq = ad.sqrt(ad.absolute(ad.mat_det(gc, nb, m)))
-            tn = [sum(tc[a][b] * nc[b] for b in range(m)) for a in range(m)]
-            return [sq * sum(ginv[mu][a] * tn[a] for a in range(m)) for mu in range(m)]
 
-        return VectorDensityField(g.chart, fn, name="J")
+    def fn(coords):
+        nb = np.size(ad.value(coords[0]))
+        gc = g.fn(coords)
+        tc = T.fn(coords)
+        nc = n.fn(coords)
+        ginv = ad.mat_inv(gc, nb, m)
+        sq = ad.sqrt(ad.absolute(ad.mat_det(gc, nb, m)))
+        tn = [sum(tc[a][b] * nc[b] for b in range(m)) for a in range(m)]
+        return [sq * sum(ginv[mu][a] * tn[a] for a in range(m)) for mu in range(m)]
 
-    def eval_fn(pts):
-        data = metric_aux(g, pts)
-        nv = n(pts)
-        tn = np.einsum("nab,nb->na", T(pts), nv)
-        return data.sqrt_det[:, None] * np.einsum("nma,na->nm", data.inv, tn)
-
-    return VectorDensityField(g.chart, eval_fn=eval_fn, name="J")
+    return VectorDensityField(g.chart, fn, reads=(g, T, n), name="J")
 
 
 def current_divergence(J: TensorField, engine: DerivativeEngine) -> TensorField:

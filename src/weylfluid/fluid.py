@@ -144,13 +144,16 @@ def geodesic_defect(
 
     def eval_fn(pts):
         nval, njac = engine.value_and_jacobian(n, pts)
-        gam = bundle.gamma(pts)
-        transport = np.einsum("nb,nab->na", nval, njac) + np.einsum(
-            "nabc,nb,nc->na", gam, nval, nval
-        )
-        return transport - phi(pts)[:, None] * nval
+        return _defect(nval, njac, bundle.gamma(pts), phi(pts))
 
     return vector_field(bundle.g.chart, eval_fn=eval_fn, name="geodesic-defect")
+
+
+def _defect(n: np.ndarray, dn: np.ndarray, gam: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """:func:`geodesic_defect` from the values of ``n``, ``d_c n^a``,
+    ``Gamma`` and ``phi`` on one point batch."""
+    transport = np.einsum("nb,nab->na", n, dn) + np.einsum("nabc,nb,nc->na", gam, n, n)
+    return transport - phi[:, None] * n
 
 
 def stress_energy(
@@ -161,28 +164,17 @@ def stress_energy(
     Symmetric by construction; satisfies ``T^{ab} n_b = -rho n^a``.
     """
     m = g.chart.dim
-    if all(f.supports_ad for f in (g, n, p, rho)):
-        def fn(coords):
-            gc = g.fn(coords)
-            nc = n.fn(coords)
-            pc = p.fn(coords)
-            rc = rho.fn(coords)
-            n_low = [sum(gc[a][b] * nc[b] for b in range(m)) for a in range(m)]
-            w = pc + rc
-            return [
-                [pc * gc[a][b] + w * n_low[a] * n_low[b] for b in range(m)]
-                for a in range(m)
-            ]
 
-        return tensor2_field(g.chart, fn, name="T")
+    def fn(coords):
+        gc = g.fn(coords)
+        nc = n.fn(coords)
+        pc = p.fn(coords)
+        rc = rho.fn(coords)
+        n_low = [sum(gc[a][b] * nc[b] for b in range(m)) for a in range(m)]
+        w = pc + rc
+        return [
+            [pc * gc[a][b] + w * n_low[a] * n_low[b] for b in range(m)]
+            for a in range(m)
+        ]
 
-    def eval_fn(pts):
-        gv = g(pts)
-        nv = n(pts)
-        n_low = np.einsum("nab,nb->na", gv, nv)
-        return (
-            p(pts)[:, None, None] * gv
-            + (p(pts) + rho(pts))[:, None, None] * np.einsum("na,nb->nab", n_low, n_low)
-        )
-
-    return tensor2_field(g.chart, eval_fn=eval_fn, name="T")
+    return tensor2_field(g.chart, fn, reads=(g, n, p, rho), name="T")

@@ -10,6 +10,11 @@ Conventions
   vectors satisfy ``g(n, n) = -1``.
 * ``sqrt_det`` always means ``sqrt(|det g|)``.
 
+Each composite field (one built from other fields) is written once, as a
+component function that reads its inputs' component functions; it is exact
+under forward-mode duals only when every input is closed-form, and numeric
+inputs make it a finite-difference field.
+
 All field evaluations are pure functions of the point; every object here is
 immutable after construction and safe to share between workers.
 """
@@ -17,6 +22,7 @@ immutable after construction and safe to share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -118,27 +124,52 @@ def require_finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def _value_components(eval_fn, rank: int, name: str, coords):
+    """Component tree of a numeric field at the points whose coordinates
+    are ``coords``, value only.  Bound with ``functools.partial`` so that it
+    holds the numeric map but not the field."""
+    if any(isinstance(c, ad.Dual) for c in coords):
+        raise CapabilityError(f"field {name or '<anonymous>'} is numeric; use finite differences")
+    pts = np.stack(coords, axis=-1)
+    out = np.asarray(eval_fn(pts), dtype=float)
+    out = np.moveaxis(np.broadcast_to(out, (len(pts),) + (len(coords),) * rank), 0, -1)
+
+    def tree(a, k):
+        return a if k == 0 else [tree(sub, k - 1) for sub in a]
+
+    return tree(out, rank)
+
+
 class TensorField:
     """A point-indexed component array produced by an evaluable map.
 
     Two construction routes:
 
-    * ``fn(coords)``: a closed-form component function of the coordinate
-      tuple, built from dual-safe arithmetic.  Supports exact forward-mode
-      derivatives.
+    * ``fn(coords)``: a component function of the coordinate tuple, built
+      from dual-safe arithmetic.  A composite (a field built from other
+      fields, such as a unit flow or a stress-energy tensor) is written once,
+      as ``fn``, and names every field whose ``fn`` it reads in ``reads``.
     * ``eval_fn(points)``: a numeric map over point batches (solver output,
-      interpolants, derived diagnostics).  Differentiated by central
-      differences only.
+      interpolants, derived diagnostics).  Its ``fn`` is a value-only
+      component tree of the same map, so composites read it like any other
+      field; handed duals it raises :class:`CapabilityError`.
+
+    ``supports_ad`` is true only for a closed-form field: one built from
+    ``fn`` whose every read field is closed-form.  Such a field
+    differentiates exactly through forward-mode duals; any other by
+    central differences only.
     """
 
-    def __init__(self, chart: Chart, variance: tuple, fn=None, *, eval_fn=None, name: str = ""):
+    def __init__(self, chart: Chart, variance: tuple, fn=None, *, eval_fn=None, reads=(),
+                 name: str = ""):
         if (fn is None) == (eval_fn is None):
             raise ValueError("provide exactly one of fn or eval_fn")
         self.chart = chart
         self.variance = tuple(variance)
-        self.fn = fn
-        self.eval_fn = eval_fn
         self.name = name
+        self.eval_fn = eval_fn
+        self.supports_ad = eval_fn is None and all(f.supports_ad for f in reads)
+        self.fn = fn if eval_fn is None else partial(_value_components, eval_fn, self.rank, name)
 
     @property
     def rank(self) -> int:
@@ -147,10 +178,6 @@ class TensorField:
     @property
     def shape(self) -> tuple:
         return (self.chart.dim,) * self.rank
-
-    @property
-    def supports_ad(self) -> bool:
-        return self.fn is not None
 
     def __call__(self, pts) -> np.ndarray:
         pts = self.chart.as_points(pts)
@@ -174,20 +201,21 @@ class TensorField:
         return ad.pack(self.fn(coords), len(pts), self.chart.dim, want_grad=True)
 
 
-def scalar_field(chart, fn=None, *, eval_fn=None, name="") -> TensorField:
-    return TensorField(chart, (), fn, eval_fn=eval_fn, name=name)
+def scalar_field(chart, fn=None, *, eval_fn=None, reads=(), name="") -> TensorField:
+    return TensorField(chart, (), fn, eval_fn=eval_fn, reads=reads, name=name)
 
 
-def vector_field(chart, fn=None, *, eval_fn=None, name="") -> TensorField:
-    return TensorField(chart, ("u",), fn, eval_fn=eval_fn, name=name)
+def vector_field(chart, fn=None, *, eval_fn=None, reads=(), name="") -> TensorField:
+    return TensorField(chart, ("u",), fn, eval_fn=eval_fn, reads=reads, name=name)
 
 
-def covector_field(chart, fn=None, *, eval_fn=None, name="") -> TensorField:
-    return TensorField(chart, ("d",), fn, eval_fn=eval_fn, name=name)
+def covector_field(chart, fn=None, *, eval_fn=None, reads=(), name="") -> TensorField:
+    return TensorField(chart, ("d",), fn, eval_fn=eval_fn, reads=reads, name=name)
 
 
-def tensor2_field(chart, fn=None, *, eval_fn=None, variance=("d", "d"), name="") -> TensorField:
-    return TensorField(chart, variance, fn, eval_fn=eval_fn, name=name)
+def tensor2_field(chart, fn=None, *, eval_fn=None, reads=(), variance=("d", "d"),
+                  name="") -> TensorField:
+    return TensorField(chart, variance, fn, eval_fn=eval_fn, reads=reads, name=name)
 
 
 def constant_scalar(chart, c: float, name="") -> TensorField:
@@ -198,8 +226,8 @@ class MetricField(TensorField):
     """Symmetric Lorentzian metric: components are symmetrized on
     evaluation, so the symmetry residual vanishes by construction."""
 
-    def __init__(self, chart, fn=None, *, eval_fn=None, name="g"):
-        super().__init__(chart, ("d", "d"), fn, eval_fn=eval_fn, name=name)
+    def __init__(self, chart, fn=None, *, eval_fn=None, reads=(), name="g"):
+        super().__init__(chart, ("d", "d"), fn, eval_fn=eval_fn, reads=reads, name=name)
 
     def __call__(self, pts):
         g = super().__call__(pts)
@@ -231,7 +259,8 @@ class DerivativeEngine:
 
     ``mode`` selects forward-dual differentiation (exact for closed-form
     fields) or central differences with step ``h`` (O(h^2), O(h^4) with one
-    Richardson level).  Numeric fields always fall back to differences.
+    Richardson level).  Fields that are not closed-form always fall back to
+    differences.
     """
 
     mode: str = "forward-dual"
@@ -379,37 +408,16 @@ def normalize_timelike(g: MetricField, u: TensorField) -> TensorField:
         inv_norm = 1.0 / ad.sqrt(-s)
         return [uc[i] * inv_norm for i in range(m)]
 
-    if not (g.supports_ad and u.supports_ad):
-        def eval_fn(pts):
-            gv = g(pts)
-            uv = u(pts)
-            s = np.einsum("nij,ni,nj->n", gv, uv, uv)
-            bad = s >= -TIMELIKE_EPS
-            if np.any(bad):
-                k = int(np.argmax(bad))
-                raise NotTimelikeError(
-                    f"g(u,u) = {s[k]:.6g} >= -{TIMELIKE_EPS} at point {pts[k]}"
-                )
-            return uv / np.sqrt(-s)[:, None]
-
-        return vector_field(g.chart, eval_fn=eval_fn, name=f"unit({u.name})")
-
-    return vector_field(g.chart, fn, name=f"unit({u.name})")
+    return vector_field(g.chart, fn, reads=(g, u), name=f"unit({u.name})")
 
 
 def lower_index(g: MetricField, v: TensorField) -> TensorField:
-    """Closed-form covector ``v_a = g_ab v^b`` (dual-capable when inputs are)."""
+    """Covector ``v_a = g_ab v^b``."""
     m = g.chart.dim
 
-    if g.supports_ad and v.supports_ad:
-        def fn(coords):
-            gc = g.fn(coords)
-            vc = v.fn(coords)
-            return [sum(gc[a][b] * vc[b] for b in range(m)) for a in range(m)]
+    def fn(coords):
+        gc = g.fn(coords)
+        vc = v.fn(coords)
+        return [sum(gc[a][b] * vc[b] for b in range(m)) for a in range(m)]
 
-        return covector_field(g.chart, fn, name=f"flat({v.name})")
-
-    def eval_fn(pts):
-        return np.einsum("nab,nb->na", g(pts), v(pts))
-
-    return covector_field(g.chart, eval_fn=eval_fn, name=f"flat({v.name})")
+    return covector_field(g.chart, fn, reads=(g, v), name=f"flat({v.name})")

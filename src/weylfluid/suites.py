@@ -33,7 +33,7 @@ from .conformal import (
     rescaled_stress_energy_check,
     transport_residual,
 )
-from .connections import eps_connection, levi_civita, nonmetricity_residuals
+from .connections import _nonmetricity, eps_connection, levi_civita, nonmetricity_residuals
 from .conservation import (
     SliceSpec,
     condition_scalars,
@@ -44,8 +44,16 @@ from .conservation import (
     particle_current,
 )
 from .errors import WeylFluidError
-from .fluid import WeylBundle, fluid_connection, fluid_covector, geodesic_defect, stress_energy
-from .geometry import DerivativeEngine, constant_scalar, metric_aux, scalar_field
+from .fluid import (
+    WeylBundle,
+    _defect,
+    flow_jet,
+    fluid_connection,
+    fluid_covector,
+    geodesic_defect,
+    stress_energy,
+)
+from .geometry import DerivativeEngine, constant_scalar, metric_aux, require_finite, scalar_field
 from .worldlines import (
     eps_null_check,
     integral_curve,
@@ -160,7 +168,9 @@ def connection_suite(ctx: SuiteContext):
         "zero-covector-reduction", "vanishing covector reproduces the metric connection",
         _maxabs(eps_connection(g, zero_cov, engine)(pts) - lc(pts)), 0.0))
 
-    metric_res, trace_res = nonmetricity_residuals(g, bundle.gamma, bundle.A, engine, pts)
+    st = ctx.preset.state
+    jet = flow_jet(g, st.n, engine, pts, st.phi)
+    metric_res, trace_res = _nonmetricity(jet.data, jet.Gamma, jet.A)
     checks.append(ctx.record(
         "nonmetricity", "covariant metric derivative equals twice covector times metric",
         _maxabs(metric_res), tols.derivative))
@@ -207,17 +217,24 @@ def _fluid_family(ctx: SuiteContext):
     return flows, phis
 
 
+def _geodesy(g, n, phi, engine, pts):
+    """The geodesic defect and ``n^a A_a + phi`` of the bundle built from
+    ``(g, n, phi)``, read from one flow jet."""
+    jet = flow_jet(g, n, engine, pts, phi)
+    phival = phi(pts)
+    defect = require_finite(_defect(jet.n, jet.dn, jet.Gamma, phival), "field geodesic-defect")
+    return defect, np.einsum("na,na->n", jet.A, n(pts)) + phival
+
+
 def fluid_suite(ctx: SuiteContext):
     g, engine, pts, tols = ctx.preset.g, ctx.engine, ctx.pts, ctx.tols
     st = ctx.preset.state
     checks = []
 
-    bundle = ctx.bundle
+    defect, contraction = _geodesy(g, st.n, st.phi, engine, pts)
     checks.append(ctx.record(
         "geodesic-defect", "flow transport is proportional to the flow",
-        _maxabs(geodesic_defect(bundle, st.n, st.phi, engine)(pts)), tols.derivative))
-
-    contraction = np.einsum("na,na->n", bundle.A(pts), st.n(pts)) + st.phi(pts)
+        _maxabs(defect), tols.derivative))
     checks.append(ctx.record(
         "covector-flow-contraction", "flow contraction of the covector is minus the scalar",
         _maxabs(contraction), tols.derivative))
@@ -239,10 +256,8 @@ def fluid_suite(ctx: SuiteContext):
     worst = 0.0
     for flow in flows:
         for phi in phis:
-            fb = fluid_connection(g, flow, phi, engine)
-            worst = max(worst, _maxabs(geodesic_defect(fb, flow, phi, engine)(pts)))
-            worst = max(worst, _maxabs(
-                np.einsum("na,na->n", fb.A(pts), flow(pts)) + phi(pts)))
+            defect, contraction = _geodesy(g, flow, phi, engine, pts)
+            worst = max(worst, _maxabs(defect), _maxabs(contraction))
     checks.append(ctx.record(
         "geodesic-defect-family", "geodesy across the preset flow/scalar family",
         worst, tols.derivative))
@@ -336,7 +351,7 @@ def conformal_suite(ctx: SuiteContext):
     b_i, s_i = conformal_rescale(bundle, st, f1, engine)
     b_ii, s_ii = conformal_rescale(b_i, s_i, f2, engine)
     prod = ConformalFactor.from_log(
-        scalar_field(chart, lambda c: f1.ln.fn(c) + f2.ln.fn(c)))
+        scalar_field(chart, lambda c: f1.ln.fn(c) + f2.ln.fn(c), reads=(f1.ln, f2.ln)))
     b_p, s_p = conformal_rescale(bundle, st, prod, engine)
     group = max(
         _maxabs(b_ii.g(pts) - b_p.g(pts)),

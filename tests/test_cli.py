@@ -72,6 +72,9 @@ OUT_OF_RANGE = [
     ("samples", "random_points", ["0"]),
     ("frame", "grid_nodes", ["3", "0"]),  # cubic interpolation by default
     ("engine", "h", ["nan", "inf", "0", "-1e-4"]),
+    ("engine", "mode", ["bogus"]),
+    ("engine", "richardson", ["2"]),
+    ("run", "suites", [""]),
     *(("tolerances", f.name, ["-1e-9", "nan", "inf"]) for f in fields(suites.Tolerances)),
 ]
 

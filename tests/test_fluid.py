@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from weylfluid import connections, fluid
+from weylfluid import connections, fluid, suites
 from weylfluid.catalog import (
     build,
     flrw_chart,
@@ -129,6 +129,29 @@ class TestSingleJetConnection:
             monkeypatch.setattr(module, "metric_aux", counted)
         bundle.gamma(pts)
         assert len(calls) == 1
+
+
+class TestSuitesReadOneJetPerPair:
+    """Each (flow, phi) pair a suite checks costs one metric evaluation."""
+
+    def _ctx(self):
+        preset = build("flrw-comoving-dust")
+        return suites.SuiteContext(preset, ENG, preset.chart.sample_points(2, 8, seed=3),
+                                   nonmetricity_pairs=1)
+
+    def test_fluid_suite(self, metric_calls):
+        ctx = self._ctx()
+        flows, phis = suites._fluid_family(ctx)
+        suites.fluid_suite(ctx)
+        # the preset pair, the metric data of the eigenvector check, and the family
+        assert len(metric_calls) == 2 + len(flows) * len(phis)
+
+    def test_connection_suite(self, metric_calls):
+        ctx = self._ctx()
+        suites.connection_suite(ctx)
+        # metric inverse, zero-covector reduction (2), torsion, the preset
+        # pair, and two per seeded pair
+        assert len(metric_calls) == 5 + 2 * ctx.nonmetricity_pairs
 
 
 class TestStressEnergy:
