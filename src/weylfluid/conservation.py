@@ -298,9 +298,15 @@ def condition_scalars(
     ``(g, n, phi)`` directly at ``pts`` and compare with their closed
     forms."""
     pts = g.chart.as_points(pts)
+    return _condition_scalars(flow_jet(g, n, engine, pts, phi), g, n, p, rho)
+
+
+def _condition_scalars(jet: FlowJet, g, n, p, rho) -> ConditionScalars:
+    """:func:`condition_scalars` on the point batch of the flow jet of
+    ``(g, n, phi)``."""
+    pts, phi = jet.pts, jet.phi
     t_up = raise_indices2(g, stress_energy(g, n, p, rho))
     m = g.chart.dim
-    jet = flow_jet(g, n, engine, pts, phi)
     s1, s2 = _contractions(jet, t_up(pts))
     closed = p(pts) * jet.div + (rho(pts) + (m - 1) * p(pts)) * phi(pts)
     out = ConditionScalars(s1, s2, s1 - closed, s2 - rho(pts) * phi(pts))

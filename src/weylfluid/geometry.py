@@ -266,8 +266,6 @@ class DerivativeEngine:
     mode: str = "forward-dual"
     h: float = 1e-4
     richardson: int = 0
-    tol_ad: float = 1e-9
-    tol_fd: float = 1e-5
 
     def __post_init__(self):
         if self.mode not in ("forward-dual", "central-difference"):
@@ -276,10 +274,6 @@ class DerivativeEngine:
             raise ValueError("finite-difference step must be positive")
         if self.richardson not in (0, 1):
             raise ValueError("richardson level must be 0 or 1")
-
-    @property
-    def tol(self) -> float:
-        return self.tol_ad if self.mode == "forward-dual" else self.tol_fd
 
     def jacobian(self, field: TensorField, pts) -> np.ndarray:
         """d(components)/d(coordinates), derivative index last."""

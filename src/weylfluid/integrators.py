@@ -27,6 +27,8 @@ _A = [
 _B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
 _B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
 
+_PROGRESS_WINDOW = 1000  # attempts between checks of each ray's progress
+
 
 def embedded_step(rhs, y, h):
     """One embedded step for states ``(B, d)`` with per-ray sizes ``(B,)``;
@@ -62,14 +64,27 @@ def integrate_adaptive(rhs, y, h, active, advance, *, rtol, atol, step_cap,
       end of its parameter range, so the last step lands on it.
 
     Each attempt is capped at ``step_cap``.  A step size that falls below
-    ``min_step`` or a batch still active after ``max_steps`` attempts
-    raises :class:`StiffnessError`.  Returns the attempts per ray.
+    ``min_step``, a ray whose progress over its last ``_PROGRESS_WINDOW``
+    attempts is too slow to cover its ``remaining`` range in the attempts
+    left, or a batch still active after ``max_steps`` attempts raises
+    :class:`StiffnessError`.  Returns the attempts per ray.
     """
     attempts = np.zeros(len(y), dtype=int)
-    for _ in range(max_steps):
+    mark = np.full(len(y), np.inf)  # each ray's remaining range at the last check
+    for step in range(max_steps):
         if not np.any(active):
             return attempts
         idx = np.flatnonzero(active)
+        if remaining is not None and step % _PROGRESS_WINDOW == 0:
+            left = remaining(idx)
+            stalled = (mark[idx] - left) / _PROGRESS_WINDOW * (max_steps - step) < left
+            if np.any(stalled):
+                k = int(np.argmax(stalled))
+                raise StiffnessError(
+                    f"no progress on ray {idx[k]}: it advanced {mark[idx[k]] - left[k]:.3g} "
+                    f"in {_PROGRESS_WINDOW} attempts, short of the {left[k]:.3g} left "
+                    f"within the remaining budget of {max_steps - step} attempts")
+            mark[idx] = left
         ya = y[idx]
         ha = np.minimum(h[idx], step_cap)
         if remaining is not None:

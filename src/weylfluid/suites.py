@@ -36,6 +36,7 @@ from .conformal import (
 from .connections import _nonmetricity, eps_connection, levi_civita, nonmetricity_residuals
 from .conservation import (
     SliceSpec,
+    _condition_scalars,
     condition_scalars,
     current_divergence,
     current_identity_residual,
@@ -50,7 +51,6 @@ from .fluid import (
     flow_jet,
     fluid_connection,
     fluid_covector,
-    geodesic_defect,
     stress_energy,
 )
 from .geometry import DerivativeEngine, constant_scalar, metric_aux, require_finite, scalar_field
@@ -81,9 +81,10 @@ class Tolerances:
     current_weight: float = 1e-8
     stress_weight: float = 1e-9
 
-    @property
-    def derivative(self) -> float:
-        return self.tol_ad
+    def derivative(self, engine: DerivativeEngine) -> float:
+        """Threshold of the checks on first derivatives taken by ``engine``:
+        ``tol_fd`` for central differences, ``tol_ad`` for forward duals."""
+        return self.tol_fd if engine.mode == "central-difference" else self.tol_ad
 
 
 @dataclass(frozen=True)
@@ -173,10 +174,10 @@ def connection_suite(ctx: SuiteContext):
     metric_res, trace_res = _nonmetricity(jet.data, jet.Gamma, jet.A)
     checks.append(ctx.record(
         "nonmetricity", "covariant metric derivative equals twice covector times metric",
-        _maxabs(metric_res), tols.derivative))
+        _maxabs(metric_res), tols.derivative(engine)))
     checks.append(ctx.record(
         "volume-trace", "weight-1 derivative of sqrt|g| equals m A sqrt|g|",
-        _maxabs(trace_res), tols.derivative))
+        _maxabs(trace_res), tols.derivative(engine)))
 
     worst_pair = 0.0
     base = ctx.preset.g
@@ -190,7 +191,7 @@ def connection_suite(ctx: SuiteContext):
     checks.append(ctx.record(
         "nonmetricity-seeded-pairs",
         "non-metricity and trace identities over seeded metric/covector pairs",
-        worst_pair, tols.derivative))
+        worst_pair, tols.derivative(engine)))
     return checks
 
 
@@ -234,10 +235,10 @@ def fluid_suite(ctx: SuiteContext):
     defect, contraction = _geodesy(g, st.n, st.phi, engine, pts)
     checks.append(ctx.record(
         "geodesic-defect", "flow transport is proportional to the flow",
-        _maxabs(defect), tols.derivative))
+        _maxabs(defect), tols.derivative(engine)))
     checks.append(ctx.record(
         "covector-flow-contraction", "flow contraction of the covector is minus the scalar",
-        _maxabs(contraction), tols.derivative))
+        _maxabs(contraction), tols.derivative(engine)))
 
     T = stress_energy(g, st.n, st.p, st.rho)
     tval = T(pts)
@@ -260,7 +261,7 @@ def fluid_suite(ctx: SuiteContext):
             worst = max(worst, _maxabs(defect), _maxabs(contraction))
     checks.append(ctx.record(
         "geodesic-defect-family", "geodesy across the preset flow/scalar family",
-        worst, tols.derivative))
+        worst, tols.derivative(engine)))
     return checks
 
 
@@ -290,7 +291,7 @@ def conservation_suite(ctx: SuiteContext):
     expected = -data.sqrt_det[:, None] * st.rho(pts)[:, None] * st.n(pts)
     checks.append(ctx.record(
         "current-perfect-fluid-form", "current equals minus density times weighted flow",
-        _maxabs(J(pts) - expected), tols.derivative))
+        _maxabs(J(pts) - expected), tols.derivative(engine)))
 
     checks.append(ctx.record(
         "current-divergence-identity",
@@ -301,10 +302,10 @@ def conservation_suite(ctx: SuiteContext):
     cs = condition_scalars(g, st.n, st.p, st.rho, st.phi, engine, pts)
     checks.append(ctx.record(
         "condition-scalar-transport", "contracted flow-transport scalar matches closed form",
-        _maxabs(cs.s1_residual), tols.derivative))
+        _maxabs(cs.s1_residual), tols.derivative(engine)))
     checks.append(ctx.record(
         "condition-scalar-covector", "contracted covector scalar equals rho phi",
-        _maxabs(cs.s2_residual), tols.derivative))
+        _maxabs(cs.s2_residual), tols.derivative(engine)))
 
     if meta.conserved:
         checks.append(ctx.record(
@@ -344,7 +345,7 @@ def conformal_suite(ctx: SuiteContext):
         worst_orbit = max(worst_orbit, _maxabs(b2.gamma(pts) - gamma_ref))
     checks.append(ctx.record(
         "connection-orbit-invariance", "the connection is unchanged along the gauge orbit",
-        worst_orbit, tols.derivative))
+        worst_orbit, tols.derivative(engine)))
 
     f1 = seeded_positive_factor(chart, ctx.seed * 100 + 41)
     f2 = seeded_positive_factor(chart, ctx.seed * 100 + 42)
@@ -363,14 +364,14 @@ def conformal_suite(ctx: SuiteContext):
     )
     checks.append(ctx.record(
         "gauge-group-law", "successive rescalings compose multiplicatively", group,
-        tols.derivative))
+        tols.derivative(engine)))
 
     fac = seeded_positive_factor(chart, ctx.seed * 100 + 43)
     b2, s2 = conformal_rescale(bundle, st, fac, engine, weights=weights)
     norm = np.einsum("nij,ni,nj->n", b2.g(pts), s2.n(pts), s2.n(pts))
     checks.append(ctx.record(
         "rescaled-normalization", "rescaled flow is unit for the rescaled metric",
-        _maxabs(norm + 1.0), tols.derivative))
+        _maxabs(norm + 1.0), tols.derivative(engine)))
 
     closure = fluid_covector(b2.g, s2.n, s2.phi, engine)
     checks.append(ctx.record(
@@ -421,7 +422,6 @@ def frame_suite(ctx: SuiteContext):
 
     if meta.closed_frame is not None:
         closed = meta.closed_frame(value)
-        lo, hi = chart.bounds(chart.margin / 2.0)
         grid_pts = np.stack(
             [m.ravel() for m in np.meshgrid(*factor.grid_axes, indexing="ij")], axis=-1)
         checks.append(ctx.record(
@@ -434,14 +434,15 @@ def frame_suite(ctx: SuiteContext):
             _maxabs(incompressibility_residual(b2c.g, s2c.n, engine)(pts)),
             tols.frame_closed))
 
+    # one flow jet of the rescaled pair feeds the last four checks
     b2, s2 = conformal_rescale(ctx.bundle, st, factor, engine)
+    zero = constant_scalar(chart, 0.0)
+    jet = flow_jet(b2.g, s2.n, engine, pts, zero)
     checks.append(ctx.record(
         "incompressibility", "solved gauge makes the flow divergence-free",
-        _maxabs(incompressibility_residual(b2.g, s2.n, engine)(pts)), tols.frame))
+        _maxabs(require_finite(jet.div, "field incompressibility-residual")), tols.frame))
 
-    zero = constant_scalar(chart, 0.0)
-    pb = fluid_connection(b2.g, s2.n, zero, engine)
-    cs = condition_scalars(b2.g, s2.n, s2.p, s2.rho, zero, engine, pts)
+    cs = _condition_scalars(jet, b2.g, s2.n, s2.p, s2.rho)
     checks.append(ctx.record(
         "preferred-scalar-transport", "first obstruction scalar vanishes in the frame",
         _maxabs(cs.s1), tols.frame))
@@ -450,7 +451,8 @@ def frame_suite(ctx: SuiteContext):
         _maxabs(cs.s2), tols.frame))
     checks.append(ctx.record(
         "preferred-geodesic-defect", "flow is affinely autoparallel in the frame",
-        _maxabs(geodesic_defect(pb, s2.n, zero, engine)(pts)), tols.frame))
+        _maxabs(require_finite(_defect(jet.n, jet.dn, jet.Gamma, zero(pts)),
+                               "field geodesic-defect")), tols.frame))
     return checks
 
 

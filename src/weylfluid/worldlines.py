@@ -17,6 +17,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import CubicHermiteSpline
 
 from .connections import ConnectionField, levi_civita
 from .errors import ComparisonError
@@ -38,8 +39,8 @@ class WorldlinePath:
     """Accepted integration nodes of one worldline.
 
     ``points[i]`` and ``tangents[i]`` belong to parameter ``s[i]``; the
-    parameters are strictly increasing.  ``exited`` marks truncation at the
-    chart boundary.
+    parameters are strictly increasing.  ``exited`` marks a ray cut at the
+    chart boundary, whose last node lies on the wall it crossed.
     """
 
     s: np.ndarray
@@ -57,18 +58,7 @@ class WorldlinePath:
         """Dense output: cubic Hermite interpolation on the accepted nodes,
         evaluated at ``count`` uniform parameter values."""
         svals = np.linspace(self.s[0], self.s[-1], count)
-        seg = np.clip(np.searchsorted(self.s, svals, side="right") - 1, 0, len(self.s) - 2)
-        s0, s1 = self.s[seg], self.s[seg + 1]
-        hseg = s1 - s0
-        t = ((svals - s0) / hseg)[:, None]
-        p0, p1 = self.points[seg], self.points[seg + 1]
-        m0 = self.tangents[seg] * hseg[:, None]
-        m1 = self.tangents[seg + 1] * hseg[:, None]
-        h00 = 2 * t**3 - 3 * t**2 + 1
-        h10 = t**3 - 2 * t**2 + t
-        h01 = -2 * t**3 + 3 * t**2
-        h11 = t**3 - t**2
-        return svals, h00 * p0 + h10 * m0 + h01 * p1 + h11 * m1
+        return svals, CubicHermiteSpline(self.s, self.points, self.tangents)(svals)
 
     def to_csv(self, path: str) -> None:
         m = self.points.shape[1]
@@ -83,14 +73,49 @@ class WorldlinePath:
                 )
 
 
+def _land_on_wall(rhs, base, trial, lo, hi):
+    """Nodes on the chart wall for rays stepping from ``base`` (inside the
+    box ``lo``..``hi``) to ``trial`` (outside), and the parameter advance
+    to each.
+
+    The coordinate ``x^j`` crossed first is the independent variable of one
+    embedded step (Henon 1982, *Physica D* 5:412): ``d(x, v, s)/dx^j =
+    (v, a, 1) / v^j`` over the length ``wall_j - x^j``.  ``j`` is the crossed
+    axis whose linearly estimated crossing comes first; a node past another
+    wall (a crossing near a corner) is landed again on that wall.
+    """
+    m = len(lo)
+    nodes, ds = trial.copy(), np.zeros(len(base))
+    for _ in range(m):
+        past = (nodes[:, :m] < lo) | (nodes[:, :m] > hi)
+        todo = np.flatnonzero(np.any(past, axis=1))
+        if not len(todo):
+            break
+        walls = np.where(nodes[todo, :m] > hi, hi, lo)
+        frac = np.divide(walls - base[todo, :m], nodes[todo, :m] - base[todo, :m],
+                         out=np.full(walls.shape, np.inf), where=past[todo])
+        rows, axis = np.arange(len(todo)), np.argmin(frac, axis=1)
+        wall = walls[rows, axis]
+
+        def per_axis(state):
+            d = np.concatenate([rhs(state[:, :-1]), np.ones((len(state), 1))], axis=1)
+            return d / d[rows, axis][:, None]
+
+        start = np.concatenate([base[todo], np.zeros((len(todo), 1))], axis=1)
+        end, _ = embedded_step(per_axis, start, wall - base[todo, axis])
+        nodes[todo], ds[todo] = end[:, :-1], end[:, -1]
+        nodes[todo, axis] = wall
+    return nodes, ds
+
+
 def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float):
     """Adaptive embedded integration of ``x'' = accel(x, v)`` for a batch of
     independent rays with per-ray step control.
 
-    ``accel(X, V)`` maps ``(B, m)`` pairs to accelerations ``(B, m)``.
-    Rays that leave the chart box are truncated at the boundary (located by
-    step bisection) and flagged ``exited``.  Returns one
-    :class:`WorldlinePath` per ray.
+    ``accel(X, V)`` maps ``(B, m)`` pairs to accelerations ``(B, m)``.  A
+    step that leaves the chart box is replaced by one that ends on the wall
+    it crosses (:func:`_land_on_wall`), and the ray is flagged ``exited``.
+    Returns one :class:`WorldlinePath` per ray.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     v0s = np.atleast_2d(np.asarray(v0s, dtype=float))
@@ -109,35 +134,21 @@ def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float):
     active = np.ones(nrays, dtype=bool)
 
     def advance(acc, y_old, y_new, h_acc, ratio):
-        inside = np.all((y_new[:, :m] >= lo) & (y_new[:, :m] <= hi), axis=1)
-        kept = acc[inside]
-        max_ratio[kept] = np.maximum(max_ratio[kept], ratio[inside])
-        s[kept] += h_acc[inside]
-        y[kept] = y_new[inside]
-        for ray in kept:
-            nodes_s[ray].append(s[ray])
-            nodes_y[ray].append(y[ray].copy())
-        finished = kept[s[kept] >= s_max * (1.0 - 1e-14)]
-        active[finished] = False
-
-        for ray, h_try in zip(acc[~inside], h_acc[~inside]):
-            # bisect toward the boundary, keeping the inside part
-            h_in, h_out = 0.0, h_try
-            y_in = None
-            base = y[ray][None, :]
-            for _ in range(60):
-                h_mid = 0.5 * (h_in + h_out)
-                y_mid, _ = embedded_step(rhs, base, np.array([h_mid]))
-                if np.all((y_mid[0, :m] >= lo) & (y_mid[0, :m] <= hi)):
-                    h_in, y_in = h_mid, y_mid[0]
-                else:
-                    h_out = h_mid
-            if y_in is not None:
-                s[ray] += h_in
+        inside = chart.contains(y_new[:, :m])
+        max_ratio[acc[inside]] = np.maximum(max_ratio[acc[inside]], ratio[inside])
+        if not np.all(inside):
+            y_new[~inside], h_acc[~inside] = _land_on_wall(
+                rhs, y_old[~inside], y_new[~inside], lo, hi)
+            exited[acc[~inside]] = True
+            active[acc[~inside]] = False
+        # a ray that steps from a point on the wall adds no node
+        for ray, node, step in zip(acc, y_new, h_acc):
+            if step > 0.0:
+                s[ray] += step
+                y[ray] = node
                 nodes_s[ray].append(s[ray])
-                nodes_y[ray].append(y_in)
-            exited[ray] = True
-            active[ray] = False
+                nodes_y[ray].append(node)
+        active[acc[s[acc] >= s_max * (1.0 - 1e-14)]] = False
 
     h = np.full(nrays, min(_INITIAL_STEP, s_max))
     attempts = integrate_adaptive(
@@ -168,48 +179,29 @@ def _autoparallel_accel(gamma):
 
 def integrate_autoparallel(gamma: ConnectionField, x0, v0, s_max: float) -> WorldlinePath:
     """Solve ``x''^a + Gamma^a_{bc} x'^b x'^c = 0``."""
-    chart = gamma.chart
-    chart.require_inside(chart.as_points(x0))
-    if not np.any(np.asarray(v0, dtype=float)):
-        raise ValueError("initial tangent must be nonzero")
-    return _integrate_batch(chart, _autoparallel_accel(gamma), x0, v0, s_max)[0]
+    return integrate_autoparallel_batch(gamma, [x0], [v0], s_max)[0]
 
 
 def integrate_autoparallel_batch(gamma: ConnectionField, x0s, v0s, s_max: float):
     """Independent autoparallels integrated together (per-ray step control)."""
     chart = gamma.chart
     chart.require_inside(chart.as_points(x0s))
+    zero = ~np.any(chart.as_points(v0s), axis=1)
+    if np.any(zero):
+        raise ValueError(f"initial tangent {int(np.argmax(zero))} must be nonzero")
     return _integrate_batch(chart, _autoparallel_accel(gamma), x0s, v0s, s_max)
 
 
-def integrate_null_geodesic(
-    g: MetricField,
-    x0,
-    k0,
-    s_max: float,
-    engine: DerivativeEngine,
-    null_eps: float = 1e-10,
-) -> WorldlinePath:
+def integrate_null_geodesic(g: MetricField, x0, k0, s_max: float, engine: DerivativeEngine,
+                            null_eps: float = 1e-10) -> WorldlinePath:
     """Affine null geodesic of the metric; the initial tangent must already
     be null to ``null_eps``.  The squared tangent norm is a first integral
     and is monitored through :func:`null_norm_drift`."""
-    x0 = np.asarray(x0, dtype=float)
-    k0 = np.asarray(k0, dtype=float)
-    gv = g(x0[None, :])[0]
-    norm0 = float(k0 @ gv @ k0)
-    if abs(norm0) > null_eps:
-        raise ValueError(f"initial tangent is not null: g(k,k) = {norm0:.3e}")
-    return integrate_autoparallel(levi_civita(g, engine), x0, k0, s_max)
+    return integrate_null_geodesic_batch(g, [x0], [k0], s_max, engine, null_eps)[0]
 
 
-def integrate_null_geodesic_batch(
-    g: MetricField,
-    x0s,
-    k0s,
-    s_max: float,
-    engine: DerivativeEngine,
-    null_eps: float = 1e-10,
-):
+def integrate_null_geodesic_batch(g: MetricField, x0s, k0s, s_max: float, engine: DerivativeEngine,
+                                  null_eps: float = 1e-10):
     """Independent null geodesics integrated together."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     k0s = np.atleast_2d(np.asarray(k0s, dtype=float))

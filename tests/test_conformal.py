@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from weylfluid.catalog import build, seeded_positive_factor
+from weylfluid.config import SuiteConfig
 from weylfluid.conformal import (
     ConformalFactor,
     ConformalWeights,
@@ -20,6 +21,8 @@ from weylfluid.conservation import SliceSpec, condition_scalars, number_on_slice
 from weylfluid.errors import GaugeError, ReachabilityError
 from weylfluid.fluid import fluid_connection, fluid_covector, geodesic_defect, stress_energy
 from weylfluid.geometry import DerivativeEngine, constant_scalar, scalar_field
+from weylfluid.harness import run_suite
+from weylfluid.suites import Tolerances
 
 ENG = DerivativeEngine()
 FAST_FRAME = FrameSolverParams(grid_nodes=9)
@@ -267,3 +270,16 @@ class TestPreferredFrame:
         spec = SliceSpec(1, 0.0, ((-0.4, 0.4),) * 3)
         with pytest.raises(TransversalityError):
             preferred_frame(preset.g, preset.state.n, spec, ENG, FAST_FRAME)
+
+
+class TestCentralDifferenceMode:
+    def test_derivative_tolerance_follows_the_engine(self):
+        tols = Tolerances(tol_ad=1e-9, tol_fd=1e-5)
+        assert tols.derivative(ENG) == 1e-9
+        assert tols.derivative(DerivativeEngine(mode="central-difference")) == 1e-5
+
+    def test_conformal_suite_passes(self):
+        cfg = SuiteConfig(spacetime="minkowski", fluid="sheared", suites=("conformal",),
+                          engine=DerivativeEngine(mode="central-difference"), timing=False)
+        report = run_suite(cfg)
+        assert report.passed, [c for c in report.checks if not c.passed]

@@ -154,6 +154,21 @@ class TestSuitesReadOneJetPerPair:
         assert len(metric_calls) == 5 + 2 * ctx.nonmetricity_pairs
 
 
+class TestFrameSuiteReadsOneJet:
+    """The frame suite's incompressibility, condition scalars and geodesic
+    defect of the rescaled pair share one flow jet."""
+
+    # the flow jets of the frame transport residual, of the closed-form
+    # incompressibility where the preset has a closed-form frame, and of
+    # the rescaled pair
+    @pytest.mark.parametrize("name, count", [("flrw-comoving-dust", 3), ("minkowski-sheared", 2)])
+    def test_metric_evaluations(self, metric_calls, name, count):
+        preset = build(name)
+        ctx = suites.SuiteContext(preset, ENG, preset.chart.sample_points(2, 8, seed=3))
+        suites.frame_suite(ctx)
+        assert len(metric_calls) == count
+
+
 class TestStressEnergy:
     def test_dust_components(self, flat):
         chart, g, n, pts = flat

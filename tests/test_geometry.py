@@ -23,6 +23,7 @@ from weylfluid.geometry import (
     scalar_field,
     vector_field,
 )
+from weylfluid.suites import Tolerances
 
 from oracles import fd_gradient
 
@@ -116,7 +117,7 @@ class TestGradScalar:
         for _ in range(20):
             f = polynomial_scalar(chart, rng, 1.0)
             worst = max(worst, np.abs(grad_scalar(AD, f, pts) - grad_scalar(FD, f, pts)).max())
-        assert worst < max(FD.tol_fd, 1e-6)
+        assert worst < max(Tolerances().tol_fd, 1e-6)
 
 
 class TestMetricData:

@@ -69,3 +69,16 @@ def test_step_underflow_raises():
     # a first step far below the floor cannot grow past it in one attempt
     with pytest.raises(StiffnessError, match="underflow"):
         _run(1e-20, 1000)
+
+
+def test_stalled_ray_raises_before_the_budget_runs_out():
+    # every step is accepted but none shortens the remaining range
+    y = np.ones((1, 1))
+    calls = []
+    with pytest.raises(StiffnessError, match="no progress on ray 0"):
+        integrate_adaptive(
+            lambda idx, states: _growth(states), y, np.full(1, 1e-3), np.ones(1, dtype=bool),
+            lambda idx, y_old, y_new, h, ratio: calls.append(1),
+            rtol=1e-10, atol=1e-10, step_cap=0.1, max_growth=5.0, min_step=1e-13,
+            max_steps=20000, remaining=lambda idx: np.ones(len(idx)))
+    assert len(calls) < 2000

@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
+from weylfluid import worldlines
 from weylfluid.catalog import build, circular_orbit_init, null_tangent
 from weylfluid.connections import levi_civita
 from weylfluid.errors import ComparisonError, StiffnessError
 from weylfluid.fluid import fluid_connection
 from weylfluid.geometry import DerivativeEngine
 from weylfluid.worldlines import (
-
     eps_null_check,
     integral_curve,
     integrate_autoparallel,
+    integrate_autoparallel_batch,
     integrate_null_geodesic,
+    integrate_null_geodesic_batch,
     null_norm_drift,
     trajectory_compare,
 )
@@ -64,6 +66,15 @@ class TestAutoparallel:
         assert path.exited
         assert path.points[-1, 0] == pytest.approx(1.0, abs=1e-9)
 
+    def test_batches_name_a_zero_tangent_row(self, flat):
+        preset, bundle = flat
+        x0s = np.zeros((3, 4))
+        k0s = np.array([[1.0, 1.0, 0, 0], [1.0, 0, 1.0, 0], [0.0, 0, 0, 0]])
+        with pytest.raises(ValueError, match="tangent 2 must be nonzero"):
+            integrate_autoparallel_batch(bundle.gamma, x0s, k0s, 1.0)
+        with pytest.raises(ValueError, match="tangent 2 must be nonzero"):
+            integrate_null_geodesic_batch(preset.g, x0s, k0s, 1.0, ENG)
+
     def test_stiffness_error_on_rough_coefficients(self, flat):
         # coefficients rough at every scale keep the error estimate O(1), so
         # the step size hovers above the floor while the steps run out the
@@ -90,6 +101,63 @@ class TestAutoparallel:
         assert not path.exited
         assert np.abs(path.points[:, 1] - 6.0).max() < 1e-6
         assert path.points[-1, 3] == pytest.approx(2 * np.pi, abs=1e-6)
+
+class TestChartExit:
+    """A ray that leaves the chart ends with one step onto the wall."""
+
+    @pytest.fixture
+    def landings(self, monkeypatch):
+        calls = []
+        step = worldlines.embedded_step
+
+        def counted(rhs, y, h):
+            calls.append(len(y))
+            return step(rhs, y, h)
+
+        monkeypatch.setattr(worldlines, "embedded_step", counted)
+        return calls
+
+    @pytest.mark.parametrize("v0, axis, wall", [
+        ([1.0, 0.3, -0.2, 0.1], 0, 1.0),     # upper wall
+        ([0.3, -1.0, 0.2, 0.0], 1, -1.0),    # lower wall: a negative step length
+        ([1.0, 1.0, 0.0, 0.0], 0, 1.0),      # into a corner
+    ])
+    def test_last_node_on_the_wall(self, flat_phi, landings, v0, axis, wall):
+        # the phi bundle reparametrizes its rays, so the last step is not affine
+        preset, bundle = flat_phi
+        lo, hi = preset.chart.bounds()
+        path = integrate_autoparallel(bundle.gamma, np.zeros(4), np.array(v0), 50.0)
+        assert path.exited
+        assert landings == [1]
+        assert path.points[-1, axis] == wall
+        assert np.all((path.points[-1] >= lo) & (path.points[-1] <= hi))
+        assert np.all(np.diff(path.s) > 0)
+
+    def test_crossing_near_a_corner_lands_again(self, landings):
+        # a radial null ray of a(t)^2 = exp(t/5) from x = 0 reaches the
+        # chart's corner (t, x) = (6, 1) when it starts at
+        # t = -10 ln(0.1 + exp(-0.6)); started 1e-4 earlier it crosses x = 1
+        # just before the time wall
+        preset = build("flrw-comoving-dust")
+        lo, hi = preset.chart.bounds()
+        t0 = -10.0 * np.log(0.1 + np.exp(-0.6)) - 1e-4
+        x0 = np.array([t0, 0.0, 0.0, 0.0])
+        path = integrate_null_geodesic(preset.g, x0, null_tangent(preset.g, x0, [1.0, 0, 0]),
+                                       50.0, ENG)
+        # the chord of the last step meets the time wall first; the node
+        # landed there lies past x = 1, so the ray is landed again on x = 1
+        assert path.exited and landings == [1, 1]
+        assert path.points[-1, 1] == 1.0
+        assert 6.0 - 1e-3 < path.points[-1, 0] < 6.0
+        assert np.all((path.points[-1] >= lo) & (path.points[-1] <= hi))
+        assert null_norm_drift(preset.g, path) < 1e-10
+
+    def test_ray_on_the_wall_adds_no_node(self, flat):
+        preset, bundle = flat
+        path = integrate_autoparallel(bundle.gamma, np.array([1.0, 0, 0, 0]),
+                                      np.array([1.0, 0, 0, 0]), 1.0)
+        assert path.exited
+        assert path.s.tolist() == [0.0]
 
 class TestNullGeodesics:
     def test_flat_ray(self, flat):
