@@ -63,40 +63,67 @@ class CatalogBundle:
 # -- polynomial ingredients ---------------------------------------------------
 
 
-def polynomial_scalar(chart: Chart, rng, scale: float, name: str = "poly") -> TensorField:
-    """Degree-<=2 polynomial in box-normalized coordinates with seeded
-    coefficients of size ``scale``.
+def _seeded_polynomials(chart: Chart, rng, scale: float, count: int):
+    """Component function of ``count`` degree-<=2 polynomials in
+    box-normalized coordinates ``xi``, with seeded coefficients of size
+    ``scale``.
 
-    Evaluated with dense tensor contractions (values and, for dual input,
-    the chain-rule gradient) rather than per-term dual arithmetic; these
-    polynomials sit inside perturbed metrics, so this path is hot.
+    Each polynomial draws its ``c0``, ``c1`` and ``c2`` from ``rng`` in
+    turn, so ``count`` polynomials take the same draws as ``count`` single
+    ones.  All of them are evaluated in one contraction by
+    :func:`_polynomials`; these polynomials sit inside perturbed metrics, so
+    this path is hot.
     """
     m = chart.dim
-    c0 = scale * rng.uniform(-1.0, 1.0)
-    c1 = scale * rng.uniform(-1.0, 1.0, m)
-    c2 = scale * rng.uniform(-1.0, 1.0, (m, m))
-    c2 = 0.5 * (c2 + c2.T)
+    iu, ju = np.triu_indices(m)
+    coef = np.empty((1 + m + len(iu), count))
+    c1s = np.empty((count, m))
+    c2s = np.empty((count, m, m))
+    for k in range(count):
+        c0 = scale * rng.uniform(-1.0, 1.0)
+        c1 = scale * rng.uniform(-1.0, 1.0, m)
+        c2 = scale * rng.uniform(-1.0, 1.0, (m, m))
+        c2 = 0.5 * (c2 + c2.T)
+        # xi_i xi_j (i < j) stands for both c2_ij and c2_ji
+        coef[:, k] = np.concatenate([[c0], c1, np.where(iu == ju, 1.0, 2.0) * c2[iu, ju]])
+        c1s[k], c2s[k] = c1, c2
     mid = np.array([0.5 * (a + b) for a, b in chart.intervals])
     half = np.array([0.5 * (b - a) for a, b in chart.intervals])
+    # d(poly_k)/d(x_j) = (c1 + 2 c2 xi)_kj / half_j, as xi @ dc2 + dc1 over (k, j)
+    dc1 = (c1s / half).ravel()
+    dc2 = (2.0 * c2s / half).transpose(1, 0, 2).reshape(m, count * m)
+    return partial(_polynomials, mid, half, (iu, ju), coef, dc1, dc2)
 
-    def fn(coords):
-        dual_in = isinstance(coords[0], ad.Dual)
-        xi = np.stack(
-            [(ad.value(coords[j]) - mid[j]) / half[j] for j in range(m)], axis=-1)
-        val = c0 + xi @ c1 + np.einsum("ni,ij,nj->n", xi, c2, xi)
-        if not dual_in:
-            return val
-        dpoly = (c1 + 2.0 * xi @ c2) / half  # d(poly)/d(x_j), shape (N, m)
-        grad = sum(dpoly[:, j, None] * coords[j].grad for j in range(m))
-        return ad.Dual(val, grad)
 
-    return scalar_field(chart, fn, name=name)
+def _polynomials(mid, half, upper, coef, dc1, dc2, coords) -> list:
+    """The polynomials of :func:`_seeded_polynomials` at ``coords``, one
+    entry each.
+
+    Values are ``[1, xi, xi_i xi_j (i <= j)] @ coef``; for dual input the
+    gradients ``(c1 + 2 c2 xi) / half`` are chained through the coordinate
+    jacobians in one batched product.
+    """
+    xi = (np.stack([ad.value(c) for c in coords], axis=-1) - mid) / half
+    basis = np.concatenate([np.ones((len(xi), 1)), xi, xi[:, upper[0]] * xi[:, upper[1]]], axis=1)
+    val = (basis @ coef).T
+    if not isinstance(coords[0], ad.Dual):
+        return list(val)
+    dpoly = (xi @ dc2 + dc1).reshape(len(xi), len(val), len(coords))
+    jac = dpoly @ np.stack([c.grad for c in coords], axis=1)
+    return [ad.Dual(v, jac[:, k]) for k, v in enumerate(val)]
+
+
+def polynomial_scalar(chart: Chart, rng, scale: float, name: str = "poly") -> TensorField:
+    """Degree-<=2 polynomial in box-normalized coordinates with seeded
+    coefficients of size ``scale``."""
+    poly = _seeded_polynomials(chart, rng, scale, 1)
+    return scalar_field(chart, lambda coords: poly(coords)[0], name=name)
 
 
 def polynomial_covector(chart: Chart, rng, scale: float, name: str = "A(poly)") -> TensorField:
-    comps = [polynomial_scalar(chart, rng, scale) for _ in range(chart.dim)]
-    return covector_field(chart, lambda coords: [f.fn(coords) for f in comps], reads=comps,
-                          name=name)
+    """Covector of ``m`` seeded polynomials, drawn as ``m`` successive
+    :func:`polynomial_scalar` would be."""
+    return covector_field(chart, _seeded_polynomials(chart, rng, scale, chart.dim), name=name)
 
 
 def seeded_positive_factor(chart: Chart, seed: int, scale: float = 0.2) -> ConformalFactor:
@@ -117,22 +144,17 @@ def perturbed_metric(base: MetricField, eps: float, seed: int) -> MetricField:
     chart = base.chart
     m = chart.dim
     rng = np.random.default_rng(seed)
-    entries = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            entries[i][j] = entries[j][i] = polynomial_scalar(chart, rng, 1.0)
+    upper = list(zip(*np.triu_indices(m)))
+    poly = _seeded_polynomials(chart, rng, 1.0, len(upper))
 
     def fn(coords):
         gc = base.fn(coords)
-        h = [[entries[i][j].fn(coords) if j >= i else None for j in range(m)]
-             for i in range(m)]
-        return [
-            [gc[i][j] + eps * (h[i][j] if j >= i else h[j][i]) for j in range(m)]
-            for i in range(m)
-        ]
+        out = [[None] * m for _ in range(m)]
+        for (i, j), h in zip(upper, poly(coords)):
+            out[i][j] = out[j][i] = gc[i][j] + eps * h
+        return out
 
-    polys = [entries[i][j] for i in range(m) for j in range(i, m)]
-    return MetricField(chart, fn, reads=(base, *polys), name=f"{base.name}+{eps}h")
+    return MetricField(chart, fn, reads=(base,), name=f"{base.name}+{eps}h")
 
 
 # -- metric constructors ------------------------------------------------------

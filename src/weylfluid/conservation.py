@@ -228,17 +228,24 @@ def _simpson_weights(nodes: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def _slice_quadrature(J, spec: SliceSpec, nodes: int) -> float:
+def _slice_values(J, spec: SliceSpec) -> np.ndarray:
+    """Slice-normal current component on the ``spec.nodes``-per-axis grid
+    of the box, shape ``(nodes,) * (m - 1)``."""
     chart = J.chart
     rest = [j for j in range(chart.dim) if j != spec.axis]
-    axes = [np.linspace(a, b, nodes) for (a, b) in spec.box]
+    axes = [np.linspace(a, b, spec.nodes) for (a, b) in spec.box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.empty((mesh[0].size, chart.dim))
     pts[:, spec.axis] = spec.value
     for mj, j in zip(mesh, rest):
         pts[:, j] = mj.ravel()
-    vals = J(pts)[:, spec.axis].reshape(mesh[0].shape)
-    for (a, b) in reversed(spec.box):
+    return J(pts)[:, spec.axis].reshape(mesh[0].shape)
+
+
+def _simpson(vals: np.ndarray, box) -> float:
+    """Tensor-product composite-Simpson sum of grid values over ``box``."""
+    nodes = vals.shape[0]
+    for (a, b) in reversed(box):
         w = _simpson_weights(nodes, (b - a) / (nodes - 1))
         vals = np.tensordot(vals, w, axes=([-1], [0]))
     return float(vals)
@@ -249,14 +256,15 @@ def number_on_slice(J: TensorField, spec: SliceSpec):
 
     Tensor-product composite-Simpson quadrature; deterministic for a fixed
     node count.  Returns ``(value, error_estimate)`` where the estimate
-    comes from one Richardson halving step (``None`` when the node count
-    cannot be halved).
+    comes from one Richardson halving step, a Simpson sum over the even
+    nodes of the same grid (``None`` when the node count cannot be halved).
     """
     spec.validate(J.chart)
-    fine = _slice_quadrature(J, spec, spec.nodes)
+    vals = _slice_values(J, spec)
+    fine = _simpson(vals, spec.box)
     coarse_nodes = (spec.nodes + 1) // 2
     if coarse_nodes >= 3 and coarse_nodes % 2 == 1:
-        coarse = _slice_quadrature(J, spec, coarse_nodes)
+        coarse = _simpson(vals[(slice(None, None, 2),) * vals.ndim], spec.box)
         return fine, abs(fine - coarse) / 15.0
     return fine, None
 

@@ -387,10 +387,8 @@ def normalize_timelike(g: MetricField, u: TensorField) -> TensorField:
     def fn(coords):
         gc = g.fn(coords)
         uc = u.fn(coords)
-        s = 0.0
-        for i in range(m):
-            for j in range(m):
-                s = s + gc[i][j] * uc[i] * uc[j]
+        # row first: m^2 + m dual products
+        s = sum(uc[i] * sum(gc[i][j] * uc[j] for j in range(m)) for i in range(m))
         sval = ad.value(s)
         bad = np.asarray(sval >= -TIMELIKE_EPS)
         if np.any(bad):

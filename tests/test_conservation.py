@@ -205,6 +205,43 @@ class TestNumberOnSlice:
         ref = -simpson_1d(1.0 + 0.3 * xs**2, -0.5, 0.5) * 0.8 * 0.6
         assert val == pytest.approx(ref, rel=1e-12)
 
+    def test_one_current_evaluation_per_call(self):
+        # the Richardson coarse sum reads the even nodes of the fine grid:
+        # linspace(a, b, 33)[::2] is linspace(a, b, 17) bit for bit
+        preset = build("minkowski-perturbed")
+        st = preset.state
+        J = particle_current(preset.g, stress_energy(preset.g, st.n, st.p, st.rho), st.n)
+        box = ((-0.5, 0.5), (-0.4, 0.3), (-0.2, 0.5))
+        spec = SliceSpec(0, 0.25, box)
+
+        class Recording:
+            chart = J.chart
+
+            def __init__(self):
+                self.batches = []
+
+            def __call__(self, pts):
+                self.batches.append(len(pts))
+                return J(pts)
+
+        recording = Recording()
+        val, err = number_on_slice(recording, spec)
+        assert recording.batches == [spec.nodes ** 3]
+
+        def simpson(nodes):
+            axes = [np.linspace(a, b, nodes) for a, b in box]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            pts = np.stack([np.full(mesh[0].size, 0.25)] + [x.ravel() for x in mesh], -1)
+            vals = J(pts)[:, 0].reshape(mesh[0].shape)
+            for a, b in reversed(box):
+                w = np.ones(nodes)
+                w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+                vals = np.tensordot(vals, w * ((b - a) / (nodes - 1) / 3.0), axes=([-1], [0]))
+            return float(vals)
+
+        fine, coarse = simpson(33), simpson(17)
+        assert (val, err) == (fine, abs(fine - coarse) / 15.0)
+
     def test_validation(self):
         preset = build("minkowski-dust-rest")
         st = preset.state

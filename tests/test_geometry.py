@@ -1,10 +1,13 @@
 """Charts, fields, the derivative engine and metric algebra."""
 
+import re
+
 import numpy as np
 import pytest
 
 from weylfluid import autodiff as ad
 from weylfluid.catalog import (
+    build,
     flrw_chart,
     flrw_metric,
     minkowski_chart,
@@ -184,6 +187,23 @@ class TestNormalizeTimelike:
         n = normalize_timelike(self.g, self._const_vector([0.0, 1.0, 0, 0]))
         with pytest.raises(NotTimelikeError):
             n(self.pts)
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_spacelike_message_names_value_and_point(self, dual):
+        n = normalize_timelike(self.g, self._const_vector([0.0, 1.0, 0, 0]))
+        msg = "g(u,u) = 1 >= -1e-10 at point [0.5, 0.25, -0.25, 0.125]"
+        with pytest.raises(NotTimelikeError, match=re.escape(msg)):
+            (n.dual_eval if dual else n)([[0.5, 0.25, -0.25, 0.125]])
+
+    @pytest.mark.parametrize("name", ["minkowski-perturbed", "minkowski-sheared",
+                                      "schwarzschild-static"])
+    def test_jacobian_matches_central_differences(self, name):
+        preset = build(name, seed=3)
+        n = preset.state.n
+        pts = preset.chart.sample_points(per_axis=3, extra=8, seed=3)
+        val, jac = AD.value_and_jacobian(n, pts)
+        np.testing.assert_array_equal(val, n(pts))
+        assert np.abs(jac - FD.jacobian(n, pts)).max() < Tolerances().tol_fd
 
     def test_flrw_comoving_unit(self):
         chart = flrw_chart(4)
