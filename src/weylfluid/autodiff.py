@@ -155,18 +155,6 @@ def absolute(x):
     return _unary(x, np.abs, lambda v, fv: np.sign(v))
 
 
-def where(cond, a, b):
-    if isinstance(a, Dual) or isinstance(b, Dual):
-        ref = a if isinstance(a, Dual) else b
-        ag = a.grad if isinstance(a, Dual) else np.zeros_like(ref.grad)
-        bg = b.grad if isinstance(b, Dual) else np.zeros_like(ref.grad)
-        return Dual(
-            np.where(cond, _value(a), _value(b)),
-            np.where(np.asarray(cond)[..., None], ag, bg),
-        )
-    return np.where(cond, a, b)
-
-
 # -- packing nested component structures ------------------------------------
 
 

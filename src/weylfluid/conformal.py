@@ -223,7 +223,7 @@ class _Transport:
         # only the metric trace d ln sqrt|g| is needed, not the full
         # Christoffel array: keeps the per-stage cost low for big batches
         gval, dg = self.engine.value_and_jacobian(self.g, pts)
-        inv = np.linalg.inv(0.5 * (gval + np.swapaxes(gval, -1, -2)))
+        inv = np.linalg.inv(gval)
         trace = 0.5 * np.einsum("nij,njic->nc", inv, dg)
         nval, njac = self.engine.value_and_jacobian(self.n, pts)
         div = np.einsum("naa->n", njac) + np.einsum("nc,nc->n", trace, nval)

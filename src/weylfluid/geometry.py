@@ -347,7 +347,6 @@ def metric_aux(g: MetricField, pts, engine: DerivativeEngine = None) -> MetricDa
         dg = None
     else:
         val, dg = engine.value_and_jacobian(g, pts)
-        val = 0.5 * (val + np.swapaxes(val, -1, -2))
     det = np.linalg.det(val)
     if np.any(np.abs(det) < DET_FLOOR):
         k = int(np.argmax(np.abs(det) < DET_FLOOR))

@@ -3,53 +3,33 @@
 The cubic variant is a genuine interpolating spline (not-a-knot boundary
 per axis): it reproduces the grid data exactly and is exact on per-axis
 cubic polynomials, which the stock regular-grid cubic interpolator is not.
-Scattered-point evaluation gathers the local B-spline coefficient block per
-query and contracts it with the per-axis basis weights.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import BSpline, RegularGridInterpolator, make_interp_spline
+from scipy.interpolate import NdBSpline, RegularGridInterpolator, make_interp_spline
 
 
 class TensorSpline:
-    """Interpolating cubic tensor spline on a rectangular grid."""
+    """Interpolating cubic tensor spline on a rectangular grid: one
+    not-a-knot fit per axis, evaluated as one ``NdBSpline`` that
+    extrapolates past the grid."""
 
     DEGREE = 3
 
     def __init__(self, axes, values: np.ndarray):
-        self.axes = [np.asarray(a, dtype=float) for a in axes]
         coef = np.asarray(values, dtype=float)
-        self.knots = []
-        for j, ax in enumerate(self.axes):
-            spline = make_interp_spline(ax, coef, k=self.DEGREE, axis=j)
+        knots = []
+        for j, ax in enumerate(axes):
+            spline = make_interp_spline(np.asarray(ax, dtype=float), coef, k=self.DEGREE, axis=j)
             # the solver moves the interpolation axis to the front
             coef = np.moveaxis(spline.c, 0, j)
-            self.knots.append(spline.t)
-        self.coef = coef
+            knots.append(spline.t)
+        self.spline = NdBSpline(tuple(knots), coef, self.DEGREE, extrapolate=True)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n, m = pts.shape
-        k = self.DEGREE
-        weights = []
-        spans = []
-        for j in range(m):
-            design = BSpline.design_matrix(
-                pts[:, j], self.knots[j], k, extrapolate=True).tocsr()
-            spans.append(design.indices.reshape(n, k + 1))
-            weights.append(design.data.reshape(n, k + 1))
-        # gather the local (k+1)^m coefficient block per query point, then
-        # contract the per-axis basis weights from the last axis inward
-        index = tuple(
-            spans[j][(slice(None),) + (None,) * j + (slice(None),) + (None,) * (m - 1 - j)]
-            for j in range(m)
-        )
-        out = self.coef[index]
-        for j in range(m - 1, -1, -1):
-            out = np.einsum("n...i,ni->n...", out, weights[j])
-        return out
+        return self.spline(np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
 def build_interpolator(axes, values: np.ndarray, method: str):

@@ -272,7 +272,6 @@ def conservation_suite(ctx: SuiteContext):
     g, engine, pts, tols = ctx.preset.g, ctx.engine, ctx.pts, ctx.tols
     st = ctx.preset.state
     meta = ctx.preset.meta
-    bundle = ctx.bundle
     checks = []
 
     flow_res, ortho_res = decomposition_residuals(g, st.n, st.p, st.rho, st.phi, engine, pts)

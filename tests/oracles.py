@@ -136,12 +136,3 @@ def covector_transport_contraction(g_field, gamma_field, t_up_fn, n_field, x, h=
                 cov -= gam[lam, nu, mu] * nl[lam]
             out += t[mu, nu] * cov
     return out
-
-
-def simpson_1d(f_vals, a, b):
-    n = len(f_vals)
-    hstep = (b - a) / (n - 1)
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(np.dot(w, f_vals) * hstep / 3.0)

@@ -6,7 +6,10 @@ import pytest
 
 from weylfluid import fluid
 from weylfluid.catalog import build
+from weylfluid.config import SuiteConfig
 from weylfluid.conservation import (
+    QUAD_CHECK_NODES,
+    QUAD_NODES,
     SliceSpec,
     condition_scalars,
     conservation_condition_residuals,
@@ -20,11 +23,11 @@ from weylfluid.conservation import (
 )
 from weylfluid.fluid import fluid_connection, stress_energy
 from weylfluid.geometry import DerivativeEngine, constant_scalar, scalar_field
+from weylfluid.harness import run_suite
 
 from oracles import (
     covector_transport_contraction,
     divergence_T_fd,
-    simpson_1d,
     vector_divergence_fd,
 )
 
@@ -193,21 +196,32 @@ class TestNumberOnSlice:
         assert abs(n0 - n5) < 1e-8
 
     def test_quadrature_against_1d_oracle(self):
-        # separable current: integral factorizes into 1-d Simpson sums
+        # polynomial current: the integral factorizes into exact 1-d
+        # moments; the degree-20 term is exact for the 12-node count and
+        # not for the 8-node reference, so only the estimate sees it
         preset = build("minkowski-dust-rest")
-        chart = preset.chart
         st = preset.state
-        rho = scalar_field(chart, lambda c: 1.0 + 0.3 * c[1] * c[1])
+        rho = scalar_field(preset.chart, lambda c: 1.0 + 0.3 * c[1] ** 2 * c[3] ** 7
+                           + 0.2 * c[2] ** 15 + 40.0 * c[3] ** 20)
         J = particle_current(preset.g, stress_energy(preset.g, st.n, st.p, rho), st.n)
-        spec = SliceSpec(0, 0.0, ((-0.5, 0.5), (-0.4, 0.4), (-0.3, 0.3)), nodes=17)
-        val, _ = number_on_slice(J, spec)
-        xs = np.linspace(-0.5, 0.5, 17)
-        ref = -simpson_1d(1.0 + 0.3 * xs**2, -0.5, 0.5) * 0.8 * 0.6
-        assert val == pytest.approx(ref, rel=1e-12)
+        box = ((-0.5, 0.5), (-0.4, 0.3), (-0.3, 0.6))
+
+        def moment(k, axis):
+            a, b = box[axis]
+            return (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+
+        volume = moment(0, 0) * moment(0, 1) * moment(0, 2)
+        ref = -(volume + 0.3 * moment(2, 0) * moment(0, 1) * moment(7, 2)
+                + 0.2 * moment(0, 0) * moment(15, 1) * moment(0, 2)
+                + 40.0 * moment(0, 0) * moment(0, 1) * moment(20, 2))
+        val, err = number_on_slice(J, SliceSpec(0, 0.0, box))
+        assert val == pytest.approx(ref, rel=1e-13)
+        coarse = _gauss_count(J, 0, 0.0, box, QUAD_CHECK_NODES)
+        assert err == pytest.approx(abs(ref - coarse), rel=1e-6)
+        assert err > 1e-9  # the degree-20 term is seen by the estimate
 
     def test_one_current_evaluation_per_call(self):
-        # the Richardson coarse sum reads the even nodes of the fine grid:
-        # linspace(a, b, 33)[::2] is linspace(a, b, 17) bit for bit
+        # both rules' nodes go to the current in one concatenated batch
         preset = build("minkowski-perturbed")
         st = preset.state
         J = particle_current(preset.g, stress_energy(preset.g, st.n, st.p, st.rho), st.n)
@@ -221,26 +235,29 @@ class TestNumberOnSlice:
                 self.batches = []
 
             def __call__(self, pts):
-                self.batches.append(len(pts))
+                self.batches.append(pts)
                 return J(pts)
 
         recording = Recording()
         val, err = number_on_slice(recording, spec)
-        assert recording.batches == [spec.nodes ** 3]
+        assert [len(b) for b in recording.batches] == [12 ** 3 + 8 ** 3]
+        batch = recording.batches[0]
+        assert np.all(batch[:, 0] == 0.25)
+        lo, hi = np.array(box).T
+        assert np.all((batch[:, 1:] > lo) & (batch[:, 1:] < hi))
+        fine, coarse = (_gauss_count(J, 0, 0.25, box, n) for n in (QUAD_NODES, QUAD_CHECK_NODES))
+        assert val == pytest.approx(fine, rel=1e-14)
+        assert err == pytest.approx(abs(fine - coarse), rel=1e-6, abs=1e-15)
 
-        def simpson(nodes):
-            axes = [np.linspace(a, b, nodes) for a, b in box]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([np.full(mesh[0].size, 0.25)] + [x.ravel() for x in mesh], -1)
-            vals = J(pts)[:, 0].reshape(mesh[0].shape)
-            for a, b in reversed(box):
-                w = np.ones(nodes)
-                w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-                vals = np.tensordot(vals, w * ((b - a) / (nodes - 1) / 3.0), axes=([-1], [0]))
-            return float(vals)
-
-        fine, coarse = simpson(33), simpson(17)
-        assert (val, err) == (fine, abs(fine - coarse) / 15.0)
+    def test_estimate_bounds_the_error_on_a_curved_slice(self):
+        preset = build("schwarzschild-static")
+        st = preset.state
+        J = particle_current(preset.g, stress_energy(preset.g, st.n, st.p, st.rho), st.n)
+        meta = preset.meta
+        spec = SliceSpec(meta.slice_axis, meta.slice_values[0], meta.slice_box)
+        val, err = number_on_slice(J, spec)
+        ref = _gauss_count(J, spec.axis, spec.value, spec.box, 24)
+        assert 0.0 < abs(val - ref) <= err
 
     def test_validation(self):
         preset = build("minkowski-dust-rest")
@@ -250,8 +267,19 @@ class TestNumberOnSlice:
             number_on_slice(J, SliceSpec(0, 5.0, ((-0.5, 0.5),) * 3))
         with pytest.raises(ValueError, match="exits chart interval"):
             number_on_slice(J, SliceSpec(0, 0.0, ((-2.0, 2.0),) * 3))
-        with pytest.raises(ValueError, match="odd"):
-            number_on_slice(J, SliceSpec(0, 0.0, ((-0.5, 0.5),) * 3, nodes=10))
+
+
+def _gauss_count(J, axis, value, box, nodes):
+    """Slice count by a ``nodes``-per-axis Gauss-Legendre rule applied one
+    axis at a time, as an oracle for :func:`number_on_slice`."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    axes = [0.5 * (a + b) + 0.5 * (b - a) * x for a, b in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.insert(np.stack([m.ravel() for m in mesh], -1), axis, value, axis=1)
+    vals = J(pts)[:, axis].reshape(mesh[0].shape)
+    for a, b in reversed(box):
+        vals = np.tensordot(vals, 0.5 * (b - a) * w, axes=([-1], [0]))
+    return float(vals)
 
 
 class TestConditionScalars:
@@ -331,6 +359,16 @@ class TestCurrentIdentity:
         pts = preset.chart.sample_points(3, 8, seed=12)
         res = current_identity_residual(preset.g, T, st.n, st.phi, ENG)
         assert np.abs(res(pts)).max() < 1e-9
+
+    def test_central_difference_engine_meets_identity_tolerance(self):
+        # the identity compares two derivative paths; at one central-difference
+        # level their O(h^2) truncation errors differed by 6.6e-8 here
+        cfg = SuiteConfig(spacetime="flrw", fluid="power-dust", suites=("conservation",),
+                          engine=DerivativeEngine(mode="central-difference"), timing=False)
+        checks = {c.name: c for c in run_suite(cfg).checks}
+        identity = checks["conservation:current-divergence-identity"]
+        assert identity.tol == 1e-8
+        assert identity.max_residual < 1e-10
 
 
 class TestWorkGuards:
