@@ -242,6 +242,10 @@ def number_on_slice(J: TensorField, spec: SliceSpec):
     exact on per-axis polynomials of degree ``2 QUAD_NODES - 1``.  Returns
     ``(value, error_estimate)``: the estimate is the distance to the
     ``QUAD_CHECK_NODES`` rule, whose nodes go to ``J`` in the same batch.
+    That distance is the error of the coarser rule, so it over-estimates the
+    error of the returned value, often by orders of magnitude: 6.1e-8
+    against an actual 8e-12 (the distance to a 24-node rule) on the
+    ``schwarzschild-static`` preset's slice.
     """
     spec.validate(J.chart)
     (fine_pts, fine_w), (coarse_pts, coarse_w) = (

@@ -29,10 +29,12 @@ from .geometry import (
     MetricData,
     MetricField,
     TensorField,
+    UnitVectorField,
     covector_field,
     metric_aux,
     require_finite,
     tensor2_field,
+    unit_jet,
     vector_field,
 )
 
@@ -103,11 +105,24 @@ class FlowJet:
         return require_finite(gamma, "connection eps(A(fluid))")
 
 
-def flow_jet(g: MetricField, n: TensorField, engine: DerivativeEngine, pts, phi=None) -> FlowJet:
+def flow_jet(g: MetricField, n: TensorField, engine: DerivativeEngine, pts, phi=None,
+             data: MetricData = None) -> FlowJet:
     """Evaluate the metric and the flow once and form their first jet
-    (``phi`` is needed only to read the jet's ``A`` and ``Gamma``)."""
-    data = metric_aux(g, pts, engine)
-    nval, njac = engine.value_and_jacobian(n, pts)
+    (``phi`` is needed only to read the jet's ``A`` and ``Gamma``).
+
+    ``data`` is the metric data of ``g`` on ``pts`` when the caller already
+    holds it.  A closed-form unit flow of ``g`` (:func:`normalize_timelike`)
+    is not differentiated through ``g`` a second time: its jet is formed
+    from the metric jet and the jet of the field it normalizes.
+    """
+    pts = g.chart.as_points(pts)
+    if data is None:
+        data = metric_aux(g, pts, engine)
+    if (isinstance(n, UnitVectorField) and n.g is g and n.supports_ad
+            and engine.mode == "forward-dual"):
+        nval, njac = unit_jet(data, *engine.value_and_jacobian(n.u, pts), pts)
+    else:
+        nval, njac = engine.value_and_jacobian(n, pts)
     n_low = np.einsum("nab,nb->na", data.val, nval)
     # d_c n_b = d_c (g_ba n^a)
     dn_low = np.einsum("nbad,na->nbd", data.dg, nval) + np.einsum("nba,nad->nbd", data.val, njac)

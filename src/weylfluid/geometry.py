@@ -338,6 +338,11 @@ class MetricData:
         """{g}^l_{lc} = d_c ln sqrt|g|, shape (N, m)."""
         return self.dsqrt_det / self.sqrt_det[:, None]
 
+    def take(self, rows) -> "MetricData":
+        """The data of the points ``rows`` of the batch."""
+        return MetricData(*(None if a is None else a[rows] for a in
+                            (self.val, self.inv, self.sqrt_det, self.dg, self.gamma)))
+
 
 def metric_aux(g: MetricField, pts, engine: DerivativeEngine = None) -> MetricData:
     """Evaluate the metric and its derived pointwise data on a batch."""
@@ -373,7 +378,31 @@ def metric_data(g: MetricField, pts):
     return data.inv, data.sqrt_det
 
 
-def normalize_timelike(g: MetricField, u: TensorField) -> TensorField:
+class UnitVectorField(TensorField):
+    """``u / sqrt(-g(u,u))``, a vector field that keeps the pair ``(g, u)``
+    it normalizes, so a caller holding the metric jet of ``g`` can form its
+    jet at array level (:func:`unit_jet`)."""
+
+    def __init__(self, g: MetricField, u: TensorField, fn):
+        super().__init__(g.chart, ("u",), fn, reads=(g, u), name=f"unit({u.name})")
+        self.g = g
+        self.u = u
+
+
+def _require_timelike(q, coords) -> None:
+    """Raise :class:`NotTimelikeError` at the first point where ``q =
+    g(u,u) >= -TIMELIKE_EPS``; ``coords`` are the points' coordinate
+    arrays."""
+    bad = np.asarray(q >= -TIMELIKE_EPS)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        pt = [float(np.broadcast_to(c, bad.shape)[k]) for c in coords]
+        raise NotTimelikeError(
+            f"g(u,u) = {np.broadcast_to(q, bad.shape)[k]:.6g} >= -{TIMELIKE_EPS} at point {pt}"
+        )
+
+
+def normalize_timelike(g: MetricField, u: TensorField) -> UnitVectorField:
     """Rescale a timelike vector field to ``g(n, n) = -1``.
 
     Raises :class:`NotTimelikeError` at evaluation when ``g(u,u) >= -eps``
@@ -388,18 +417,30 @@ def normalize_timelike(g: MetricField, u: TensorField) -> TensorField:
         uc = u.fn(coords)
         # row first: m^2 + m dual products
         s = sum(uc[i] * sum(gc[i][j] * uc[j] for j in range(m)) for i in range(m))
-        sval = ad.value(s)
-        bad = np.asarray(sval >= -TIMELIKE_EPS)
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            pt = [float(np.broadcast_to(ad.value(c), bad.shape)[k]) for c in coords]
-            raise NotTimelikeError(
-                f"g(u,u) = {np.broadcast_to(sval, bad.shape)[k]:.6g} >= -{TIMELIKE_EPS} at point {pt}"
-            )
+        _require_timelike(ad.value(s), [ad.value(c) for c in coords])
         inv_norm = 1.0 / ad.sqrt(-s)
         return [uc[i] * inv_norm for i in range(m)]
 
-    return vector_field(g.chart, fn, reads=(g, u), name=f"unit({u.name})")
+    return UnitVectorField(g, u, fn)
+
+
+def unit_jet(data: MetricData, u: np.ndarray, du: np.ndarray, pts):
+    """Value and jacobian of ``n = u / sqrt(-g(u,u))`` from the metric data
+    (with derivatives) and the value and jacobian of ``u`` on ``pts``.
+
+    With ``q = g(u,u)`` and ``s = sqrt(-q)``: ``n = u / s`` and
+    ``d_c n = d_c u / s - n d_c q / (2 q)``, where ``d_c q = d_c g(u,u) +
+    2 g(u, d_c u)``.  Raises :class:`NotTimelikeError` like
+    :func:`normalize_timelike`.
+    """
+    u_low = np.einsum("nab,nb->na", data.val, u)
+    q = np.einsum("na,na->n", u_low, u)
+    _require_timelike(q, pts.T)
+    s = np.sqrt(-q)
+    n = u / s[:, None]
+    dq = np.einsum("nabc,na,nb->nc", data.dg, u, u) + 2.0 * np.einsum("na,nac->nc", u_low, du)
+    dn = du / s[:, None, None] - 0.5 * n[:, :, None] * (dq / q[:, None])[:, None, :]
+    return n, dn
 
 
 def lower_index(g: MetricField, v: TensorField) -> TensorField:

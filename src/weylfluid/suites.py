@@ -55,11 +55,11 @@ from .fluid import (
 )
 from .geometry import DerivativeEngine, constant_scalar, metric_aux, require_finite, scalar_field
 from .worldlines import (
+    FLOW_LINE,
+    NULL_GEODESIC,
+    WEYL_AUTOPARALLEL,
     eps_null_check,
-    integral_curve,
-    integrate_autoparallel,
-    integrate_autoparallel_batch,
-    integrate_null_geodesic_batch,
+    integrate_fluid_worldlines,
     null_norm_drift,
     trajectory_compare,
 )
@@ -473,8 +473,17 @@ def worldlines_suite(ctx: SuiteContext):
     dirs = rng.normal(size=(ctx.rays, chart.dim - 1))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     k0s = np.stack([null_tangent(g, x0, d) for x0, d in zip(x0s, dirs)])
-    paths_g = integrate_null_geodesic_batch(g, x0s, k0s, s_max, engine)
-    paths_w = integrate_autoparallel_batch(bundle.gamma, x0s, k0s, s_max)
+    # one batch: the metric null rays, the Weyl autoparallels from the same
+    # starts, then the flow line through the centre and its autoparallel
+    x0 = 0.5 * (lo + hi)
+    n0 = st.n(x0[None, :])[0]
+    kinds = ([NULL_GEODESIC] * ctx.rays + [WEYL_AUTOPARALLEL] * ctx.rays
+             + [FLOW_LINE, WEYL_AUTOPARALLEL])
+    paths = integrate_fluid_worldlines(
+        g, st.n, st.phi, engine, kinds, np.concatenate([x0s, x0s, [x0, x0]]),
+        np.concatenate([k0s, k0s, [n0, n0]]), s_max)
+    paths_g, paths_w = paths[:ctx.rays], paths[ctx.rays:2 * ctx.rays]
+    flow_path, auto_path = paths[-2:]
 
     worst_dev = 0.0
     worst_ortho = 0.0
@@ -498,9 +507,6 @@ def worldlines_suite(ctx: SuiteContext):
         "metric null geodesics and connection autoparallels share trajectories",
         worst_dev, tols.trajectory))
 
-    x0 = 0.5 * (lo + hi)
-    flow_path = integral_curve(st.n, x0, s_max, engine)
-    auto_path = integrate_autoparallel(bundle.gamma, x0, st.n(x0[None, :])[0], s_max)
     checks.append(ctx.record(
         "flow-line-trajectory", "flow lines are autoparallel trajectories",
         trajectory_compare(flow_path, auto_path), tols.trajectory))

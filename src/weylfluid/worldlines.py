@@ -21,7 +21,8 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .connections import ConnectionField, levi_civita
 from .errors import ComparisonError
-from .geometry import Chart, DerivativeEngine, MetricField, TensorField
+from .fluid import flow_jet
+from .geometry import Chart, DerivativeEngine, MetricField, TensorField, metric_aux
 from .integrators import embedded_step, integrate_adaptive
 
 # adaptive stepper controls
@@ -32,6 +33,7 @@ _MAX_STEP_FRACTION = 0.02  # of the full parameter range
 _MIN_STEP = 1e-13
 _MAX_STEPS = 200000
 _MAX_GROWTH = 5.0
+_NULL_EPS = 1e-10  # largest |g(k,k)| of an initial null tangent
 
 
 @dataclass
@@ -73,10 +75,10 @@ class WorldlinePath:
                 )
 
 
-def _land_on_wall(rhs, base, trial, lo, hi):
-    """Nodes on the chart wall for rays stepping from ``base`` (inside the
-    box ``lo``..``hi``) to ``trial`` (outside), and the parameter advance
-    to each.
+def _land_on_wall(rhs, idx, base, trial, lo, hi):
+    """Nodes on the chart wall for rays ``idx`` stepping from ``base``
+    (inside the box ``lo``..``hi``) to ``trial`` (outside), and the
+    parameter advance to each; ``rhs(idx, states)`` is the derivative.
 
     The coordinate ``x^j`` crossed first is the independent variable of one
     embedded step (Henon 1982, *Physica D* 5:412): ``d(x, v, s)/dx^j =
@@ -98,7 +100,7 @@ def _land_on_wall(rhs, base, trial, lo, hi):
         wall = walls[rows, axis]
 
         def per_axis(state):
-            d = np.concatenate([rhs(state[:, :-1]), np.ones((len(state), 1))], axis=1)
+            d = np.concatenate([rhs(idx[todo], state[:, :-1]), np.ones((len(state), 1))], axis=1)
             return d / d[rows, axis][:, None]
 
         start = np.concatenate([base[todo], np.zeros((len(todo), 1))], axis=1)
@@ -112,18 +114,19 @@ def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float):
     """Adaptive embedded integration of ``x'' = accel(x, v)`` for a batch of
     independent rays with per-ray step control.
 
-    ``accel(X, V)`` maps ``(B, m)`` pairs to accelerations ``(B, m)``.  A
-    step that leaves the chart box is replaced by one that ends on the wall
-    it crosses (:func:`_land_on_wall`), and the ray is flagged ``exited``.
-    Returns one :class:`WorldlinePath` per ray.
+    ``accel(idx, X, V)`` maps the ``(B, m)`` pairs of rays ``idx`` to
+    accelerations ``(B, m)``.  A step that leaves the chart box is replaced
+    by one that ends on the wall it crosses (:func:`_land_on_wall`), and
+    the ray is flagged ``exited``.  Returns one :class:`WorldlinePath` per
+    ray.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     v0s = np.atleast_2d(np.asarray(v0s, dtype=float))
     nrays, m = x0s.shape
     lo, hi = chart.bounds(0.0)
 
-    def rhs(state):
-        return np.concatenate([state[:, m:], accel(state[:, :m], state[:, m:])], axis=1)
+    def rhs(idx, state):
+        return np.concatenate([state[:, m:], accel(idx, state[:, :m], state[:, m:])], axis=1)
 
     y = np.concatenate([x0s, v0s], axis=1)
     s = np.zeros(nrays)
@@ -138,7 +141,7 @@ def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float):
         max_ratio[acc[inside]] = np.maximum(max_ratio[acc[inside]], ratio[inside])
         if not np.all(inside):
             y_new[~inside], h_acc[~inside] = _land_on_wall(
-                rhs, y_old[~inside], y_new[~inside], lo, hi)
+                rhs, acc[~inside], y_old[~inside], y_new[~inside], lo, hi)
             exited[acc[~inside]] = True
             active[acc[~inside]] = False
         # a ray that steps from a point on the wall adds no node
@@ -152,7 +155,7 @@ def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float):
 
     h = np.full(nrays, min(_INITIAL_STEP, s_max))
     attempts = integrate_adaptive(
-        lambda idx, state: rhs(state), y, h, active, advance,
+        rhs, y, h, active, advance,
         rtol=_RTOL, atol=_ATOL, step_cap=_MAX_STEP_FRACTION * s_max, max_growth=_MAX_GROWTH, min_step=_MIN_STEP, max_steps=_MAX_STEPS,
         remaining=lambda idx: s_max - s[idx])
 
@@ -171,10 +174,15 @@ def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float):
 
 
 def _autoparallel_accel(gamma):
-    def accel(xs, vs):
-        return -np.einsum("nabc,nb,nc->na", gamma(xs), vs, vs)
+    def accel(idx, xs, vs):
+        return _transport(gamma(xs), vs)
 
     return accel
+
+
+def _transport(gam, vs):
+    """``-Gamma^a_bc v^b v^c``, the autoparallel acceleration."""
+    return -np.einsum("nabc,nb,nc->na", gam, vs, vs)
 
 
 def integrate_autoparallel(gamma: ConnectionField, x0, v0, s_max: float) -> WorldlinePath:
@@ -184,16 +192,29 @@ def integrate_autoparallel(gamma: ConnectionField, x0, v0, s_max: float) -> Worl
 
 def integrate_autoparallel_batch(gamma: ConnectionField, x0s, v0s, s_max: float):
     """Independent autoparallels integrated together (per-ray step control)."""
-    chart = gamma.chart
+    _require_start(gamma.chart, x0s, v0s)
+    return _integrate_batch(gamma.chart, _autoparallel_accel(gamma), x0s, v0s, s_max)
+
+
+def _require_start(chart: Chart, x0s, v0s) -> None:
     chart.require_inside(chart.as_points(x0s))
     zero = ~np.any(chart.as_points(v0s), axis=1)
     if np.any(zero):
         raise ValueError(f"initial tangent {int(np.argmax(zero))} must be nonzero")
-    return _integrate_batch(chart, _autoparallel_accel(gamma), x0s, v0s, s_max)
+
+
+def _require_null(g: MetricField, x0s, k0s, null_eps: float, rows=True) -> None:
+    """Raise ``ValueError`` on the first of the ``rows`` (a mask) whose
+    initial tangent is not null."""
+    x0s, k0s = g.chart.as_points(x0s), g.chart.as_points(k0s)
+    norms = np.where(rows, np.einsum("nij,ni,nj->n", g(x0s), k0s, k0s), 0.0)
+    if np.any(np.abs(norms) > null_eps):
+        k = int(np.argmax(np.abs(norms)))
+        raise ValueError(f"initial tangent {k} is not null: g(k,k) = {norms[k]:.3e}")
 
 
 def integrate_null_geodesic(g: MetricField, x0, k0, s_max: float, engine: DerivativeEngine,
-                            null_eps: float = 1e-10) -> WorldlinePath:
+                            null_eps: float = _NULL_EPS) -> WorldlinePath:
     """Affine null geodesic of the metric; the initial tangent must already
     be null to ``null_eps``.  The squared tangent norm is a first integral
     and is monitored through :func:`null_norm_drift`."""
@@ -201,15 +222,54 @@ def integrate_null_geodesic(g: MetricField, x0, k0, s_max: float, engine: Deriva
 
 
 def integrate_null_geodesic_batch(g: MetricField, x0s, k0s, s_max: float, engine: DerivativeEngine,
-                                  null_eps: float = 1e-10):
+                                  null_eps: float = _NULL_EPS):
     """Independent null geodesics integrated together."""
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    k0s = np.atleast_2d(np.asarray(k0s, dtype=float))
-    norms = np.einsum("nij,ni,nj->n", g(x0s), k0s, k0s)
-    if np.any(np.abs(norms) > null_eps):
-        k = int(np.argmax(np.abs(norms)))
-        raise ValueError(f"initial tangent {k} is not null: g(k,k) = {norms[k]:.3e}")
+    _require_null(g, x0s, k0s, null_eps)
     return integrate_autoparallel_batch(levi_civita(g, engine), x0s, k0s, s_max)
+
+
+# the kinds of row of a fluid worldline batch
+NULL_GEODESIC, WEYL_AUTOPARALLEL, FLOW_LINE = range(3)
+
+
+def integrate_fluid_worldlines(g: MetricField, n: TensorField, phi: TensorField,
+                               engine: DerivativeEngine, kinds, x0s, v0s, s_max: float):
+    """The worldlines of a fluid's Weyl structure as one batch with per-ray
+    step control, so that no ray's nodes depend on the other rows.
+
+    Row ``i`` is, by ``kinds[i]``:
+
+    * ``NULL_GEODESIC``: an affine null geodesic of ``g``, as in
+      :func:`integrate_null_geodesic_batch` (its tangent is checked null);
+    * ``WEYL_AUTOPARALLEL``: an autoparallel of the connection that
+      :func:`~weylfluid.fluid.fluid_connection` builds from ``(g, n, phi)``;
+    * ``FLOW_LINE``: an integral curve of ``n`` in the second-order form of
+      :func:`integral_curve`, whose ``v0`` must be ``n(x0)``.
+
+    Each right-hand side evaluates the metric jet once on every row, and
+    the flow jet only on the rows that read it.
+    """
+    kinds = np.asarray(kinds)
+    _require_start(g.chart, x0s, v0s)
+    _require_null(g, x0s, v0s, _NULL_EPS, rows=kinds == NULL_GEODESIC)
+
+    def accel(idx, xs, vs):
+        kind = kinds[idx]
+        data = metric_aux(g, xs, engine)
+        out = np.empty_like(vs)
+        flow = kind != NULL_GEODESIC
+        out[~flow] = _transport(data.gamma[~flow], vs[~flow])
+        if np.any(flow):
+            jet = flow_jet(g, n, engine, xs[flow], phi, data.take(flow))
+            vf = vs[flow]
+            af = np.einsum("nad,nd->na", jet.dn, vf)
+            weyl = kind[flow] == WEYL_AUTOPARALLEL
+            if np.any(weyl):
+                af[weyl] = _transport(jet.Gamma[weyl], vf[weyl])
+            out[flow] = af
+        return out
+
+    return _integrate_batch(g.chart, accel, x0s, v0s, s_max)
 
 
 def null_norm_drift(g: MetricField, path: WorldlinePath) -> float:
@@ -277,7 +337,7 @@ def integral_curve(n: TensorField, x0, s_max: float, engine: DerivativeEngine) -
     stepper and records the velocity for trajectory comparison.
     """
 
-    def accel(xs, vs):
+    def accel(idx, xs, vs):
         jac = engine.jacobian(n, xs)
         return np.einsum("nad,nd->na", jac, vs)
 

@@ -24,11 +24,14 @@ from weylfluid.fluid import (
     geodesic_defect,
     stress_energy,
 )
+from weylfluid.errors import NotTimelikeError
 from weylfluid.geometry import (
     DerivativeEngine,
     constant_scalar,
     covector_field,
     metric_aux,
+    normalize_timelike,
+    vector_field,
 )
 
 ENG = DerivativeEngine()
@@ -129,6 +132,38 @@ class TestSingleJetConnection:
             monkeypatch.setattr(module, "metric_aux", counted)
         bundle.gamma(pts)
         assert len(calls) == 1
+
+
+def _no_dual_eval(*args):
+    raise AssertionError("the unit flow was differentiated through the metric again")
+
+
+class TestUnitFlowJet:
+    """A unit flow's jet formed from the metric jet matches the dual path."""
+
+    @pytest.mark.parametrize("count", [2, 640])
+    @pytest.mark.parametrize("name", verification_matrix())
+    def test_matches_the_dual_jet(self, name, count, monkeypatch):
+        preset = build(name)
+        n = preset.state.n
+        pts = preset.chart.random_points(count, seed=5)
+        val, jac = n.dual_eval(pts)
+        monkeypatch.setattr(n, "dual_eval", _no_dual_eval)
+        jet = fluid.flow_jet(preset.g, n, ENG, pts)
+        for got, want in ((jet.n, val), (jet.dn, jac)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+    def test_spacelike_flow_names_the_point(self, monkeypatch):
+        preset = build("minkowski-dust-rest")
+        chart = preset.chart
+        # timelike where |x| < 1/2, spacelike beyond
+        u = vector_field(chart, lambda c: [0.0 * c[0] + 1.0, 2.0 * c[1],
+                                           0.0 * c[0], 0.0 * c[0]])
+        n = normalize_timelike(preset.g, u)
+        monkeypatch.setattr(n, "dual_eval", _no_dual_eval)
+        pts = [[0.1, 0.2, 0.3, 0.4], [0.5, 0.75, -0.25, 0.125]]
+        with pytest.raises(NotTimelikeError, match=r"at point \[0\.5, 0\.75, -0\.25, 0\.125\]"):
+            fluid.flow_jet(preset.g, n, ENG, pts)
 
 
 class TestSuitesReadOneJetPerPair:

@@ -10,10 +10,15 @@ from weylfluid.errors import ComparisonError, StiffnessError
 from weylfluid.fluid import fluid_connection
 from weylfluid.geometry import DerivativeEngine
 from weylfluid.worldlines import (
+    FLOW_LINE,
+    NULL_GEODESIC,
+    WEYL_AUTOPARALLEL,
+    WorldlinePath,
     eps_null_check,
     integral_curve,
     integrate_autoparallel,
     integrate_autoparallel_batch,
+    integrate_fluid_worldlines,
     integrate_null_geodesic,
     integrate_null_geodesic_batch,
     null_norm_drift,
@@ -260,6 +265,92 @@ class TestTrajectoryCompare:
         auto = integrate_autoparallel(bundle.gamma, x0,
                                       preset.state.n(x0[None, :])[0], 0.5)
         assert trajectory_compare(flow, auto) < 1e-6
+
+def _assert_same_path(a, b):
+    for attr in ("s", "points", "tangents"):
+        np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr), err_msg=attr)
+    assert (a.steps, a.exited) == (b.steps, b.exited)
+
+
+class TestFluidBatch:
+    """One batch of null rays, Weyl autoparallels and a flow line, as the
+    worldlines suite runs it, leaves every ray as it is alone."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        preset = build("minkowski-sheared")
+        g, st = preset.g, preset.state
+        # the second ray starts near the time wall t = 0.5 and leaves the chart
+        x0s = np.array([[-0.1, 0.2, -0.3, 0.1], [0.45, 0.0, 0.1, 0.0]])
+        k0s = np.stack([null_tangent(g, x, d) for x, d in
+                        zip(x0s, [[0.6, 0.8, 0.0], [1.0, 0.0, 0.0]])])
+        x0 = np.array([-0.2, 0.4, 0.1, -0.1])
+        n0 = st.n(x0[None, :])[0]
+        kinds = [NULL_GEODESIC] * 2 + [WEYL_AUTOPARALLEL] * 2 + [FLOW_LINE, WEYL_AUTOPARALLEL]
+        starts = np.concatenate([x0s, x0s, [x0, x0]])
+        tangents = np.concatenate([k0s, k0s, [n0, n0]])
+        s_max = 0.5
+        paths = integrate_fluid_worldlines(g, st.n, st.phi, ENG, kinds, starts, tangents, s_max)
+        return preset, kinds, starts, tangents, s_max, paths
+
+    def test_a_ray_exits_through_the_wall(self, batch):
+        *_, paths = batch
+        assert [p.exited for p in paths] == [False, True, False, True, False, False]
+        assert paths[1].points[-1, 0] == 0.5
+
+    def test_each_row_is_the_row_alone(self, batch):
+        preset, kinds, starts, tangents, s_max, paths = batch
+        st = preset.state
+        for i, path in enumerate(paths):
+            alone = integrate_fluid_worldlines(preset.g, st.n, st.phi, ENG, kinds[i:i + 1],
+                                               starts[i:i + 1], tangents[i:i + 1], s_max)
+            _assert_same_path(path, alone[0])
+
+    def test_rows_match_the_single_kind_integrators(self, batch):
+        preset, kinds, starts, tangents, s_max, paths = batch
+        st = preset.state
+        bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
+        null = integrate_null_geodesic_batch(preset.g, starts[:2], tangents[:2], s_max, ENG)
+        weyl = integrate_autoparallel_batch(bundle.gamma, starts[2:4], tangents[2:4], s_max)
+        auto = integrate_autoparallel(bundle.gamma, starts[5], tangents[5], s_max)
+        for path, single in zip(paths[:4] + paths[5:], null + weyl + [auto]):
+            _assert_same_path(path, single)
+        # the flow line reads the array-level unit jet, integral_curve the
+        # dual one: the same curve up to rounding
+        flow = integral_curve(st.n, starts[4], s_max, ENG)
+        assert trajectory_compare(paths[4], flow) < 1e-14
+
+    def test_one_metric_evaluation_per_stage(self, batch, metric_calls):
+        preset, kinds, starts, tangents, s_max, _ = batch
+        st = preset.state
+        inside = [0, 2, 4, 5]  # the rows that do not reach the wall
+        paths = integrate_fluid_worldlines(preset.g, st.n, st.phi, ENG,
+                                           [kinds[i] for i in inside], starts[inside],
+                                           tangents[inside], s_max)
+        assert len(metric_calls) == 6 * max(p.steps for p in paths)
+
+    def test_rejects_a_non_null_ray(self, batch):
+        preset, kinds, starts, tangents, s_max, _ = batch
+        st = preset.state
+        with pytest.raises(ValueError, match="tangent 1 is not null"):
+            integrate_fluid_worldlines(preset.g, st.n, st.phi, ENG, kinds[:2], starts[:2],
+                                       [tangents[0], 2.0 * tangents[4]], s_max)
+
+
+class TestHermiteResample:
+    @staticmethod
+    def _error(nodes):
+        s = np.linspace(0.0, 2.0, nodes)
+        path = WorldlinePath(s, np.stack([np.cos(s), np.sin(s)], axis=1),
+                             np.stack([-np.sin(s), np.cos(s)], axis=1), steps=0, max_error=0.0)
+        svals, pts = path.hermite_resample(2001)
+        return np.max(np.abs(pts - np.stack([np.cos(svals), np.sin(svals)], axis=1)))
+
+    def test_fourth_order_under_node_halving(self):
+        errors = [self._error(nodes) for nodes in (9, 17, 33, 65)]
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((ratios > 14.0) & (ratios < 18.0)), ratios
+
 
 class TestPathExport:
     def test_csv_roundtrip(self, flat, tmp_path):
