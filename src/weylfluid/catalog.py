@@ -420,7 +420,6 @@ class Preset:
     fluid: str
     defaults: dict
     builder: Callable
-    dim: int = 4  # the chart dimension of a preset without a ``dim`` parameter
 
 
 # keyed by "<spacetime>-<fluid>", the name SuiteConfig.preset_name gives
@@ -438,7 +437,7 @@ PRESETS = {f"{entry.spacetime}-{entry.fluid}": entry for entry in (
            {"rho0": 1.0, "phi": 0.2, "eps": 0.01, "w": 0.0, "dim": 4},
            partial(_build_minkowski, "perturbed")),
     Preset("minkowski3", "dust", {"rho0": 1.0, "phi": 0.4, "w": 0.0},
-           lambda params, seed: _build_minkowski("phi", {**params, "dim": 3}, seed), dim=3),
+           lambda params, seed: _build_minkowski("phi", {**params, "dim": 3}, seed)),
     Preset("flrw", "comoving-dust", {"H": 0.1, "rho0": 1.0, "w": 0.0, "dim": 4},
            partial(_build_flrw, "comoving-dust")),
     Preset("flrw", "radiation", {"H": 0.1, "rho0": 1.0, "w": 1.0 / 3.0, "phi": 0.1, "dim": 4},
@@ -452,13 +451,6 @@ PRESETS = {f"{entry.spacetime}-{entry.fluid}": entry for entry in (
 
 def preset_names() -> tuple:
     return tuple(sorted(PRESETS))
-
-
-def chart_dim(name: str, parameters: dict = None) -> int:
-    """The chart dimension of a preset under valid ``parameters``, without
-    building it."""
-    entry = PRESETS[name]
-    return int({**entry.defaults, **(parameters or {})}.get("dim", entry.dim))
 
 
 def validate_parameters(name: str, parameters: dict) -> None:

@@ -10,7 +10,7 @@ import configparser
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .catalog import chart_dim, validate_parameters
+from .catalog import validate_parameters
 from .conformal import FrameSolverParams
 from .errors import ConfigError, ConstructionError
 from .geometry import DerivativeEngine
@@ -113,19 +113,6 @@ def _get_count(section, key, default, least=1):
     return value
 
 
-def _get_node_counts(section, least):
-    """``grid_nodes``: one count for every axis, or one count per axis."""
-    words = section.get("grid_nodes").split()
-    try:
-        counts = tuple(int(w) for w in words)
-    except ValueError as exc:
-        raise ConfigError(f"key 'grid_nodes' must hold integers: {exc}") from exc
-    if not counts or min(counts) < least:
-        raise ConfigError(f"key 'grid_nodes' must hold counts of at least {least}, "
-                          f"got {section.get('grid_nodes')!r}")
-    return counts[0] if len(counts) == 1 else counts
-
-
 def _get_finite(section, key, default, positive=False):
     value = _get_float(section, key, default)
     if not math.isfinite(value) or (value <= 0.0 if positive else value < 0.0):
@@ -211,7 +198,7 @@ def load_config(path: str = None, overrides: dict = None) -> SuiteConfig:
             raise ConfigError("frame interpolation must be 'linear' or 'cubic'")
         # a cubic spline needs four nodes per axis, a linear one two
         least = 4 if interpolation == "cubic" else 2
-        nodes = _get_node_counts(sec, least) if "grid_nodes" in sec else None
+        nodes = _get_count(sec, "grid_nodes", 0, least) if "grid_nodes" in sec else None
         cfg.frame_params = FrameSolverParams(
             grid_nodes=nodes,
             interpolation=interpolation,
@@ -271,9 +258,4 @@ def load_config(path: str = None, overrides: dict = None) -> SuiteConfig:
         validate_parameters(cfg.preset_name, cfg.parameters)
     except ConstructionError as exc:
         raise ConfigError(str(exc)) from exc
-    nodes = cfg.frame_params.grid_nodes
-    dim = chart_dim(cfg.preset_name, cfg.parameters)
-    if isinstance(nodes, tuple) and len(nodes) != dim:
-        raise ConfigError(f"key 'grid_nodes' must hold one count or {dim} counts "
-                          f"(one per axis), got {len(nodes)}")
     return cfg

@@ -111,15 +111,14 @@ def flow_jet(g: MetricField, n: TensorField, engine: DerivativeEngine, pts, phi=
     (``phi`` is needed only to read the jet's ``A`` and ``Gamma``).
 
     ``data`` is the metric data of ``g`` on ``pts`` when the caller already
-    holds it.  A closed-form unit flow of ``g`` (:func:`normalize_timelike`)
-    is not differentiated through ``g`` a second time: its jet is formed
-    from the metric jet and the jet of the field it normalizes.
+    holds it.  A unit flow of ``g`` (:func:`normalize_timelike`) is not
+    differentiated through ``g`` a second time: its jet is formed from the
+    metric jet and the jet of the field it normalizes.
     """
     pts = g.chart.as_points(pts)
     if data is None:
         data = metric_aux(g, pts, engine)
-    if (isinstance(n, UnitVectorField) and n.g is g and n.supports_ad
-            and engine.mode == "forward-dual"):
+    if isinstance(n, UnitVectorField) and n.g is g:
         nval, njac = unit_jet(data, *engine.value_and_jacobian(n.u, pts), pts)
     else:
         nval, njac = engine.value_and_jacobian(n, pts)

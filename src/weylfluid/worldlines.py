@@ -213,6 +213,10 @@ def _require_null(g: MetricField, x0s, k0s, null_eps: float, rows=True) -> None:
         raise ValueError(f"initial tangent {k} is not null: g(k,k) = {norms[k]:.3e}")
 
 
+# the kinds of row of a fluid worldline batch
+NULL_GEODESIC, WEYL_AUTOPARALLEL, FLOW_LINE = range(3)
+
+
 def integrate_null_geodesic(g: MetricField, x0, k0, s_max: float, engine: DerivativeEngine,
                             null_eps: float = _NULL_EPS) -> WorldlinePath:
     """Affine null geodesic of the metric; the initial tangent must already
@@ -224,34 +228,32 @@ def integrate_null_geodesic(g: MetricField, x0, k0, s_max: float, engine: Deriva
 def integrate_null_geodesic_batch(g: MetricField, x0s, k0s, s_max: float, engine: DerivativeEngine,
                                   null_eps: float = _NULL_EPS):
     """Independent null geodesics integrated together."""
-    _require_null(g, x0s, k0s, null_eps)
-    return integrate_autoparallel_batch(levi_civita(g, engine), x0s, k0s, s_max)
-
-
-# the kinds of row of a fluid worldline batch
-NULL_GEODESIC, WEYL_AUTOPARALLEL, FLOW_LINE = range(3)
+    kinds = [NULL_GEODESIC] * len(np.atleast_2d(k0s))
+    return integrate_fluid_worldlines(g, None, None, engine, kinds, x0s, k0s, s_max, null_eps)
 
 
 def integrate_fluid_worldlines(g: MetricField, n: TensorField, phi: TensorField,
-                               engine: DerivativeEngine, kinds, x0s, v0s, s_max: float):
+                               engine: DerivativeEngine, kinds, x0s, v0s, s_max: float,
+                               null_eps: float = _NULL_EPS):
     """The worldlines of a fluid's Weyl structure as one batch with per-ray
     step control, so that no ray's nodes depend on the other rows.
 
     Row ``i`` is, by ``kinds[i]``:
 
-    * ``NULL_GEODESIC``: an affine null geodesic of ``g``, as in
-      :func:`integrate_null_geodesic_batch` (its tangent is checked null);
+    * ``NULL_GEODESIC``: an affine null geodesic of ``g``, whose tangent
+      must be null to ``null_eps``;
     * ``WEYL_AUTOPARALLEL``: an autoparallel of the connection that
       :func:`~weylfluid.fluid.fluid_connection` builds from ``(g, n, phi)``;
     * ``FLOW_LINE``: an integral curve of ``n`` in the second-order form of
       :func:`integral_curve`, whose ``v0`` must be ``n(x0)``.
 
     Each right-hand side evaluates the metric jet once on every row, and
-    the flow jet only on the rows that read it.
+    the flow jet only on the rows that read it; a batch of null rows alone
+    reads neither ``n`` nor ``phi``.
     """
     kinds = np.asarray(kinds)
+    _require_null(g, x0s, v0s, null_eps, rows=kinds == NULL_GEODESIC)
     _require_start(g.chart, x0s, v0s)
-    _require_null(g, x0s, v0s, _NULL_EPS, rows=kinds == NULL_GEODESIC)
 
     def accel(idx, xs, vs):
         kind = kinds[idx]

@@ -70,7 +70,7 @@ OUT_OF_RANGE = [
     ("conformal", "seeded_factors", ["0"]),
     ("samples", "grid_per_axis", ["0"]),
     ("samples", "random_points", ["0"]),
-    ("frame", "grid_nodes", ["3", "0", "9 3 9 9", "9 9 9", ""]),  # cubic by default
+    ("frame", "grid_nodes", ["3", "0"]),  # cubic interpolation by default
     ("engine", "h", ["nan", "inf", "0", "-1e-4"]),
     ("engine", "mode", ["bogus"]),
     ("engine", "richardson", ["2"]),
@@ -194,39 +194,6 @@ class TestConfig:
         for fluid, eps in (("perturbed", "0.01"), ("perturbed", "-0.01"), ("sheared", "0.5")):
             text = f"[spacetime]\npreset = minkowski\neps = {eps}\n[fluid]\npreset = {fluid}\n"
             assert load_config(_write(tmp_path, "ok.cfg", text)).parameters["eps"] == float(eps)
-
-
-class TestFrameGridNodes:
-    """``[frame] grid_nodes`` holds one count for every axis or one per axis."""
-
-    def _cfg(self, tmp_path, nodes, spacetime="flrw-power", fluid="dust"):
-        text = (f"[spacetime]\npreset = {spacetime}\n[fluid]\npreset = {fluid}\n"
-                f"[frame]\ngrid_nodes = {nodes}\n")
-        return _write(tmp_path, "nodes.cfg", text)
-
-    @pytest.mark.parametrize("nodes, loaded", [("65 9 9 9", (65, 9, 9, 9)), ("9", 9)])
-    def test_counts_load(self, tmp_path, nodes, loaded):
-        assert load_config(self._cfg(tmp_path, nodes)).frame_params.grid_nodes == loaded
-
-    def test_counts_follow_the_chart_dimension(self, tmp_path):
-        path = self._cfg(tmp_path, "9 5 5", "minkowski3", "dust")
-        assert load_config(path).frame_params.grid_nodes == (9, 5, 5)
-        with pytest.raises(ConfigError, match="key 'grid_nodes' must hold one count or 3"):
-            load_config(self._cfg(tmp_path, "9 5 5 5", "minkowski3", "dust"))
-
-    @pytest.mark.parametrize("nodes", ["9 9 9", "9 9 9 9 9", "65 3 9 9", "65 9 x 9"])
-    def test_bad_counts_exit_two(self, tmp_path, capsys, nodes):
-        out = str(tmp_path / "report.json")
-        assert cli.main(["verify", "--config", self._cfg(tmp_path, nodes), "--out", out]) == 2
-        assert "key 'grid_nodes'" in capsys.readouterr().err
-
-    def test_frame_grid_has_the_counts(self, tmp_path):
-        out = str(tmp_path / "grid.csv")
-        path = self._cfg(tmp_path, "5 4 4 6", "minkowski", "sheared")
-        assert cli.main(["frame", "--config", path, "--out", out]) == 0
-        data = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert data.shape == (5 * 4 * 4 * 6, 5)
-        assert [len(np.unique(data[:, j])) for j in range(4)] == [5, 4, 4, 6]
 
 
 class TestReportSerialization:

@@ -153,6 +153,16 @@ class TestUnitFlowJet:
         for got, want in ((jet.n, val), (jet.dn, jac)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("name", verification_matrix())
+    def test_central_difference_jet_matches_the_dual_jet(self, name):
+        preset = build(name)
+        n = preset.state.n
+        pts = preset.chart.random_points(8, seed=5)
+        val, jac = n.dual_eval(pts)
+        jet = fluid.flow_jet(preset.g, n, DerivativeEngine(mode="central-difference"), pts)
+        np.testing.assert_allclose(jet.n, val, rtol=0, atol=1e-14 * np.max(np.abs(val)))
+        np.testing.assert_allclose(jet.dn, jac, rtol=0, atol=1e-6 * np.max(np.abs(jac)))
+
     def test_spacelike_flow_names_the_point(self, monkeypatch):
         preset = build("minkowski-dust-rest")
         chart = preset.chart

@@ -310,7 +310,8 @@ class TestFluidBatch:
         preset, kinds, starts, tangents, s_max, paths = batch
         st = preset.state
         bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
-        null = integrate_null_geodesic_batch(preset.g, starts[:2], tangents[:2], s_max, ENG)
+        null = integrate_autoparallel_batch(levi_civita(preset.g, ENG), starts[:2], tangents[:2],
+                                            s_max)
         weyl = integrate_autoparallel_batch(bundle.gamma, starts[2:4], tangents[2:4], s_max)
         auto = integrate_autoparallel(bundle.gamma, starts[5], tangents[5], s_max)
         for path, single in zip(paths[:4] + paths[5:], null + weyl + [auto]):
