@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""Compare two directories of verification reports record by record.
+
+A record is one check of one preset's report (``<preset>.json``, as
+``scripts/run_verification.py`` writes them).  Prints every record whose
+``max_residual`` changed, with the preset, the check, the old and new
+values and the tolerance, then a summary line.  Exits 1 when a record is on
+one side only or a check's pass flipped, and 0 otherwise, so residuals that
+moved within their tolerances are listed but do not fail the comparison.
+
+Usage:
+    python scripts/compare_reports.py OLD_DIR NEW_DIR
+"""
+
+import argparse
+import pathlib
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from weylfluid.report import parse_report
+
+
+def load_records(directory: pathlib.Path) -> dict:
+    """``{(preset, check): CheckRecord}`` over the directory's reports."""
+    records = {}
+    for path in sorted(directory.glob("*.json")):
+        for check in parse_report(path.read_text()).checks:
+            records[(path.stem, check.name)] = check
+    return records
+
+
+def compare(old: dict, new: dict, out=sys.stdout) -> int:
+    """Print the moved, one-sided and flipped records; return the exit code."""
+    moved = faults = 0
+    for key in sorted(old.keys() | new.keys()):
+        preset, check = key
+        if key not in new or key not in old:
+            side = "new" if key not in new else "old"
+            print(f"MISSING  {preset}  {check}: no record in the {side} reports", file=out)
+            faults += 1
+            continue
+        a, b = old[key], new[key]
+        if a.passed != b.passed:
+            print(f"FLIPPED  {preset}  {check}: pass {a.passed} -> {b.passed}", file=out)
+            faults += 1
+        if a.max_residual != b.max_residual:
+            print(f"moved    {preset}  {check}: {a.max_residual!r} -> "
+                  f"{b.max_residual!r}  (tol {b.tol!r})", file=out)
+            moved += 1
+    print(f"{moved} of {len(old)} records moved; {faults} missing or flipped", file=out)
+    return 1 if faults else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old_dir", type=pathlib.Path)
+    ap.add_argument("new_dir", type=pathlib.Path)
+    args = ap.parse_args(argv)
+    for directory in (args.old_dir, args.new_dir):
+        if not directory.is_dir():
+            ap.error(f"{directory} is not a directory")
+    return compare(load_records(args.old_dir), load_records(args.new_dir))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

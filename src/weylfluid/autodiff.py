@@ -235,7 +235,8 @@ def mat_inv(entries, n: int, m: int):
     inv = np.linalg.inv(val)
     if grad is None:
         return _mat_unpack(inv, None)
-    dinv = -np.einsum("nij,njkd,nkl->nild", inv, grad, inv)
+    # the derivative index goes in front for the batched matrix products
+    dinv = -np.moveaxis(inv[:, None] @ np.moveaxis(grad, 3, 1) @ inv[:, None], 1, 3)
     return _mat_unpack(inv, dinv)
 
 
@@ -244,10 +245,11 @@ def mat_det(entries, n: int, m: int):
 
     Uses d(det g) = det g * tr(g^-1 dg) for the gradient part.
     """
+    from .geometry import inverse_trace  # geometry imports this module
+
     val, grad = mat_pack(entries, n, m)
     det = np.linalg.det(val)
     if grad is None:
         return det
-    inv = np.linalg.inv(val)
-    ddet = det[:, None] * np.einsum("nij,njid->nd", inv, grad)
+    ddet = det[:, None] * inverse_trace(np.linalg.inv(val), grad)
     return Dual(det, ddet)

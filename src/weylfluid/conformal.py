@@ -39,6 +39,7 @@ from .geometry import (
     DerivativeEngine,
     MetricField,
     TensorField,
+    inverse_trace,
     scalar_field,
 )
 from .integrators import integrate_adaptive
@@ -224,7 +225,7 @@ class _Transport:
         # Christoffel array: keeps the per-stage cost low for big batches
         gval, dg = self.engine.value_and_jacobian(self.g, pts)
         inv = np.linalg.inv(gval)
-        trace = 0.5 * np.einsum("nij,njic->nc", inv, dg)
+        trace = 0.5 * inverse_trace(inv, dg)
         nval, njac = self.engine.value_and_jacobian(self.n, pts)
         div = np.einsum("naa->n", njac) + np.einsum("nc,nc->n", trace, nval)
         return nval, div / (self.m - 1.0)

@@ -48,14 +48,20 @@ class ConnectionField:
 
 def eps_shift(ginv: np.ndarray, gval: np.ndarray, aval: np.ndarray) -> np.ndarray:
     """Deformation tensor ``A^a g_bc - delta^a_b A_c - delta^a_c A_b``."""
-    n, m = aval.shape
+    m = aval.shape[1]
     a_up = np.einsum("nae,ne->na", ginv, aval)
-    eye = np.eye(m)
-    return (
-        np.einsum("na,nbc->nabc", a_up, gval)
-        - np.einsum("ab,nc->nabc", eye, aval)
-        - np.einsum("ac,nb->nabc", eye, aval)
-    )
+    out = a_up[:, :, None, None] * gval[:, None]
+    diag = np.arange(m)
+    out[:, diag, diag, :] -= aval[:, None, :]
+    out[:, diag, :, diag] -= aval  # advanced indices first: (m, N, m)
+    return out
+
+
+def _weyl_gamma(data, aval: np.ndarray) -> np.ndarray:
+    """``Gamma^a_bc`` of the Weyl-compatible connection of ``(g, A)`` from
+    the metric data (with derivatives) and the values of ``A`` on one point
+    batch."""
+    return data.gamma + eps_shift(data.inv, data.val, aval)
 
 
 def levi_civita(g: MetricField, engine: DerivativeEngine) -> ConnectionField:
@@ -77,8 +83,7 @@ def eps_connection(g: MetricField, A: TensorField, engine: DerivativeEngine) -> 
         raise CapabilityError("eps_connection expects a covector field")
 
     def eval_fn(pts):
-        data = metric_aux(g, pts, engine)
-        return data.gamma + eps_shift(data.inv, data.val, A(pts))
+        return _weyl_gamma(metric_aux(g, pts, engine), A(pts))
 
     return ConnectionField(g.chart, eval_fn, provenance="eps(A)", name=f"eps({g.name},{A.name})")
 
@@ -157,13 +162,12 @@ def nonmetricity_residuals(
 def _nonmetricity(data, gam: np.ndarray, aval: np.ndarray):
     """:func:`nonmetricity_residuals` from the metric data and the values of
     ``Gamma`` and ``A`` on one point batch."""
-    nabla_g = (
-        data.dg
-        - np.einsum("nlac,nlb->nabc", gam, data.val)
-        - np.einsum("nlbc,nal->nabc", gam, data.val)
-    )
-    metric = nabla_g - 2.0 * np.einsum("nc,nab->nabc", aval, data.val)
-    trace = _density_divergence(data, gam) - aval.shape[1] * aval * data.sqrt_det[:, None]
+    n, m = aval.shape
+    # g_al Gamma^l_bc; by the symmetry of g, g_lb Gamma^l_ac is its a <-> b swap
+    g_gam = (data.val @ gam.reshape(n, m, m * m)).reshape(n, m, m, m)
+    nabla_g = data.dg - np.swapaxes(g_gam, 1, 2) - g_gam
+    metric = nabla_g - 2.0 * aval[:, None, None, :] * data.val[:, :, :, None]
+    trace = _density_divergence(data, gam) - m * aval * data.sqrt_det[:, None]
     return metric, trace
 
 

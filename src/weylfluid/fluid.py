@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .connections import ConnectionField, eps_shift
+from .connections import ConnectionField, _weyl_gamma
 from .errors import CapabilityError
 from .geometry import (
     DerivativeEngine,
@@ -101,8 +101,7 @@ class FlowJet:
     @cached_property
     def Gamma(self) -> np.ndarray:
         """``Gamma^a_bc``, the Weyl-compatible connection of ``(g, A)``."""
-        gamma = self.data.gamma + eps_shift(self.data.inv, self.data.val, self.A)
-        return require_finite(gamma, "connection eps(A(fluid))")
+        return require_finite(_weyl_gamma(self.data, self.A), "connection eps(A(fluid))")
 
 
 def flow_jet(g: MetricField, n: TensorField, engine: DerivativeEngine, pts, phi=None,
@@ -122,9 +121,10 @@ def flow_jet(g: MetricField, n: TensorField, engine: DerivativeEngine, pts, phi=
         nval, njac = unit_jet(data, *engine.value_and_jacobian(n.u, pts), pts)
     else:
         nval, njac = engine.value_and_jacobian(n, pts)
+    b, m = nval.shape
     n_low = np.einsum("nab,nb->na", data.val, nval)
-    # d_c n_b = d_c (g_ba n^a)
-    dn_low = np.einsum("nbad,na->nbd", data.dg, nval) + np.einsum("nba,nad->nbd", data.val, njac)
+    # d_c n_b = d_c (g_ab n^a), with d_c g_ab symmetric in a, b
+    dn_low = (nval[:, None, :] @ data.dg.reshape(b, m, m * m)).reshape(b, m, m) + data.val @ njac
     div = np.einsum("naa->n", njac) + np.einsum("nc,nc->n", data.gamma_trace, nval)
     return FlowJet(data, nval, njac, n_low, dn_low, div, phi, pts)
 

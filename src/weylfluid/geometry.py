@@ -9,6 +9,10 @@ Conventions
 * Metric signature is Lorentzian ``(-, +, ..., +)`` and unit timelike
   vectors satisfy ``g(n, n) = -1``.
 * ``sqrt_det`` always means ``sqrt(|det g|)``.
+* A contraction over a point batch that costs more than ``O(N m^2)`` goes
+  through ``matmul`` (on an ``(N, m, m*m)`` reshape) or broadcasting, not
+  ``einsum``: numpy's ``matmul`` reaches batched BLAS, an unoptimized
+  ``einsum`` does not.
 
 Each composite field (one built from other fields) is written once, as a
 component function that reads its inputs' component functions; it is exact
@@ -331,7 +335,7 @@ class MetricData:
         """d_mu sqrt|g| = sqrt|g| * tr(g^-1 d_mu g) / 2."""
         if self.dg is None:
             raise CapabilityError("metric derivatives were not requested")
-        return 0.5 * self.sqrt_det[:, None] * np.einsum("nij,njid->nd", self.inv, self.dg)
+        return 0.5 * self.sqrt_det[:, None] * inverse_trace(self.inv, self.dg)
 
     @property
     def gamma_trace(self) -> np.ndarray:
@@ -342,6 +346,13 @@ class MetricData:
         """The data of the points ``rows`` of the batch."""
         return MetricData(*(None if a is None else a[rows] for a in
                             (self.val, self.inv, self.sqrt_det, self.dg, self.gamma)))
+
+
+def inverse_trace(inv: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``tr(g^-1 d_c g) = g^ij d_c g_ji`` from the inverse ``(N, m, m)`` and
+    the jacobian ``(N, m, m, m)`` (derivative index last), shape ``(N, m)``."""
+    n, m = inv.shape[:2]
+    return (np.swapaxes(inv, 1, 2).reshape(n, 1, m * m) @ d.reshape(n, m * m, m))[:, 0]
 
 
 def metric_aux(g: MetricField, pts, engine: DerivativeEngine = None) -> MetricData:
@@ -363,12 +374,9 @@ def metric_aux(g: MetricField, pts, engine: DerivativeEngine = None) -> MetricDa
     gamma = None
     if dg is not None:
         # {g}^a_{bc} = g^{ae} (d_b g_{ec} + d_c g_{eb} - d_e g_{bc}) / 2
-        rhs = (
-            np.einsum("necb->nebc", dg)
-            + np.einsum("nebc->nebc", dg)
-            - np.einsum("nbce->nebc", dg)
-        )
-        gamma = 0.5 * np.einsum("nae,nebc->nabc", inv, rhs)
+        n, m = val.shape[:2]
+        rhs = np.swapaxes(dg, 2, 3) + dg - np.moveaxis(dg, 3, 1)
+        gamma = 0.5 * (inv @ rhs.reshape(n, m, m * m)).reshape(n, m, m, m)
     return MetricData(val=val, inv=inv, sqrt_det=sqrt_det, dg=dg, gamma=gamma)
 
 
@@ -433,12 +441,14 @@ def unit_jet(data: MetricData, u: np.ndarray, du: np.ndarray, pts):
     2 g(u, d_c u)``.  Raises :class:`NotTimelikeError` like
     :func:`normalize_timelike`.
     """
+    b, m = u.shape
     u_low = np.einsum("nab,nb->na", data.val, u)
     q = np.einsum("na,na->n", u_low, u)
     _require_timelike(q, pts.T)
     s = np.sqrt(-q)
     n = u / s[:, None]
-    dq = np.einsum("nabc,na,nb->nc", data.dg, u, u) + 2.0 * np.einsum("na,nac->nc", u_low, du)
+    uu = (u[:, :, None] * u[:, None, :]).reshape(b, 1, m * m)
+    dq = (uu @ data.dg.reshape(b, m * m, m))[:, 0] + 2.0 * np.einsum("na,nac->nc", u_low, du)
     dn = du / s[:, None, None] - 0.5 * n[:, :, None] * (dq / q[:, None])[:, None, :]
     return n, dn
 

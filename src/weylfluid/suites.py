@@ -33,7 +33,7 @@ from .conformal import (
     rescaled_stress_energy_check,
     transport_residual,
 )
-from .connections import _nonmetricity, eps_connection, levi_civita, nonmetricity_residuals
+from .connections import _nonmetricity, _weyl_gamma, eps_connection, eps_shift, levi_civita
 from .conservation import (
     SliceSpec,
     _condition_scalars,
@@ -58,9 +58,9 @@ from .worldlines import (
     FLOW_LINE,
     NULL_GEODESIC,
     WEYL_AUTOPARALLEL,
-    eps_null_check,
+    _null_defect,
+    _null_norm_max,
     integrate_fluid_worldlines,
-    null_norm_drift,
     trajectory_compare,
 )
 
@@ -185,8 +185,10 @@ def connection_suite(ctx: SuiteContext):
         rng_seed = ctx.seed * 1000 + k
         gk = perturbed_metric(base, 0.01, rng_seed) if base.supports_ad else base
         ak = polynomial_covector(chart, np.random.default_rng(rng_seed + 1), 0.3)
-        metric_res, trace_res = nonmetricity_residuals(
-            gk, eps_connection(gk, ak, engine), ak, engine, pts)
+        # one metric jet and one covector evaluation per pair
+        data, aval = metric_aux(gk, pts, engine), ak(pts)
+        gam = require_finite(_weyl_gamma(data, aval), f"connection eps({gk.name},{ak.name})")
+        metric_res, trace_res = _nonmetricity(data, gam, aval)
         worst_pair = max(worst_pair, _maxabs(metric_res), _maxabs(trace_res))
     checks.append(ctx.record(
         "nonmetricity-seeded-pairs",
@@ -462,7 +464,6 @@ def worldlines_suite(ctx: SuiteContext):
     g, engine, tols = ctx.preset.g, ctx.engine, ctx.tols
     st = ctx.preset.state
     chart = g.chart
-    bundle = ctx.bundle
     checks = []
 
     rng = np.random.default_rng(ctx.seed + 101)
@@ -489,8 +490,11 @@ def worldlines_suite(ctx: SuiteContext):
     worst_ortho = 0.0
     worst_drift = 0.0
     for path_g, path_w in zip(paths_g, paths_w):
-        worst_drift = max(worst_drift, null_norm_drift(g, path_g))
-        report = eps_null_check(g, bundle.gamma, path_g, engine)
+        # one flow jet on the path's nodes gives the metric for the drift and
+        # the bundle connection's deformation of the Levi-Civita one
+        jet = flow_jet(g, st.n, engine, path_g.points, st.phi)
+        worst_drift = max(worst_drift, _null_norm_max(jet.data.val, path_g.tangents))
+        report = _null_defect(eps_shift(jet.data.inv, jet.data.val, jet.A), path_g.tangents)
         worst_ortho = max(worst_ortho, report["max_orthogonal"])
         # deviation per unit auxiliary arc over the common range
         _, dense = path_g.hermite_resample(400)

@@ -276,8 +276,12 @@ def integrate_fluid_worldlines(g: MetricField, n: TensorField, phi: TensorField,
 
 def null_norm_drift(g: MetricField, path: WorldlinePath) -> float:
     """Maximum |g(k,k)| along the path."""
-    gv = g(path.points)
-    return float(np.max(np.abs(np.einsum("nij,ni,nj->n", gv, path.tangents, path.tangents))))
+    return _null_norm_max(g(path.points), path.tangents)
+
+
+def _null_norm_max(gval: np.ndarray, k: np.ndarray) -> float:
+    """:func:`null_norm_drift` from the metric values on the path's nodes."""
+    return float(np.max(np.abs(np.einsum("nij,ni,nj->n", gval, k, k))))
 
 
 def eps_null_check(
@@ -292,8 +296,12 @@ def eps_null_check(
     connections) and the maximum parallel magnitude.
     """
     lc = levi_civita(g, engine)
-    dgam = gamma(path.points) - lc(path.points)
-    k = path.tangents
+    return _null_defect(gamma(path.points) - lc(path.points), path.tangents)
+
+
+def _null_defect(dgam: np.ndarray, k: np.ndarray) -> dict:
+    """:func:`eps_null_check` from the connection deformation ``dgam`` on
+    the path's nodes and the tangents ``k`` there."""
     defect = np.einsum("nabc,nb,nc->na", dgam, k, k)
     k_norm = np.linalg.norm(k, axis=1)
     k_hat = k / k_norm[:, None]

@@ -55,6 +55,26 @@ def christoffel_fd(g_field, x, h=H_FD):
     return gam
 
 
+# (points, chart dimension) of the batched-kernel tests
+KERNEL_BATCHES = [(n, m) for n in (1, 2, 689) for m in (3, 4)]
+
+
+def rel_err(got, ref):
+    """Largest deviation from ``ref`` relative to the largest entry of ``ref``."""
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+def random_metric_batch(n, m, seed):
+    """Random pointwise metric data on ``n`` points in dimension ``m``: a
+    symmetric Lorentzian value near ``diag(-1, 1, ..., 1)``, its inverse,
+    and a jacobian ``dg[n, a, b, c] = d_c g_ab`` symmetric in ``a, b``."""
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(n, m, m))
+    val = np.diag([-1.0] + [1.0] * (m - 1)) + 0.1 * (s + np.swapaxes(s, 1, 2))
+    d = rng.normal(size=(n, m, m, m))
+    return val, np.linalg.inv(val), d + np.swapaxes(d, 1, 2)
+
+
 def eps_shift_loops(g, ginv, a_low):
     """Connection deformation by explicit index loops."""
     m = len(a_low)

@@ -15,9 +15,11 @@ from weylfluid.catalog import (
     schwarzschild_metric,
 )
 from weylfluid.connections import (
+    _nonmetricity,
     covariant_derivative,
     density_divergence_sqrtg,
     eps_connection,
+    eps_shift,
     levi_civita,
     nonmetricity_residual,
     nonmetricity_residuals,
@@ -26,13 +28,22 @@ from weylfluid.connections import (
 from weylfluid.errors import CapabilityError
 from weylfluid.geometry import (
     DerivativeEngine,
+    MetricData,
     TensorField,
     covector_field,
+    metric_aux,
     scalar_field,
     vector_field,
 )
 
-from oracles import christoffel_fd, eps_shift_loops, metric_at
+from oracles import (
+    KERNEL_BATCHES,
+    christoffel_fd,
+    eps_shift_loops,
+    metric_at,
+    random_metric_batch,
+    rel_err,
+)
 
 ENG = DerivativeEngine()
 
@@ -122,6 +133,47 @@ class TestEpsConnection:
         A = polynomial_covector(chart, np.random.default_rng(9), 0.4)
         pts = chart.sample_points(3, 8, seed=5)
         assert np.abs(eps_connection(g, A, ENG).torsion(pts)).max() == 0.0
+
+
+class TestConnectionKernels:
+    """The batched deformation and non-metricity contractions against their
+    index-notation definitions, written here as ``einsum``."""
+
+    @pytest.mark.parametrize("n, m", KERNEL_BATCHES)
+    def test_eps_shift(self, n, m):
+        val, inv, _ = random_metric_batch(n, m, seed=4)
+        A = np.random.default_rng(5).normal(size=(n, m))
+        eye = np.eye(m)
+        ref = (np.einsum("na,nbc->nabc", np.einsum("nae,ne->na", inv, A), val)
+               - np.einsum("ab,nc->nabc", eye, A) - np.einsum("ac,nb->nabc", eye, A))
+        assert rel_err(eps_shift(inv, val, A), ref) <= 1e-14
+        assert np.all(eps_shift(inv, val, np.zeros((n, m))) == 0.0)
+
+    @pytest.mark.parametrize("n, m", KERNEL_BATCHES)
+    def test_weyl_connection_is_symmetric(self, n, m):
+        chart = flrw_chart(m)
+        g = perturbed_metric(flrw_metric(chart, "exp", 0.1), 0.01, seed=6)
+        pts = chart.random_points(n, seed=6)
+        data = metric_aux(g, pts, ENG)
+        A = polynomial_covector(chart, np.random.default_rng(7), 0.4)(pts)
+        gam = data.gamma + eps_shift(data.inv, data.val, A)
+        assert np.array_equal(gam, np.swapaxes(gam, 2, 3))
+
+    @pytest.mark.parametrize("n, m", KERNEL_BATCHES)
+    def test_nonmetricity(self, n, m):
+        val, inv, dg = random_metric_batch(n, m, seed=8)
+        rng = np.random.default_rng(9)
+        gam = rng.normal(size=(n, m, m, m))
+        gam = gam + np.swapaxes(gam, 2, 3)
+        A = rng.normal(size=(n, m))
+        sqrt_det = np.sqrt(np.abs(np.linalg.det(val)))
+        metric, trace = _nonmetricity(MetricData(val, inv, sqrt_det, dg), gam, A)
+        ref = (dg - np.einsum("nlac,nlb->nabc", gam, val) - np.einsum("nlbc,nal->nabc", gam, val)
+               - 2.0 * np.einsum("nc,nab->nabc", A, val))
+        assert rel_err(metric, ref) <= 1e-14
+        ref = sqrt_det[:, None] * (0.5 * np.einsum("nij,njic->nc", inv, dg)
+                                   - np.einsum("nllc->nc", gam) - m * A)
+        assert rel_err(trace, ref) <= 1e-14
 
 
 class TestCovariantDerivative:

@@ -4,7 +4,7 @@ and the condition scalars with their closed forms."""
 import numpy as np
 import pytest
 
-from weylfluid import fluid
+from weylfluid import connections
 from weylfluid.catalog import build
 from weylfluid.config import SuiteConfig
 from weylfluid.conservation import (
@@ -398,7 +398,7 @@ class TestWorkGuards:
     def test_non_finite_connection_raises(self, flrw_dust, monkeypatch):
         preset, _, pts = flrw_dust
         g, st = preset.g, preset.state
-        monkeypatch.setattr(fluid, "eps_shift", lambda ginv, gval, aval: np.full(
+        monkeypatch.setattr(connections, "eps_shift", lambda ginv, gval, aval: np.full(
             (len(aval),) + (aval.shape[1],) * 3, np.nan))
         with pytest.raises(ValueError, match="connection .* is not finite"):
             condition_scalars(g, st.n, st.p, st.rho, st.phi, ENG, pts)

@@ -195,8 +195,8 @@ class TestSuitesReadOneJetPerPair:
         ctx = self._ctx()
         suites.connection_suite(ctx)
         # metric inverse, zero-covector reduction (2), torsion, the preset
-        # pair, and two per seeded pair
-        assert len(metric_calls) == 5 + 2 * ctx.nonmetricity_pairs
+        # pair, and one per seeded pair
+        assert len(metric_calls) == 5 + ctx.nonmetricity_pairs
 
 
 class TestFrameSuiteReadsOneJet:

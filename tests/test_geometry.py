@@ -12,23 +12,28 @@ from weylfluid.catalog import (
     flrw_metric,
     minkowski_chart,
     minkowski_metric,
+    perturbed_metric,
     polynomial_scalar,
 )
 from weylfluid.errors import DomainExitError, NotTimelikeError, SignatureError
+from weylfluid.fluid import flow_jet
 from weylfluid.geometry import (
     Chart,
     DerivativeEngine,
     MetricField,
     grad_scalar,
+    inverse_trace,
+    metric_aux,
     metric_data,
     normalize_timelike,
     lower_index,
     scalar_field,
+    unit_jet,
     vector_field,
 )
 from weylfluid.suites import Tolerances
 
-from oracles import fd_gradient
+from oracles import KERNEL_BATCHES, fd_gradient, random_metric_batch, rel_err
 
 AD = DerivativeEngine()
 FD = DerivativeEngine(mode="central-difference", h=1e-4, richardson=1)
@@ -168,6 +173,73 @@ class TestMetricData:
         ])
         with pytest.raises(SingularMetricError):
             metric_data(degenerate, [[0.0, 0.2, 0.1]])
+
+
+def perturbed_batch(n, m, seed=0):
+    """A closed-form metric with no zero component and ``n`` random points
+    of its chart."""
+    chart = flrw_chart(m)
+    g = perturbed_metric(flrw_metric(chart, "exp", 0.1), 0.01, seed)
+    return g, chart.random_points(n, seed)
+
+
+class TestMetricKernels:
+    """Each batched contraction of the metric layer against its
+    index-notation definition, written here as an ``einsum``."""
+
+    @pytest.mark.parametrize("n, m", KERNEL_BATCHES)
+    def test_inverse_trace(self, n, m):
+        _, inv, dg = random_metric_batch(n, m, seed=1)
+        ref = np.einsum("nij,njic->nc", inv, dg)
+        assert rel_err(inverse_trace(inv, dg), ref) <= 1e-14
+
+    @pytest.mark.parametrize("n, m", KERNEL_BATCHES)
+    def test_christoffel_and_volume_derivative(self, n, m):
+        g, pts = perturbed_batch(n, m)
+        data = metric_aux(g, pts, AD)
+        dg = data.dg
+        rhs = np.einsum("necb->nebc", dg) + dg - np.einsum("nbce->nebc", dg)
+        ref = 0.5 * np.einsum("nae,nebc->nabc", data.inv, rhs)
+        assert rel_err(data.gamma, ref) <= 1e-14
+        assert np.array_equal(data.gamma, np.swapaxes(data.gamma, 2, 3))
+        ref = 0.5 * data.sqrt_det[:, None] * np.einsum("nij,njid->nd", data.inv, dg)
+        assert rel_err(data.dsqrt_det, ref) <= 1e-14
+
+    @pytest.mark.parametrize("n, m", KERNEL_BATCHES)
+    def test_unit_jet(self, n, m):
+        g, pts = perturbed_batch(n, m)
+        data = metric_aux(g, pts, AD)
+        rng = np.random.default_rng(2)
+        u = np.eye(m)[0] + 0.1 * rng.normal(size=(n, m))
+        du = rng.normal(size=(n, m, m))
+        nval, dn = unit_jet(data, u, du, pts)
+        u_low = np.einsum("nab,nb->na", data.val, u)
+        q = np.einsum("na,na->n", u_low, u)
+        dq = np.einsum("nabc,na,nb->nc", data.dg, u, u) + 2.0 * np.einsum("na,nac->nc", u_low, du)
+        ref = (du / np.sqrt(-q)[:, None, None]
+               - 0.5 * np.einsum("na,nc->nac", nval, dq / q[:, None]))
+        assert rel_err(dn, ref) <= 1e-14
+
+    @pytest.mark.parametrize("n, m", KERNEL_BATCHES)
+    def test_flow_jet_lowered_derivative(self, n, m):
+        g, pts = perturbed_batch(n, m)
+        flow = vector_field(g.chart, lambda c: [1.0 + 0.1 * c[1]] + [0.2 * c[0] * c[j]
+                                                                    for j in range(1, m)])
+        jet = flow_jet(g, flow, AD, pts)
+        ref = (np.einsum("nbad,na->nbd", jet.data.dg, jet.n)
+               + np.einsum("nba,nad->nbd", jet.data.val, jet.dn))
+        assert rel_err(jet.dn_low, ref) <= 1e-14
+
+    @pytest.mark.parametrize("n, m", KERNEL_BATCHES)
+    def test_dual_inverse_and_determinant(self, n, m):
+        val, inv, dg = random_metric_batch(n, m, seed=3)
+        entries = [[ad.Dual(val[:, i, j], dg[:, i, j]) for j in range(m)] for i in range(m)]
+        _, dinv = ad.mat_pack(ad.mat_inv(entries, n, m), n, m)
+        ref = -np.einsum("nij,njkd,nkl->nild", inv, dg, inv)
+        assert rel_err(dinv, ref) <= 1e-14
+        det = ad.mat_det(entries, n, m)
+        ref = det.val[:, None] * np.einsum("nij,njid->nd", inv, dg)
+        assert rel_err(det.grad, ref) <= 1e-14
 
 
 class TestNormalizeTimelike:
