@@ -8,7 +8,6 @@ Usage:
 """
 
 import argparse
-import csv
 import pathlib
 import sys
 import time
@@ -22,10 +21,8 @@ from weylfluid.conformal import (
     FrameSolverParams,
     conformal_rescale,
     incompressibility_residual,
-    preferred_frame,
     transport_residual,
 )
-from weylfluid.conservation import SliceSpec
 from weylfluid.fluid import fluid_connection
 from weylfluid.geometry import DerivativeEngine
 
@@ -34,11 +31,9 @@ def study(name: str, nodes: int, outdir: pathlib.Path):
     engine = DerivativeEngine()
     preset = build(name)
     meta = preset.meta
-    spec = SliceSpec(meta.slice_axis, meta.slice_values[0], meta.slice_box)
-    params = FrameSolverParams(grid_nodes=nodes or meta.frame_nodes)
 
     t0 = time.perf_counter()
-    factor = preferred_frame(preset.g, preset.state.n, spec, engine, params)
+    factor = preset.solve_frame(engine, FrameSolverParams(grid_nodes=nodes or None))
     solve_s = time.perf_counter() - t0
 
     pts = preset.chart.sample_points(5, 64, seed=0)
@@ -51,20 +46,10 @@ def study(name: str, nodes: int, outdir: pathlib.Path):
             f"divergence {incomp:9.2e}")
     if meta.closed_frame is not None:
         closed = meta.closed_frame(meta.slice_values[0])
-        mesh = np.meshgrid(*factor.grid_axes, indexing="ij")
-        grid_pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        err = np.abs(factor.grid_values.ravel() - closed.ln(grid_pts)).max()
+        err = np.abs(factor.grid_values.ravel() - closed.ln(factor.grid_points())).max()
         line += f"  vs closed form {err:9.2e}"
     print(line)
-
-    out = outdir / f"{name}-frame.csv"
-    mesh = np.meshgrid(*factor.grid_axes, indexing="ij")
-    grid_pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(preset.chart.names) + ["ln_factor"])
-        for row, val in zip(grid_pts, factor.grid_values.ravel()):
-            writer.writerow([f"{x:.17g}" for x in row] + [f"{val:.17g}"])
+    factor.write_csv(outdir / f"{name}-frame.csv")
 
 
 def main():

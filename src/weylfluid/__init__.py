@@ -49,6 +49,7 @@ from .conservation import (
 from .conformal import (
     ConformalFactor,
     ConformalWeights,
+    FrameFactor,
     FrameSolverParams,
     conformal_rescale,
     current_invariance_check,

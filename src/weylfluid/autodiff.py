@@ -79,28 +79,24 @@ class Dual:
 
     # comparisons act on the value part only
     def __lt__(self, other):
-        return self.val < _value(other)
+        return self.val < value(other)
 
     def __le__(self, other):
-        return self.val <= _value(other)
+        return self.val <= value(other)
 
     def __gt__(self, other):
-        return self.val > _value(other)
+        return self.val > value(other)
 
     def __ge__(self, other):
-        return self.val >= _value(other)
+        return self.val >= value(other)
 
     def __repr__(self):
         return f"Dual(val={self.val!r})"
 
 
-def _value(x):
-    return x.val if isinstance(x, Dual) else x
-
-
 def value(x):
     """Value part of a dual, or the argument itself."""
-    return _value(x)
+    return x.val if isinstance(x, Dual) else x
 
 
 def seed(points: np.ndarray) -> list:
@@ -200,23 +196,8 @@ def _walk(components, shape):
 # -- dual-aware matrix algebra ----------------------------------------------
 
 
-def mat_pack(entries, n: int, m: int):
-    """Split an ``m x m`` nested list of entries into value ``(N,m,m)`` and
-    gradient ``(N,m,m,m)`` arrays (gradient is ``None`` when no entry is a
-    dual)."""
-    dim = len(entries)
-    has_dual = any(isinstance(e, Dual) for row in entries for e in row)
-    val = np.empty((n, dim, dim))
-    grad = np.zeros((n, dim, dim, m)) if has_dual else None
-    for i in range(dim):
-        for j in range(dim):
-            e = entries[i][j]
-            if isinstance(e, Dual):
-                val[:, i, j] = e.val
-                grad[:, i, j] = e.grad
-            else:
-                val[:, i, j] = e
-    return val, grad
+def _has_dual(entries) -> bool:
+    return any(isinstance(e, Dual) for row in entries for e in row)
 
 
 def _mat_unpack(val, grad):
@@ -231,10 +212,10 @@ def mat_inv(entries, n: int, m: int):
 
     Uses d(g^-1) = -g^-1 (dg) g^-1 for the gradient part.
     """
-    val, grad = mat_pack(entries, n, m)
+    if not _has_dual(entries):
+        return _mat_unpack(np.linalg.inv(pack(entries, n, m, want_grad=False)), None)
+    val, grad = pack(entries, n, m, want_grad=True)
     inv = np.linalg.inv(val)
-    if grad is None:
-        return _mat_unpack(inv, None)
     # the derivative index goes in front for the batched matrix products
     dinv = -np.moveaxis(inv[:, None] @ np.moveaxis(grad, 3, 1) @ inv[:, None], 1, 3)
     return _mat_unpack(inv, dinv)
@@ -247,9 +228,9 @@ def mat_det(entries, n: int, m: int):
     """
     from .geometry import inverse_trace  # geometry imports this module
 
-    val, grad = mat_pack(entries, n, m)
+    if not _has_dual(entries):
+        return np.linalg.det(pack(entries, n, m, want_grad=False))
+    val, grad = pack(entries, n, m, want_grad=True)
     det = np.linalg.det(val)
-    if grad is None:
-        return det
     ddet = det[:, None] * inverse_trace(np.linalg.inv(val), grad)
     return Dual(det, ddet)

@@ -10,18 +10,20 @@ the suites to pick sensible slices, rays and closed-form cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
-from .conformal import ConformalFactor
+from .conformal import ConformalFactor, FrameFactor, FrameSolverParams, preferred_frame
+from .conservation import SliceSpec
 from .errors import ConstructionError
 from .fluid import FluidState
 from .geometry import (
     Chart,
+    DerivativeEngine,
     MetricField,
     TensorField,
     constant_scalar,
@@ -58,6 +60,22 @@ class CatalogBundle:
     g: MetricField
     state: FluidState
     meta: PresetMeta
+
+    def slice_spec(self, i: int = 0) -> SliceSpec:
+        """The preset's ``i``-th hinted slice; the first seeds the preferred
+        frame."""
+        meta = self.meta
+        return SliceSpec(meta.slice_axis, meta.slice_values[i], meta.slice_box)
+
+    def solve_frame(self, engine: DerivativeEngine,
+                    params: FrameSolverParams = None) -> FrameFactor:
+        """The preferred frame of the preset's flow from its seed slice, on
+        the memo grid of ``params``, else of the preset hint, else the
+        solver's default."""
+        params = params or FrameSolverParams()
+        if params.grid_nodes is None:
+            params = replace(params, grid_nodes=self.meta.frame_nodes)
+        return preferred_frame(self.g, self.state.n, self.slice_spec(), engine, params)
 
 
 # -- polynomial ingredients ---------------------------------------------------

@@ -14,21 +14,17 @@ error, 3 runtime computation or I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .catalog import build, null_tangent
 from .config import load_config
-from .conservation import SliceSpec
 from .errors import ConfigError, WeylFluidError
 from .harness import SuiteRuntimeError, run_suite
 from .report import emit_report, parse_report, render_table
 from .worldlines import integrate_autoparallel, integrate_null_geodesic
 from .fluid import fluid_connection
-from .conformal import preferred_frame
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -97,20 +93,9 @@ def _cmd_frame(args) -> int:
     if args.out is None and config.out.endswith(".json"):
         config.out = "frame_grid.csv"
     preset = build(config.preset_name, config.parameters, config.seed)
-    meta = preset.meta
-    spec = SliceSpec(meta.slice_axis, meta.slice_values[0], meta.slice_box)
-    params = replace(config.frame_params,
-                     grid_nodes=config.frame_params.grid_nodes or meta.frame_nodes)
-    factor = preferred_frame(preset.g, preset.state.n, spec, config.engine, params)
-    mesh = np.meshgrid(*factor.grid_axes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    values = factor.grid_values.ravel()
-    with open(config.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(preset.chart.names) + ["ln_factor"])
-        for row, val in zip(nodes, values):
-            writer.writerow([f"{x:.17g}" for x in row] + [f"{val:.17g}"])
-    print(f"wrote {config.out}: {len(values)} grid values")
+    factor = preset.solve_frame(config.engine, config.frame_params)
+    factor.write_csv(config.out)
+    print(f"wrote {config.out}: {factor.grid_values.size} grid values")
     return EXIT_PASS
 
 

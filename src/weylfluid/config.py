@@ -196,13 +196,9 @@ def load_config(path: str = None, overrides: dict = None) -> SuiteConfig:
         interpolation = sec.get("interpolation", "cubic")
         if interpolation not in ("linear", "cubic"):
             raise ConfigError("frame interpolation must be 'linear' or 'cubic'")
-        # a cubic spline needs four nodes per axis, a linear one two
-        least = 4 if interpolation == "cubic" else 2
+        least = FrameSolverParams(interpolation=interpolation).least_nodes
         nodes = _get_count(sec, "grid_nodes", 0, least) if "grid_nodes" in sec else None
-        cfg.frame_params = FrameSolverParams(
-            grid_nodes=nodes,
-            interpolation=interpolation,
-        )
+        cfg.frame_params = FrameSolverParams(grid_nodes=nodes, interpolation=interpolation)
 
     if parser.has_section("run"):
         sec = parser["run"]

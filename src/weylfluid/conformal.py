@@ -25,6 +25,7 @@ layer and reads its start value off that layer's interpolant.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +36,7 @@ from .connections import eps_connection
 from .conservation import SliceSpec
 from .errors import GaugeError, ReachabilityError, TransversalityError
 from .fluid import FluidState, WeylBundle, flow_jet
-from .geometry import (
-    DerivativeEngine,
-    MetricField,
-    TensorField,
-    inverse_trace,
-    scalar_field,
-)
+from .geometry import DerivativeEngine, MetricField, TensorField, scalar_field
 from .integrators import integrate_adaptive
 
 
@@ -65,8 +60,7 @@ class ConformalFactor:
 
     @classmethod
     def from_log(cls, ln: TensorField) -> "ConformalFactor":
-        return cls(scalar_field(ln.chart, lambda c: ad.exp(ln.fn(c)), reads=(ln,),
-                                name=f"exp({ln.name})"), ln)
+        return cls(_exp(ln), ln)
 
     def validate(self, pts, tol: float = 1e-12) -> None:
         v = self.phi(pts)
@@ -76,6 +70,35 @@ class ConformalFactor:
         worst = float(np.max(np.abs(self.ln(pts) - np.log(v))))
         if worst > tol:
             raise GaugeError(f"cached log is inconsistent with the factor: {worst:.3e}")
+
+
+def _exp(ln: TensorField) -> TensorField:
+    return scalar_field(ln.chart, lambda c: ad.exp(ln.fn(c)), reads=(ln,), name=f"exp({ln.name})")
+
+
+class FrameFactor(ConformalFactor):
+    """The solved preferred-frame factor: the log factor interpolating
+    ``grid_values`` on the memo grid spanned by ``grid_axes``, and
+    ``solve_at``, the direct solve of the log factor at given points."""
+
+    def __init__(self, ln: TensorField, grid_axes, grid_values, solve_at):
+        super().__init__(_exp(ln), ln)
+        self.grid_axes = grid_axes
+        self.grid_values = grid_values
+        self.solve_at = solve_at
+
+    def grid_points(self) -> np.ndarray:
+        """The memo nodes, ``(N, m)``, in the row order of ``grid_values.ravel()``."""
+        mesh = np.meshgrid(*self.grid_axes, indexing="ij")
+        return np.stack([a.ravel() for a in mesh], axis=-1)
+
+    def write_csv(self, path) -> None:
+        """One row per memo node: its coordinates, then ``ln_factor``."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(list(self.chart.names) + ["ln_factor"])
+            for row, val in zip(self.grid_points(), self.grid_values.ravel()):
+                writer.writerow([f"{x:.17g}" for x in row] + [f"{val:.17g}"])
 
 
 @dataclass(frozen=True)
@@ -190,6 +213,18 @@ class FrameSolverParams:
     grid_nodes: object = None
     interpolation: str = "cubic"
 
+    def __post_init__(self):
+        if self.grid_nodes is not None and np.min(self.grid_nodes) < self.least_nodes:
+            raise ValueError(
+                f"grid_nodes {self.grid_nodes} is below {self.least_nodes} per axis, "
+                f"the least that {self.interpolation} interpolation takes")
+
+    @property
+    def least_nodes(self) -> int:
+        """Memo nodes per axis the interpolant needs: a cubic spline four,
+        a linear one two."""
+        return 4 if self.interpolation == "cubic" else 2
+
 
 # Characteristic integrator controls, in units of the slice coordinate.
 # The step cap is an eighth of the slice-axis interval, and the first
@@ -221,14 +256,8 @@ class _Transport:
         self.max_step = (b - a) / 8.0
 
     def _flow_and_source(self, pts):
-        # only the metric trace d ln sqrt|g| is needed, not the full
-        # Christoffel array: keeps the per-stage cost low for big batches
-        gval, dg = self.engine.value_and_jacobian(self.g, pts)
-        inv = np.linalg.inv(gval)
-        trace = 0.5 * inverse_trace(inv, dg)
-        nval, njac = self.engine.value_and_jacobian(self.n, pts)
-        div = np.einsum("naa->n", njac) + np.einsum("nc,nc->n", trace, nval)
-        return nval, div / (self.m - 1.0)
+        jet = flow_jet(self.g, self.n, self.engine, pts)
+        return jet.n, jet.div / (self.m - 1.0)
 
     def solve(self, pts) -> np.ndarray:
         """Log-factor values at the given points: each characteristic is
@@ -257,7 +286,6 @@ class _Transport:
 
         # state: m coordinates plus the accumulated source integral
         y = np.concatenate([pts, np.zeros((b, 1))], axis=1)
-        lo, hi = self.g.chart.bounds(0.0)
 
         def rhs(idx, state):
             q = state[:, :m]
@@ -273,7 +301,7 @@ class _Transport:
             return np.concatenate([rate[:, None] * nval, (rate * src)[:, None]], axis=1)
 
         def advance(acc_idx, y_old, y_new, h, ratio):
-            inside = np.all((y_new[:, :m] >= lo) & (y_new[:, :m] <= hi), axis=1)
+            inside = self.g.chart.contains(y_new[:, :m])
             if not np.all(inside):
                 i = int(np.argmax(~inside))
                 raise ReachabilityError(
@@ -298,7 +326,7 @@ def preferred_frame(
     seed_slice: SliceSpec,
     engine: DerivativeEngine,
     params: FrameSolverParams = None,
-) -> ConformalFactor:
+) -> FrameFactor:
     """Solve for the gauge factor making the flow divergence-free.
 
     ``ln Phi`` vanishes on the seed slice.  It is memoized on a tensor grid
@@ -311,7 +339,7 @@ def preferred_frame(
     landing leaves the memo box, the direct solve from it.  An interpolating
     tensor spline over the grid gives cheap finite-difference derivatives;
     direct integration to the seed slice stays available for spot checks
-    via the returned factor's ``solve_at`` attribute.
+    via the returned factor's ``solve_at``.
     """
     params = params or FrameSolverParams()
     chart = g.chart
@@ -352,11 +380,7 @@ def preferred_frame(
     interp = build_interpolator(axes, values, params.interpolation)
 
     ln = scalar_field(chart, eval_fn=lambda pts: interp(pts), name="ln(frame-factor)")
-    factor = ConformalFactor.from_log(ln)
-    factor.solve_at = transport.solve
-    factor.grid_axes = axes
-    factor.grid_values = values
-    return factor
+    return FrameFactor(ln, axes, values, transport.solve)
 
 
 def transport_residual(

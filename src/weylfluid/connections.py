@@ -57,6 +57,14 @@ def eps_shift(ginv: np.ndarray, gval: np.ndarray, aval: np.ndarray) -> np.ndarra
     return out
 
 
+def gamma_vv(gam: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``Gamma^a_bc v^b v^c`` from coefficients ``(N, m, m, m)`` and vectors
+    ``(N, m)``, shape ``(N, m)``, as one batched ``matmul``."""
+    n, m = v.shape
+    vv = (v[:, :, None] * v[:, None, :]).reshape(n, m * m, 1)
+    return (gam.reshape(n, m, m * m) @ vv)[:, :, 0]
+
+
 def _weyl_gamma(data, aval: np.ndarray) -> np.ndarray:
     """``Gamma^a_bc`` of the Weyl-compatible connection of ``(g, A)`` from
     the metric data (with derivatives) and the values of ``A`` on one point

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from ._signs import SIGN_FLOW, SIGN_ORTHO
-from .connections import ConnectionField
+from .connections import ConnectionField, gamma_vv
 from .errors import CapabilityError
 from .fluid import FlowJet, flow_jet, stress_energy
 from .geometry import (
@@ -98,9 +98,7 @@ def _conditions(jet: FlowJet, p: TensorField, rho: TensorField, engine: Derivati
     drho = engine.jacobian(rho, pts)
     pv, rv, fv = p(pts), rho(pts), jet.phi(pts)
     c1 = (pv + rv) * div_gamma - (pv - rv) * fv + np.einsum("na,na->n", jet.n, drho)
-    acc_up = np.einsum("nc,nac->na", jet.n, jet.dn) + np.einsum(
-        "nabc,nb,nc->na", jet.data.gamma, jet.n, jet.n
-    )
+    acc_up = np.einsum("nc,nac->na", jet.n, jet.dn) + gamma_vv(jet.data.gamma, jet.n)
     proj = jet.data.inv + np.einsum("na,nb->nab", jet.n, jet.n)
     c2 = np.einsum("nab,nb->na", proj, engine.jacobian(p, pts)) - 2.0 * pv[:, None] * acc_up
     return require_finite(c1, "field C1"), require_finite(c2, "field C2")

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .connections import ConnectionField, _weyl_gamma
+from .connections import ConnectionField, _weyl_gamma, gamma_vv
 from .errors import CapabilityError
 from .geometry import (
     DerivativeEngine,
@@ -76,20 +76,31 @@ class WeylBundle:
 @dataclass(frozen=True)
 class FlowJet:
     """The metric data and the first jet of the flow on one point batch:
-    ``n^a``, ``d_c n^a``, ``n_a``, ``d_c n_b`` (derivative index last) and
-    the metric divergence ``nabla^g_a n^a``.  Given the reparametrization
-    scalar ``phi``, the jet also carries the flow-built covector ``A`` and
-    its connection ``Gamma``, each formed on first read; every residual
-    defined for the bundle of ``(g, n, phi)`` reads them from here."""
+    ``n^a``, ``d_c n^a`` (derivative index last) and the metric divergence
+    ``nabla^g_a n^a``, with ``n_a`` and ``d_c n_b`` formed on first read.
+    Given the reparametrization scalar ``phi``, the jet also carries the
+    flow-built covector ``A`` and its connection ``Gamma``, each formed on
+    first read; every residual defined for the bundle of ``(g, n, phi)``
+    reads them from here."""
 
     data: MetricData
     n: np.ndarray
     dn: np.ndarray
-    n_low: np.ndarray
-    dn_low: np.ndarray
     div: np.ndarray
     phi: TensorField
     pts: np.ndarray
+
+    @cached_property
+    def n_low(self) -> np.ndarray:
+        """``n_a = g_ab n^b``."""
+        return np.einsum("nab,nb->na", self.data.val, self.n)
+
+    @cached_property
+    def dn_low(self) -> np.ndarray:
+        """``d_c n_b = d_c (g_ab n^a)``, with ``d_c g_ab`` symmetric in a, b."""
+        b, m = self.n.shape
+        dg = self.data.dg.reshape(b, m, m * m)
+        return (self.n[:, None, :] @ dg).reshape(b, m, m) + self.data.val @ self.dn
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -121,12 +132,8 @@ def flow_jet(g: MetricField, n: TensorField, engine: DerivativeEngine, pts, phi=
         nval, njac = unit_jet(data, *engine.value_and_jacobian(n.u, pts), pts)
     else:
         nval, njac = engine.value_and_jacobian(n, pts)
-    b, m = nval.shape
-    n_low = np.einsum("nab,nb->na", data.val, nval)
-    # d_c n_b = d_c (g_ab n^a), with d_c g_ab symmetric in a, b
-    dn_low = (nval[:, None, :] @ data.dg.reshape(b, m, m * m)).reshape(b, m, m) + data.val @ njac
     div = np.einsum("naa->n", njac) + np.einsum("nc,nc->n", data.gamma_trace, nval)
-    return FlowJet(data, nval, njac, n_low, dn_low, div, phi, pts)
+    return FlowJet(data, nval, njac, div, phi, pts)
 
 
 def fluid_covector(
@@ -166,7 +173,7 @@ def geodesic_defect(
 def _defect(n: np.ndarray, dn: np.ndarray, gam: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """:func:`geodesic_defect` from the values of ``n``, ``d_c n^a``,
     ``Gamma`` and ``phi`` on one point batch."""
-    transport = np.einsum("nb,nab->na", n, dn) + np.einsum("nabc,nb,nc->na", gam, n, n)
+    transport = np.einsum("nb,nab->na", n, dn) + gamma_vv(gam, n)
     return transport - phi[:, None] * n
 
 

@@ -26,7 +26,7 @@ immutable after construction and safe to share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -321,14 +321,22 @@ def grad_scalar(engine: DerivativeEngine, f: TensorField, pts) -> np.ndarray:
 @dataclass(frozen=True)
 class MetricData:
     """Pointwise metric package: values, inverse, volume factor and (when a
-    derivative engine is supplied) first derivatives and Christoffel
-    symbols ``gamma[n, a, b, c] = {g}^a_{bc}``."""
+    derivative engine is supplied) first derivatives.  The Christoffel
+    symbols ``gamma[n, a, b, c] = {g}^a_{bc}`` are formed on first read."""
 
     val: np.ndarray
     inv: np.ndarray
     sqrt_det: np.ndarray
     dg: np.ndarray = None
-    gamma: np.ndarray = None
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """{g}^a_{bc} = g^{ae} (d_b g_{ec} + d_c g_{eb} - d_e g_{bc}) / 2."""
+        if self.dg is None:
+            raise CapabilityError("metric derivatives were not requested")
+        n, m = self.val.shape[:2]
+        rhs = np.swapaxes(self.dg, 2, 3) + self.dg - np.moveaxis(self.dg, 3, 1)
+        return 0.5 * (self.inv @ rhs.reshape(n, m, m * m)).reshape(n, m, m, m)
 
     @property
     def dsqrt_det(self) -> np.ndarray:
@@ -343,9 +351,13 @@ class MetricData:
         return self.dsqrt_det / self.sqrt_det[:, None]
 
     def take(self, rows) -> "MetricData":
-        """The data of the points ``rows`` of the batch."""
-        return MetricData(*(None if a is None else a[rows] for a in
-                            (self.val, self.inv, self.sqrt_det, self.dg, self.gamma)))
+        """The data of the points ``rows`` of the batch, with the Christoffel
+        symbols when they were already formed."""
+        out = MetricData(*(None if a is None else a[rows] for a in
+                           (self.val, self.inv, self.sqrt_det, self.dg)))
+        if "gamma" in self.__dict__:
+            out.__dict__["gamma"] = self.gamma[rows]
+        return out
 
 
 def inverse_trace(inv: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -358,26 +370,14 @@ def inverse_trace(inv: np.ndarray, d: np.ndarray) -> np.ndarray:
 def metric_aux(g: MetricField, pts, engine: DerivativeEngine = None) -> MetricData:
     """Evaluate the metric and its derived pointwise data on a batch."""
     pts = g.chart.as_points(pts)
-    if engine is None:
-        val = g(pts)
-        dg = None
-    else:
-        val, dg = engine.value_and_jacobian(g, pts)
+    val, dg = (g(pts), None) if engine is None else engine.value_and_jacobian(g, pts)
     det = np.linalg.det(val)
     if np.any(np.abs(det) < DET_FLOOR):
         k = int(np.argmax(np.abs(det) < DET_FLOOR))
         raise SingularMetricError(
             f"|det g| = {abs(det[k]):.3e} below conditioning floor at point {pts[k]}"
         )
-    inv = np.linalg.inv(val)
-    sqrt_det = np.sqrt(np.abs(det))
-    gamma = None
-    if dg is not None:
-        # {g}^a_{bc} = g^{ae} (d_b g_{ec} + d_c g_{eb} - d_e g_{bc}) / 2
-        n, m = val.shape[:2]
-        rhs = np.swapaxes(dg, 2, 3) + dg - np.moveaxis(dg, 3, 1)
-        gamma = 0.5 * (inv @ rhs.reshape(n, m, m * m)).reshape(n, m, m, m)
-    return MetricData(val=val, inv=inv, sqrt_det=sqrt_det, dg=dg, gamma=gamma)
+    return MetricData(val, np.linalg.inv(val), np.sqrt(np.abs(det)), dg)
 
 
 def metric_data(g: MetricField, pts):

@@ -8,7 +8,7 @@ exercises, so reports are self-documenting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -29,13 +29,11 @@ from .conformal import (
     conformal_rescale,
     current_invariance_check,
     incompressibility_residual,
-    preferred_frame,
     rescaled_stress_energy_check,
     transport_residual,
 )
 from .connections import _nonmetricity, _weyl_gamma, eps_connection, eps_shift, levi_civita
 from .conservation import (
-    SliceSpec,
     _condition_scalars,
     condition_scalars,
     current_divergence,
@@ -312,11 +310,8 @@ def conservation_suite(ctx: SuiteContext):
         checks.append(ctx.record(
             "current-conservation", "conserved preset has divergence-free current",
             _maxabs(current_divergence(J, engine)(pts)), tols.identity))
-        axis = meta.slice_axis
-        v1, v2 = meta.slice_values
-        box = meta.slice_box
-        n1, e1 = number_on_slice(J, SliceSpec(axis, v1, box))
-        n2, e2 = number_on_slice(J, SliceSpec(axis, v2, box))
+        n1, _ = number_on_slice(J, ctx.preset.slice_spec(0))
+        n2, _ = number_on_slice(J, ctx.preset.slice_spec(1))
         rel = abs(n1 - n2) / max(abs(n1), abs(n2), 1e-300)
         checks.append(ctx.record(
             "slice-count-conservation", "slice counts agree along the flow",
@@ -392,8 +387,7 @@ def conformal_suite(ctx: SuiteContext):
         "current-weight", "the current is a gauge-orbit fixed point",
         current_invariance_check(J, J2, pts), tols.current_weight))
 
-    meta = ctx.preset.meta
-    spec = SliceSpec(meta.slice_axis, meta.slice_values[0], meta.slice_box)
+    spec = ctx.preset.slice_spec()
     n1, _ = number_on_slice(J, spec)
     n2, _ = number_on_slice(J2, spec)
     checks.append(ctx.record(
@@ -412,22 +406,18 @@ def frame_suite(ctx: SuiteContext):
     chart = g.chart
     checks = []
 
-    value = meta.slice_values[0]
-    spec = SliceSpec(meta.slice_axis, value, meta.slice_box)
-    params = replace(ctx.frame_params, grid_nodes=ctx.frame_params.grid_nodes or meta.frame_nodes)
-    factor = preferred_frame(g, st.n, spec, engine, params)
+    factor = ctx.preset.solve_frame(engine, ctx.frame_params)
 
     checks.append(ctx.record(
         "frame-transport", "solved factor satisfies the transport equation",
         _maxabs(transport_residual(factor, g, st.n, engine)(pts)), tols.frame))
 
     if meta.closed_frame is not None:
-        closed = meta.closed_frame(value)
-        grid_pts = np.stack(
-            [m.ravel() for m in np.meshgrid(*factor.grid_axes, indexing="ij")], axis=-1)
+        closed = meta.closed_frame(meta.slice_values[0])
         checks.append(ctx.record(
             "frame-closed-form", "solved log factor matches the closed form on the grid",
-            _maxabs(factor.grid_values.ravel() - closed.ln(grid_pts)), tols.frame_closed))
+            _maxabs(factor.grid_values.ravel() - closed.ln(factor.grid_points())),
+            tols.frame_closed))
         b2c, s2c = conformal_rescale(ctx.bundle, st, closed, engine)
         checks.append(ctx.record(
             "incompressibility-closed-form",

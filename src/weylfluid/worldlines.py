@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .connections import ConnectionField, levi_civita
+from .connections import ConnectionField, gamma_vv, levi_civita
 from .errors import ComparisonError
 from .fluid import flow_jet
 from .geometry import Chart, DerivativeEngine, MetricField, TensorField, metric_aux
@@ -182,7 +182,7 @@ def _autoparallel_accel(gamma):
 
 def _transport(gam, vs):
     """``-Gamma^a_bc v^b v^c``, the autoparallel acceleration."""
-    return -np.einsum("nabc,nb,nc->na", gam, vs, vs)
+    return -gamma_vv(gam, vs)
 
 
 def integrate_autoparallel(gamma: ConnectionField, x0, v0, s_max: float) -> WorldlinePath:
@@ -302,7 +302,7 @@ def eps_null_check(
 def _null_defect(dgam: np.ndarray, k: np.ndarray) -> dict:
     """:func:`eps_null_check` from the connection deformation ``dgam`` on
     the path's nodes and the tangents ``k`` there."""
-    defect = np.einsum("nabc,nb,nc->na", dgam, k, k)
+    defect = gamma_vv(dgam, k)
     k_norm = np.linalg.norm(k, axis=1)
     k_hat = k / k_norm[:, None]
     parallel = np.einsum("na,na->n", defect, k_hat)

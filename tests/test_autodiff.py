@@ -79,8 +79,8 @@ def test_matrix_inverse_and_det_duals():
     entries = [[1.0 + t * t, t * x], [t * x, 2.0 + x]]
 
     inv = ad.mat_inv(entries, 2, 2)
-    val, _ = ad.mat_pack(entries, 2, 2)
-    ival, igrad = ad.mat_pack(inv, 2, 2)
+    val, _ = ad.pack(entries, 2, 2, want_grad=True)
+    ival, igrad = ad.pack(inv, 2, 2, want_grad=True)
     assert np.allclose(np.einsum("nij,njk->nik", val, ival), np.eye(2), atol=1e-14)
 
     # derivative of the inverse against finite differences

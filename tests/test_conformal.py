@@ -253,6 +253,60 @@ class TestPreferredFrame:
         fac = preferred_frame(preset.g, preset.state.n, spec, ENG, FAST_FRAME)
         assert sum(counted) <= 8 * fac.grid_values.size
 
+    @pytest.mark.parametrize("name", ["minkowski-sheared", "flrw-power-dust"])
+    def test_one_metric_evaluation_per_stage(self, name, monkeypatch):
+        # the unit flow's jet is formed from the metric jet, not from a
+        # second evaluation of the metric through the flow
+        preset, bundle, pts = _setup(name)
+        calls = []
+        fn = preset.g.fn
+
+        def counting(coords):
+            calls.append(1)
+            return fn(coords)
+
+        monkeypatch.setattr(preset.g, "fn", counting)
+        meta = preset.meta
+        transport = _Transport(preset.g, preset.state.n, ENG, meta.slice_axis,
+                               meta.slice_values[0])
+        for _ in range(3):
+            transport._flow_and_source(pts)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("nodes, interpolation",
+                             [(3, "cubic"), ((4, 3, 4, 4), "cubic"), (1, "linear")])
+    def test_too_few_nodes_rejected_before_transport(self, nodes, interpolation, monkeypatch):
+        preset, bundle, pts = _setup("minkowski-sheared")
+        spec = SliceSpec(0, 0.0, ((-0.5, 0.5),) * 3)
+        counted = []
+        flow_and_source = _Transport._flow_and_source
+
+        def counting(transport, q):
+            counted.append(len(q))
+            return flow_and_source(transport, q)
+
+        monkeypatch.setattr(_Transport, "_flow_and_source", counting)
+        with pytest.raises(ValueError, match="grid_nodes"):
+            preferred_frame(preset.g, preset.state.n, spec, ENG,
+                            FrameSolverParams(grid_nodes=nodes, interpolation=interpolation))
+        assert not counted
+
+    def test_csv_layout(self, tmp_path):
+        # a header of the coordinate names and ln_factor, then one row per
+        # memo node in C order of the grid, each number as %.17g
+        preset, bundle, pts = _setup("flrw-comoving-dust")
+        spec = SliceSpec(0, 0.0, ((-0.5, 0.5),) * 3)
+        fac = preferred_frame(preset.g, preset.state.n, spec, ENG, FrameSolverParams(grid_nodes=4))
+        path = tmp_path / "frame.csv"
+        fac.write_csv(path)
+        mesh = np.meshgrid(*fac.grid_axes, indexing="ij")
+        nodes = np.stack([a.ravel() for a in mesh], axis=-1)
+        rows = ["t,x,y,z,ln_factor"] + [
+            ",".join(f"{x:.17g}" for x in [*node, val])
+            for node, val in zip(nodes, fac.grid_values.ravel())]
+        assert path.read_bytes().decode() == "".join(row + "\r\n" for row in rows)
+        assert len(rows) == 1 + 4**4
+
     def test_reachability_error(self):
         # a characteristic from the box corner drifts out before reaching
         # the seed slice

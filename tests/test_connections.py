@@ -20,6 +20,7 @@ from weylfluid.connections import (
     density_divergence_sqrtg,
     eps_connection,
     eps_shift,
+    gamma_vv,
     levi_civita,
     nonmetricity_residual,
     nonmetricity_residuals,
@@ -158,6 +159,12 @@ class TestConnectionKernels:
         A = polynomial_covector(chart, np.random.default_rng(7), 0.4)(pts)
         gam = data.gamma + eps_shift(data.inv, data.val, A)
         assert np.array_equal(gam, np.swapaxes(gam, 2, 3))
+
+    @pytest.mark.parametrize("n, m", KERNEL_BATCHES)
+    def test_gamma_vv(self, n, m):
+        rng = np.random.default_rng(10)
+        gam, v = rng.normal(size=(n, m, m, m)), rng.normal(size=(n, m))
+        assert rel_err(gamma_vv(gam, v), np.einsum("nabc,nb,nc->na", gam, v, v)) <= 1e-14
 
     @pytest.mark.parametrize("n, m", KERNEL_BATCHES)
     def test_nonmetricity(self, n, m):

@@ -174,6 +174,19 @@ class TestMetricData:
         with pytest.raises(SingularMetricError):
             metric_data(degenerate, [[0.0, 0.2, 0.1]])
 
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_take_keeps_christoffel_symbols(self, read_first):
+        # the rows' Christoffel symbols are those of the metric data of the
+        # rows alone, whether the batch formed them before the take or not
+        g, pts = perturbed_batch(12, 4)
+        data = metric_aux(g, pts, AD)
+        if read_first:
+            data.gamma
+        rows = np.arange(12) % 3 != 1
+        taken = data.take(rows)
+        assert ("gamma" in vars(taken)) == read_first
+        assert np.array_equal(taken.gamma, metric_aux(g, pts[rows], AD).gamma)
+
 
 def perturbed_batch(n, m, seed=0):
     """A closed-form metric with no zero component and ``n`` random points
@@ -234,7 +247,7 @@ class TestMetricKernels:
     def test_dual_inverse_and_determinant(self, n, m):
         val, inv, dg = random_metric_batch(n, m, seed=3)
         entries = [[ad.Dual(val[:, i, j], dg[:, i, j]) for j in range(m)] for i in range(m)]
-        _, dinv = ad.mat_pack(ad.mat_inv(entries, n, m), n, m)
+        _, dinv = ad.pack(ad.mat_inv(entries, n, m), n, m, want_grad=True)
         ref = -np.einsum("nij,njkd,nkl->nild", inv, dg, inv)
         assert rel_err(dinv, ref) <= 1e-14
         det = ad.mat_det(entries, n, m)
