@@ -5,14 +5,16 @@ gradient with respect to the ``m`` chart coordinates, shape ``(N, m)``.
 Seeding the coordinates of a batch of points and pushing them through a
 closed-form component function yields exact first derivatives, vectorized
 over the batch.  The helpers at the bottom (``exp``, ``log``, ``sqrt``,
-``sin``, ``cos``, ``mat_inv``, ``mat_det``) dispatch on the argument type so
-the same component function runs on plain numpy arrays (value-only
-evaluation) and on duals (value + jacobian).
+``sin``, ``cos``, ``mat_inv``, ``mat_det``, ``mat_inv_det``) dispatch on
+the argument type so the same component function runs on plain numpy arrays
+(value-only evaluation) and on duals (value + jacobian).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .cofactors import adjugate_det, inverse_det
 
 
 class Dual:
@@ -207,30 +209,40 @@ def _mat_unpack(val, grad):
     return [[Dual(val[:, i, j], grad[:, i, j]) for j in range(dim)] for i in range(dim)]
 
 
-def mat_inv(entries, n: int, m: int):
-    """Inverse of an ``m x m`` matrix of entries, dual-aware.
+def mat_inv_det(entries, n: int, m: int):
+    """Inverse (an ``m x m`` list of entries) and determinant of an
+    ``m x m`` matrix of entries, dual-aware, from one cofactor kernel call.
 
-    Uses d(g^-1) = -g^-1 (dg) g^-1 for the gradient part.
+    Uses d(g^-1) = -g^-1 (dg) g^-1 and d(det g) = det g * tr(g^-1 dg) for
+    the gradient parts.
     """
+    from .geometry import inverse_trace  # geometry imports this module
+
     if not _has_dual(entries):
-        return _mat_unpack(np.linalg.inv(pack(entries, n, m, want_grad=False)), None)
+        inv, det = inverse_det(pack(entries, n, m, want_grad=False))
+        return _mat_unpack(inv, None), det
     val, grad = pack(entries, n, m, want_grad=True)
-    inv = np.linalg.inv(val)
+    inv, det = inverse_det(val)
     # the derivative index goes in front for the batched matrix products
     dinv = -np.moveaxis(inv[:, None] @ np.moveaxis(grad, 3, 1) @ inv[:, None], 1, 3)
-    return _mat_unpack(inv, dinv)
+    return _mat_unpack(inv, dinv), Dual(det, det[:, None] * inverse_trace(inv, grad))
+
+
+def mat_inv(entries, n: int, m: int):
+    """Inverse of an ``m x m`` matrix of entries, dual-aware."""
+    return mat_inv_det(entries, n, m)[0]
 
 
 def mat_det(entries, n: int, m: int):
     """Determinant of an ``m x m`` matrix of entries, dual-aware.
 
-    Uses d(det g) = det g * tr(g^-1 dg) for the gradient part.
+    Uses d(det g) = tr(adj(g) dg) for the gradient part, so a singular
+    matrix has a determinant too.
     """
     from .geometry import inverse_trace  # geometry imports this module
 
     if not _has_dual(entries):
-        return np.linalg.det(pack(entries, n, m, want_grad=False))
+        return adjugate_det(pack(entries, n, m, want_grad=False))[1]
     val, grad = pack(entries, n, m, want_grad=True)
-    det = np.linalg.det(val)
-    ddet = det[:, None] * inverse_trace(np.linalg.inv(val), grad)
-    return Dual(det, ddet)
+    adj, det = adjugate_det(val)
+    return Dual(det, inverse_trace(adj, grad))

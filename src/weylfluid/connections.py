@@ -65,6 +65,13 @@ def gamma_vv(gam: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (gam.reshape(n, m, m * m) @ vv)[:, :, 0]
 
 
+def gamma_w(gam: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``Gamma^l_bc w_l`` from coefficients ``(N, m, m, m)`` and covectors
+    ``(N, m)``, shape ``(N, m, m)``, as one batched ``matmul``."""
+    n, m = w.shape
+    return (w[:, None, :] @ gam.reshape(n, m, m * m)).reshape(n, m, m)
+
+
 def _weyl_gamma(data, aval: np.ndarray) -> np.ndarray:
     """``Gamma^a_bc`` of the Weyl-compatible connection of ``(g, A)`` from
     the metric data (with derivatives) and the values of ``A`` on one point

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from ._signs import SIGN_FLOW, SIGN_ORTHO
-from .connections import ConnectionField, gamma_vv
+from .connections import ConnectionField, gamma_vv, gamma_w
 from .errors import CapabilityError
 from .fluid import FlowJet, flow_jet, stress_energy
 from .geometry import (
@@ -164,8 +164,8 @@ def particle_current(g: MetricField, T: TensorField, n: TensorField) -> VectorDe
         gc = g.fn(coords)
         tc = T.fn(coords)
         nc = n.fn(coords)
-        ginv = ad.mat_inv(gc, nb, m)
-        sq = ad.sqrt(ad.absolute(ad.mat_det(gc, nb, m)))
+        ginv, det = ad.mat_inv_det(gc, nb, m)
+        sq = ad.sqrt(ad.absolute(det))
         tn = [sum(tc[a][b] * nc[b] for b in range(m)) for a in range(m)]
         return [sq * sum(ginv[mu][a] * tn[a] for a in range(m)) for mu in range(m)]
 
@@ -274,7 +274,7 @@ class ConditionScalars:
 def _contractions(jet: FlowJet, tv: np.ndarray):
     """``(T^{mu nu} nabla^Gamma_mu n_nu, T^{mu nu} A_mu n_nu)`` for the raised
     stress-energy values ``tv``."""
-    cov_low = jet.dn_low - np.einsum("nlbc,nl->nbc", jet.Gamma, jet.n_low)
+    cov_low = jet.dn_low - gamma_w(jet.Gamma, jet.n_low)
     return np.einsum("nmv,nvm->n", tv, cov_low), np.einsum("nm,nmv,nv->n", jet.A, tv, jet.n_low)
 
 

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .connections import ConnectionField, _weyl_gamma, gamma_vv
+from .connections import ConnectionField, _weyl_gamma, gamma_vv, gamma_w
 from .errors import CapabilityError
 from .geometry import (
     DerivativeEngine,
@@ -105,7 +105,7 @@ class FlowJet:
     @cached_property
     def A(self) -> np.ndarray:
         """``A_b = n^c nabla^g_c n_b + phi n_b``."""
-        cov = self.dn_low - np.einsum("nlbc,nl->nbc", self.data.gamma, self.n_low)
+        cov = self.dn_low - gamma_w(self.data.gamma, self.n_low)
         A = np.einsum("nc,nbc->nb", self.n, cov) + self.phi(self.pts)[:, None] * self.n_low
         return require_finite(A, "field A(fluid)")
 

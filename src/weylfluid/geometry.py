@@ -13,6 +13,10 @@ Conventions
   through ``matmul`` (on an ``(N, m, m*m)`` reshape) or broadcasting, not
   ``einsum``: numpy's ``matmul`` reaches batched BLAS, an unoptimized
   ``einsum`` does not.
+* No per-matrix LAPACK call runs on a point batch: inverses and
+  determinants come from the cofactor kernel of :mod:`.cofactors`, a few
+  batched products over the whole batch, where LAPACK's ``inv`` and
+  ``det`` factorize each matrix on its own.
 
 Each composite field (one built from other fields) is written once, as a
 component function that reads its inputs' component functions; it is exact
@@ -31,15 +35,14 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import autodiff as ad
+from .cofactors import DET_FLOOR, inverse_det
 from .errors import (
     CapabilityError,
     DomainExitError,
     NotTimelikeError,
     SignatureError,
-    SingularMetricError,
 )
 
-DET_FLOOR = 1e-12
 TIMELIKE_EPS = 1e-10
 
 
@@ -371,13 +374,8 @@ def metric_aux(g: MetricField, pts, engine: DerivativeEngine = None) -> MetricDa
     """Evaluate the metric and its derived pointwise data on a batch."""
     pts = g.chart.as_points(pts)
     val, dg = (g(pts), None) if engine is None else engine.value_and_jacobian(g, pts)
-    det = np.linalg.det(val)
-    if np.any(np.abs(det) < DET_FLOOR):
-        k = int(np.argmax(np.abs(det) < DET_FLOOR))
-        raise SingularMetricError(
-            f"|det g| = {abs(det[k]):.3e} below conditioning floor at point {pts[k]}"
-        )
-    return MetricData(val, np.linalg.inv(val), np.sqrt(np.abs(det)), dg)
+    inv, det = inverse_det(val, pts)
+    return MetricData(val, inv, np.sqrt(np.abs(det)), dg)
 
 
 def metric_data(g: MetricField, pts):

@@ -5,6 +5,8 @@ slots and central finite differences for every derivative.  None of these
 routines share code with the library paths they check.
 """
 
+from itertools import permutations
+
 import numpy as np
 
 H_FD = 1e-6
@@ -156,3 +158,21 @@ def covector_transport_contraction(g_field, gamma_field, t_up_fn, n_field, x, h=
                 cov -= gam[lam, nu, mu] * nl[lam]
             out += t[mu, nu] * cov
     return out
+
+
+def leibniz_det(a):
+    """Determinant of one square matrix as a sum over permutations, in
+    Python integers for an integer matrix."""
+    m = len(a)
+    total = 0
+    for perm in permutations(range(m)):
+        sign = 1
+        for i in range(m):
+            for j in range(i + 1, m):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        prod = 1
+        for i in range(m):
+            prod *= a[i][perm[i]]
+        total += sign * prod
+    return total
