@@ -113,29 +113,32 @@ def _seeded_polynomials(chart: Chart, rng, scale: float, count: int):
     return partial(_polynomials, mid, half, (iu, ju), coef, dc1, dc2)
 
 
-def _polynomials(mid, half, upper, coef, dc1, dc2, coords) -> list:
+def _polynomials(mid, half, upper, coef, dc1, dc2, coords):
     """The polynomials of :func:`_seeded_polynomials` at ``coords``, one
-    entry each.
+    ``(N, count)`` array or jet.
 
-    Values are ``[1, xi, xi_i xi_j (i <= j)] @ coef``; for dual input the
+    Values are ``[1, xi, xi_i xi_j (i <= j)] @ coef``; for jet input the
     gradients ``(c1 + 2 c2 xi) / half`` are chained through the coordinate
     jacobians in one batched product.
     """
-    xi = (np.stack([ad.value(c) for c in coords], axis=-1) - mid) / half
-    basis = np.concatenate([np.ones((len(xi), 1)), xi, xi[:, upper[0]] * xi[:, upper[1]]], axis=1)
-    val = (basis @ coef).T
-    if not isinstance(coords[0], ad.Dual):
-        return list(val)
-    dpoly = (xi @ dc2 + dc1).reshape(len(xi), len(val), len(coords))
-    jac = dpoly @ np.stack([c.grad for c in coords], axis=1)
-    return [ad.Dual(v, jac[:, k]) for k, v in enumerate(val)]
+
+    def values(x):
+        xi = (x - mid) / half
+        return np.concatenate([np.ones((len(xi), 1)), xi, xi[:, upper[0]] * xi[:, upper[1]]],
+                              axis=1) @ coef
+
+    def chain(x, val, grad):
+        xi = (x - mid) / half
+        return (xi @ dc2 + dc1).reshape(val.shape + (len(mid),)) @ grad
+
+    return ad.apply(ad.stack(coords), values, chain)
 
 
 def polynomial_scalar(chart: Chart, rng, scale: float, name: str = "poly") -> TensorField:
     """Degree-<=2 polynomial in box-normalized coordinates with seeded
     coefficients of size ``scale``."""
     poly = _seeded_polynomials(chart, rng, scale, 1)
-    return scalar_field(chart, lambda coords: poly(coords)[0], name=name)
+    return scalar_field(chart, lambda coords: poly(coords)[:, 0], name=name)
 
 
 def polynomial_covector(chart: Chart, rng, scale: float, name: str = "A(poly)") -> TensorField:
@@ -162,15 +165,14 @@ def perturbed_metric(base: MetricField, eps: float, seed: int) -> MetricField:
     chart = base.chart
     m = chart.dim
     rng = np.random.default_rng(seed)
-    upper = list(zip(*np.triu_indices(m)))
-    poly = _seeded_polynomials(chart, rng, 1.0, len(upper))
+    iu, ju = np.triu_indices(m)
+    poly = _seeded_polynomials(chart, rng, 1.0, len(iu))
+    # h_ij = h_ji reads the polynomial of the pair (min(i, j), max(i, j))
+    sym = np.empty((m, m), dtype=int)
+    sym[iu, ju] = sym[ju, iu] = np.arange(len(iu))
 
     def fn(coords):
-        gc = base.fn(coords)
-        out = [[None] * m for _ in range(m)]
-        for (i, j), h in zip(upper, poly(coords)):
-            out[i][j] = out[j][i] = gc[i][j] + eps * h
-        return out
+        return base.fn(coords) + eps * poly(coords)[:, sym]
 
     return MetricField(chart, fn, reads=(base,), name=f"{base.name}+{eps}h")
 
@@ -192,11 +194,8 @@ def minkowski_metric(chart: Chart) -> MetricField:
     m = chart.dim
 
     def fn(coords):
-        zero = 0.0 * coords[0]
-        return [
-            [(zero - 1.0 if i == 0 else zero + 1.0) if i == j else zero for j in range(m)]
-            for i in range(m)
-        ]
+        one = np.ones_like(ad.value(coords[0]))
+        return ad.diag(ad.stack([-one] + [one] * (m - 1)))
 
     return MetricField(chart, fn, name="minkowski")
 
@@ -224,12 +223,8 @@ def flrw_metric(chart: Chart, kind: str = "exp", param: float = 0.1) -> MetricFi
         raise ConstructionError(f"unknown scale-factor kind {kind!r}")
 
     def fn(coords):
-        zero = 0.0 * coords[0]
         s = a2(coords[0])
-        return [
-            [(zero - 1.0 if i == 0 else s) if i == j else zero for j in range(m)]
-            for i in range(m)
-        ]
+        return ad.diag(ad.stack([np.full_like(ad.value(coords[0]), -1.0)] + [s] * (m - 1)))
 
     return MetricField(chart, fn, name=f"flrw-{kind}")
 
@@ -246,16 +241,10 @@ def schwarzschild_chart(rs: float = 1.0, t_half: float = 70.0, margin: float = 0
 def schwarzschild_metric(chart: Chart, rs: float = 1.0) -> MetricField:
     def fn(coords):
         t, r, th, ph = coords
-        zero = 0.0 * t
         f = 1.0 - rs / r
         r2 = r * r
         sin_th = ad.sin(th)
-        return [
-            [zero - f, zero, zero, zero],
-            [zero, 1.0 / f, zero, zero],
-            [zero, zero, r2, zero],
-            [zero, zero, zero, r2 * sin_th * sin_th],
-        ]
+        return ad.diag(ad.stack([-f, 1.0 / f, r2, r2 * sin_th * sin_th]))
 
     return MetricField(chart, fn, name="schwarzschild")
 
@@ -267,8 +256,8 @@ def comoving_flow(chart: Chart, g: MetricField) -> TensorField:
     m = chart.dim
 
     def fn(coords):
-        zero = 0.0 * coords[0]
-        return [zero + 1.0 if j == 0 else zero for j in range(m)]
+        zero = np.zeros_like(ad.value(coords[0]))
+        return ad.stack([zero + 1.0] + [zero] * (m - 1))
 
     return normalize_timelike(g, vector_field(chart, fn, name="dt"))
 
@@ -279,11 +268,9 @@ def sheared_flow(chart: Chart, g: MetricField, eps: float, profile=None) -> Tens
     m = chart.dim
 
     def fn(coords):
-        zero = 0.0 * coords[0]
+        zero = np.zeros_like(ad.value(coords[0]))
         s = coords[1] if profile is None else profile(coords)
-        return [
-            zero + 1.0 if j == 0 else (eps * s if j == 1 else zero) for j in range(m)
-        ]
+        return ad.stack([zero + 1.0, eps * s] + [zero] * (m - 2))
 
     return normalize_timelike(g, vector_field(chart, fn, name="sheared"))
 

@@ -126,18 +126,13 @@ class ConformalWeights:
 def _pow_scale(field: TensorField, factor: ConformalFactor, power: float, name: str):
     """Multiply a scalar/vector/tensor field by ``Phi**power``."""
     phi = factor.phi
+    # the factor's values broadcast over the component axes
+    axes = (slice(None),) + (None,) * field.rank
 
     def fn(coords):
-        s = phi.fn(coords) ** power
-        return _scale_tree(field.fn(coords), s)
+        return field.fn(coords) * (phi.fn(coords) ** power)[axes]
 
     return TensorField(field.chart, field.variance, fn, reads=(field, phi), name=name)
-
-
-def _scale_tree(components, s):
-    if isinstance(components, (list, tuple)):
-        return [_scale_tree(c, s) for c in components]
-    return components * s
 
 
 def conformal_rescale(

@@ -108,6 +108,14 @@ def external_connection(chart: Chart, eval_fn, name: str = "external") -> Connec
     return ConnectionField(chart, eval_fn, provenance="external", name=name)
 
 
+def _gamma_contract(gl: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``sum_l t[..., l] gl[l, b, c]`` from ``gl`` ``(N, m, m, m)`` and ``t``
+    ``(N, ..., m)``, shape ``t.shape[:-1] + (m, m)``, as one batched
+    ``matmul``."""
+    n, m = gl.shape[:2]
+    return (t.reshape(n, -1, m) @ gl.reshape(n, m, m * m)).reshape(t.shape[:-1] + (m, m))
+
+
 def covariant_derivative(
     gamma: ConnectionField, F: TensorField, engine: DerivativeEngine
 ) -> TensorField:
@@ -122,30 +130,22 @@ def covariant_derivative(
         raise CapabilityError("covariant_derivative supports rank <= 2")
     variance = F.variance + ("d",)
 
+    sign = {"u": 1.0, "d": -1.0}
+
     def eval_fn(pts):
         val, jac = engine.value_and_jacobian(F, pts)
         if F.rank == 0:
             return jac
         gam = gamma(pts)
+        # gl[l, b, c] is Gamma^b_lc for an upper index and Gamma^l_bc for a lower one
+        gl = {"u": np.swapaxes(gam, 1, 2), "d": gam}
         out = jac.copy()
         if F.rank == 1:
-            if F.variance[0] == "u":
-                out += np.einsum("nabc,nb->nac", gam, val)
-            else:
-                out -= np.einsum("nbac,nb->nac", gam, val)
+            out += sign[F.variance[0]] * _gamma_contract(gl[F.variance[0]], val)
             return out
-        if F.variance == ("u", "u"):
-            out += np.einsum("nalc,nlb->nabc", gam, val)
-            out += np.einsum("nblc,nal->nabc", gam, val)
-        elif F.variance == ("d", "d"):
-            out -= np.einsum("nlac,nlb->nabc", gam, val)
-            out -= np.einsum("nlbc,nal->nabc", gam, val)
-        elif F.variance == ("u", "d"):
-            out += np.einsum("nalc,nlb->nabc", gam, val)
-            out -= np.einsum("nlbc,nal->nabc", gam, val)
-        else:  # ("d", "u")
-            out -= np.einsum("nlac,nlb->nabc", gam, val)
-            out += np.einsum("nblc,nal->nabc", gam, val)
+        first, second = F.variance
+        out += sign[first] * np.swapaxes(_gamma_contract(gl[first], np.swapaxes(val, 1, 2)), 1, 2)
+        out += sign[second] * _gamma_contract(gl[second], val)
         return out
 
     return TensorField(gamma.chart, variance, eval_fn=eval_fn, name=f"D[{F.name}]")

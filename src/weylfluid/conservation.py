@@ -54,20 +54,10 @@ class VectorDensityField(TensorField):
 
 def raise_indices2(g: MetricField, T: TensorField) -> TensorField:
     """``T^{ab} = g^{ac} g^{bd} T_{cd}`` as an evaluable field."""
-    m = g.chart.dim
 
     def fn(coords):
-        nb = np.size(ad.value(coords[0]))
-        ginv = ad.mat_inv(g.fn(coords), nb, m)
-        tc = T.fn(coords)
-        half = [
-            [sum(ginv[a][c] * tc[c][d] for c in range(m)) for d in range(m)]
-            for a in range(m)
-        ]
-        return [
-            [sum(half[a][d] * ginv[b][d] for d in range(m)) for b in range(m)]
-            for a in range(m)
-        ]
+        ginv, _ = ad.mat_inv_det(g.fn(coords))
+        return ad.einsum("nad,nbd->nab", ad.einsum("nac,ncd->nad", ginv, T.fn(coords)), ginv)
 
     return tensor2_field(g.chart, fn, reads=(g, T), variance=("u", "u"), name=f"raise({T.name})")
 
@@ -157,17 +147,11 @@ def decomposition_residuals(
 
 def particle_current(g: MetricField, T: TensorField, n: TensorField) -> VectorDensityField:
     """``J^mu = sqrt|g| T^{mu nu} n_nu``, a weight-1 vector density."""
-    m = g.chart.dim
 
     def fn(coords):
-        nb = np.size(ad.value(coords[0]))
-        gc = g.fn(coords)
-        tc = T.fn(coords)
-        nc = n.fn(coords)
-        ginv, det = ad.mat_inv_det(gc, nb, m)
-        sq = ad.sqrt(ad.absolute(det))
-        tn = [sum(tc[a][b] * nc[b] for b in range(m)) for a in range(m)]
-        return [sq * sum(ginv[mu][a] * tn[a] for a in range(m)) for mu in range(m)]
+        ginv, det = ad.mat_inv_det(g.fn(coords))
+        tn = ad.einsum("nab,nb->na", T.fn(coords), n.fn(coords))
+        return ad.sqrt(ad.absolute(det))[:, None] * ad.einsum("nma,na->nm", ginv, tn)
 
     return VectorDensityField(g.chart, fn, reads=(g, T, n), name="J")
 

@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import autodiff as ad
 from .connections import ConnectionField, _weyl_gamma, gamma_vv, gamma_w
 from .errors import CapabilityError
 from .geometry import (
@@ -184,18 +185,12 @@ def stress_energy(
 
     Symmetric by construction; satisfies ``T^{ab} n_b = -rho n^a``.
     """
-    m = g.chart.dim
 
     def fn(coords):
         gc = g.fn(coords)
-        nc = n.fn(coords)
-        pc = p.fn(coords)
-        rc = rho.fn(coords)
-        n_low = [sum(gc[a][b] * nc[b] for b in range(m)) for a in range(m)]
-        w = pc + rc
-        return [
-            [pc * gc[a][b] + w * n_low[a] * n_low[b] for b in range(m)]
-            for a in range(m)
-        ]
+        pc = p.fn(coords)[:, None, None]
+        w = pc + rho.fn(coords)[:, None, None]
+        n_low = ad.einsum("nab,nb->na", gc, n.fn(coords))
+        return pc * gc + w * n_low[:, :, None] * n_low[:, None, :]
 
     return tensor2_field(g.chart, fn, reads=(g, n, p, rho), name="T")

@@ -19,9 +19,12 @@ Conventions
   ``det`` factorize each matrix on its own.
 
 Each composite field (one built from other fields) is written once, as a
-component function that reads its inputs' component functions; it is exact
-under forward-mode duals only when every input is closed-form, and numeric
-inputs make it a finite-difference field.
+component function that reads its inputs' component functions and returns
+an ``(N, *shape)`` array or jet (:mod:`.autodiff`); it is exact under
+forward-mode jets only when every input is closed-form, and numeric inputs
+make it a finite-difference field.  A constant component is a plain array,
+``np.full_like(ad.value(coords[0]), c)`` as in :func:`constant_scalar`,
+whose jacobian is zero without dual arithmetic.
 
 All field evaluations are pure functions of the point; every object here is
 immutable after construction and safe to share between workers.
@@ -131,20 +134,17 @@ def require_finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _value_components(eval_fn, rank: int, name: str, coords):
-    """Component tree of a numeric field at the points whose coordinates
-    are ``coords``, value only.  Bound with ``functools.partial`` so that it
-    holds the numeric map but not the field."""
-    if any(isinstance(c, ad.Dual) for c in coords):
+def _numeric_components(eval_fn, shape: tuple, name: str, coords):
+    """Components of a numeric field at the points whose coordinates are
+    ``coords``: its map applied to the stacked coordinates.  Bound with
+    ``functools.partial`` so that it holds the numeric map but not the
+    field."""
+    if any(isinstance(c, ad.Jet) for c in coords):
         raise CapabilityError(f"field {name or '<anonymous>'} is numeric; use finite differences")
     pts = np.stack(coords, axis=-1)
     out = np.asarray(eval_fn(pts), dtype=float)
-    out = np.moveaxis(np.broadcast_to(out, (len(pts),) + (len(coords),) * rank), 0, -1)
-
-    def tree(a, k):
-        return a if k == 0 else [tree(sub, k - 1) for sub in a]
-
-    return tree(out, rank)
+    full = (len(pts), *shape)
+    return out if out.shape == full else np.broadcast_to(out, full)
 
 
 class TensorField:
@@ -152,18 +152,19 @@ class TensorField:
 
     Two construction routes:
 
-    * ``fn(coords)``: a component function of the coordinate tuple, built
-      from dual-safe arithmetic.  A composite (a field built from other
-      fields, such as a unit flow or a stress-energy tensor) is written once,
-      as ``fn``, and names every field whose ``fn`` it reads in ``reads``.
+    * ``fn(coords)``: a component function of the coordinate tuple that
+      returns an ``(N, *shape)`` array or jet (see :mod:`.autodiff`).  A
+      composite (a field built from other fields, such as a unit flow or a
+      stress-energy tensor) is written once, as ``fn``, and names every
+      field whose ``fn`` it reads in ``reads``.
     * ``eval_fn(points)``: a numeric map over point batches (solver output,
-      interpolants, derived diagnostics).  Its ``fn`` is a value-only
-      component tree of the same map, so composites read it like any other
-      field; handed duals it raises :class:`CapabilityError`.
+      interpolants, derived diagnostics).  Its ``fn`` is the same map
+      applied to the stacked coordinates, so composites read it like any
+      other field; handed jets it raises :class:`CapabilityError`.
 
     ``supports_ad`` is true only for a closed-form field: one built from
     ``fn`` whose every read field is closed-form.  Such a field
-    differentiates exactly through forward-mode duals; any other by
+    differentiates exactly through forward-mode jets; any other by
     central differences only.
     """
 
@@ -176,7 +177,7 @@ class TensorField:
         self.name = name
         self.eval_fn = eval_fn
         self.supports_ad = eval_fn is None and all(f.supports_ad for f in reads)
-        self.fn = fn if eval_fn is None else partial(_value_components, eval_fn, self.rank, name)
+        self.fn = fn if eval_fn is None else partial(_numeric_components, eval_fn, self.shape, name)
 
     @property
     def rank(self) -> int:
@@ -188,24 +189,18 @@ class TensorField:
 
     def __call__(self, pts) -> np.ndarray:
         pts = self.chart.as_points(pts)
-        if self.eval_fn is not None:
-            out = np.asarray(self.eval_fn(pts), dtype=float)
-        else:
-            coords = tuple(pts[:, j] for j in range(self.chart.dim))
-            out = ad.pack(self.fn(coords), len(pts), self.chart.dim, want_grad=False)
-        if out.shape != (len(pts), *self.shape):
-            out = np.broadcast_to(out, (len(pts), *self.shape)).copy()
-        return require_finite(out, f"field {self.name or '<anonymous>'}")
+        out = self.fn(tuple(pts[:, j] for j in range(self.chart.dim)))
+        return require_finite(ad.dense(out, (len(pts), *self.shape)),
+                              f"field {self.name or '<anonymous>'}")
 
     def dual_eval(self, pts):
-        """Exact value and jacobian via forward-mode duals."""
+        """Exact value and jacobian via forward-mode jets."""
         if not self.supports_ad:
             raise CapabilityError(
                 f"field {self.name or '<anonymous>'} is numeric; use finite differences"
             )
         pts = self.chart.as_points(pts)
-        coords = ad.seed(pts)
-        return ad.pack(self.fn(coords), len(pts), self.chart.dim, want_grad=True)
+        return ad.parts(self.fn(ad.seed(pts)), (len(pts), *self.shape), self.chart.dim)
 
 
 def scalar_field(chart, fn=None, *, eval_fn=None, reads=(), name="") -> TensorField:
@@ -226,26 +221,17 @@ def tensor2_field(chart, fn=None, *, eval_fn=None, reads=(), variance=("d", "d")
 
 
 def constant_scalar(chart, c: float, name="") -> TensorField:
-    return scalar_field(chart, lambda coords: 0.0 * coords[0] + c, name=name or f"const({c})")
+    return scalar_field(chart, lambda coords: np.full_like(ad.value(coords[0]), c),
+                        name=name or f"const({c})")
 
 
 class MetricField(TensorField):
-    """Symmetric Lorentzian metric: components are symmetrized on
-    evaluation, so the symmetry residual vanishes by construction."""
+    """Lorentzian metric ``g_ab``.  Its components are used as the
+    component function gives them: a function that is not symmetric fails
+    the symmetry check of the connection suite."""
 
     def __init__(self, chart, fn=None, *, eval_fn=None, reads=(), name="g"):
         super().__init__(chart, ("d", "d"), fn, eval_fn=eval_fn, reads=reads, name=name)
-
-    def __call__(self, pts):
-        g = super().__call__(pts)
-        return 0.5 * (g + np.swapaxes(g, -1, -2))
-
-    def dual_eval(self, pts):
-        val, jac = super().dual_eval(pts)
-        return (
-            0.5 * (val + np.swapaxes(val, -1, -2)),
-            0.5 * (jac + np.swapaxes(jac, 1, 2)),
-        )
 
     def check_signature(self, pts) -> None:
         """Require eigenvalue signature (1 negative, m-1 positive)."""
@@ -365,9 +351,9 @@ class MetricData:
 
 def inverse_trace(inv: np.ndarray, d: np.ndarray) -> np.ndarray:
     """``tr(g^-1 d_c g) = g^ij d_c g_ji`` from the inverse ``(N, m, m)`` and
-    the jacobian ``(N, m, m, m)`` (derivative index last), shape ``(N, m)``."""
+    the jacobian ``(N, m, m, k)`` (derivative index last), shape ``(N, k)``."""
     n, m = inv.shape[:2]
-    return (np.swapaxes(inv, 1, 2).reshape(n, 1, m * m) @ d.reshape(n, m * m, m))[:, 0]
+    return (np.swapaxes(inv, 1, 2).reshape(n, 1, m * m) @ d.reshape(n, m * m, -1))[:, 0]
 
 
 def metric_aux(g: MetricField, pts, engine: DerivativeEngine = None) -> MetricData:
@@ -416,16 +402,12 @@ def normalize_timelike(g: MetricField, u: TensorField) -> UnitVectorField:
     """
     if u.variance != ("u",):
         raise CapabilityError("normalize_timelike expects a vector field")
-    m = g.chart.dim
 
     def fn(coords):
-        gc = g.fn(coords)
         uc = u.fn(coords)
-        # row first: m^2 + m dual products
-        s = sum(uc[i] * sum(gc[i][j] * uc[j] for j in range(m)) for i in range(m))
+        s = ad.einsum("na,na->n", uc, ad.einsum("nab,nb->na", g.fn(coords), uc))
         _require_timelike(ad.value(s), [ad.value(c) for c in coords])
-        inv_norm = 1.0 / ad.sqrt(-s)
-        return [uc[i] * inv_norm for i in range(m)]
+        return uc * (1.0 / ad.sqrt(-s))[:, None]
 
     return UnitVectorField(g, u, fn)
 
@@ -453,11 +435,8 @@ def unit_jet(data: MetricData, u: np.ndarray, du: np.ndarray, pts):
 
 def lower_index(g: MetricField, v: TensorField) -> TensorField:
     """Covector ``v_a = g_ab v^b``."""
-    m = g.chart.dim
 
     def fn(coords):
-        gc = g.fn(coords)
-        vc = v.fn(coords)
-        return [sum(gc[a][b] * vc[b] for b in range(m)) for a in range(m)]
+        return ad.einsum("nab,nb->na", g.fn(coords), v.fn(coords))
 
     return covector_field(g.chart, fn, reads=(g, v), name=f"flat({v.name})")

@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately dumb: plain Python index loops over tensor
-slots and central finite differences for every derivative.  None of these
+slots, or ``einsum`` in index notation, and central finite differences for
+every derivative.  None of these
 routines share code with the library paths they check.
 """
 
@@ -176,3 +177,19 @@ def leibniz_det(a):
             prod *= a[i][perm[i]]
         total += sign * prod
     return total
+
+
+def covariant_derivative_einsum(gam, val, jac, variance):
+    """Covariant derivative of a rank <= 2 field from ``Gamma^a_bc``, the
+    field's values and its jacobian, in index notation: one ``+Gamma``
+    contraction per upper index and one ``-Gamma`` per lower index."""
+    out = jac.copy()
+    if variance == ("u",):
+        return out + np.einsum("nabc,nb->nac", gam, val)
+    if variance == ("d",):
+        return out - np.einsum("nbac,nb->nac", gam, val)
+    first = {"u": np.einsum("nalc,nlb->nabc", gam, val),
+             "d": -np.einsum("nlac,nlb->nabc", gam, val)}
+    second = {"u": np.einsum("nblc,nal->nabc", gam, val),
+              "d": -np.einsum("nlbc,nal->nabc", gam, val)}
+    return out + first[variance[0]] + second[variance[1]]

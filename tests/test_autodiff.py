@@ -62,40 +62,90 @@ def test_seed_structure():
         assert np.array_equal(d.grad, expect)
 
 
-def test_pack_mixed_entries():
-    pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-    t, x = ad.seed(pts)
-    comps = [[t * x, 1.0], [0.0, x]]
-    val, grad = ad.pack(comps, 2, 2, want_grad=True)
-    assert np.allclose(val[:, 0, 0], pts[:, 0] * pts[:, 1])
-    assert np.allclose(val[:, 0, 1], 1.0)
-    assert np.allclose(grad[:, 0, 0], pts[:, ::-1])
-    assert np.allclose(grad[:, 0, 1], 0.0)
+def _fd_jacobian(f, pts, h=1e-6):
+    """Central-difference jacobian of ``f`` evaluated on plain coordinate
+    arrays, derivative index last."""
+    cols = []
+    for j in range(pts.shape[1]):
+        dp = np.zeros_like(pts)
+        dp[:, j] = h
+        cols.append((f(tuple((pts + dp).T)) - f(tuple((pts - dp).T))) / (2 * h))
+    return np.stack(cols, axis=-1)
 
 
-def test_matrix_inverse_and_det_duals():
-    pts = np.array([[0.3, -0.2], [1.1, 0.4]])
-    t, x = ad.seed(pts)
-    entries = [[1.0 + t * t, t * x], [t * x, 2.0 + x]]
+def _check_jet(f, pts, rel=1e-7):
+    """The jet of ``f`` at seeded ``pts``: its value is the value path's bit
+    for bit and its gradient agrees with central differences."""
+    jet = f(ad.seed(pts))
+    np.testing.assert_array_equal(jet.val, f(tuple(pts.T)))
+    ref = _fd_jacobian(f, pts)
+    assert jet.grad.shape == ref.shape
+    assert np.abs(jet.grad - ref).max() <= rel * max(1.0, np.abs(ref).max())
+    return jet
 
-    inv = ad.mat_inv(entries, 2, 2)
-    val, _ = ad.pack(entries, 2, 2, want_grad=True)
-    ival, igrad = ad.pack(inv, 2, 2, want_grad=True)
-    assert np.allclose(np.einsum("nij,njk->nik", val, ival), np.eye(2), atol=1e-14)
 
-    # derivative of the inverse against finite differences
-    def inv_at(p):
-        tt, xx = p
-        mat = np.array([[1 + tt * tt, tt * xx], [tt * xx, 2 + xx]])
-        return np.linalg.inv(mat)
+def _random_jet(coords, rng, shape):
+    """An ``(N, *shape)`` quadratic of the coordinates with random
+    coefficients."""
+    out = rng.uniform(-1.0, 1.0, shape)
+    for c in coords:
+        c = c[(slice(None),) + (None,) * len(shape)]
+        out = out + rng.uniform(-1.0, 1.0, shape) * c + 0.2 * rng.uniform(-1.0, 1.0, shape) * c * c
+    return out
 
-    for n, p in enumerate(pts):
-        for j in range(2):
-            dp = np.zeros(2)
-            dp[j] = 1e-6
-            ref = (inv_at(p + dp) - inv_at(p - dp)) / 2e-6
-            assert np.allclose(igrad[n, :, :, j], ref, atol=1e-8)
 
-    det = ad.mat_det(entries, 2, 2)
-    dets = np.array([np.linalg.det([[1 + t * t, t * x], [t * x, 2 + x]]) for t, x in pts])
-    assert np.allclose(det.val, dets, rtol=1e-14)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds)
+def test_shaped_and_broadcast_arithmetic(s):
+    rng = np.random.default_rng(s)
+    pts = rng.uniform(0.5, 1.5, (3, 2))
+    c = rng.uniform(-1.0, 1.0, (2, 3))
+
+    def f(coords):
+        t, x = coords
+        a = ad.stack([t, x * t, ad.exp(x)])  # (N, 3)
+        b = ad.stack([x, t / x])[:, :, None] * c  # (N, 2, 3) against a constant
+        mixed = (a[:, None, :] * b - 3.0 / (a[:, None, :] + 2.0)) / (b + 3.0)
+        return mixed - ad.diag(a)[:, 1:] ** 2 + (2.0 - a[:, None, :]) * ad.sqrt(t)[:, None, None]
+
+    assert _check_jet(f, pts).val.shape == (3, 2, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.sampled_from(["nab,nb->na", "nac,ncd->nad", "nad,nbd->nab", "nk,kc->nc"]),
+       st.sampled_from(["jet-jet", "jet-array", "array-jet"]))
+def test_einsum_product_rule(s, spec, kinds):
+    rng = np.random.default_rng(s)
+    pts = rng.uniform(-1.0, 1.0, (4, 3))
+    ins = spec.split("->")[0].split(",")
+    shapes = [tuple(len(pts) if i == "n" else 3 for i in op) for op in ins]
+    kinds = kinds.split("-")
+    if not ins[1].startswith("n"):
+        kinds = ["jet", "array"]  # a constant operand carries no point axis
+
+    def operand(coords, k):
+        r = np.random.default_rng(s + k)
+        if kinds[k] == "array":
+            return r.uniform(-1.0, 1.0, shapes[k])
+        return _random_jet(coords, r, shapes[k][1:])
+
+    _check_jet(lambda coords: ad.einsum(spec, operand(coords, 0), operand(coords, 1)), pts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(min_value=2, max_value=5))
+def test_matrix_inverse_and_det_duals(s, m):
+    rng = np.random.default_rng(s)
+    pts = rng.uniform(-1.0, 1.0, (3, 2))
+
+    def mat(coords):
+        return np.eye(m) + 0.2 * _random_jet(coords, np.random.default_rng(s + 1), (m, m))
+
+    inv = _check_jet(lambda coords: ad.mat_inv_det(mat(coords))[0], pts)
+    det = _check_jet(lambda coords: ad.mat_inv_det(mat(coords))[1], pts)
+    a = mat(tuple(pts.T))
+    assert np.abs(a @ inv.val - np.eye(m)).max() <= 1e-13
+    assert np.abs(det.val - np.linalg.det(a)).max() <= 1e-13 * np.abs(det.val).max()

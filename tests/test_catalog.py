@@ -16,12 +16,23 @@ from weylfluid.catalog import (
     polynomial_covector,
     polynomial_scalar,
     preset_names,
+    seeded_positive_factor,
     validate_parameters,
     verification_matrix,
 )
+from weylfluid.conformal import conformal_rescale
 from weylfluid.config import SuiteConfig
+from weylfluid.conservation import particle_current, raise_indices2
 from weylfluid.errors import ConstructionError
-from weylfluid.geometry import MetricField, normalize_timelike, vector_field
+from weylfluid.fluid import fluid_connection, stress_energy
+from weylfluid.geometry import (
+    DerivativeEngine,
+    MetricField,
+    lower_index,
+    normalize_timelike,
+    vector_field,
+)
+from weylfluid.suites import Tolerances
 
 
 def test_unknown_preset_rejected():
@@ -205,15 +216,30 @@ class TestSeededPolynomials:
         cov = polynomial_covector(chart, np.random.default_rng(8), 0.5)
         _, ref_jac = _per_term_polynomials(
             chart, np.random.default_rng(8), 0.5, 3, np.stack([ad.value(c) for c in coords], -1))
-        got = np.stack([c.grad for c in cov.fn(coords)], axis=1)
+        got = cov.fn(coords).grad
         _assert_close(got, ref_jac @ mat)
 
     def test_value_path_agrees_with_dual_path(self):
-        preset = build("minkowski-perturbed", seed=2)
-        pts = preset.chart.sample_points(3, 8, seed=2)
-        for field in (preset.g, preset.state.n,
-                      polynomial_covector(preset.chart, np.random.default_rng(1), 0.3)):
-            np.testing.assert_array_equal(field(pts), field.dual_eval(pts)[0])
+        # every closed-form field the suites differentiate, on every preset:
+        # the value path gives the jet's value bit for bit, and the jet's
+        # jacobian agrees with central differences
+        fd = DerivativeEngine("central-difference", richardson=1)
+        for name in verification_matrix():
+            preset = build(name, seed=2)
+            g, st = preset.g, preset.state
+            pts = preset.chart.sample_points(2, 8, seed=2)
+            T = stress_energy(g, st.n, st.p, st.rho)
+            bundle = fluid_connection(g, st.n, st.phi, DerivativeEngine())
+            factor = seeded_positive_factor(preset.chart, 5)
+            rescaled = conformal_rescale(bundle, st, factor, DerivativeEngine())[0].g
+            fields = (g, st.n, st.p, st.rho, st.phi, lower_index(g, st.n), T,
+                      raise_indices2(g, T), particle_current(g, T, st.n), rescaled,
+                      polynomial_covector(preset.chart, np.random.default_rng(1), 0.3))
+            for field in fields:
+                val, jac = field.dual_eval(pts)
+                np.testing.assert_array_equal(field(pts), val, err_msg=f"{name} {field.name}")
+                assert np.abs(jac - fd.jacobian(field, pts)).max() < Tolerances().tol_fd, \
+                    f"{name} {field.name}"
 
 
 class TestWorkGuards:
@@ -236,23 +262,27 @@ class TestWorkGuards:
             field.dual_eval(pts)
             assert len(calls) - before == 1
 
-    @pytest.mark.parametrize("m", [2, 4])
-    def test_unit_flow_contracts_row_first(self, monkeypatch, m):
-        chart = minkowski_chart(m)
-        pts = chart.sample_points(3, 8, seed=0)
-        gc = perturbed_metric(minkowski_metric(chart), 0.01, seed=0).fn(ad.seed(pts))
-        uc = [c + 2.0 if j == 0 else 0.1 * c for j, c in enumerate(ad.seed(pts))]
-        n = normalize_timelike(MetricField(chart, lambda coords: gc),
-                               vector_field(chart, lambda coords: uc))
-        products = []
-        original = ad.Dual.__mul__
+    def test_unit_flow_jet_operations_do_not_grow_with_dimension(self, monkeypatch):
+        # a unit flow contracts whole arrays: the jets it forms do not
+        # multiply with the components, as per-component loops would
+        counts = []
+        for m in (2, 4):
+            chart = minkowski_chart(m)
+            pts = chart.sample_points(3, 8, seed=0)
+            gc = perturbed_metric(minkowski_metric(chart), 0.01, seed=0).fn(ad.seed(pts))
+            uc = 0.1 * ad.stack(ad.seed(pts)) + np.eye(m)[0] * 2.0
+            n = normalize_timelike(MetricField(chart, lambda coords: gc),
+                                   vector_field(chart, lambda coords: uc))
+            coords = ad.seed(pts)
+            jets = []
+            original = ad.Jet.__init__
 
-        def counting(self, other):
-            products.append(1)
-            return original(self, other)
+            def counting(self, val, grad):
+                jets.append(1)
+                original(self, val, grad)
 
-        monkeypatch.setattr(ad.Dual, "__mul__", counting)
-        monkeypatch.setattr(ad.Dual, "__rmul__", counting)
-        n.fn(ad.seed(pts))
-        # m^2 + m for g(u, u), m for the rescaling of u
-        assert len(products) <= m * m + 2 * m
+            with monkeypatch.context() as patch:
+                patch.setattr(ad.Jet, "__init__", counting)
+                n.fn(coords)
+            counts.append(len(jets))
+        assert counts[0] == counts[1] > 0

@@ -17,15 +17,6 @@ from oracles import KERNEL_BATCHES, leibniz_det, random_metric_batch, rel_err
 SIZES = sorted({n for n, _ in KERNEL_BATCHES} | {4913})
 
 
-def entries(a, grad=None):
-    """The ``m x m`` list of component arrays (duals with ``grad``) of a
-    matrix batch."""
-    m = a.shape[1]
-    if grad is None:
-        return [[a[:, i, j] for j in range(m)] for i in range(m)]
-    return [[ad.Dual(a[:, i, j], grad[:, i, j]) for j in range(m)] for i in range(m)]
-
-
 def nonsymmetric_batch(n, m, seed):
     """Well-conditioned matrices with no symmetry."""
     rng = np.random.default_rng(seed)
@@ -63,7 +54,7 @@ def test_singular_batch_raises_before_dividing():
     with pytest.raises(SingularMetricError, match=r"at point \[0\.5 1\. \]"):
         inverse_det(a, np.array([[0.0, 0.0], [0.5, 1.0]]))
     # a determinant alone needs no division
-    assert ad.mat_det(entries(a), 2, 3)[1] == 0.5 * DET_FLOOR
+    assert adjugate_det(a)[1][1] == 0.5 * DET_FLOOR
 
 
 def test_no_lapack_inverse_or_determinant(monkeypatch):
@@ -81,10 +72,8 @@ def test_no_lapack_inverse_or_determinant(monkeypatch):
     monkeypatch.setattr(np.linalg, "det", forbidden)
     metric_aux(g, pts)
     metric_aux(g, pts, DerivativeEngine())
-    for mat in (entries(val, dg), entries(val)):
-        ad.mat_inv(mat, 7, 4)
-        ad.mat_det(mat, 7, 4)
-        ad.mat_inv_det(mat, 7, 4)
+    for mat in (ad.Jet(val, dg), val):
+        ad.mat_inv_det(mat)
     J = particle_current(g, stress_energy(g, st.n, st.p, st.rho), st.n)
     J(pts)
     J.dual_eval(pts)

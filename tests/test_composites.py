@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from weylfluid import autodiff as ad
 from weylfluid.catalog import build, seeded_positive_factor
 from weylfluid.conformal import ConformalFactor, _pow_scale, conformal_rescale
 from weylfluid.conservation import particle_current, raise_indices2
@@ -44,8 +45,8 @@ def composites(preset):
     """name -> (closed-form inputs, the composite built from inputs)."""
     g, st = preset.g, preset.state
     fac = seeded_positive_factor(preset.chart, 7)
-    u = vector_field(preset.chart, lambda c: [1.5 + 0.0 * c[0], 0.1 * c[1], 0.0 * c[0],
-                                              -0.2 * c[3]], name="u")
+    u = vector_field(preset.chart, lambda c: ad.stack([1.5 + 0.0 * c[0], 0.1 * c[1],
+                                                       0.0 * c[0], -0.2 * c[3]]), name="u")
     T = stress_energy(g, st.n, st.p, st.rho)
     bundle = fluid_connection(g, st.n, st.phi, ENG)
     return {
@@ -95,8 +96,8 @@ def test_unnamed_numeric_read_raises_on_duals(flrw):
 
 def test_numeric_spacelike_flow_names_the_point(flrw):
     preset, _ = flrw
-    u = numeric(vector_field(preset.chart, lambda c: [0.0 * c[0], 1.0 + 0.0 * c[0],
-                                                      0.0 * c[0], 0.0 * c[0]]))
+    u = numeric(vector_field(preset.chart, lambda c: ad.stack([0.0 * c[0], 1.0 + 0.0 * c[0],
+                                                               0.0 * c[0], 0.0 * c[0]])))
     with pytest.raises(NotTimelikeError, match=r"at point \[0\.5, 0\.25, -0\.25, 0\.125\]"):
         normalize_timelike(preset.g, u)([[0.5, 0.25, -0.25, 0.125]])
 

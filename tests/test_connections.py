@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylfluid import autodiff as ad
 from weylfluid.catalog import (
     flrw_chart,
     flrw_metric,
@@ -20,6 +21,7 @@ from weylfluid.connections import (
     density_divergence_sqrtg,
     eps_connection,
     eps_shift,
+    external_connection,
     gamma_vv,
     levi_civita,
     nonmetricity_residual,
@@ -40,6 +42,7 @@ from weylfluid.geometry import (
 from oracles import (
     KERNEL_BATCHES,
     christoffel_fd,
+    covariant_derivative_einsum,
     eps_shift_loops,
     metric_at,
     random_metric_batch,
@@ -62,7 +65,7 @@ def flrw():
 
 
 def const_covector(chart, comps):
-    return covector_field(chart, lambda c: [0.0 * c[0] + v for v in comps])
+    return covector_field(chart, lambda c: ad.stack([0.0 * c[0] + v for v in comps]))
 
 
 class TestLeviCivita:
@@ -195,7 +198,7 @@ class TestCovariantDerivative:
 
     def test_flat_vector_partials(self, minkowski):
         chart, g = minkowski
-        v = vector_field(chart, lambda c: [c[0], c[1], 0.0 * c[0], 0.0 * c[0]])
+        v = vector_field(chart, lambda c: ad.stack([c[0], c[1], 0.0 * c[0], 0.0 * c[0]]))
         lc = levi_civita(g, ENG)
         got = covariant_derivative(lc, v, ENG)([[0.1, 0.2, 0.0, 0.0]])[0]
         expect = np.zeros((4, 4))
@@ -205,12 +208,28 @@ class TestCovariantDerivative:
 
     def test_flrw_comoving_expansion_rate(self, flrw):
         chart, g = flrw
-        n = vector_field(chart, lambda c: [0.0 * c[0] + 1.0] + [0.0 * c[0]] * 3)
+        n = vector_field(chart, lambda c: ad.stack([0.0 * c[0] + 1.0] + [0.0 * c[0]] * 3))
         lc = levi_civita(g, ENG)
         pts = chart.sample_points(3, 8, seed=7)
         dn = covariant_derivative(lc, n, ENG)(pts)
         trace = np.einsum("naa->n", dn)
         assert np.allclose(trace, 0.3, atol=1e-12)
+
+    @pytest.mark.parametrize("variance", [("u", "u"), ("d", "d"), ("u", "d"), ("d", "u"),
+                                          ("u",), ("d",)])
+    def test_matches_the_einsum_form(self, flrw, variance):
+        chart, _ = flrw
+        pts = chart.random_points(689, seed=4)
+        gam = np.random.default_rng(5).normal(size=(len(pts), 4, 4, 4))
+        a = polynomial_covector(chart, np.random.default_rng(6), 0.5)
+        b = polynomial_covector(chart, np.random.default_rng(7), 0.5)
+        if len(variance) == 1:
+            F = TensorField(chart, variance, a.fn)
+        else:
+            F = TensorField(chart, variance, lambda c: a.fn(c)[:, :, None] * b.fn(c)[:, None, :])
+        got = covariant_derivative(external_connection(chart, lambda p: gam), F, ENG)(pts)
+        val, jac = ENG.value_and_jacobian(F, pts)
+        assert rel_err(got, covariant_derivative_einsum(gam, val, jac, variance)) <= 1e-13
 
     def test_rank_cap(self, minkowski):
         chart, g = minkowski
@@ -222,8 +241,9 @@ class TestCovariantDerivative:
         # nabla of delta^a_b must vanish for any connection
         chart, g = flrw
         delta = TensorField(chart, ("u", "d"),
-                            lambda c: [[0.0 * c[0] + float(i == j) for j in range(4)]
-                                       for i in range(4)])
+                            lambda c: ad.stack([ad.stack([0.0 * c[0] + float(i == j)
+                                                          for j in range(4)])
+                                                for i in range(4)]))
         A = polynomial_covector(chart, np.random.default_rng(3), 0.3)
         gam = eps_connection(g, A, ENG)
         got = covariant_derivative(gam, delta, ENG)(chart.sample_points(3, 4, seed=8))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from weylfluid import autodiff as ad
 from weylfluid import catalog, connections, fluid, suites
 from weylfluid.catalog import (
     build,
@@ -92,7 +93,7 @@ class TestGeodesicDefect:
     def test_mismatched_bundle_registers_defect(self, flat):
         chart, g, n, pts = flat
         phi0 = constant_scalar(chart, 0.0)
-        A = covector_field(chart, lambda c: [0.0 * c[0] - 0.5] + [0.0 * c[0]] * 3)
+        A = covector_field(chart, lambda c: ad.stack([0.0 * c[0] - 0.5] + [0.0 * c[0]] * 3))
         wrong = WeylBundle(g, A, eps_connection(g, A, ENG))
         d = geodesic_defect(wrong, n, phi0, ENG)(pts)
         assert np.allclose(d, [0.5, 0.0, 0.0, 0.0], atol=1e-14)
@@ -167,8 +168,8 @@ class TestUnitFlowJet:
         preset = build("minkowski-dust-rest")
         chart = preset.chart
         # timelike where |x| < 1/2, spacelike beyond
-        u = vector_field(chart, lambda c: [0.0 * c[0] + 1.0, 2.0 * c[1],
-                                           0.0 * c[0], 0.0 * c[0]])
+        u = vector_field(chart, lambda c: ad.stack([0.0 * c[0] + 1.0, 2.0 * c[1],
+                                                    0.0 * c[0], 0.0 * c[0]]))
         n = normalize_timelike(preset.g, u)
         monkeypatch.setattr(n, "dual_eval", _no_dual_eval)
         pts = [[0.1, 0.2, 0.3, 0.4], [0.5, 0.75, -0.25, 0.125]]

@@ -1,11 +1,12 @@
 """Charts, fields, the derivative engine and metric algebra."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from weylfluid import autodiff as ad
+from weylfluid import autodiff as ad, suites
 from weylfluid.catalog import (
     build,
     flrw_chart,
@@ -155,22 +156,40 @@ class TestMetricData:
 
     def test_signature_check_rejects_riemannian(self):
         chart = minkowski_chart(3)
-        bad = MetricField(chart, lambda c: [
-            [0.0 * c[0] + 1.0 if i == j else 0.0 * c[0] for j in range(3)]
+        bad = MetricField(chart, lambda c: ad.stack([
+            ad.stack([0.0 * c[0] + 1.0 if i == j else 0.0 * c[0] for j in range(3)])
             for i in range(3)
-        ])
+        ]))
         with pytest.raises(SignatureError):
             bad.check_signature([[0.0, 0.0, 0.0]])
+
+    def test_asymmetric_components_fail_the_symmetry_check(self):
+        # the metric is used as its component function gives it, so an
+        # asymmetric one fails the connection suite's symmetry check
+        preset = build("flrw-comoving-dust")
+        base = preset.g
+        skew = np.zeros((4, 4))
+        skew[0, 1] = 1e-3
+
+        def fn(c):
+            return base.fn(c) + c[1][:, None, None] * skew
+
+        bad = replace(preset, g=MetricField(preset.chart, fn, reads=(base,), name="skewed"))
+        ctx = suites.SuiteContext(bad, AD, preset.chart.sample_points(2, 8, seed=3),
+                                  nonmetricity_pairs=1)
+        record = {c.name: c for c in suites.connection_suite(ctx)}["metric-symmetry"]
+        assert record.tol == 0.0
+        assert record.max_residual > 0.0 and not record.passed
 
     def test_singular_metric_rejected(self):
         from weylfluid.errors import SingularMetricError
 
         chart = minkowski_chart(3)
-        degenerate = MetricField(chart, lambda c: [
-            [0.0 * c[0] - 1.0, 0.0 * c[0], 0.0 * c[0]],
-            [0.0 * c[0], c[0] * c[0], 0.0 * c[0]],  # vanishes at t = 0
-            [0.0 * c[0], 0.0 * c[0], 0.0 * c[0] + 1.0],
-        ])
+        degenerate = MetricField(chart, lambda c: ad.stack([
+            ad.stack([0.0 * c[0] - 1.0, 0.0 * c[0], 0.0 * c[0]]),
+            ad.stack([0.0 * c[0], c[0] * c[0], 0.0 * c[0]]),  # vanishes at t = 0
+            ad.stack([0.0 * c[0], 0.0 * c[0], 0.0 * c[0] + 1.0]),
+        ]))
         with pytest.raises(SingularMetricError):
             metric_data(degenerate, [[0.0, 0.2, 0.1]])
 
@@ -236,8 +255,8 @@ class TestMetricKernels:
     @pytest.mark.parametrize("n, m", KERNEL_BATCHES)
     def test_flow_jet_lowered_derivative(self, n, m):
         g, pts = perturbed_batch(n, m)
-        flow = vector_field(g.chart, lambda c: [1.0 + 0.1 * c[1]] + [0.2 * c[0] * c[j]
-                                                                    for j in range(1, m)])
+        flow = vector_field(g.chart, lambda c: ad.stack([1.0 + 0.1 * c[1]] + [
+            0.2 * c[0] * c[j] for j in range(1, m)]))
         jet = flow_jet(g, flow, AD, pts)
         ref = (np.einsum("nbad,na->nbd", jet.data.dg, jet.n)
                + np.einsum("nba,nad->nbd", jet.data.val, jet.dn))
@@ -246,11 +265,9 @@ class TestMetricKernels:
     @pytest.mark.parametrize("n, m", KERNEL_BATCHES)
     def test_dual_inverse_and_determinant(self, n, m):
         val, inv, dg = random_metric_batch(n, m, seed=3)
-        entries = [[ad.Dual(val[:, i, j], dg[:, i, j]) for j in range(m)] for i in range(m)]
-        _, dinv = ad.pack(ad.mat_inv(entries, n, m), n, m, want_grad=True)
+        inv_jet, det = ad.mat_inv_det(ad.Jet(val, dg))
         ref = -np.einsum("nij,njkd,nkl->nild", inv, dg, inv)
-        assert rel_err(dinv, ref) <= 1e-14
-        det = ad.mat_det(entries, n, m)
+        assert rel_err(inv_jet.grad, ref) <= 1e-14
         ref = det.val[:, None] * np.einsum("nij,njid->nd", inv, dg)
         assert rel_err(det.grad, ref) <= 1e-14
 
@@ -262,7 +279,7 @@ class TestNormalizeTimelike:
         self.pts = self.chart.sample_points(per_axis=3, extra=8, seed=7)
 
     def _const_vector(self, comps):
-        return vector_field(self.chart, lambda c: [0.0 * c[0] + v for v in comps])
+        return vector_field(self.chart, lambda c: ad.stack([0.0 * c[0] + v for v in comps]))
 
     def test_rescaling(self):
         n = normalize_timelike(self.g, self._const_vector([3.0, 0, 0, 0]))
@@ -294,7 +311,7 @@ class TestNormalizeTimelike:
         chart = flrw_chart(4)
         g = flrw_metric(chart, "exp", 0.1)
         n = normalize_timelike(g, vector_field(
-            chart, lambda c: [0.0 * c[0] + 1.0, 0.0 * c[0], 0.0 * c[0], 0.0 * c[0]]))
+            chart, lambda c: ad.stack([0.0 * c[0] + 1.0, 0.0 * c[0], 0.0 * c[0], 0.0 * c[0]])))
         pts = chart.sample_points(per_axis=3, extra=8, seed=1)
         norm = np.einsum("nij,ni,nj->n", g(pts), n(pts), n(pts))
         assert np.abs(norm + 1.0).max() < 1e-12
