@@ -262,6 +262,33 @@ class TestWorkGuards:
             field.dual_eval(pts)
             assert len(calls) - before == 1
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_unit_flow_contracts_row_first(self, monkeypatch, m):
+        chart = minkowski_chart(m)
+        pts = chart.sample_points(3, 8, seed=0)
+        gc = perturbed_metric(minkowski_metric(chart), 0.01, seed=0).fn(ad.seed(pts))
+        uc = 0.1 * ad.stack(ad.seed(pts)) + np.eye(m)[0] * 2.0
+        n = normalize_timelike(MetricField(chart, lambda coords: gc),
+                               vector_field(chart, lambda coords: uc))
+        products = []
+        original_mul, original_einsum = ad.Jet.__mul__, ad.einsum
+
+        def counting_mul(self, other):
+            products.append(1)
+            return original_mul(self, other)
+
+        def counting_einsum(spec, a, b):
+            products.append(1)
+            return original_einsum(spec, a, b)
+
+        monkeypatch.setattr(ad.Jet, "__mul__", counting_mul)
+        monkeypatch.setattr(ad.Jet, "__rmul__", counting_mul)
+        monkeypatch.setattr(ad, "einsum", counting_einsum)
+        n.fn(ad.seed(pts))
+        # at most m^2 + m for g(u, u), m for the rescaling of u; the jet
+        # contractions g u and u (g u) and one rescaling make three
+        assert 0 < len(products) <= min(3, m * m + 2 * m)
+
     def test_unit_flow_jet_operations_do_not_grow_with_dimension(self, monkeypatch):
         # a unit flow contracts whole arrays: the jets it forms do not
         # multiply with the components, as per-component loops would
