@@ -4,7 +4,11 @@ cosmology and sheared-chart presets, compare against closed forms where
 available, and export the solved grids.
 
 Usage:
-    python scripts/frame_study.py [--nodes 17] [--outdir frame_out]
+    python scripts/frame_study.py [--nodes N] [--outdir frame_out]
+
+Without ``--nodes`` each preset's memo grid is sized by the solver's error
+estimate; the counts it solved on and the per-axis estimates, in units of
+the frame tolerance, are printed.
 """
 
 import argparse
@@ -18,6 +22,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from weylfluid.catalog import build
 from weylfluid.conformal import (
+    FRAME_TOL,
     FrameSolverParams,
     conformal_rescale,
     incompressibility_residual,
@@ -25,6 +30,7 @@ from weylfluid.conformal import (
 )
 from weylfluid.fluid import fluid_connection
 from weylfluid.geometry import DerivativeEngine
+from weylfluid.interpolation import error_estimate
 
 
 def study(name: str, nodes: int, outdir: pathlib.Path):
@@ -33,8 +39,14 @@ def study(name: str, nodes: int, outdir: pathlib.Path):
     meta = preset.meta
 
     t0 = time.perf_counter()
-    factor = preset.solve_frame(engine, FrameSolverParams(grid_nodes=nodes or None))
+    factor = preset.solve_frame(engine, FrameSolverParams(grid_nodes=nodes))
     solve_s = time.perf_counter() - t0
+    counts = "x".join(str(len(ax)) for ax in factor.grid_axes)
+    if nodes is None:
+        estimate = error_estimate(factor.grid_axes, factor.grid_values) / FRAME_TOL
+        estimate = "estimate/tol " + " ".join(f"{e:.2g}" for e in estimate)
+    else:
+        estimate = "fixed grid"
 
     pts = preset.chart.sample_points(5, 64, seed=0)
     transport = np.abs(transport_residual(factor, preset.g, preset.state.n, engine)(pts)).max()
@@ -42,8 +54,8 @@ def study(name: str, nodes: int, outdir: pathlib.Path):
     b2, s2 = conformal_rescale(bundle, preset.state, factor, engine)
     incomp = np.abs(incompressibility_residual(b2.g, s2.n, engine)(pts)).max()
 
-    line = (f"{name:24s} solve {solve_s:6.2f}s  transport {transport:9.2e}  "
-            f"divergence {incomp:9.2e}")
+    line = (f"{name:24s} {counts:10s} {estimate}  solve {solve_s:6.2f}s  "
+            f"transport {transport:9.2e}  divergence {incomp:9.2e}")
     if meta.closed_frame is not None:
         closed = meta.closed_frame(meta.slice_values[0])
         err = np.abs(factor.grid_values.ravel() - closed.ln(factor.grid_points())).max()
@@ -54,8 +66,8 @@ def study(name: str, nodes: int, outdir: pathlib.Path):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--nodes", type=int, default=0,
-                    help="memo nodes per axis (0: preset default)")
+    ap.add_argument("--nodes", type=int, default=None,
+                    help="fixed memo nodes per axis (default: sized by the error estimate)")
     ap.add_argument("--outdir", default="frame_out")
     args = ap.parse_args()
     outdir = pathlib.Path(args.outdir)

@@ -4,7 +4,7 @@ the reports.
 
 Writes one JSON report per preset into ``reports/`` and prints a summary
 line per preset, with its wall time.  The frame suite runs only where the
-preset is marked frame-ready (transversal flow and an affordable memo grid).
+preset is marked frame-ready (a flow transversal to its seed slice).
 
 Reports are written with ``timing = off``, so two sweeps at one seed on one
 machine give byte-identical files unless a residual moved: ``diff -r`` of the

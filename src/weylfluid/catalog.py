@@ -10,14 +10,14 @@ the suites to pick sensible slices, rays and closed-form cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
-from .conformal import ConformalFactor, FrameFactor, FrameSolverParams, preferred_frame
+from .conformal import FRAME_TOL, ConformalFactor, FrameFactor, FrameSolverParams, preferred_frame
 from .conservation import SliceSpec
 from .errors import ConstructionError
 from .fluid import FluidState
@@ -46,7 +46,6 @@ class PresetMeta:
     slice_box: tuple
     frame_ready: bool
     ray_s_max: float
-    frame_nodes: tuple = None
     closed_frame: Callable = None
     rs: float = None
 
@@ -67,15 +66,11 @@ class CatalogBundle:
         meta = self.meta
         return SliceSpec(meta.slice_axis, meta.slice_values[i], meta.slice_box)
 
-    def solve_frame(self, engine: DerivativeEngine,
-                    params: FrameSolverParams = None) -> FrameFactor:
+    def solve_frame(self, engine: DerivativeEngine, params: FrameSolverParams = None,
+                    tol: float = FRAME_TOL) -> FrameFactor:
         """The preferred frame of the preset's flow from its seed slice, on
-        the memo grid of ``params``, else of the preset hint, else the
-        solver's default."""
-        params = params or FrameSolverParams()
-        if params.grid_nodes is None:
-            params = replace(params, grid_nodes=self.meta.frame_nodes)
-        return preferred_frame(self.g, self.state.n, self.slice_spec(), engine, params)
+        the fixed memo grid of ``params`` or else one sized to ``tol``."""
+        return preferred_frame(self.g, self.state.n, self.slice_spec(), engine, params, tol)
 
 
 # -- polynomial ingredients ---------------------------------------------------
@@ -355,9 +350,6 @@ def _build_flrw(kind: str, params: dict, seed: int):
 
     g = flrw_metric(chart, sf_kind, sf_param)
     n = comoving_flow(chart, g)
-    # the power-law log factor is strongly curved near small t: the flow is
-    # comoving, so spend memo nodes on the time axis only
-    frame_nodes = (65,) + (9,) * (m - 1) if kind == "power-dust" else None
 
     if kind == "radiation":
         def rho_fn(coords):
@@ -382,7 +374,6 @@ def _build_flrw(kind: str, params: dict, seed: int):
         slice_values=slice_values,
         slice_box=tuple((-0.5, 0.5) for _ in range(m - 1)),
         frame_ready=True,
-        frame_nodes=frame_nodes,
         ray_s_max=1.5,
         closed_frame=_flrw_closed_frame(chart, sf_kind, sf_param),
     )

@@ -93,15 +93,16 @@ def _cmd_frame(args) -> int:
     if args.out is None and config.out.endswith(".json"):
         config.out = "frame_grid.csv"
     preset = build(config.preset_name, config.parameters, config.seed)
-    factor = preset.solve_frame(config.engine, config.frame_params)
+    factor = preset.solve_frame(config.engine, config.frame_params, config.tols.frame)
     factor.write_csv(config.out)
-    print(f"wrote {config.out}: {factor.grid_values.size} grid values")
+    counts = "x".join(str(len(ax)) for ax in factor.grid_axes)
+    print(f"wrote {config.out}: {counts} = {factor.grid_values.size} grid values")
     return EXIT_PASS
 
 
 def _chart_vector(geo, key, size, default):
-    """The ``[geodesic]`` vector ``key`` as ``size`` finite numbers, or
-    ``default`` when the key is not set."""
+    """The ``[geodesic]`` vector ``key`` as ``size`` finite numbers (not all
+    zero, but for ``start``), or ``default`` when the key is not set."""
     if key not in geo:
         return default
     try:
@@ -110,6 +111,8 @@ def _chart_vector(geo, key, size, default):
         raise ConfigError(f"key {key!r} must hold numbers: {exc}") from exc
     if vec.size != size or not np.all(np.isfinite(vec)):
         raise ConfigError(f"key {key!r} must hold {size} finite numbers, got {geo[key]!r}")
+    if key != "start" and not np.any(vec):
+        raise ConfigError(f"key {key!r} must not be the zero vector")
     return vec
 
 
@@ -123,6 +126,8 @@ def _cmd_geodesic(args) -> int:
     s_max = geo.get("s_max", preset.meta.ray_s_max)
     lo, hi = preset.chart.bounds(preset.chart.margin + 0.15)
     x0 = _chart_vector(geo, "start", dim, 0.5 * (lo + hi))
+    if not preset.chart.contains(x0)[0]:
+        raise ConfigError(f"key 'start' must lie in the chart box, got {geo['start']!r}")
     if geo.get("kind", "null") == "null":
         direction = _chart_vector(geo, "direction", dim - 1, np.eye(dim - 1)[0])
         k0 = null_tangent(preset.g, x0, direction)

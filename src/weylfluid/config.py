@@ -27,7 +27,7 @@ _KNOWN_KEYS = {
     },
     "samples": {"grid_per_axis", "random_points"},
     "conformal": {"weight", "seeded_factors"},
-    "frame": {"grid_nodes", "interpolation"},
+    "frame": {"grid_nodes"},
     "run": {"suites", "seed", "out", "format", "timing", "rays", "nonmetricity_pairs"},
     "geodesic": {"kind", "start", "tangent", "direction", "s_max"},
 }
@@ -81,10 +81,7 @@ class SuiteConfig:
                 "weight": "auto" if self.weight_override is None else self.weight_override,
                 "seeded_factors": self.seeded_factors,
             },
-            "frame": {
-                "grid_nodes": self.frame_params.grid_nodes,
-                "interpolation": self.frame_params.interpolation,
-            },
+            "frame": {"grid_nodes": self.frame_params.grid_nodes},
             "suites": list(self.suites),
             "seed": self.seed,
             "rays": self.rays,
@@ -191,14 +188,9 @@ def load_config(path: str = None, overrides: dict = None) -> SuiteConfig:
                 raise ConfigError("conformal weight must be 'auto' or an integer") from exc
         cfg.seeded_factors = _get_count(sec, "seeded_factors", cfg.seeded_factors)
 
-    if parser.has_section("frame"):
-        sec = parser["frame"]
-        interpolation = sec.get("interpolation", "cubic")
-        if interpolation not in ("linear", "cubic"):
-            raise ConfigError("frame interpolation must be 'linear' or 'cubic'")
-        least = FrameSolverParams(interpolation=interpolation).least_nodes
-        nodes = _get_count(sec, "grid_nodes", 0, least) if "grid_nodes" in sec else None
-        cfg.frame_params = FrameSolverParams(grid_nodes=nodes, interpolation=interpolation)
+    if parser.has_section("frame") and "grid_nodes" in parser["frame"]:
+        nodes = _get_count(parser["frame"], "grid_nodes", 0, FrameSolverParams.MIN_NODES)
+        cfg.frame_params = FrameSolverParams(nodes)
 
     if parser.has_section("run"):
         sec = parser["run"]

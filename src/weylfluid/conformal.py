@@ -20,7 +20,8 @@ divergence-free.  Its log-factor solves the transport equation
 integrated along the flow characteristics with the slice coordinate as the
 independent variable.  The solution is memoized on a tensor grid, filled
 layer by layer outward from the seed slice: each node is carried back one
-layer and reads its start value off that layer's interpolant.
+layer and reads its start value off that layer's interpolant; each axis is
+refined until the error estimate of its solved values meets the tolerance.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .interpolation import build_interpolator
+from .interpolation import build_interpolator, error_estimate
 from .connections import eps_connection
 from .conservation import SliceSpec
-from .errors import GaugeError, ReachabilityError, TransversalityError
+from .errors import GaugeError, ReachabilityError, TransversalityError, WeylFluidError
 from .fluid import FluidState, WeylBundle, flow_jet
 from .geometry import DerivativeEngine, MetricField, TensorField, scalar_field
 from .integrators import integrate_adaptive
@@ -202,24 +203,23 @@ def current_invariance_check(J: TensorField, J2: TensorField, pts) -> float:
 
 @dataclass(frozen=True)
 class FrameSolverParams:
-    """Memo-grid settings of the preferred-frame solver."""
+    """Memo-grid settings of the preferred-frame solver: ``grid_nodes`` fixes
+    the nodes of every axis; ``None`` sizes each axis by its error estimate."""
 
-    # int, per-axis tuple, or None to take the preset hint (default 17)
-    grid_nodes: object = None
-    interpolation: str = "cubic"
+    grid_nodes: int = None
+    MIN_NODES = 4  # per axis, the least that a cubic spline takes
 
     def __post_init__(self):
-        if self.grid_nodes is not None and np.min(self.grid_nodes) < self.least_nodes:
-            raise ValueError(
-                f"grid_nodes {self.grid_nodes} is below {self.least_nodes} per axis, "
-                f"the least that {self.interpolation} interpolation takes")
+        n = self.grid_nodes
+        if n is not None and not (isinstance(n, (int, np.integer)) and n >= self.MIN_NODES):
+            raise ValueError(f"grid_nodes must be an integer >= {self.MIN_NODES}, got {n!r}")
 
-    @property
-    def least_nodes(self) -> int:
-        """Memo nodes per axis the interpolant needs: a cubic spline four,
-        a linear one two."""
-        return 4 if self.interpolation == "cubic" else 2
 
+# Memo-grid sizing: 7 nodes per axis first, the fewest whose even-indexed
+# half carries a cubic; an axis whose estimate is above a tenth of the
+# tolerance (FRAME_TOL by default) is refined n -> 4n - 3 up to the ceiling.
+FRAME_TOL = 1e-4
+_MAX_NODES = 17 ** 4
 
 # Characteristic integrator controls, in units of the slice coordinate.
 # The step cap is an eighth of the slice-axis interval, and the first
@@ -314,6 +314,40 @@ class _Transport:
         y[:, k] = to
         return y[:, :m], y[:, m]
 
+    def memo_grid(self, counts):
+        """The axes of ``counts[j]`` nodes over the half-margin inset box and
+        the log factor on them, filled one slice-axis layer at a time outward
+        from the seed slice (semi-Lagrangian, Staniforth & Cote 1991): each
+        layer is carried one layer back and reads that layer's interpolant."""
+        chart, k, value = self.g.chart, self.axis, self.value
+        lo, hi = chart.bounds(chart.margin / 2.0)
+        axes = [np.linspace(lo[j], hi[j], counts[j]) for j in range(chart.dim)]
+        across = axes[:k] + axes[k + 1:]
+        shape = [len(a) for a in across]
+        plane = np.stack([a.ravel() for a in np.meshgrid(*across, indexing="ij")], axis=-1)
+        layers = np.zeros((len(axes[k]), len(plane)))
+
+        # a layer within a minimum step of the seed slice lies on it
+        offset = axes[k] - value
+        after = np.flatnonzero(offset > _MIN_STEP)
+        before = np.flatnonzero(offset < -_MIN_STEP)[::-1]
+        for side in (after, before):
+            prev = None
+            for i in side:
+                layer = np.insert(plane, k, axes[k][i], axis=1)
+                if prev is None:
+                    _, layers[i] = self.carry(layer, value)
+                else:
+                    landing, delta = self.carry(layer, axes[k][prev])
+                    inbox = chart.contains(landing, shrink=chart.margin / 2.0)
+                    interp = build_interpolator(across, layers[prev].reshape(shape))
+                    start = np.empty(len(plane))
+                    start[inbox] = interp(np.delete(landing[inbox], k, axis=1))
+                    start[~inbox] = self.solve(landing[~inbox])
+                    layers[i] = delta + start
+                prev = i
+        return axes, np.moveaxis(layers.reshape([len(axes[k])] + shape), 0, k)
+
 
 def preferred_frame(
     g: MetricField,
@@ -321,60 +355,32 @@ def preferred_frame(
     seed_slice: SliceSpec,
     engine: DerivativeEngine,
     params: FrameSolverParams = None,
+    tol: float = FRAME_TOL,
 ) -> FrameFactor:
     """Solve for the gauge factor making the flow divergence-free.
 
-    ``ln Phi`` vanishes on the seed slice.  It is memoized on a tensor grid
-    spanning the half-margin inset of the chart box (node counts may differ
-    per axis), filled one layer of the slice axis at a time, outward from
-    the seed slice on each side (a semi-Lagrangian sweep, Staniforth & Cote
-    1991).  The layer nearest the slice carries its characteristics
-    straight to it; every later layer carries them one layer back and adds
-    the previous layer's interpolant at the landing point, or, where the
-    landing leaves the memo box, the direct solve from it.  An interpolating
-    tensor spline over the grid gives cheap finite-difference derivatives;
-    direct integration to the seed slice stays available for spot checks
-    via the returned factor's ``solve_at``.
+    ``ln Phi`` vanishes on the seed slice and is memoized on a tensor grid
+    behind a cubic spline; ``solve_at`` integrates to the slice directly.
+    ``params.grid_nodes`` fixes the nodes per axis; else each axis whose
+    error estimate is above a tenth of ``tol`` is refined and the grid
+    solved again, and a grid past the ceiling raises before it is solved.
     """
     params = params or FrameSolverParams()
-    chart = g.chart
-    k, value = seed_slice.axis, seed_slice.value
-    transport = _Transport(g, n, engine, k, value)
-
-    nodes_spec = 17 if params.grid_nodes is None else params.grid_nodes
-    if np.isscalar(nodes_spec):
-        nodes_spec = (int(nodes_spec),) * chart.dim
-    lo, hi = chart.bounds(chart.margin / 2.0)
-    axes = [np.linspace(lo[j], hi[j], nodes_spec[j]) for j in range(chart.dim)]
-    across = axes[:k] + axes[k + 1:]
-    shape = [len(a) for a in across]
-    plane = np.stack([a.ravel() for a in np.meshgrid(*across, indexing="ij")], axis=-1)
-    layers = np.zeros((len(axes[k]), len(plane)))
-
-    # a layer within a minimum step of the seed slice lies on it
-    offset = axes[k] - value
-    after = np.flatnonzero(offset > _MIN_STEP)
-    before = np.flatnonzero(offset < -_MIN_STEP)[::-1]
-    for side in (after, before):
-        prev = None
-        for i in side:
-            layer = np.insert(plane, k, axes[k][i], axis=1)
-            if prev is None:
-                _, layers[i] = transport.carry(layer, value)
-            else:
-                landing, delta = transport.carry(layer, axes[k][prev])
-                inbox = chart.contains(landing, shrink=chart.margin / 2.0)
-                interp = build_interpolator(
-                    across, layers[prev].reshape(shape), params.interpolation)
-                start = np.empty(len(plane))
-                start[inbox] = interp(np.delete(landing[inbox], k, axis=1))
-                start[~inbox] = transport.solve(landing[~inbox])
-                layers[i] = delta + start
-            prev = i
-    values = np.moveaxis(layers.reshape([len(axes[k])] + shape), 0, k)
-    interp = build_interpolator(axes, values, params.interpolation)
-
-    ln = scalar_field(chart, eval_fn=lambda pts: interp(pts), name="ln(frame-factor)")
+    transport = _Transport(g, n, engine, seed_slice.axis, seed_slice.value)
+    counts = [params.grid_nodes or 7] * g.chart.dim
+    axes, values = transport.memo_grid(counts)
+    while params.grid_nodes is None:
+        estimate = error_estimate(axes, values)
+        coarse = np.flatnonzero(estimate > 0.1 * tol)
+        if not coarse.size:
+            break
+        counts = [4 * c - 3 if j in coarse else c for j, c in enumerate(counts)]
+        if np.prod(counts) > _MAX_NODES:
+            raise WeylFluidError("frame memo grid past the ceiling of {} nodes: {}".format(
+                _MAX_NODES, ", ".join(f"axis {g.chart.names[j]!r} at {len(axes[j])} nodes "
+                                      f"estimates {estimate[j]:.3g}" for j in coarse)))
+        axes, values = transport.memo_grid(counts)
+    ln = scalar_field(g.chart, eval_fn=build_interpolator(axes, values), name="ln(frame-factor)")
     return FrameFactor(ln, axes, values, transport.solve)
 
 

@@ -23,6 +23,7 @@ from .catalog import (
     comoving_flow,
 )
 from .conformal import (
+    FRAME_TOL,
     ConformalFactor,
     ConformalWeights,
     FrameSolverParams,
@@ -71,7 +72,7 @@ class Tolerances:
     tol_fd: float = 1e-5
     inverse: float = 1e-12
     identity: float = 1e-8
-    frame: float = 1e-4
+    frame: float = FRAME_TOL
     frame_closed: float = 1e-6
     quadrature_rel: float = 1e-6
     trajectory: float = 1e-6
@@ -406,7 +407,7 @@ def frame_suite(ctx: SuiteContext):
     chart = g.chart
     checks = []
 
-    factor = ctx.preset.solve_frame(engine, ctx.frame_params)
+    factor = ctx.preset.solve_frame(engine, ctx.frame_params, tols.frame)
 
     checks.append(ctx.record(
         "frame-transport", "solved factor satisfies the transport equation",

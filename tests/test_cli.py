@@ -70,7 +70,7 @@ OUT_OF_RANGE = [
     ("conformal", "seeded_factors", ["0"]),
     ("samples", "grid_per_axis", ["0"]),
     ("samples", "random_points", ["0"]),
-    ("frame", "grid_nodes", ["3", "0"]),  # cubic interpolation by default
+    ("frame", "grid_nodes", ["3", "0"]),
     ("engine", "h", ["nan", "inf", "0", "-1e-4"]),
     ("engine", "mode", ["bogus"]),
     ("engine", "richardson", ["2"]),
@@ -98,9 +98,11 @@ BAD_PARAMETERS = [
 BAD_GEODESIC = [
     ("kind", ["kind = spacelike"]),
     ("s_max", ["s_max = abc", "s_max = 0", "s_max = inf"]),
-    ("start", ["start = 0 0", "start = 0 0 0 x", "start = 0 0 0 nan"]),
-    ("tangent", ["kind = autoparallel\ntangent = 1 0", "tangent = 1 0 0 0"]),
-    ("direction", ["direction = 1 0 0 0", "kind = autoparallel\ndirection = 1 0 0"]),
+    ("start", ["start = 0 0", "start = 0 0 0 x", "start = 0 0 0 nan", "start = 5 0 0 0"]),
+    ("tangent", ["kind = autoparallel\ntangent = 1 0", "tangent = 1 0 0 0",
+                 "kind = autoparallel\ntangent = 0 0 0 0"]),
+    ("direction", ["direction = 1 0 0 0", "kind = autoparallel\ndirection = 1 0 0",
+                   "direction = 0 0 0"]),
 ]
 
 
@@ -176,7 +178,7 @@ class TestConfig:
             assert cli.main(["geodesic", "--config", path, "--out", out]) == 2, line
             assert f"key '{key}'" in capsys.readouterr().err
 
-    def test_range_edges_accepted(self, tmp_path):
+    def test_range_edges_accepted(self, tmp_path, capsys):
         text = ("[run]\nrays = 1\nnonmetricity_pairs = 1\n"
                 "[samples]\ngrid_per_axis = 1\nrandom_points = 1\n"
                 "[conformal]\nseeded_factors = 1\n"
@@ -186,10 +188,10 @@ class TestConfig:
         cfg = load_config(_write(tmp_path, "edge.cfg", text))
         assert (cfg.rays, cfg.seeded_factors, cfg.frame_params.grid_nodes) == (1, 1, 4)
         assert cfg.engine.h == 1e-300 and cfg.tols.identity == 0.0
-        linear = "[frame]\ninterpolation = linear\ngrid_nodes = 2\n"
-        assert load_config(_write(tmp_path, "lin.cfg", linear)).frame_params.grid_nodes == 2
-        with pytest.raises(ConfigError, match="key 'grid_nodes'"):
-            load_config(_write(tmp_path, "lin.cfg", linear.replace("= 2", "= 1")))
+        # [frame] takes grid_nodes alone
+        path = _write(tmp_path, "lin.cfg", "[frame]\ninterpolation = linear\ngrid_nodes = 4\n")
+        assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "r.json")]) == 2
+        assert "unknown key 'interpolation' in section [frame]" in capsys.readouterr().err
         # the eps bound is the perturbed metric's; on the sheared flow eps is the shear
         for fluid, eps in (("perturbed", "0.01"), ("perturbed", "-0.01"), ("sheared", "0.5")):
             text = f"[spacetime]\npreset = minkowski\neps = {eps}\n[fluid]\npreset = {fluid}\n"
@@ -348,6 +350,7 @@ class TestOtherCommands:
         out = str(tmp_path / "grid.csv")
         proc = _cli(["frame", "--config", path, "--out", out], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
+        assert "5x5x5x5 = 625 grid values" in proc.stdout
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert data.shape == (5**4, 5)
         assert np.abs(data[:, 4]).max() < 1e-12  # already incompressible

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from weylfluid import conformal
 from weylfluid.catalog import build, seeded_positive_factor
 from weylfluid.config import SuiteConfig
 from weylfluid.conformal import (
@@ -18,14 +19,29 @@ from weylfluid.conformal import (
     transport_residual,
 )
 from weylfluid.conservation import SliceSpec, condition_scalars, number_on_slice, particle_current
-from weylfluid.errors import GaugeError, ReachabilityError
+from weylfluid.errors import GaugeError, ReachabilityError, WeylFluidError
 from weylfluid.fluid import fluid_connection, fluid_covector, geodesic_defect, stress_energy
 from weylfluid.geometry import DerivativeEngine, constant_scalar, scalar_field
 from weylfluid.harness import run_suite
+from weylfluid.interpolation import error_estimate
 from weylfluid.suites import Tolerances
 
 ENG = DerivativeEngine()
 FAST_FRAME = FrameSolverParams(grid_nodes=9)
+
+
+def _count_transport_points(monkeypatch):
+    """The list that each call of the frame transport's right-hand side
+    appends its point count to."""
+    counted = []
+    flow_and_source = _Transport._flow_and_source
+
+    def counting(transport, q):
+        counted.append(len(q))
+        return flow_and_source(transport, q)
+
+    monkeypatch.setattr(_Transport, "_flow_and_source", counting)
+    return counted
 
 
 def _setup(name, **params):
@@ -242,14 +258,7 @@ class TestPreferredFrame:
         # one layer per carry: about one embedded step (6 stages) per node
         preset, bundle, pts = _setup(name)
         spec = SliceSpec(0, preset.meta.slice_values[0], preset.meta.slice_box)
-        counted = []
-        flow_and_source = _Transport._flow_and_source
-
-        def counting(transport, q):
-            counted.append(len(q))
-            return flow_and_source(transport, q)
-
-        monkeypatch.setattr(_Transport, "_flow_and_source", counting)
+        counted = _count_transport_points(monkeypatch)
         fac = preferred_frame(preset.g, preset.state.n, spec, ENG, FAST_FRAME)
         assert sum(counted) <= 8 * fac.grid_values.size
 
@@ -273,23 +282,43 @@ class TestPreferredFrame:
             transport._flow_and_source(pts)
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("nodes, interpolation",
-                             [(3, "cubic"), ((4, 3, 4, 4), "cubic"), (1, "linear")])
-    def test_too_few_nodes_rejected_before_transport(self, nodes, interpolation, monkeypatch):
+    # fewer nodes than a cubic takes, and counts that are not one integer
+    @pytest.mark.parametrize("nodes", [3, (7, 7, 7, 7), 7.0], ids=["3", "tuple", "float"])
+    def test_too_few_nodes_rejected_before_transport(self, nodes, monkeypatch):
         preset, bundle, pts = _setup("minkowski-sheared")
         spec = SliceSpec(0, 0.0, ((-0.5, 0.5),) * 3)
-        counted = []
-        flow_and_source = _Transport._flow_and_source
-
-        def counting(transport, q):
-            counted.append(len(q))
-            return flow_and_source(transport, q)
-
-        monkeypatch.setattr(_Transport, "_flow_and_source", counting)
+        counted = _count_transport_points(monkeypatch)
         with pytest.raises(ValueError, match="grid_nodes"):
-            preferred_frame(preset.g, preset.state.n, spec, ENG,
-                            FrameSolverParams(grid_nodes=nodes, interpolation=interpolation))
+            preferred_frame(preset.g, preset.state.n, spec, ENG, FrameSolverParams(grid_nodes=nodes))
         assert not counted
+
+    def test_estimation_adds_no_transport(self, monkeypatch):
+        # the estimate reads the solved memo values only: on a preset whose
+        # 7-node grid meets the target, the sized grid costs what the fixed
+        # 7-node grid does
+        preset = build("minkowski-sheared")
+        counted = _count_transport_points(monkeypatch)
+        fac = preset.solve_frame(ENG)
+        assert [len(ax) for ax in fac.grid_axes] == [7] * 4
+        assert error_estimate(fac.grid_axes, fac.grid_values).max() <= 0.1 * Tolerances().frame
+        sized = sum(counted)
+        counted.clear()
+        preset.solve_frame(ENG, FrameSolverParams(grid_nodes=7))
+        assert sized == sum(counted)
+
+    def test_refinement_past_the_ceiling_is_refused(self, monkeypatch):
+        # the power-law time axis needs 25 nodes after the 7-node grid; with
+        # the ceiling below 25 x 7^3 nodes that grid is never transported
+        preset = build("flrw-power-dust")
+        counted = _count_transport_points(monkeypatch)
+        fixed = preset.solve_frame(ENG, FrameSolverParams(grid_nodes=7))
+        estimate = error_estimate(fixed.grid_axes, fixed.grid_values)
+        first = sum(counted)
+        monkeypatch.setattr(conformal, "_MAX_NODES", 25 * 7**3 - 1)
+        with pytest.raises(WeylFluidError, match="ceiling") as err:
+            preset.solve_frame(ENG)
+        assert f"axis 't' at 7 nodes estimates {estimate[0]:.3g}" in str(err.value)
+        assert sum(counted) == 2 * first
 
     def test_csv_layout(self, tmp_path):
         # a header of the coordinate names and ln_factor, then one row per

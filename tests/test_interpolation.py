@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from weylfluid.interpolation import TensorSpline
+from weylfluid.catalog import build
+from weylfluid.interpolation import TensorSpline, error_estimate
 
 AXES = [np.array([-1.0, -0.7, -0.1, 0.3, 0.8, 1.0]),
         np.linspace(0.0, 2.0, 5),
@@ -33,3 +34,32 @@ class TestTensorSpline:
         # inside the grid, and up to 5 % of each axis beyond it
         pts = lo + (hi - lo) * rng.uniform(-0.05, 1.05, size=(200, 3))
         assert np.abs(spline(pts) - _cubic(pts)).max() < 1e-13
+
+
+class TestErrorOrder:
+    def test_order_and_estimate(self):
+        # the spline through the power-law cosmology's closed-form log
+        # factor, q (ln t0 - ln t), along the time axis of the half-margin
+        # memo box, against the exact values at the midpoints between nodes
+        preset = build("flrw-power-dust")
+        chart, meta = preset.chart, preset.meta
+        closed = meta.closed_frame(meta.slice_values[0])
+        lo, hi = chart.bounds(chart.margin / 2.0)
+
+        def exact(t):
+            pts = np.tile(0.5 * (lo + hi), (len(t), 1))
+            pts[:, 0] = t
+            return closed.ln(pts)
+
+        actual, estimate = {}, {}
+        for n in (25, 49, 97):
+            t = np.linspace(lo[0], hi[0], n)
+            mid = 0.5 * (t[1:] + t[:-1])
+            actual[n] = np.abs(TensorSpline([t], exact(t))(mid[:, None]) - exact(mid)).max()
+            estimate[n] = error_estimate([t], exact(t))[0]
+        # halving the spacing from 49 to 97 nodes: an order approaching 4
+        assert np.log2(actual[49] / actual[97]) >= 3.5
+        for n in actual:
+            # the estimate is the error at twice the spacing: above the
+            # actual error, and at order 4 about 16 times it
+            assert actual[n] <= estimate[n] <= 32.0 * actual[n], n
