@@ -168,7 +168,7 @@ def conformal_rescale(
     A = bundle.A
 
     def a2_eval(pts):
-        return A(pts) + engine.jacobian(ln_f, pts)
+        return _shifted_covector(A(pts), ln_f, engine, pts)
 
     A2 = TensorField(bundle.g.chart, ("d",), eval_fn=a2_eval, name=f"{A.name}~")
 
@@ -181,6 +181,13 @@ def conformal_rescale(
     bundle2 = WeylBundle(g=g2, A=A2, gamma=eps_connection(g2, A2, engine))
     state2 = FluidState(n=n2, p=p2, rho=rho2, phi=phi2)
     return bundle2, state2
+
+
+def _shifted_covector(a: np.ndarray, ln: TensorField, engine: DerivativeEngine, pts) -> np.ndarray:
+    """The rescaled covector ``A + d ln Phi`` on ``pts`` from the values
+    ``a`` of ``A`` there; the one home of that shift, so a caller that
+    holds ``A``'s values gets the rescaled bundle's covector bit for bit."""
+    return a + engine.jacobian(ln, pts)
 
 
 def rescaled_stress_energy_check(

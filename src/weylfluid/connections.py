@@ -42,8 +42,12 @@ class ConnectionField:
         return require_finite(np.asarray(self.eval_fn(pts), dtype=float), f"connection {self.name}")
 
     def torsion(self, pts) -> np.ndarray:
-        gam = self(pts)
-        return gam - np.swapaxes(gam, -1, -2)
+        return _torsion(self(pts))
+
+
+def _torsion(gam: np.ndarray) -> np.ndarray:
+    """``Gamma^a_bc - Gamma^a_cb`` from coefficients already evaluated."""
+    return gam - np.swapaxes(gam, -1, -2)
 
 
 def eps_shift(ginv: np.ndarray, gval: np.ndarray, aval: np.ndarray) -> np.ndarray:

@@ -86,7 +86,7 @@ def _conditions(jet: FlowJet, p: TensorField, rho: TensorField, engine: Derivati
     from the flow jet of the bundle."""
     div_gamma = np.einsum("naa->n", jet.dn) + np.einsum("nvlv,nl->n", jet.Gamma, jet.n)
     drho = engine.jacobian(rho, pts)
-    pv, rv, fv = p(pts), rho(pts), jet.phi(pts)
+    pv, rv, fv = p(pts), rho(pts), jet.phival
     c1 = (pv + rv) * div_gamma - (pv - rv) * fv + np.einsum("na,na->n", jet.n, drho)
     acc_up = np.einsum("nc,nac->na", jet.n, jet.dn) + gamma_vv(jet.data.gamma, jet.n)
     proj = jet.data.inv + np.einsum("na,nb->nab", jet.n, jet.n)
@@ -138,7 +138,13 @@ def decomposition_residuals(
     ``_signs.py``.  Returns ``(flow_residual (N,), ortho_residual (N, m))``.
     """
     pts = g.chart.as_points(pts)
-    jet = flow_jet(g, n, engine, pts, phi)
+    return _decomposition_residuals(flow_jet(g, n, engine, pts, phi), g, n, p, rho, engine)
+
+
+def _decomposition_residuals(jet: FlowJet, g, n, p, rho, engine: DerivativeEngine):
+    """:func:`decomposition_residuals` on the point batch of the flow jet of
+    ``(g, n, phi)``."""
+    pts = jet.pts
     div = _divergence_T(raise_indices2(g, stress_energy(g, n, p, rho)), jet.Gamma, engine, pts)
     c1, c2 = _conditions(jet, p, rho, engine, pts)
     flow_div = np.einsum("na,na->n", jet.n_low, div)
@@ -281,12 +287,12 @@ def condition_scalars(
 def _condition_scalars(jet: FlowJet, g, n, p, rho) -> ConditionScalars:
     """:func:`condition_scalars` on the point batch of the flow jet of
     ``(g, n, phi)``."""
-    pts, phi = jet.pts, jet.phi
+    pts = jet.pts
     t_up = raise_indices2(g, stress_energy(g, n, p, rho))
     m = g.chart.dim
     s1, s2 = _contractions(jet, t_up(pts))
-    closed = p(pts) * jet.div + (rho(pts) + (m - 1) * p(pts)) * phi(pts)
-    out = ConditionScalars(s1, s2, s1 - closed, s2 - rho(pts) * phi(pts))
+    closed = p(pts) * jet.div + (rho(pts) + (m - 1) * p(pts)) * jet.phival
+    out = ConditionScalars(s1, s2, s1 - closed, s2 - rho(pts) * jet.phival)
     for name, val in (("s1", out.s1), ("s2", out.s2), ("s1-closed-form-residual", out.s1_residual),
                       ("s2-closed-form-residual", out.s2_residual)):
         require_finite(val, f"field {name}")
@@ -303,16 +309,30 @@ def current_identity_residual(
     A central-difference engine takes one Richardson level here: the
     identity compares two derivative paths, and their O(h^2) truncation
     errors differ by more than the identity tolerance."""
-    if engine.mode == "central-difference":
-        engine = replace(engine, richardson=1)
-    div_j = current_divergence(particle_current(g, T, n), engine)
-    t_up = raise_indices2(g, T)
-    m = g.chart.dim
+    engine = _identity_engine(engine)
 
     def eval_fn(pts):
-        jet = flow_jet(g, n, engine, pts, phi)
-        s1, s2 = _contractions(jet, t_up(pts))
-        div_t = np.einsum("nv,nv->n", _divergence_T(t_up, jet.Gamma, engine, pts), jet.n_low)
-        return div_j(pts) - jet.data.sqrt_det * (div_t + s1 + m * s2)
+        return _current_identity(flow_jet(g, n, engine, pts, phi), g, T, n, engine)
 
     return scalar_field(g.chart, eval_fn=eval_fn, name="current-identity-residual")
+
+
+def _identity_engine(engine: DerivativeEngine) -> DerivativeEngine:
+    """The engine that :func:`current_identity_residual` takes for
+    ``engine``."""
+    if engine.mode == "central-difference":
+        return replace(engine, richardson=1)
+    return engine
+
+
+def _current_identity(jet: FlowJet, g, T, n, engine: DerivativeEngine) -> np.ndarray:
+    """:func:`current_identity_residual` on the point batch of the flow jet
+    of ``(g, n, phi)``; ``engine`` is the identity's own
+    (:func:`_identity_engine`), and the jet is taken by it."""
+    pts = jet.pts
+    t_up = raise_indices2(g, T)
+    s1, s2 = _contractions(jet, t_up(pts))
+    div_t = np.einsum("nv,nv->n", _divergence_T(t_up, jet.Gamma, engine, pts), jet.n_low)
+    div_j = current_divergence(particle_current(g, T, n), engine)(pts)
+    residual = div_j - jet.data.sqrt_det * (div_t + s1 + g.chart.dim * s2)
+    return require_finite(residual, "field current-identity-residual")

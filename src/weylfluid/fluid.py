@@ -17,7 +17,7 @@ acceleration.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -78,11 +78,16 @@ class WeylBundle:
 class FlowJet:
     """The metric data and the first jet of the flow on one point batch:
     ``n^a``, ``d_c n^a`` (derivative index last) and the metric divergence
-    ``nabla^g_a n^a``, with ``n_a`` and ``d_c n_b`` formed on first read.
-    Given the reparametrization scalar ``phi``, the jet also carries the
-    flow-built covector ``A`` and its connection ``Gamma``, each formed on
-    first read; every residual defined for the bundle of ``(g, n, phi)``
-    reads them from here."""
+    ``nabla^g_a n^a``, with ``n_a``, ``d_c n_b`` and the lowered
+    acceleration ``n^c nabla^g_c n_b`` formed on first read.
+
+    Given the reparametrization scalar ``phi``, the jet also carries its
+    values, the flow-built covector ``A`` and its connection ``Gamma``, each
+    formed on first read; every residual defined for the bundle of ``(g, n,
+    phi)`` reads them from here.  :meth:`with_phi` gives the jet of another
+    scalar for the same flow, so a family of scalars shares the metric data,
+    the flow's jet and its acceleration, and only ``A`` and ``Gamma`` are
+    formed once per scalar."""
 
     data: MetricData
     n: np.ndarray
@@ -104,16 +109,35 @@ class FlowJet:
         return (self.n[:, None, :] @ dg).reshape(b, m, m) + self.data.val @ self.dn
 
     @cached_property
+    def acc_low(self) -> np.ndarray:
+        """``n^c nabla^g_c n_b``, which does not depend on ``phi``."""
+        cov = self.dn_low - gamma_w(self.data.gamma, self.n_low)
+        return np.einsum("nc,nbc->nb", self.n, cov)
+
+    @cached_property
+    def phival(self) -> np.ndarray:
+        """``phi`` on the batch."""
+        return self.phi(self.pts)
+
+    @cached_property
     def A(self) -> np.ndarray:
         """``A_b = n^c nabla^g_c n_b + phi n_b``."""
-        cov = self.dn_low - gamma_w(self.data.gamma, self.n_low)
-        A = np.einsum("nc,nbc->nb", self.n, cov) + self.phi(self.pts)[:, None] * self.n_low
+        A = self.acc_low + self.phival[:, None] * self.n_low
         return require_finite(A, "field A(fluid)")
 
     @cached_property
     def Gamma(self) -> np.ndarray:
         """``Gamma^a_bc``, the Weyl-compatible connection of ``(g, A)``."""
         return require_finite(_weyl_gamma(self.data, self.A), "connection eps(A(fluid))")
+
+    def with_phi(self, phi: TensorField) -> "FlowJet":
+        """The jet of the same flow for the scalar ``phi``, sharing every
+        quantity that does not depend on it."""
+        if phi is self.phi:
+            return self
+        out = replace(self, phi=phi)
+        out.__dict__.update(n_low=self.n_low, dn_low=self.dn_low, acc_low=self.acc_low)
+        return out
 
 
 def flow_jet(g: MetricField, n: TensorField, engine: DerivativeEngine, pts, phi=None,

@@ -9,6 +9,7 @@ exercises, so reports are self-documenting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,24 +28,33 @@ from .conformal import (
     ConformalFactor,
     ConformalWeights,
     FrameSolverParams,
+    _shifted_covector,
     conformal_rescale,
     current_invariance_check,
     incompressibility_residual,
     rescaled_stress_energy_check,
     transport_residual,
 )
-from .connections import _nonmetricity, _weyl_gamma, eps_connection, eps_shift, levi_civita
+from .connections import (
+    _nonmetricity,
+    _torsion,
+    _weyl_gamma,
+    eps_connection,
+    eps_shift,
+    levi_civita,
+)
 from .conservation import (
     _condition_scalars,
-    condition_scalars,
+    _current_identity,
+    _decomposition_residuals,
+    _identity_engine,
     current_divergence,
-    current_identity_residual,
-    decomposition_residuals,
     number_on_slice,
     particle_current,
 )
 from .errors import WeylFluidError
 from .fluid import (
+    FlowJet,
     WeylBundle,
     _defect,
     flow_jet,
@@ -98,7 +108,16 @@ class CheckRecord:
 @dataclass
 class SuiteContext:
     """Everything a suite needs: the built preset, derivative engine,
-    shared sample batch, thresholds and seeds."""
+    shared sample batch, thresholds and seeds.
+
+    The context also forms, on first read, the geometry that every
+    pointwise check reads on the sample batch: ``data``, the metric data
+    of the preset's metric with derivatives, and ``jet``, the preset
+    flow's jet on that data with ``A`` and ``Gamma`` of the preset's
+    scalar (:func:`flow_jet`).  Each is formed once per context and read
+    by the connection, fluid, conservation and conformal suites, and a run
+    of suites that reads neither (frame, worldlines) pays nothing for them.
+    """
 
     preset: CatalogBundle
     engine: DerivativeEngine
@@ -111,15 +130,22 @@ class SuiteContext:
     nonmetricity_pairs: int = 20
     seeded_factors: int = 10
 
-    def __post_init__(self):
-        self._bundle = None
-
-    @property
+    @cached_property
     def bundle(self) -> WeylBundle:
-        if self._bundle is None:
-            st = self.preset.state
-            self._bundle = fluid_connection(self.preset.g, st.n, st.phi, self.engine)
-        return self._bundle
+        st = self.preset.state
+        return fluid_connection(self.preset.g, st.n, st.phi, self.engine)
+
+    @cached_property
+    def data(self):
+        """The metric data of the preset's metric on the sample, with
+        derivatives."""
+        return metric_aux(self.preset.g, self.pts, self.engine)
+
+    @cached_property
+    def jet(self) -> FlowJet:
+        """The flow jet of the preset's ``(g, n, phi)`` on the sample."""
+        st = self.preset.state
+        return flow_jet(self.preset.g, st.n, self.engine, self.pts, st.phi, data=self.data)
 
     def record(self, name, anchor, residual, tol) -> CheckRecord:
         residual = float(residual)
@@ -138,10 +164,10 @@ def connection_suite(ctx: SuiteContext):
     chart = g.chart
     checks = []
 
-    graw = g(pts)
+    data = ctx.data
     checks.append(ctx.record(
         "metric-symmetry", "metric components are symmetric",
-        _maxabs(graw - np.swapaxes(graw, 1, 2)), 0.0))
+        _maxabs(data.val - np.swapaxes(data.val, 1, 2)), 0.0))
 
     try:
         g.check_signature(pts)
@@ -151,16 +177,15 @@ def connection_suite(ctx: SuiteContext):
     checks.append(ctx.record(
         "metric-signature", "one negative and m-1 positive metric eigenvalues", sig, 0.5))
 
-    data = metric_aux(g, pts)
     eye = np.eye(chart.dim)
     checks.append(ctx.record(
         "metric-inverse", "g times its inverse is the identity",
         _maxabs(np.einsum("nab,nbc->nac", data.inv, data.val) - eye), tols.inverse))
 
-    bundle = ctx.bundle
+    jet = ctx.jet
     checks.append(ctx.record(
         "torsion-free", "connection coefficients are symmetric in the lower pair",
-        _maxabs(bundle.gamma.torsion(pts)), 0.0))
+        _maxabs(_torsion(jet.Gamma)), 0.0))
 
     zero_cov = polynomial_covector(chart, np.random.default_rng(0), 0.0)
     lc = levi_civita(g, engine)
@@ -168,8 +193,6 @@ def connection_suite(ctx: SuiteContext):
         "zero-covector-reduction", "vanishing covector reproduces the metric connection",
         _maxabs(eps_connection(g, zero_cov, engine)(pts) - lc(pts)), 0.0))
 
-    st = ctx.preset.state
-    jet = flow_jet(g, st.n, engine, pts, st.phi)
     metric_res, trace_res = _nonmetricity(jet.data, jet.Gamma, jet.A)
     checks.append(ctx.record(
         "nonmetricity", "covariant metric derivative equals twice covector times metric",
@@ -219,13 +242,13 @@ def _fluid_family(ctx: SuiteContext):
     return flows, phis
 
 
-def _geodesy(g, n, phi, engine, pts):
+def _geodesy(jet: FlowJet, nval, phival):
     """The geodesic defect and ``n^a A_a + phi`` of the bundle built from
-    ``(g, n, phi)``, read from one flow jet."""
-    jet = flow_jet(g, n, engine, pts, phi)
-    phival = phi(pts)
+    the flow jet's ``(g, n, phi)``.  The values ``nval`` of the flow and
+    ``phival`` of the scalar are evaluated apart from the jet, so the checks
+    also catch a jet formed for another flow or scalar."""
     defect = require_finite(_defect(jet.n, jet.dn, jet.Gamma, phival), "field geodesic-defect")
-    return defect, np.einsum("na,na->n", jet.A, n(pts)) + phival
+    return defect, np.einsum("na,na->n", jet.A, nval) + phival
 
 
 def fluid_suite(ctx: SuiteContext):
@@ -233,7 +256,8 @@ def fluid_suite(ctx: SuiteContext):
     st = ctx.preset.state
     checks = []
 
-    defect, contraction = _geodesy(g, st.n, st.phi, engine, pts)
+    nv = st.n(pts)
+    defect, contraction = _geodesy(ctx.jet, nv, st.phi(pts))
     checks.append(ctx.record(
         "geodesic-defect", "flow transport is proportional to the flow",
         _maxabs(defect), tols.derivative(engine)))
@@ -247,18 +271,20 @@ def fluid_suite(ctx: SuiteContext):
         "stress-energy-symmetry", "stress-energy is symmetric",
         _maxabs(tval - np.swapaxes(tval, 1, 2)), 0.0))
 
-    data = metric_aux(g, pts)
-    nv = st.n(pts)
-    tn = np.einsum("nma,nab,nb->nm", data.inv, tval, nv)
+    tn = np.einsum("nma,nab,nb->nm", ctx.data.inv, tval, nv)
     checks.append(ctx.record(
         "flow-eigenvector", "the flow is a stress-energy eigenvector with eigenvalue -rho",
         _maxabs(tn + st.rho(pts)[:, None] * nv), tols.inverse))
 
+    # one flow jet per flow, on the sample's metric data, serves every scalar
     flows, phis = _fluid_family(ctx)
+    phivals = [phi(pts) for phi in phis]
     worst = 0.0
     for flow in flows:
-        for phi in phis:
-            defect, contraction = _geodesy(g, flow, phi, engine, pts)
+        jet = ctx.jet if flow is st.n else flow_jet(g, flow, engine, pts, data=ctx.data)
+        nval = flow(pts)
+        for phi, phival in zip(phis, phivals):
+            defect, contraction = _geodesy(jet.with_phi(phi), nval, phival)
             worst = max(worst, _maxabs(defect), _maxabs(contraction))
     checks.append(ctx.record(
         "geodesic-defect-family", "geodesy across the preset flow/scalar family",
@@ -275,7 +301,8 @@ def conservation_suite(ctx: SuiteContext):
     meta = ctx.preset.meta
     checks = []
 
-    flow_res, ortho_res = decomposition_residuals(g, st.n, st.p, st.rho, st.phi, engine, pts)
+    jet = ctx.jet
+    flow_res, ortho_res = _decomposition_residuals(jet, g, st.n, st.p, st.rho, engine)
     checks.append(ctx.record(
         "divergence-decomposition-flow",
         "flow projection of the stress-energy divergence matches the first condition",
@@ -287,19 +314,21 @@ def conservation_suite(ctx: SuiteContext):
 
     T = stress_energy(g, st.n, st.p, st.rho)
     J = particle_current(g, T, st.n)
-    data = metric_aux(g, pts)
-    expected = -data.sqrt_det[:, None] * st.rho(pts)[:, None] * st.n(pts)
+    expected = -jet.data.sqrt_det[:, None] * st.rho(pts)[:, None] * st.n(pts)
     checks.append(ctx.record(
         "current-perfect-fluid-form", "current equals minus density times weighted flow",
         _maxabs(J(pts) - expected), tols.derivative(engine)))
 
+    # the identity takes its own engine under central differences, and with
+    # it its own flow jet
+    id_engine = _identity_engine(engine)
+    id_jet = jet if id_engine == engine else flow_jet(g, st.n, id_engine, pts, st.phi)
     checks.append(ctx.record(
         "current-divergence-identity",
         "coordinate current divergence equals its connection decomposition",
-        _maxabs(current_identity_residual(g, T, st.n, st.phi, engine)(pts)),
-        tols.identity))
+        _maxabs(_current_identity(id_jet, g, T, st.n, id_engine)), tols.identity))
 
-    cs = condition_scalars(g, st.n, st.p, st.rho, st.phi, engine, pts)
+    cs = _condition_scalars(jet, g, st.n, st.p, st.rho)
     checks.append(ctx.record(
         "condition-scalar-transport", "contracted flow-transport scalar matches closed form",
         _maxabs(cs.s1_residual), tols.derivative(engine)))
@@ -323,6 +352,19 @@ def conservation_suite(ctx: SuiteContext):
 # -- conformal suite ----------------------------------------------------------
 
 
+def _rescaled_covector(ctx: SuiteContext, b2: WeylBundle, a: np.ndarray, factor) -> np.ndarray:
+    """``b2.A`` on the sample, for the bundle ``b2`` rescaled by ``factor``
+    from one whose covector takes the values ``a`` there."""
+    a2 = _shifted_covector(a, factor.ln, ctx.engine, ctx.pts)
+    return require_finite(a2, f"field {b2.A.name}")
+
+
+def _rescaled_gamma(ctx: SuiteContext, b2: WeylBundle, a2: np.ndarray) -> np.ndarray:
+    """``b2.gamma`` on the sample from the values ``a2`` of ``b2.A`` there."""
+    data = metric_aux(b2.g, ctx.pts, ctx.engine)
+    return require_finite(_weyl_gamma(data, a2), f"connection {b2.gamma.name}")
+
+
 def conformal_suite(ctx: SuiteContext):
     g, engine, pts, tols = ctx.preset.g, ctx.engine, ctx.pts, ctx.tols
     st = ctx.preset.state
@@ -334,12 +376,15 @@ def conformal_suite(ctx: SuiteContext):
         weights = ConformalWeights(m, w=ctx.weight_override)
     checks = []
 
-    gamma_ref = bundle.gamma(pts)
+    # the rescaled covectors on the sample are shifted from the shared A
+    jet = ctx.jet
+    gamma_ref = jet.Gamma
     worst_orbit = 0.0
     for k in range(ctx.seeded_factors):
         fac = seeded_positive_factor(chart, ctx.seed * 100 + k)
         b2, _ = conformal_rescale(bundle, st, fac, engine, check_pts=pts)
-        worst_orbit = max(worst_orbit, _maxabs(b2.gamma(pts) - gamma_ref))
+        gamma2 = _rescaled_gamma(ctx, b2, _rescaled_covector(ctx, b2, jet.A, fac))
+        worst_orbit = max(worst_orbit, _maxabs(gamma2 - gamma_ref))
     checks.append(ctx.record(
         "connection-orbit-invariance", "the connection is unchanged along the gauge orbit",
         worst_orbit, tols.derivative(engine)))
@@ -351,10 +396,11 @@ def conformal_suite(ctx: SuiteContext):
     prod = ConformalFactor.from_log(
         scalar_field(chart, lambda c: f1.ln.fn(c) + f2.ln.fn(c), reads=(f1.ln, f2.ln)))
     b_p, s_p = conformal_rescale(bundle, st, prod, engine)
+    a_ii = _rescaled_covector(ctx, b_ii, _rescaled_covector(ctx, b_i, jet.A, f1), f2)
     group = max(
         _maxabs(b_ii.g(pts) - b_p.g(pts)),
         _maxabs(s_ii.n(pts) - s_p.n(pts)),
-        _maxabs(b_ii.A(pts) - b_p.A(pts)),
+        _maxabs(a_ii - _rescaled_covector(ctx, b_p, jet.A, prod)),
         _maxabs(s_ii.phi(pts) - s_p.phi(pts)),
         _maxabs(s_ii.p(pts) - s_p.p(pts)),
         _maxabs(s_ii.rho(pts) - s_p.rho(pts)),
@@ -374,7 +420,7 @@ def conformal_suite(ctx: SuiteContext):
     checks.append(ctx.record(
         "covector-transformation-closure",
         "rescaled covector is induced by the rescaled flow and scalar",
-        _maxabs(b2.A(pts) - closure(pts)), tols.identity))
+        _maxabs(_rescaled_covector(ctx, b2, jet.A, fac) - closure(pts)), tols.identity))
 
     T = stress_energy(g, st.n, st.p, st.rho)
     T2 = stress_energy(b2.g, s2.n, s2.p, s2.rho)

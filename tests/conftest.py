@@ -63,14 +63,14 @@ def run_weylfluid(args, cwd):
 
 @pytest.fixture
 def metric_calls(monkeypatch):
-    """A list that gains one entry per ``metric_aux`` call made through any
-    ``weylfluid`` module while the test runs."""
+    """A list that gains one ``(g, pts)`` entry per ``metric_aux`` call made
+    through any ``weylfluid`` module while the test runs."""
     calls = []
     original = weylfluid.geometry.metric_aux
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(g, pts, *args, **kwargs):
+        calls.append((g, pts))
+        return original(g, pts, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "weylfluid" and getattr(module, "metric_aux", None) is original:

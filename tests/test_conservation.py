@@ -4,7 +4,7 @@ and the condition scalars with their closed forms."""
 import numpy as np
 import pytest
 
-from weylfluid import connections
+from weylfluid import connections, suites
 from weylfluid.catalog import build
 from weylfluid.config import SuiteConfig
 from weylfluid.conservation import (
@@ -369,6 +369,32 @@ class TestCurrentIdentity:
         identity = checks["conservation:current-divergence-identity"]
         assert identity.tol == 1e-8
         assert identity.max_residual < 1e-10
+
+
+    def test_central_difference_records_match_the_public_functions(self):
+        # through the suite context the decomposition and the condition
+        # scalars read the shared jet, of the context's engine, while the
+        # current identity takes its own Richardson-level engine and jet;
+        # each record is the public function's residual bit for bit
+        preset = build("flrw-power-dust")
+        engine = DerivativeEngine(mode="central-difference")
+        pts = preset.chart.sample_points(2, 8, seed=3)
+        records = {c.name: c.max_residual
+                   for c in suites.conservation_suite(suites.SuiteContext(preset, engine, pts))}
+        g, st = preset.g, preset.state
+        T = stress_energy(g, st.n, st.p, st.rho)
+        flow, ortho = decomposition_residuals(g, st.n, st.p, st.rho, st.phi, engine, pts)
+        cs = condition_scalars(g, st.n, st.p, st.rho, st.phi, engine, pts)
+        public = {
+            "current-divergence-identity": current_identity_residual(
+                g, T, st.n, st.phi, engine)(pts),
+            "divergence-decomposition-flow": flow,
+            "divergence-decomposition-orthogonal": ortho,
+            "condition-scalar-transport": cs.s1_residual,
+            "condition-scalar-covector": cs.s2_residual,
+        }
+        for name, residual in public.items():
+            assert records[name] == float(np.max(np.abs(residual))), name
 
 
 class TestWorkGuards:

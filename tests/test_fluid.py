@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weylfluid import autodiff as ad
-from weylfluid import catalog, connections, fluid, suites
+from weylfluid import catalog, connections, fluid, harness, suites
 from weylfluid.catalog import (
     build,
     flrw_chart,
@@ -25,6 +25,7 @@ from weylfluid.fluid import (
     geodesic_defect,
     stress_energy,
 )
+from weylfluid.config import SuiteConfig
 from weylfluid.errors import NotTimelikeError
 from weylfluid.geometry import (
     DerivativeEngine,
@@ -178,26 +179,65 @@ class TestUnitFlowJet:
 
 
 class TestSuitesReadOneJetPerPair:
-    """Each (flow, phi) pair a suite checks costs one metric evaluation."""
+    """A suite's sample batch costs one metric evaluation, the context's, and
+    each flow of the fluid family one flow jet, whatever its scalars."""
 
     def _ctx(self):
         preset = build("flrw-comoving-dust")
         return suites.SuiteContext(preset, ENG, preset.chart.sample_points(2, 8, seed=3),
                                    nonmetricity_pairs=1)
 
-    def test_fluid_suite(self, metric_calls):
+    def test_fluid_suite(self, metric_calls, monkeypatch):
+        jets = []
+        form = suites.flow_jet
+
+        def counting(*args, **kwargs):
+            jets.append(args[1])
+            return form(*args, **kwargs)
+
+        monkeypatch.setattr(suites, "flow_jet", counting)
         ctx = self._ctx()
         flows, phis = suites._fluid_family(ctx)
+        assert len(flows) > 1 and len(phis) > 1
         suites.fluid_suite(ctx)
-        # the preset pair, the metric data of the eigenvector check, and the family
-        assert len(metric_calls) == 2 + len(flows) * len(phis)
+        # the sample's metric data, which every flow's jet reads
+        assert len(metric_calls) == 1
+        # the context's jet of the preset flow, then one per other flow
+        assert len(jets) == len(flows) and jets[0] is ctx.preset.state.n
 
     def test_connection_suite(self, metric_calls):
         ctx = self._ctx()
         suites.connection_suite(ctx)
-        # metric inverse, zero-covector reduction (2), torsion, the preset
-        # pair, and one per seeded pair
-        assert len(metric_calls) == 5 + ctx.nonmetricity_pairs
+        # the sample's metric data, the zero-covector reduction (2), and one
+        # per seeded pair
+        assert len(metric_calls) == 3 + ctx.nonmetricity_pairs
+
+
+class TestSuitesShareTheSampleJet:
+    """One run of the four pointwise suites forms the metric data of the
+    preset's metric on the sample at most three times: the context's, and
+    the two public paths of the zero-covector reduction."""
+
+    @pytest.mark.parametrize("name", ["flrw-radiation", "schwarzschild-static"])
+    def test_metric_evaluations_on_the_sample(self, metric_calls, name, monkeypatch):
+        built = []
+
+        def building(*args, **kwargs):
+            built.append(catalog.build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "build", building)
+        entry = catalog.PRESETS[name]
+        cfg = SuiteConfig(spacetime=entry.spacetime, fluid=entry.fluid, timing=False,
+                          suites=("connection", "fluid", "conservation", "conformal"))
+        assert cfg.engine.mode == "forward-dual"
+        assert harness.run_suite(cfg).passed
+        (preset,) = built
+        sample = preset.chart.sample_points(
+            per_axis=cfg.grid_per_axis, extra=cfg.random_points, seed=cfg.seed)
+        on_sample = [g for g, pts in metric_calls
+                     if g is preset.g and np.array_equal(np.asarray(pts), sample)]
+        assert 1 <= len(on_sample) <= 3
 
 
 class TestFrameSuiteReadsOneJet:

@@ -129,6 +129,44 @@ class TestGradScalar:
         assert worst < max(Tolerances().tol_fd, 1e-6)
 
 
+def _observed_orders(errors) -> np.ndarray:
+    """``log2`` of the ratios of errors taken at steps ``h, h/2, h/4``."""
+    errors = np.asarray(errors)
+    return np.log2(errors[:-1] / errors[1:])
+
+
+class TestCentralDifferenceOrder:
+    """The central-difference engine's order, observed from the error ratios
+    at steps h, h/2 and h/4 (Roache 1998): 2 with no Richardson level and 4
+    with one, on a closed-form field and on the suites' shared flow jet."""
+
+    STEPS = (0.16, 0.08, 0.04)
+
+    @pytest.mark.parametrize("richardson, order", [(0, 2), (1, 4)])
+    def test_closed_form_field(self, richardson, order):
+        chart = minkowski_chart(4)
+        f = scalar_field(chart, lambda c: ad.sin(c[0] + 0.5 * c[1]) * ad.exp(c[2] - c[3]))
+        pts = chart.sample_points(per_axis=2, extra=6, seed=4)
+        t, x, y, z = pts.T
+        s, c, e = np.sin(t + 0.5 * x), np.cos(t + 0.5 * x), np.exp(y - z)
+        exact = np.stack([c * e, 0.5 * c * e, s * e, -s * e], axis=1)
+        errors = [np.abs(DerivativeEngine("central-difference", h, richardson).jacobian(f, pts)
+                         - exact).max() for h in self.STEPS]
+        assert np.allclose(_observed_orders(errors), order, atol=0.2)
+
+    @pytest.mark.parametrize("richardson, order", [(0, 2), (1, 4)])
+    def test_shared_flow_jet(self, richardson, order):
+        # the connection every pointwise suite reads off the context's jet
+        # carries the engine's order; the forward-dual jet is exact
+        preset = build("flrw-comoving-dust")
+        pts = preset.chart.sample_points(2, 8, seed=3)
+        exact = suites.SuiteContext(preset, AD, pts).jet.Gamma
+        errors = [np.abs(suites.SuiteContext(
+            preset, DerivativeEngine("central-difference", h, richardson), pts).jet.Gamma
+            - exact).max() for h in self.STEPS]
+        assert np.allclose(_observed_orders(errors), order, atol=0.2)
+
+
 class TestMetricData:
     def test_minkowski(self):
         chart = minkowski_chart(4)
