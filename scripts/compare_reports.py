@@ -7,6 +7,7 @@ A record is one check of one preset's report (``<preset>.json``, as
 values and the tolerance, then a summary line.  Exits 1 when a record is on
 one side only or a check's pass flipped, and 0 otherwise, so residuals that
 moved within their tolerances are listed but do not fail the comparison.
+A file that is not a report ends the run with exit 2 and a message naming it.
 
 Usage:
     python scripts/compare_reports.py OLD_DIR NEW_DIR
@@ -25,7 +26,11 @@ def load_records(directory: pathlib.Path) -> dict:
     """``{(preset, check): CheckRecord}`` over the directory's reports."""
     records = {}
     for path in sorted(directory.glob("*.json")):
-        for check in parse_report(path.read_text()).checks:
+        try:
+            checks = parse_report(path.read_text()).checks
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        for check in checks:
             records[(path.stem, check.name)] = check
     return records
 
@@ -60,7 +65,11 @@ def main(argv=None) -> int:
     for directory in (args.old_dir, args.new_dir):
         if not directory.is_dir():
             ap.error(f"{directory} is not a directory")
-    return compare(load_records(args.old_dir), load_records(args.new_dir))
+    try:
+        old, new = load_records(args.old_dir), load_records(args.new_dir)
+    except ValueError as exc:
+        ap.error(str(exc))
+    return compare(old, new)
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ def _common_flags(sub):
     sub.add_argument("--config", default=None, help="configuration file")
     sub.add_argument("--seed", type=int, default=None, help="override the run seed")
     sub.add_argument("--out", default=None, help="override the output path")
-    sub.add_argument("--format", dest="fmt", choices=("json", "table"), default=None)
 
 
 def _build_parser():
@@ -48,6 +47,7 @@ def _build_parser():
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     _common_flags(p_verify)
+    p_verify.add_argument("--format", dest="fmt", choices=("json", "table"), default=None)
     p_verify.add_argument("--suite", action="append", default=None,
                           help="suite to run (repeatable); default: all from config")
 
@@ -63,13 +63,13 @@ def _build_parser():
 
 
 def _load(args, overrides=None):
-    merged = {"seed": args.seed, "out": args.out, "format": args.fmt}
+    merged = {"seed": args.seed, "out": args.out}
     merged.update(overrides or {})
     return load_config(args.config, merged)
 
 
 def _cmd_verify(args) -> int:
-    config = _load(args, {"suite": args.suite} if args.suite else None)
+    config = _load(args, {"suite": args.suite, "format": args.fmt})
     try:
         report = run_suite(config)
     except SuiteRuntimeError as exc:

@@ -234,6 +234,11 @@ def load_config(path: str = None, overrides: dict = None) -> SuiteConfig:
 
     if not cfg.suites:
         raise ConfigError(f"key 'suites' must name at least one of {', '.join(SUITES)}")
+    repeated = sorted({s for s in cfg.suites if cfg.suites.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"key 'suites' names {', '.join(repeated)} more than once")
+    if not cfg.out:
+        raise ConfigError("key 'out' must name an output file")
     if cfg.seed < 0:
         raise ConfigError(f"key 'seed' must be at least 0, got {cfg.seed}")
     unknown = [s for s in cfg.suites if s not in SUITES]

@@ -62,10 +62,17 @@ def raise_indices2(g: MetricField, T: TensorField) -> TensorField:
     return tensor2_field(g.chart, fn, reads=(g, T), variance=("u", "u"), name=f"raise({T.name})")
 
 
-def _divergence_T(t_up: TensorField, gam: np.ndarray, engine: DerivativeEngine, pts) -> np.ndarray:
-    """``nabla^Gamma_nu T^{mu nu}`` of the raised tensor for connection
-    coefficients ``gam`` already evaluated at ``pts``."""
-    val, jac = engine.value_and_jacobian(t_up, pts)
+def _pair(field: TensorField, engine: DerivativeEngine, pts):
+    """``engine.value_and_jacobian(field, pts)`` with the value required
+    finite, as a call of the field requires it (a jet does not)."""
+    val, jac = engine.value_and_jacobian(field, pts)
+    return require_finite(val, f"field {field.name}"), jac
+
+
+def _divergence_T(gam: np.ndarray, t_up) -> np.ndarray:
+    """``nabla^Gamma_nu T^{mu nu}`` from the connection coefficients ``gam``
+    and the ``(value, jacobian)`` pair ``t_up`` of ``T^{ab}`` on one batch."""
+    val, jac = t_up
     div = np.einsum("nmvv->nm", jac)
     div += np.einsum("nmlv,nlv->nm", gam, val)
     div += np.einsum("nvlv,nml->nm", gam, val)
@@ -77,20 +84,19 @@ def weyl_divergence_T(
 ) -> TensorField:
     """``nabla^Gamma_nu T^{mu nu}`` with indices raised by the metric."""
     t_up = raise_indices2(g, T)
-    return vector_field(g.chart, eval_fn=lambda pts: _divergence_T(t_up, gamma(pts), engine, pts),
-                        name=f"divT({T.name})")
+    return vector_field(g.chart, name=f"divT({T.name})", eval_fn=lambda pts: _divergence_T(
+        gamma(pts), engine.value_and_jacobian(t_up, pts)))
 
 
-def _conditions(jet: FlowJet, p: TensorField, rho: TensorField, engine: DerivativeEngine, pts):
+def _conditions(jet: FlowJet, p, rho):
     """``(C1 (N,), C2 (N, m))`` of :func:`conservation_condition_residuals`
-    from the flow jet of the bundle."""
+    from the flow jet and the ``(value, jacobian)`` pairs of ``p`` and ``rho``."""
+    (pv, dp), (rv, drho) = p, rho
     div_gamma = np.einsum("naa->n", jet.dn) + np.einsum("nvlv,nl->n", jet.Gamma, jet.n)
-    drho = engine.jacobian(rho, pts)
-    pv, rv, fv = p(pts), rho(pts), jet.phival
-    c1 = (pv + rv) * div_gamma - (pv - rv) * fv + np.einsum("na,na->n", jet.n, drho)
+    c1 = (pv + rv) * div_gamma - (pv - rv) * jet.phival + np.einsum("na,na->n", jet.n, drho)
     acc_up = np.einsum("nc,nac->na", jet.n, jet.dn) + gamma_vv(jet.data.gamma, jet.n)
     proj = jet.data.inv + np.einsum("na,nb->nab", jet.n, jet.n)
-    c2 = np.einsum("nab,nb->na", proj, engine.jacobian(p, pts)) - 2.0 * pv[:, None] * acc_up
+    c2 = np.einsum("nab,nb->na", proj, dp) - 2.0 * pv[:, None] * acc_up
     return require_finite(c1, "field C1"), require_finite(c2, "field C2")
 
 
@@ -112,7 +118,8 @@ def conservation_condition_residuals(
     """
 
     def conditions(pts):
-        return _conditions(flow_jet(g, n, engine, pts, phi), p, rho, engine, pts)
+        jet = flow_jet(g, n, engine, pts, phi)
+        return _conditions(jet, _pair(p, engine, jet.pts), _pair(rho, engine, jet.pts))
 
     c1 = scalar_field(g.chart, eval_fn=lambda pts: conditions(pts)[0], name="C1")
     c2 = vector_field(g.chart, eval_fn=lambda pts: conditions(pts)[1], name="C2")
@@ -137,16 +144,16 @@ def decomposition_residuals(
     with the two signs frozen from the brute-force oracle run recorded in
     ``_signs.py``.  Returns ``(flow_residual (N,), ortho_residual (N, m))``.
     """
-    pts = g.chart.as_points(pts)
-    return _decomposition_residuals(flow_jet(g, n, engine, pts, phi), g, n, p, rho, engine)
+    jet = flow_jet(g, n, engine, pts, phi)
+    t_up = raise_indices2(g, stress_energy(g, n, p, rho))
+    return _decomposition_residuals(jet, *(_pair(f, engine, jet.pts) for f in (t_up, p, rho)))
 
 
-def _decomposition_residuals(jet: FlowJet, g, n, p, rho, engine: DerivativeEngine):
-    """:func:`decomposition_residuals` on the point batch of the flow jet of
-    ``(g, n, phi)``."""
-    pts = jet.pts
-    div = _divergence_T(raise_indices2(g, stress_energy(g, n, p, rho)), jet.Gamma, engine, pts)
-    c1, c2 = _conditions(jet, p, rho, engine, pts)
+def _decomposition_residuals(jet: FlowJet, t_up, p, rho):
+    """:func:`decomposition_residuals` from the flow jet and the ``(value,
+    jacobian)`` pairs of ``T^{ab}``, ``p`` and ``rho`` on its batch."""
+    div = _divergence_T(jet.Gamma, t_up)
+    c1, c2 = _conditions(jet, p, rho)
     flow_div = np.einsum("na,na->n", jet.n_low, div)
     return flow_div - SIGN_FLOW * c1, div + jet.n * flow_div[:, None] - SIGN_ORTHO * c2
 
@@ -167,12 +174,8 @@ def current_divergence(J: TensorField, engine: DerivativeEngine) -> TensorField:
     densities under any symmetric connection)."""
     if getattr(J, "weight", 0) != 1:
         raise CapabilityError("current_divergence expects a weight-1 vector density")
-
-    def eval_fn(pts):
-        jac = engine.jacobian(J, pts)
-        return np.einsum("naa->n", jac)
-
-    return scalar_field(J.chart, eval_fn=eval_fn, name=f"div({J.name})")
+    return scalar_field(J.chart, eval_fn=lambda pts: np.einsum("naa->n", engine.jacobian(J, pts)),
+                        name=f"div({J.name})")
 
 
 # Gauss-Legendre nodes per axis of a slice count and of its error reference
@@ -281,18 +284,17 @@ def condition_scalars(
     ``(g, n, phi)`` directly at ``pts`` and compare with their closed
     forms."""
     pts = g.chart.as_points(pts)
-    return _condition_scalars(flow_jet(g, n, engine, pts, phi), g, n, p, rho)
-
-
-def _condition_scalars(jet: FlowJet, g, n, p, rho) -> ConditionScalars:
-    """:func:`condition_scalars` on the point batch of the flow jet of
-    ``(g, n, phi)``."""
-    pts = jet.pts
     t_up = raise_indices2(g, stress_energy(g, n, p, rho))
-    m = g.chart.dim
-    s1, s2 = _contractions(jet, t_up(pts))
-    closed = p(pts) * jet.div + (rho(pts) + (m - 1) * p(pts)) * jet.phival
-    out = ConditionScalars(s1, s2, s1 - closed, s2 - rho(pts) * jet.phival)
+    return _condition_scalars(flow_jet(g, n, engine, pts, phi), t_up(pts), p(pts), rho(pts))
+
+
+def _condition_scalars(jet: FlowJet, tv, pv, rv) -> ConditionScalars:
+    """:func:`condition_scalars` from the flow jet and the values ``tv``,
+    ``pv`` and ``rv`` of ``T^{ab}``, ``p`` and ``rho`` on its batch."""
+    m = jet.n.shape[1]
+    s1, s2 = _contractions(jet, tv)
+    closed = pv * jet.div + (rv + (m - 1) * pv) * jet.phival
+    out = ConditionScalars(s1, s2, s1 - closed, s2 - rv * jet.phival)
     for name, val in (("s1", out.s1), ("s2", out.s2), ("s1-closed-form-residual", out.s1_residual),
                       ("s2-closed-form-residual", out.s2_residual)):
         require_finite(val, f"field {name}")
@@ -310,9 +312,11 @@ def current_identity_residual(
     identity compares two derivative paths, and their O(h^2) truncation
     errors differ by more than the identity tolerance."""
     engine = _identity_engine(engine)
+    t_up, J = raise_indices2(g, T), particle_current(g, T, n)
 
     def eval_fn(pts):
-        return _current_identity(flow_jet(g, n, engine, pts, phi), g, T, n, engine)
+        jet = flow_jet(g, n, engine, pts, phi)
+        return _current_identity(jet, _pair(t_up, engine, jet.pts), engine.jacobian(J, jet.pts))
 
     return scalar_field(g.chart, eval_fn=eval_fn, name="current-identity-residual")
 
@@ -320,19 +324,14 @@ def current_identity_residual(
 def _identity_engine(engine: DerivativeEngine) -> DerivativeEngine:
     """The engine that :func:`current_identity_residual` takes for
     ``engine``."""
-    if engine.mode == "central-difference":
-        return replace(engine, richardson=1)
-    return engine
+    return replace(engine, richardson=1) if engine.mode == "central-difference" else engine
 
 
-def _current_identity(jet: FlowJet, g, T, n, engine: DerivativeEngine) -> np.ndarray:
-    """:func:`current_identity_residual` on the point batch of the flow jet
-    of ``(g, n, phi)``; ``engine`` is the identity's own
-    (:func:`_identity_engine`), and the jet is taken by it."""
-    pts = jet.pts
-    t_up = raise_indices2(g, T)
-    s1, s2 = _contractions(jet, t_up(pts))
-    div_t = np.einsum("nv,nv->n", _divergence_T(t_up, jet.Gamma, engine, pts), jet.n_low)
-    div_j = current_divergence(particle_current(g, T, n), engine)(pts)
-    residual = div_j - jet.data.sqrt_det * (div_t + s1 + g.chart.dim * s2)
+def _current_identity(jet: FlowJet, t_up, dj: np.ndarray) -> np.ndarray:
+    """:func:`current_identity_residual` from the flow jet, the ``(value,
+    jacobian)`` pair of ``T^{ab}`` and the jacobian ``dj`` of ``J`` on its
+    batch, each taken by the identity's own engine (:func:`_identity_engine`)."""
+    s1, s2 = _contractions(jet, t_up[0])
+    div_t = np.einsum("nv,nv->n", _divergence_T(jet.Gamma, t_up), jet.n_low)
+    residual = np.einsum("naa->n", dj) - jet.data.sqrt_det * (div_t + s1 + jet.n.shape[1] * s2)
     return require_finite(residual, "field current-identity-residual")

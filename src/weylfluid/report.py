@@ -72,25 +72,33 @@ def to_json(report: VerificationReport) -> str:
 
 
 def parse_report(text: str) -> VerificationReport:
+    """Read a report written by :func:`to_json`.  Raises ``ValueError`` when
+    the text is not JSON, its top level is not an object, or a key is
+    missing."""
     raw = json.loads(text)
-    checks = [
-        CheckRecord(
-            name=c["name"],
-            anchor=c["anchor"],
-            max_residual=float(c["max_residual"]),
-            tol=float(c["tol"]),
-            passed=bool(c["pass"]),
+    if not isinstance(raw, dict):
+        raise ValueError("report top level is not a JSON object")
+    try:
+        checks = [
+            CheckRecord(
+                name=c["name"],
+                anchor=c["anchor"],
+                max_residual=float(c["max_residual"]),
+                tol=float(c["tol"]),
+                passed=bool(c["pass"]),
+            )
+            for c in raw["checks"]
+        ]
+        return VerificationReport(
+            suite=list(raw["suite"]),
+            spacetime=raw["spacetime"],
+            fluid=raw["fluid"],
+            settings=raw["settings"],
+            checks=checks,
+            runtime_seconds=float(raw["runtime_seconds"]),
         )
-        for c in raw["checks"]
-    ]
-    return VerificationReport(
-        suite=list(raw["suite"]),
-        spacetime=raw["spacetime"],
-        fluid=raw["fluid"],
-        settings=raw["settings"],
-        checks=checks,
-        runtime_seconds=float(raw["runtime_seconds"]),
-    )
+    except KeyError as exc:
+        raise ValueError(f"report has no key {exc}") from exc
 
 
 def render_table(report: VerificationReport) -> str:

@@ -48,9 +48,11 @@ from .conservation import (
     _current_identity,
     _decomposition_residuals,
     _identity_engine,
-    current_divergence,
+    _pair,
+    current_identity_residual,
     number_on_slice,
     particle_current,
+    raise_indices2,
 )
 from .errors import WeylFluidError
 from .fluid import (
@@ -265,8 +267,7 @@ def fluid_suite(ctx: SuiteContext):
         "covector-flow-contraction", "flow contraction of the covector is minus the scalar",
         _maxabs(contraction), tols.derivative(engine)))
 
-    T = stress_energy(g, st.n, st.p, st.rho)
-    tval = T(pts)
+    tval = stress_energy(g, st.n, st.p, st.rho)(pts)
     checks.append(ctx.record(
         "stress-energy-symmetry", "stress-energy is symmetric",
         _maxabs(tval - np.swapaxes(tval, 1, 2)), 0.0))
@@ -301,8 +302,12 @@ def conservation_suite(ctx: SuiteContext):
     meta = ctx.preset.meta
     checks = []
 
+    # T^{ab}, p and rho, and then the current, each formed once on the sample
     jet = ctx.jet
-    flow_res, ortho_res = _decomposition_residuals(jet, g, st.n, st.p, st.rho, engine)
+    T = stress_energy(g, st.n, st.p, st.rho)
+    t_up = raise_indices2(g, T)
+    tp, p, rho = (_pair(f, engine, pts) for f in (t_up, st.p, st.rho))
+    flow_res, ortho_res = _decomposition_residuals(jet, tp, p, rho)
     checks.append(ctx.record(
         "divergence-decomposition-flow",
         "flow projection of the stress-energy divergence matches the first condition",
@@ -312,23 +317,23 @@ def conservation_suite(ctx: SuiteContext):
         "orthogonal projection matches the second condition",
         _maxabs(ortho_res), tols.identity))
 
-    T = stress_energy(g, st.n, st.p, st.rho)
     J = particle_current(g, T, st.n)
-    expected = -jet.data.sqrt_det[:, None] * st.rho(pts)[:, None] * st.n(pts)
+    jv, dj = _pair(J, engine, pts)
+    expected = -jet.data.sqrt_det[:, None] * rho[0][:, None] * st.n(pts)
     checks.append(ctx.record(
         "current-perfect-fluid-form", "current equals minus density times weighted flow",
-        _maxabs(J(pts) - expected), tols.derivative(engine)))
+        _maxabs(jv - expected), tols.derivative(engine)))
 
-    # the identity takes its own engine under central differences, and with
-    # it its own flow jet
-    id_engine = _identity_engine(engine)
-    id_jet = jet if id_engine == engine else flow_jet(g, st.n, id_engine, pts, st.phi)
+    # under central differences the identity takes its own engine, and with
+    # it its own flow jet, T^{ab} pair and current jacobian
+    identity = (_current_identity(jet, tp, dj) if _identity_engine(engine) == engine
+                else current_identity_residual(g, T, st.n, st.phi, engine)(pts))
     checks.append(ctx.record(
         "current-divergence-identity",
         "coordinate current divergence equals its connection decomposition",
-        _maxabs(_current_identity(id_jet, g, T, st.n, id_engine)), tols.identity))
+        _maxabs(identity), tols.identity))
 
-    cs = _condition_scalars(jet, g, st.n, st.p, st.rho)
+    cs = _condition_scalars(jet, tp[0], p[0], rho[0])
     checks.append(ctx.record(
         "condition-scalar-transport", "contracted flow-transport scalar matches closed form",
         _maxabs(cs.s1_residual), tols.derivative(engine)))
@@ -339,7 +344,7 @@ def conservation_suite(ctx: SuiteContext):
     if meta.conserved:
         checks.append(ctx.record(
             "current-conservation", "conserved preset has divergence-free current",
-            _maxabs(current_divergence(J, engine)(pts)), tols.identity))
+            _maxabs(np.einsum("naa->n", dj)), tols.identity))
         n1, _ = number_on_slice(J, ctx.preset.slice_spec(0))
         n2, _ = number_on_slice(J, ctx.preset.slice_spec(1))
         rel = abs(n1 - n2) / max(abs(n1), abs(n2), 1e-300)
@@ -359,21 +364,13 @@ def _rescaled_covector(ctx: SuiteContext, b2: WeylBundle, a: np.ndarray, factor)
     return require_finite(a2, f"field {b2.A.name}")
 
 
-def _rescaled_gamma(ctx: SuiteContext, b2: WeylBundle, a2: np.ndarray) -> np.ndarray:
-    """``b2.gamma`` on the sample from the values ``a2`` of ``b2.A`` there."""
-    data = metric_aux(b2.g, ctx.pts, ctx.engine)
-    return require_finite(_weyl_gamma(data, a2), f"connection {b2.gamma.name}")
-
-
 def conformal_suite(ctx: SuiteContext):
     g, engine, pts, tols = ctx.preset.g, ctx.engine, ctx.pts, ctx.tols
     st = ctx.preset.state
     bundle = ctx.bundle
     chart = g.chart
     m = chart.dim
-    weights = None
-    if ctx.weight_override is not None:
-        weights = ConformalWeights(m, w=ctx.weight_override)
+    weights = None if ctx.weight_override is None else ConformalWeights(m, w=ctx.weight_override)
     checks = []
 
     # the rescaled covectors on the sample are shifted from the shared A
@@ -383,7 +380,10 @@ def conformal_suite(ctx: SuiteContext):
     for k in range(ctx.seeded_factors):
         fac = seeded_positive_factor(chart, ctx.seed * 100 + k)
         b2, _ = conformal_rescale(bundle, st, fac, engine, check_pts=pts)
-        gamma2 = _rescaled_gamma(ctx, b2, _rescaled_covector(ctx, b2, jet.A, fac))
+        # b2.gamma on the sample, from its covector there and its metric's own data
+        a2 = _rescaled_covector(ctx, b2, jet.A, fac)
+        gamma2 = require_finite(_weyl_gamma(metric_aux(b2.g, pts, engine), a2),
+                                f"connection {b2.gamma.name}")
         worst_orbit = max(worst_orbit, _maxabs(gamma2 - gamma_ref))
     checks.append(ctx.record(
         "connection-orbit-invariance", "the connection is unchanged along the gauge orbit",
@@ -480,7 +480,8 @@ def frame_suite(ctx: SuiteContext):
         "incompressibility", "solved gauge makes the flow divergence-free",
         _maxabs(require_finite(jet.div, "field incompressibility-residual")), tols.frame))
 
-    cs = _condition_scalars(jet, b2.g, s2.n, s2.p, s2.rho)
+    t2 = raise_indices2(b2.g, stress_energy(b2.g, s2.n, s2.p, s2.rho))
+    cs = _condition_scalars(jet, t2(pts), s2.p(pts), s2.rho(pts))
     checks.append(ctx.record(
         "preferred-scalar-transport", "first obstruction scalar vanishes in the frame",
         _maxabs(cs.s1), tols.frame))

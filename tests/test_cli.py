@@ -74,7 +74,8 @@ OUT_OF_RANGE = [
     ("engine", "h", ["nan", "inf", "0", "-1e-4"]),
     ("engine", "mode", ["bogus"]),
     ("engine", "richardson", ["2"]),
-    ("run", "suites", [""]),
+    ("run", "suites", ["", "fluid fluid", "connection fluid connection"]),
+    ("run", "out", [""]),
     *(("tolerances", f.name, ["-1e-9", "nan", "inf"]) for f in fields(suites.Tolerances)),
 ]
 
@@ -159,6 +160,22 @@ class TestConfig:
         out = str(tmp_path / "report.json")
         assert cli.main(["verify", "--seed", "-1", "--out", out]) == 2
         assert "key 'seed'" in capsys.readouterr().err
+
+    def test_repeated_suite_exits_two(self, tmp_path, capsys):
+        # a suite named twice would write each of its records twice under one name
+        out = tmp_path / "report.json"
+        path = _write(tmp_path, "twice.cfg", PASS_CFG.replace("connection fluid", "fluid fluid"))
+        assert cli.main(["verify", "--config", path, "--out", str(out)]) == 2
+        assert "key 'suites' names fluid more than once" in capsys.readouterr().err
+        flags = ["verify", "--suite", "fluid", "--suite", "fluid", "--out", str(out)]
+        assert cli.main(flags) == 2
+        assert "key 'suites'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_out_exits_two(self, tmp_path, capsys):
+        path = _write(tmp_path, "out.cfg", PASS_CFG + "out =\n")
+        assert cli.main(["verify", "--config", path]) == 2
+        assert "key 'out'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,key,value,preset", BAD_PARAMETERS,
                              ids=[f"{key}={value}" for _, key, value, _ in BAD_PARAMETERS])
@@ -343,6 +360,15 @@ class TestOtherCommands:
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert data.shape[1] == 9
 
+    @pytest.mark.parametrize("command", ["frame", "geodesic"])
+    def test_format_flag_is_verify_only(self, tmp_path, capsys, command):
+        # frame and geodesic always write CSV, so they take no --format
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([command, "--format", "table", "--out", str(tmp_path / "x.csv")])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --format table" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_frame_export(self, tmp_path):
         cfg = PASS_CFG.replace("suites = connection fluid", "suites = frame")
         cfg += "\n[frame]\ngrid_nodes = 5\n"
@@ -354,6 +380,17 @@ class TestOtherCommands:
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert data.shape == (5**4, 5)
         assert np.abs(data[:, 4]).max() < 1e-12  # already incompressible
+
+
+class TestMalformedReport:
+    @pytest.mark.parametrize("text, message", [
+        ('{"suite": []}', "report has no key 'checks'"),
+        ("[1, 2]", "report top level is not a JSON object"),
+    ], ids=["missing-key", "not-an-object"])
+    def test_report_command_exits_three(self, tmp_path, capsys, text, message):
+        path = _write(tmp_path, "bad.json", text)
+        assert cli.main(["report", path]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCommittedConfigs:

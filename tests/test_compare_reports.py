@@ -73,3 +73,11 @@ class TestCompareReports:
         assert done.returncode == 1
         assert ("MISSING  flrw-radiation  nonmetricity: no record in the new reports"
                 in done.stdout)
+
+    def test_malformed_report_exits_two(self, dirs):
+        old, new = dirs
+        (new / "flrw-radiation.json").write_text('{"suite": []}')
+        done = _compare(old, new)
+        assert done.returncode == 2
+        assert done.stderr.splitlines()[-1].endswith(
+            f"error: {new / 'flrw-radiation.json'}: report has no key 'checks'")

@@ -1,6 +1,8 @@
 """Stress-energy divergence decomposition, particle current, slice counts
 and the condition scalars with their closed forms."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from weylfluid.conservation import (
     weyl_divergence_T,
 )
 from weylfluid.fluid import fluid_connection, stress_energy
-from weylfluid.geometry import DerivativeEngine, constant_scalar, scalar_field
+from weylfluid.geometry import DerivativeEngine, TensorField, constant_scalar, scalar_field
 from weylfluid.harness import run_suite
 
 from oracles import (
@@ -420,6 +422,25 @@ class TestWorkGuards:
         before = len(metric_calls)
         call()
         assert len(metric_calls) - before == 1
+
+    def test_one_jet_of_each_conservation_input(self, monkeypatch):
+        # the suite forms T^{ab}, J, p and rho once each on the sample, as
+        # jets, and reads their values from those jets
+        counts = Counter()
+        call, dual = TensorField.__call__, TensorField.dual_eval
+
+        def counted(kind, original):
+            def wrapper(self, pts):
+                counts[kind, self.name] += 1
+                return original(self, pts)
+            return wrapper
+
+        monkeypatch.setattr(TensorField, "__call__", counted("value", call))
+        monkeypatch.setattr(TensorField, "dual_eval", counted("dual", dual))
+        run_suite(SuiteConfig(spacetime="flrw", fluid="radiation", suites=("conservation",),
+                              timing=False))
+        assert [counts["dual", name] for name in ("raise(T)", "J", "p", "rho")] == [1, 1, 1, 1]
+        assert counts["value", "raise(T)"] == counts["value", "p"] == 0
 
     def test_non_finite_connection_raises(self, flrw_dust, monkeypatch):
         preset, _, pts = flrw_dust

@@ -1,4 +1,5 @@
-"""Planted defects: each check that reads the suite context's shared jet
+"""Planted defects: each check that reads the suite context's shared jet,
+or the stress-energy and current that the conservation suite forms once,
 fails when one defect is planted in the shared value or in the arithmetic
 that a suite builds on it, so no check compares a shared value with
 itself."""
@@ -6,9 +7,10 @@ itself."""
 import numpy as np
 import pytest
 
-from weylfluid import fluid, suites
+from weylfluid import autodiff as ad, fluid, suites
 from weylfluid.catalog import build
-from weylfluid.geometry import DerivativeEngine
+from weylfluid.conservation import VectorDensityField
+from weylfluid.geometry import DerivativeEngine, tensor2_field
 
 
 def _skew_connection(ctx, monkeypatch):
@@ -46,6 +48,34 @@ def _shift_from_base(ctx, monkeypatch):
                         lambda a, ln, engine, pts: shift(ctx.jet.A, ln, engine, pts))
 
 
+def _current_perturbed(ctx, monkeypatch):
+    # a term in J^0 that grows with the time coordinate: the current moves,
+    # and its divergence no longer vanishes nor balances the connection side
+    current = suites.particle_current
+
+    def planted(g, T, n):
+        J = current(g, T, n)
+        bump = np.eye(g.chart.dim)[0]
+        return VectorDensityField(g.chart, lambda c: J.fn(c) + 1e-3 * c[0][:, None] * bump,
+                                  reads=(J,), name=J.name)
+
+    monkeypatch.setattr(suites, "particle_current", planted)
+
+
+def _stress_energy_perturbed(ctx, monkeypatch):
+    # a symmetric term in the raised stress-energy that grows with the time
+    # coordinate; the current, built from the lowered one, does not see it
+    raise_indices2 = suites.raise_indices2
+
+    def planted(g, T):
+        t_up = raise_indices2(g, T)
+        ones = np.ones((g.chart.dim,) * 2)
+        return tensor2_field(g.chart, lambda c: t_up.fn(c) + 1e-3 * c[0][:, None, None] * ones,
+                             reads=(t_up,), variance=("u", "u"), name=t_up.name)
+
+    monkeypatch.setattr(suites, "raise_indices2", planted)
+
+
 @pytest.mark.parametrize("suite, check, plant", [
     ("connection", "torsion-free", _skew_connection),
     ("connection", "nonmetricity", _stale_covector),
@@ -53,6 +83,12 @@ def _shift_from_base(ctx, monkeypatch):
     ("conformal", "connection-orbit-invariance", _shift_drops_dln),
     ("conformal", "gauge-group-law", _shift_from_base),
     ("conformal", "covector-transformation-closure", _shift_drops_dln),
+    ("conservation", "current-perfect-fluid-form", _current_perturbed),
+    ("conservation", "current-divergence-identity", _current_perturbed),
+    ("conservation", "current-conservation", _current_perturbed),
+    ("conservation", "divergence-decomposition-flow", _stress_energy_perturbed),
+    ("conservation", "divergence-decomposition-orthogonal", _stress_energy_perturbed),
+    ("conservation", "current-divergence-identity", _stress_energy_perturbed),
 ])
 def test_planted_defect_fails_the_check(suite, check, plant, monkeypatch):
     preset = build("flrw-comoving-dust")
@@ -67,3 +103,25 @@ def test_planted_defect_fails_the_check(suite, check, plant, monkeypatch):
     assert run(planted=False).passed
     record = run(planted=True)
     assert not record.passed and record.max_residual > record.tol
+
+
+def test_non_finite_current_names_the_field(monkeypatch):
+    # a jet is not checked finite as a field call is; the suite checks the
+    # current's value itself
+    preset = build("flrw-comoving-dust")
+    current = suites.particle_current
+
+    def planted(g, T, n):
+        J = current(g, T, n)
+
+        def fn(c):
+            nan = np.zeros((len(ad.value(c[0])), g.chart.dim))
+            nan[-1, 1] = np.nan
+            return J.fn(c) + nan
+
+        return VectorDensityField(g.chart, fn, reads=(J,), name=J.name)
+
+    monkeypatch.setattr(suites, "particle_current", planted)
+    ctx = suites.SuiteContext(preset, DerivativeEngine(), preset.chart.sample_points(2, 8, 3))
+    with pytest.raises(ValueError, match="field J is not finite"):
+        suites.conservation_suite(ctx)
