@@ -4,7 +4,9 @@
 A record is one check of one preset's report (``<preset>.json``, as
 ``scripts/run_verification.py`` writes them).  Prints every record whose
 ``max_residual`` changed, with the preset, the check, the old and new
-values and the tolerance, then a summary line.  Exits 1 when a record is on
+values, the tolerance and the headroom (``max_residual / tol``) before and
+after, then a summary line that names the largest new headroom among the
+moved records.  Exits 1 when a record is on
 one side only or a check's pass flipped, and 0 otherwise, so residuals that
 moved within their tolerances are listed but do not fail the comparison.
 A file that is not a report ends the run with exit 2 and a message naming it.
@@ -35,9 +37,14 @@ def load_records(directory: pathlib.Path) -> dict:
     return records
 
 
+def headroom(record) -> float:
+    """``max_residual / tol``, the share of its tolerance a check uses."""
+    return record.max_residual / record.tol if record.tol else 0.0
+
+
 def compare(old: dict, new: dict, out=sys.stdout) -> int:
     """Print the moved, one-sided and flipped records; return the exit code."""
-    moved = faults = 0
+    moved, faults = [], 0  # moved: (new headroom, preset, check)
     for key in sorted(old.keys() | new.keys()):
         preset, check = key
         if key not in new or key not in old:
@@ -51,9 +58,14 @@ def compare(old: dict, new: dict, out=sys.stdout) -> int:
             faults += 1
         if a.max_residual != b.max_residual:
             print(f"moved    {preset}  {check}: {a.max_residual!r} -> "
-                  f"{b.max_residual!r}  (tol {b.tol!r})", file=out)
-            moved += 1
-    print(f"{moved} of {len(old)} records moved; {faults} missing or flipped", file=out)
+                  f"{b.max_residual!r}  (tol {b.tol!r}; headroom "
+                  f"{headroom(a):.3g} -> {headroom(b):.3g})", file=out)
+            moved.append((headroom(b), preset, check))
+    summary = f"{len(moved)} of {len(old)} records moved"
+    if moved:
+        top = max(moved)
+        summary += f", largest new headroom {top[0]:.3g} ({top[1]}  {top[2]})"
+    print(f"{summary}; {faults} missing or flipped", file=out)
     return 1 if faults else 0
 
 

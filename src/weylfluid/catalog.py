@@ -119,12 +119,12 @@ def _polynomials(mid, half, upper, coef, dc1, dc2, coords):
 
     def values(x):
         xi = (x - mid) / half
-        return np.concatenate([np.ones((len(xi), 1)), xi, xi[:, upper[0]] * xi[:, upper[1]]],
-                              axis=1) @ coef
+        return np.einsum("nk,kj->nj", np.concatenate(
+            [np.ones((len(xi), 1)), xi, xi[:, upper[0]] * xi[:, upper[1]]], axis=1), coef)
 
     def chain(x, val, grad):
         xi = (x - mid) / half
-        return (xi @ dc2 + dc1).reshape(val.shape + (len(mid),)) @ grad
+        return (np.einsum("nk,kj->nj", xi, dc2) + dc1).reshape(val.shape + (len(mid),)) @ grad
 
     return ad.apply(ad.stack(coords), values, chain)
 

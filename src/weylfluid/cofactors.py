@@ -4,19 +4,24 @@ closed-form cofactors.
 Every point-batch inverse and determinant of the library goes through
 :func:`adjugate_det`; LAPACK's ``inv`` and ``det`` factorize each matrix of
 a batch on its own, at about a microsecond per 4x4 matrix, where the
-cofactor expansion is a few batched products over the whole batch.
+cofactor expansion is a few gathers and products over the whole batch.
 
 The expansion runs along the first row of each submatrix.  A level-``k``
 minor (the determinant of ``k`` rows and ``k`` columns of the matrix) is a
 signed sum of ``k`` products of an entry of its first row with a
 level-``k-1`` minor of its remaining rows.  The minors of one level are
-therefore ``(a[:, E] * minor[:, L]) @ W``, with ``E`` the flat indices of
-the entries, ``L`` the indices of the lower minors and ``W`` a constant
-0/+-1 matrix that sums and signs the products; the 1x1 minors are the
-entries themselves, so the first level's ``L`` indexes the matrix.  Only
-the minors on which the adjugate depends are formed, and the ``W`` of the
+therefore ``einsum("ntq,tq->nq", a[:, E] * minor[:, L], S)``, with
+``E[t, q]`` the flat index of the entry of term ``t`` of minor ``q``,
+``L[t, q]`` the index of its lower minor and ``S[t, q]`` its sign; the 1x1
+minors are the entries themselves, so the first level's ``L`` indexes the
+matrix.  Only the minors on which the adjugate depends are formed, and the
 last level places each level-``m-1`` minor at its signed, transposed
 adjugate slot.
+
+Every operation is elementwise or a sum over the terms of one matrix, so a
+matrix's adjugate does not depend on the rows it is batched with: a BLAS
+product on the point axis rounds differently by row count (a one-row batch
+goes to ``gemv``).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ _BLOCK = 256
 
 @lru_cache(maxsize=None)
 def _tables(m: int) -> tuple:
-    """``(E, L, W)`` per level, lowest first, for ``m x m`` matrices: level
+    """``(E, L, S)`` per level, lowest first, for ``m x m`` matrices: level
     2 first for ``m > 2``, level 1 alone for ``m = 2``.
     Every call shares the arrays, so they are read-only."""
     full = tuple(range(m))
@@ -51,13 +56,11 @@ def _tables(m: int) -> tuple:
             slot = {key: key[0][0] * m + key[1][0] for key in lower}
         else:
             slot = {key: k for k, key in enumerate(lower)}
-        E, L, W = [], [], np.zeros((len(wanted) * len(wanted[0][1]), len(wanted)))
-        for q, (r, c) in enumerate(wanted):
-            for t in range(len(c)):
-                W[len(E), q] = sign[q] * (-1.0) ** t
-                E.append(r[0] * m + c[t])
-                L.append(slot[(r[1:], c[:t] + c[t + 1:])])
-        level = (np.array(E), np.array(L), W)
+        terms = range(len(wanted[0][1]))
+        E = [[r[0] * m + c[t] for r, c in wanted] for t in terms]
+        L = [[slot[(r[1:], c[:t] + c[t + 1:])] for r, c in wanted] for t in terms]
+        S = [[sq * (-1.0) ** t for sq in sign] for t in terms]
+        level = (np.array(E), np.array(L), np.array(S))
         for arr in level:
             arr.setflags(write=False)
         levels.insert(0, level)
@@ -79,8 +82,8 @@ def adjugate_det(a) -> tuple:
         # the first level reads the 1x1 minors, the entries; only the 2x2
         # adjugate reads the empty minor, 1
         minor = block if m > 2 else np.ones((1, 1))
-        for E, L, W in levels:
-            minor = (block[:, E] * minor[:, L]) @ W
+        for E, L, S in levels:
+            minor = np.einsum("ntq,tq->nq", block[:, E] * minor[:, L], S)
         adj[lo:lo + _BLOCK] = minor
     # expansion along the first row: det = sum_j a_0j C_0j, C_0j = adj[j, 0]
     det = np.einsum("nj,nj->n", flat[:, :m], adj[:, ::m])

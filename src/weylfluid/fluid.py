@@ -77,8 +77,8 @@ class WeylBundle:
 @dataclass(frozen=True)
 class FlowJet:
     """The metric data and the first jet of the flow on one point batch:
-    ``n^a``, ``d_c n^a`` (derivative index last) and the metric divergence
-    ``nabla^g_a n^a``, with ``n_a``, ``d_c n_b`` and the lowered
+    ``n^a`` and ``d_c n^a`` (derivative index last), with the metric
+    divergence ``nabla^g_a n^a``, ``n_a``, ``d_c n_b`` and the lowered
     acceleration ``n^c nabla^g_c n_b`` formed on first read.
 
     Given the reparametrization scalar ``phi``, the jet also carries its
@@ -92,9 +92,13 @@ class FlowJet:
     data: MetricData
     n: np.ndarray
     dn: np.ndarray
-    div: np.ndarray
     phi: TensorField
     pts: np.ndarray
+
+    @cached_property
+    def div(self) -> np.ndarray:
+        """``nabla^g_a n^a = d_a n^a + {g}^l_{la} n^a``."""
+        return np.einsum("naa->n", self.dn) + np.einsum("nc,nc->n", self.data.gamma_trace, self.n)
 
     @cached_property
     def n_low(self) -> np.ndarray:
@@ -136,7 +140,8 @@ class FlowJet:
         if phi is self.phi:
             return self
         out = replace(self, phi=phi)
-        out.__dict__.update(n_low=self.n_low, dn_low=self.dn_low, acc_low=self.acc_low)
+        out.__dict__.update(n_low=self.n_low, dn_low=self.dn_low, acc_low=self.acc_low,
+                            div=self.div)
         return out
 
 
@@ -157,8 +162,7 @@ def flow_jet(g: MetricField, n: TensorField, engine: DerivativeEngine, pts, phi=
         nval, njac = unit_jet(data, *engine.value_and_jacobian(n.u, pts), pts)
     else:
         nval, njac = engine.value_and_jacobian(n, pts)
-    div = np.einsum("naa->n", njac) + np.einsum("nc,nc->n", data.gamma_trace, nval)
-    return FlowJet(data, nval, njac, div, phi, pts)
+    return FlowJet(data, nval, njac, phi, pts)
 
 
 def fluid_covector(

@@ -13,6 +13,11 @@ Conventions
   through ``matmul`` (on an ``(N, m, m*m)`` reshape) or broadcasting, not
   ``einsum``: numpy's ``matmul`` reaches batched BLAS, an unoptimized
   ``einsum`` does not.
+* The point axis is the stacking axis of every ``matmul``, never a row
+  axis of one 2-D BLAS product: BLAS rounds a row differently by row count
+  (a one-row batch goes to ``gemv``), so a point's values would depend on
+  the batch around it.  A product of a point batch with a constant matrix
+  is an ``einsum`` loop or elementwise.
 * No per-matrix LAPACK call runs on a point batch: inverses and
   determinants come from the cofactor kernel of :mod:`.cofactors`, a few
   batched products over the whole batch, where LAPACK's ``inv`` and
@@ -338,15 +343,6 @@ class MetricData:
     def gamma_trace(self) -> np.ndarray:
         """{g}^l_{lc} = d_c ln sqrt|g|, shape (N, m)."""
         return self.dsqrt_det / self.sqrt_det[:, None]
-
-    def take(self, rows) -> "MetricData":
-        """The data of the points ``rows`` of the batch, with the Christoffel
-        symbols when they were already formed."""
-        out = MetricData(*(None if a is None else a[rows] for a in
-                           (self.val, self.inv, self.sqrt_det, self.dg)))
-        if "gamma" in self.__dict__:
-            out.__dict__["gamma"] = self.gamma[rows]
-        return out
 
 
 def inverse_trace(inv: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -2,9 +2,12 @@
 the preferred-frame solvers.
 
 A batch of independent rays advances together with per-ray step control:
-the Fehlberg 4(5) pair (Fehlberg 1969, NASA TR R-315) propagates its
-fifth-order solution, and the step size follows the usual error-ratio
-controller (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4).  What an
+the Dormand-Prince 5(4) pair of :class:`scipy.integrate.RK45` (Dormand &
+Prince 1980, *J. Comput. Appl. Math.* 6:19) propagates its fifth-order
+solution, and the step size follows the usual error-ratio controller
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.4).  The pair is
+first-same-as-last: its last stage is the derivative at the new state, which
+an accepted step hands to the next one, so a step costs six stages.  What an
 accepted step means is the caller's business: recording nodes, locating a
 chart exit and ending a ray all happen in its ``advance`` callback.
 """
@@ -15,40 +18,27 @@ import numpy as np
 
 from .errors import StiffnessError
 
-# Fehlberg 4(5) tableau; the fifth-order solution is propagated.
-_A = [
-    np.array([]),
-    np.array([1 / 4]),
-    np.array([3 / 32, 9 / 32]),
-    np.array([1932 / 2197, -7200 / 2197, 7296 / 2197]),
-    np.array([439 / 216, -8.0, 3680 / 513, -845 / 4104]),
-    np.array([-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40]),
-]
-_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
-_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
-
 _PROGRESS_WINDOW = 1000  # attempts between checks of each ray's progress
 
 
-def embedded_step(rhs, y, h):
-    """One embedded step for states ``(B, d)`` with per-ray sizes ``(B,)``;
-    returns the fifth-order state and the error estimate."""
-    ks = []
-    for i in range(6):
-        yi = y.copy()
-        for j, aij in enumerate(_A[i]):
-            yi += (h * aij)[:, None] * ks[j]
-        ks.append(rhs(yi))
-    y5 = y.copy()
-    err = np.zeros_like(y)
-    for i in range(6):
-        y5 += (h * _B5[i])[:, None] * ks[i]
-        err += (h * (_B5[i] - _B4[i]))[:, None] * ks[i]
-    return y5, err
+def embedded_step(rhs, y, h, f=None):
+    """One embedded step for states ``(B, d)`` with per-ray sizes ``(B,)``
+    from the derivative ``f = rhs(y)`` (evaluated when not given); returns
+    the fifth-order state, the error estimate and the derivative there.
+    The right-hand sides are autonomous, so the pair's nodes ``C`` are not
+    read."""
+    from scipy.integrate import RK45  # some 50 ms to import, paid on first use
+
+    ks = [rhs(y) if f is None else f]
+    for a in RK45.A[1:]:
+        ks.append(rhs(y + h[:, None] * sum(aij * k for aij, k in zip(a, ks))))
+    y5 = y + h[:, None] * sum(bi * k for bi, k in zip(RK45.B, ks))
+    ks.append(rhs(y5))
+    return y5, h[:, None] * sum(ei * k for ei, k in zip(RK45.E, ks)), ks[-1]
 
 
-def integrate_adaptive(rhs, y, h, active, advance, *, rtol, atol, step_cap,
-                       max_growth, min_step, max_steps, remaining=None):
+def integrate_adaptive(rhs, y, h, active, advance, *, rtol, atol, max_growth, min_step,
+                       max_steps, step_cap=np.inf, remaining=None):
     """Step every ``active`` ray until the caller has ended them all.
 
     ``y`` ``(B, d)``, ``h`` ``(B,)`` and ``active`` ``(B,)`` are per-ray
@@ -63,7 +53,8 @@ def integrate_adaptive(rhs, y, h, active, advance, *, rtol, atol, step_cap,
     * ``remaining(idx)``, when given, is how far each ray still is from the
       end of its parameter range, so the last step lands on it.
 
-    Each attempt is capped at ``step_cap``.  A step size that falls below
+    Each attempt is capped at ``step_cap``.  A trial state or derivative
+    that is not finite rejects the step.  A step size that falls below
     ``min_step``, a ray whose progress over its last ``_PROGRESS_WINDOW``
     attempts is too slow to cover its ``remaining`` range in the attempts
     left, or a batch still active after ``max_steps`` attempts raises
@@ -71,6 +62,10 @@ def integrate_adaptive(rhs, y, h, active, advance, *, rtol, atol, step_cap,
     """
     attempts = np.zeros(len(y), dtype=int)
     mark = np.full(len(y), np.inf)  # each ray's remaining range at the last check
+    f = np.empty_like(y)  # the derivative at each ray's state
+    idx = np.flatnonzero(active)
+    if len(idx):
+        f[idx] = rhs(idx, y[idx])
     for step in range(max_steps):
         if not np.any(active):
             return attempts
@@ -89,9 +84,13 @@ def integrate_adaptive(rhs, y, h, active, advance, *, rtol, atol, step_cap,
         ha = np.minimum(h[idx], step_cap)
         if remaining is not None:
             ha = np.minimum(ha, remaining(idx))
-        y5, err = embedded_step(lambda states: rhs(idx, states), ya, ha)
-        scale = atol + rtol * np.maximum(np.abs(ya), np.abs(y5))
-        ratio = np.max(np.abs(err) / scale, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y5, err, f5 = embedded_step(lambda states: rhs(idx, states), ya, ha, f[idx])
+            scale = atol + rtol * np.maximum(np.abs(ya), np.abs(y5))
+            ratio = np.max(np.abs(err) / scale, axis=1)
+        # a trial that is not finite is rejected: every stage is finite when
+        # the new state is (each stage enters it or is the derivative there)
+        ratio[~np.all(np.isfinite(y5) & np.isfinite(f5), axis=1)] = np.inf
         attempts[idx] += 1
         accept = ratio <= 1.0
         h[idx] = ha * np.clip(0.9 * np.maximum(ratio, 1e-16) ** -0.2, 0.2, max_growth)
@@ -101,5 +100,6 @@ def integrate_adaptive(rhs, y, h, active, advance, *, rtol, atol, step_cap,
                 f"step size underflow on ray {idx[k]}: h = {h[idx[k]]:.3g} "
                 f"< {min_step:g} at state {ya[k]}")
         if np.any(accept):
+            f[idx[accept]] = f5[accept]
             advance(idx[accept], ya[accept], y5[accept], ha[accept], ratio[accept])
     raise StiffnessError(f"integration exceeded the step budget of {max_steps} steps")

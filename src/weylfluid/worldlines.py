@@ -29,7 +29,6 @@ from .integrators import embedded_step, integrate_adaptive
 _RTOL = 1e-10
 _ATOL = 1e-10
 _INITIAL_STEP = 1e-3
-_MAX_STEP_FRACTION = 0.02  # of the full parameter range
 _MIN_STEP = 1e-13
 _MAX_STEPS = 200000
 _MAX_GROWTH = 5.0
@@ -104,7 +103,7 @@ def _land_on_wall(rhs, idx, base, trial, lo, hi):
             return d / d[rows, axis][:, None]
 
         start = np.concatenate([base[todo], np.zeros((len(todo), 1))], axis=1)
-        end, _ = embedded_step(per_axis, start, wall - base[todo, axis])
+        end = embedded_step(per_axis, start, wall - base[todo, axis])[0]
         nodes[todo], ds[todo] = end[:, :-1], end[:, -1]
         nodes[todo, axis] = wall
     return nodes, ds
@@ -112,12 +111,13 @@ def _land_on_wall(rhs, idx, base, trial, lo, hi):
 
 def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float):
     """Adaptive embedded integration of ``x'' = accel(x, v)`` for a batch of
-    independent rays with per-ray step control.
+    independent rays with per-ray steps sized by the error controller alone.
 
     ``accel(idx, X, V)`` maps the ``(B, m)`` pairs of rays ``idx`` to
-    accelerations ``(B, m)``.  A step that leaves the chart box is replaced
-    by one that ends on the wall it crosses (:func:`_land_on_wall`), and
-    the ray is flagged ``exited``.  Returns one :class:`WorldlinePath` per
+    accelerations ``(B, m)``.  A step that leaves the chart box ends the
+    ray, which is flagged ``exited``; once every ray has ended, each such
+    step is replaced by one that ends on the wall it crosses, all in one
+    batch (:func:`_land_on_wall`).  Returns one :class:`WorldlinePath` per
     ray.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
@@ -135,29 +135,35 @@ def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float):
     max_ratio = np.zeros(nrays)
     exited = np.zeros(nrays, dtype=bool)
     active = np.ones(nrays, dtype=bool)
+    exits = []  # (rays, states before, trial states) of the steps out of the chart
 
-    def advance(acc, y_old, y_new, h_acc, ratio):
-        inside = chart.contains(y_new[:, :m])
-        max_ratio[acc[inside]] = np.maximum(max_ratio[acc[inside]], ratio[inside])
-        if not np.all(inside):
-            y_new[~inside], h_acc[~inside] = _land_on_wall(
-                rhs, acc[~inside], y_old[~inside], y_new[~inside], lo, hi)
-            exited[acc[~inside]] = True
-            active[acc[~inside]] = False
+    def record(rays, nodes, steps):
         # a ray that steps from a point on the wall adds no node
-        for ray, node, step in zip(acc, y_new, h_acc):
+        for ray, node, step in zip(rays, nodes, steps):
             if step > 0.0:
                 s[ray] += step
                 y[ray] = node
                 nodes_s[ray].append(s[ray])
                 nodes_y[ray].append(node)
+
+    def advance(acc, y_old, y_new, h_acc, ratio):
+        inside = chart.contains(y_new[:, :m])
+        max_ratio[acc[inside]] = np.maximum(max_ratio[acc[inside]], ratio[inside])
+        if not np.all(inside):
+            exits.append((acc[~inside], y_old[~inside], y_new[~inside]))
+            exited[acc[~inside]] = True
+            active[acc[~inside]] = False
+        record(acc[inside], y_new[inside], h_acc[inside])
         active[acc[s[acc] >= s_max * (1.0 - 1e-14)]] = False
 
     h = np.full(nrays, min(_INITIAL_STEP, s_max))
     attempts = integrate_adaptive(
         rhs, y, h, active, advance,
-        rtol=_RTOL, atol=_ATOL, step_cap=_MAX_STEP_FRACTION * s_max, max_growth=_MAX_GROWTH, min_step=_MIN_STEP, max_steps=_MAX_STEPS,
+        rtol=_RTOL, atol=_ATOL, max_growth=_MAX_GROWTH, min_step=_MIN_STEP, max_steps=_MAX_STEPS,
         remaining=lambda idx: s_max - s[idx])
+    if exits:
+        rays, base, trial = (np.concatenate(part) for part in zip(*exits))
+        record(rays, *_land_on_wall(rhs, rays, base, trial, lo, hi))
 
     paths = []
     for i in range(nrays):
@@ -173,13 +179,6 @@ def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float):
     return paths
 
 
-def _autoparallel_accel(gamma):
-    def accel(idx, xs, vs):
-        return _transport(gamma(xs), vs)
-
-    return accel
-
-
 def _transport(gam, vs):
     """``-Gamma^a_bc v^b v^c``, the autoparallel acceleration."""
     return -gamma_vv(gam, vs)
@@ -193,7 +192,8 @@ def integrate_autoparallel(gamma: ConnectionField, x0, v0, s_max: float) -> Worl
 def integrate_autoparallel_batch(gamma: ConnectionField, x0s, v0s, s_max: float):
     """Independent autoparallels integrated together (per-ray step control)."""
     _require_start(gamma.chart, x0s, v0s)
-    return _integrate_batch(gamma.chart, _autoparallel_accel(gamma), x0s, v0s, s_max)
+    return _integrate_batch(gamma.chart, lambda idx, xs, vs: _transport(gamma(xs), vs),
+                            x0s, v0s, s_max)
 
 
 def _require_start(chart: Chart, x0s, v0s) -> None:
@@ -247,9 +247,12 @@ def integrate_fluid_worldlines(g: MetricField, n: TensorField, phi: TensorField,
     * ``FLOW_LINE``: an integral curve of ``n`` in the second-order form of
       :func:`integral_curve`, whose ``v0`` must be ``n(x0)``.
 
-    Each right-hand side evaluates the metric jet once on every row, and
-    the flow jet only on the rows that read it; a batch of null rows alone
-    reads neither ``n`` nor ``phi``.
+    Each right-hand side evaluates the metric jet once on every row and,
+    when ``n`` is given, forms the flow jet on every row from it; the null
+    geodesics of :func:`integrate_null_geodesic_batch` read neither ``n``
+    nor ``phi``.  A row's nodes do not depend on the other rows because
+    every point-axis kernel a stage reads is row-stable: it rounds a row
+    the same way whatever the batch around it.
     """
     kinds = np.asarray(kinds)
     _require_null(g, x0s, v0s, null_eps, rows=kinds == NULL_GEODESIC)
@@ -258,17 +261,13 @@ def integrate_fluid_worldlines(g: MetricField, n: TensorField, phi: TensorField,
     def accel(idx, xs, vs):
         kind = kinds[idx]
         data = metric_aux(g, xs, engine)
-        out = np.empty_like(vs)
-        flow = kind != NULL_GEODESIC
-        out[~flow] = _transport(data.gamma[~flow], vs[~flow])
-        if np.any(flow):
-            jet = flow_jet(g, n, engine, xs[flow], phi, data.take(flow))
-            vf = vs[flow]
-            af = np.einsum("nad,nd->na", jet.dn, vf)
-            weyl = kind[flow] == WEYL_AUTOPARALLEL
+        out = _transport(data.gamma, vs)
+        if n is not None:
+            jet = flow_jet(g, n, engine, xs, phi, data)
+            flow, weyl = kind == FLOW_LINE, kind == WEYL_AUTOPARALLEL
+            out[flow] = np.einsum("nad,nd->na", jet.dn[flow], vs[flow])
             if np.any(weyl):
-                af[weyl] = _transport(jet.Gamma[weyl], vf[weyl])
-            out[flow] = af
+                out[weyl] = _transport(jet.Gamma[weyl], vs[weyl])
         return out
 
     return _integrate_batch(g.chart, accel, x0s, v0s, s_max)

@@ -47,6 +47,17 @@ def test_integer_determinant_is_exact(m):
     assert rel_err(det, np.linalg.det(a)) <= 1e-13
 
 
+@pytest.mark.parametrize("m", range(2, 7))
+def test_rows_do_not_depend_on_the_batch(m):
+    # every row of a batch is the adjugate of that matrix alone, bit for bit,
+    # within and across the point blocks
+    a = nonsymmetric_batch(300, m, seed=m)
+    adj, det = adjugate_det(a)
+    for i in (0, 1, 63, 255, 256, 299):
+        alone = adjugate_det(a[i:i + 1])
+        assert np.array_equal(alone[0][0], adj[i]) and alone[1][0] == det[i]
+
+
 def test_singular_batch_raises_before_dividing():
     a = np.stack([np.eye(3), np.diag([1.0, 0.5 * DET_FLOOR, 1.0])])
     with pytest.raises(SingularMetricError, match="at batch row 1"):

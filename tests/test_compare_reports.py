@@ -51,8 +51,22 @@ class TestCompareReports:
         assert done.returncode == 0, done.stdout
         lines = done.stdout.splitlines()
         assert lines[0] == ("moved    minkowski-dust-rest  volume-trace: "
-                            "2e-16 -> 2.5e-16  (tol 1e-08)")
-        assert lines[-1] == "1 of 3 records moved; 0 missing or flipped"
+                            "2e-16 -> 2.5e-16  (tol 1e-08; headroom 2e-08 -> 2.5e-08)")
+        assert lines[-1] == ("1 of 3 records moved, largest new headroom 2.5e-08 "
+                             "(minkowski-dust-rest  volume-trace); 0 missing or flipped")
+
+    def test_summary_names_the_largest_new_headroom(self, dirs):
+        # the largest headroom after the move, not the largest move
+        old, new = dirs
+        _write(new, "minkowski-dust-rest", {"nonmetricity": 1e-16, "volume-trace": 1e-9})
+        _write(new, "flrw-radiation", {"nonmetricity": 3e-9}, tol=1e-7)
+        done = _compare(old, new)
+        assert done.returncode == 0, done.stdout
+        lines = done.stdout.splitlines()
+        assert lines[0].endswith("(tol 1e-07; headroom 3e-07 -> 0.03)")
+        assert lines[1].endswith("(tol 1e-08; headroom 2e-08 -> 0.1)")
+        assert lines[-1] == ("2 of 3 records moved, largest new headroom 0.1 "
+                             "(minkowski-dust-rest  volume-trace); 0 missing or flipped")
 
     def test_pass_flip_fails(self, dirs):
         old, new = dirs

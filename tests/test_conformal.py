@@ -255,7 +255,8 @@ class TestPreferredFrame:
 
     @pytest.mark.parametrize("name", ["flrw-comoving-dust", "minkowski-sheared"])
     def test_sweep_work_per_node(self, name, monkeypatch):
-        # one layer per carry: about one embedded step (6 stages) per node
+        # one layer per carry: about one embedded step (six stages and the
+        # derivative at the start) per node
         preset, bundle, pts = _setup(name)
         spec = SliceSpec(0, preset.meta.slice_values[0], preset.meta.slice_box)
         counted = _count_transport_points(monkeypatch)

@@ -231,19 +231,6 @@ class TestMetricData:
         with pytest.raises(SingularMetricError):
             metric_data(degenerate, [[0.0, 0.2, 0.1]])
 
-    @pytest.mark.parametrize("read_first", [False, True])
-    def test_take_keeps_christoffel_symbols(self, read_first):
-        # the rows' Christoffel symbols are those of the metric data of the
-        # rows alone, whether the batch formed them before the take or not
-        g, pts = perturbed_batch(12, 4)
-        data = metric_aux(g, pts, AD)
-        if read_first:
-            data.gamma
-        rows = np.arange(12) % 3 != 1
-        taken = data.take(rows)
-        assert ("gamma" in vars(taken)) == read_first
-        assert np.array_equal(taken.gamma, metric_aux(g, pts[rows], AD).gamma)
-
 
 def perturbed_batch(n, m, seed=0):
     """A closed-form metric with no zero component and ``n`` random points

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from weylfluid import worldlines
-from weylfluid.catalog import build, circular_orbit_init, null_tangent
+from weylfluid import integrators, worldlines
+from weylfluid.catalog import PRESETS, build, circular_orbit_init, null_tangent, verification_matrix
+from weylfluid.config import SuiteConfig
 from weylfluid.connections import levi_civita
 from weylfluid.errors import ComparisonError, StiffnessError
-from weylfluid.fluid import fluid_connection
-from weylfluid.geometry import DerivativeEngine
+from weylfluid.fluid import fluid_connection, flow_jet
+from weylfluid.geometry import DerivativeEngine, metric_aux
+from weylfluid.harness import run_suite
 from weylfluid.worldlines import (
     FLOW_LINE,
     NULL_GEODESIC,
@@ -137,6 +139,17 @@ class TestChartExit:
         assert path.points[-1, axis] == wall
         assert np.all((path.points[-1] >= lo) & (path.points[-1] <= hi))
         assert np.all(np.diff(path.s) > 0)
+
+    def test_rays_leaving_at_different_steps_land_in_one_batch(self, flat_phi, landings):
+        preset, bundle = flat_phi
+        v0s = np.array([[1.0, 0.3, -0.2, 0.1], [0.3, -1.0, 0.2, 0.0]])
+        paths = integrate_autoparallel_batch(bundle.gamma, np.zeros((2, 4)), v0s, 50.0)
+        assert [p.exited for p in paths] == [True, True]
+        assert paths[0].steps != paths[1].steps
+        assert landings == [2]
+        for path, v0 in zip(paths, v0s):
+            alone = integrate_autoparallel(bundle.gamma, np.zeros(4), v0, 50.0)
+            _assert_same_path(path, alone)
 
     def test_crossing_near_a_corner_lands_again(self, landings):
         # a radial null ray of a(t)^2 = exp(t/5) from x = 0 reaches the
@@ -328,7 +341,7 @@ class TestFluidBatch:
         paths = integrate_fluid_worldlines(preset.g, st.n, st.phi, ENG,
                                            [kinds[i] for i in inside], starts[inside],
                                            tangents[inside], s_max)
-        assert len(metric_calls) == 6 * max(p.steps for p in paths)
+        assert len(metric_calls) == 6 * max(p.steps for p in paths) + 1
 
     def test_rejects_a_non_null_ray(self, batch):
         preset, kinds, starts, tangents, s_max, _ = batch
@@ -336,6 +349,53 @@ class TestFluidBatch:
         with pytest.raises(ValueError, match="tangent 1 is not null"):
             integrate_fluid_worldlines(preset.g, st.n, st.phi, ENG, kinds[:2], starts[:2],
                                        [tangents[0], 2.0 * tangents[4]], s_max)
+
+
+class TestRowStability:
+    """Each row of the metric data and the flow jet on a batch is the
+    evaluation of its point alone, bit for bit, so an integrated ray does
+    not depend on the rays batched with it."""
+
+    @pytest.mark.parametrize("name", ["minkowski-sheared", "minkowski-perturbed"])
+    @pytest.mark.parametrize("rows", [2, 6, 40])
+    def test_batch_rows_are_the_rows_alone(self, name, rows):
+        preset = build(name)
+        g, st = preset.g, preset.state
+        pts = preset.chart.random_points(rows, seed=1)
+
+        def quantities(x):
+            data = metric_aux(g, x, ENG)
+            jet = flow_jet(g, st.n, ENG, x, st.phi, data)
+            return {"val": data.val, "inv": data.inv, "gamma": data.gamma, "n": jet.n,
+                    "dn": jet.dn, "A": jet.A, "Gamma": jet.Gamma}
+
+        batch = quantities(pts)
+        for i in range(rows):
+            for key, alone in quantities(pts[i:i + 1]).items():
+                np.testing.assert_array_equal(batch[key][i], alone[0], err_msg=f"{key} row {i}")
+
+
+class TestWorkGuards:
+    def test_worldline_suite_step_batches(self, monkeypatch):
+        # the ten-preset worldlines suite at seed 0 made 582 embedded-step
+        # batches under the Fehlberg pair with a step cap of s_max / 50, 53 of
+        # them wall landings; it makes 309 now, 10 of them landings
+        batches = []
+
+        def counted(step):
+            def wrapper(rhs, y, h, *args):
+                batches.append(len(y))
+                return step(rhs, y, h, *args)
+            return wrapper
+
+        monkeypatch.setattr(integrators, "embedded_step", counted(integrators.embedded_step))
+        monkeypatch.setattr(worldlines, "embedded_step", counted(worldlines.embedded_step))
+        for name in verification_matrix():
+            entry = PRESETS[name]
+            report = run_suite(SuiteConfig(spacetime=entry.spacetime, fluid=entry.fluid, seed=0,
+                                           suites=("worldlines",), timing=False))
+            assert report.passed, name
+        assert len(batches) <= 380
 
 
 class TestHermiteResample:
