@@ -96,7 +96,9 @@ def _cmd_frame(args) -> int:
     factor = preset.solve_frame(config.engine, config.frame_params, config.tols.frame)
     factor.write_csv(config.out)
     counts = "x".join(str(len(ax)) for ax in factor.grid_axes)
-    print(f"wrote {config.out}: {counts} = {factor.grid_values.size} grid values")
+    sized = ("" if factor.estimate is None else ", estimate/tol "
+             + " ".join(f"{e / config.tols.frame:.2g}" for e in factor.estimate))
+    print(f"wrote {config.out}: {counts} = {factor.grid_values.size} grid values{sized}")
     return EXIT_PASS
 
 

@@ -20,8 +20,11 @@ divergence-free.  Its log-factor solves the transport equation
 integrated along the flow characteristics with the slice coordinate as the
 independent variable.  The solution is memoized on a tensor grid, filled
 layer by layer outward from the seed slice: each node is carried back one
-layer and reads its start value off that layer's interpolant; each axis is
-refined until the error estimate of its solved values meets the tolerance.
+layer and reads its start value off that layer's interpolant.  The grid
+sizes itself from the error estimate of its solved values: an axis above
+the target is refined, an axis far below it drops to the 4 nodes a cubic
+takes, and a grid solved again copies every node the grid before it had
+solved, so each node is transported once.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .interpolation import build_interpolator, error_estimate
+from .interpolation import ESTIMATE_NODES, build_interpolator, error_estimate
 from .connections import eps_connection
 from .conservation import SliceSpec
 from .errors import GaugeError, ReachabilityError, TransversalityError, WeylFluidError
@@ -80,13 +83,17 @@ def _exp(ln: TensorField) -> TensorField:
 class FrameFactor(ConformalFactor):
     """The solved preferred-frame factor: the log factor interpolating
     ``grid_values`` on the memo grid spanned by ``grid_axes``, and
-    ``solve_at``, the direct solve of the log factor at given points."""
+    ``solve_at``, the direct solve of the log factor at given points.
+    ``estimate`` holds the per-axis error estimates the grid was sized by,
+    ``None`` on a fixed grid; a 4-node axis keeps the estimate of the 7-node
+    axis it was halved from, as it has too few nodes to be estimated again."""
 
-    def __init__(self, ln: TensorField, grid_axes, grid_values, solve_at):
+    def __init__(self, ln: TensorField, grid_axes, grid_values, solve_at, estimate=None):
         super().__init__(_exp(ln), ln)
         self.grid_axes = grid_axes
         self.grid_values = grid_values
         self.solve_at = solve_at
+        self.estimate = estimate
 
     def grid_points(self) -> np.ndarray:
         """The memo nodes, ``(N, m)``, in the row order of ``grid_values.ravel()``."""
@@ -225,6 +232,9 @@ class FrameSolverParams:
 # Memo-grid sizing: 7 nodes per axis first, the fewest whose even-indexed
 # half carries a cubic; an axis whose estimate is above a tenth of the
 # tolerance (FRAME_TOL by default) is refined n -> 4n - 3 up to the ceiling.
+# When the grid is solved again, a 7-node axis whose estimate is within
+# 2^-4 of that target (the cubic's order) drops to its 4 even-indexed nodes:
+# the estimate is the error of that very cubic.
 FRAME_TOL = 1e-4
 _MAX_NODES = 17 ** 4
 
@@ -321,39 +331,65 @@ class _Transport:
         y[:, k] = to
         return y[:, :m], y[:, m]
 
-    def memo_grid(self, counts):
+    def memo_grid(self, counts, prev=None):
         """The axes of ``counts[j]`` nodes over the half-margin inset box and
         the log factor on them, filled one slice-axis layer at a time outward
         from the seed slice (semi-Lagrangian, Staniforth & Cote 1991): each
-        layer is carried one layer back and reads that layer's interpolant."""
+        layer is carried one layer back and reads that layer's interpolant.
+
+        ``prev`` is the ``(axes, values)`` of a grid solved before on the same
+        box.  A node that lies on a node of that grid on every axis copies
+        its value (adaptive-mesh reuse, Berger & Oliger 1984); only the other
+        nodes of a layer are carried."""
         chart, k, value = self.g.chart, self.axis, self.value
         lo, hi = chart.bounds(chart.margin / 2.0)
         axes = [np.linspace(lo[j], hi[j], counts[j]) for j in range(chart.dim)]
         across = axes[:k] + axes[k + 1:]
         shape = [len(a) for a in across]
         plane = np.stack([a.ravel() for a in np.meshgrid(*across, indexing="ij")], axis=-1)
-        layers = np.zeros((len(axes[k]), len(plane)))
+        # the grid with the slice axis first, reshaped to one row per layer
+        layers = np.zeros([len(axes[k])] + shape)
+        known = np.zeros(layers.shape, dtype=bool)
+        if prev is not None:
+            prev_axes, prev_values = prev
+            old = [_counterparts(len(a), len(b)) for a, b in zip(axes, prev_axes)]
+            old.insert(0, old.pop(k))
+            new = [np.flatnonzero(o >= 0) for o in old]
+            layers[np.ix_(*new)] = np.moveaxis(prev_values, k, 0)[
+                np.ix_(*[o[i] for o, i in zip(old, new)])]
+            known[np.ix_(*new)] = True
+        layers, known = layers.reshape(len(axes[k]), -1), known.reshape(len(axes[k]), -1)
 
         # a layer within a minimum step of the seed slice lies on it
         offset = axes[k] - value
         after = np.flatnonzero(offset > _MIN_STEP)
         before = np.flatnonzero(offset < -_MIN_STEP)[::-1]
         for side in (after, before):
-            prev = None
+            prev_layer = None
             for i in side:
-                layer = np.insert(plane, k, axes[k][i], axis=1)
-                if prev is None:
-                    _, layers[i] = self.carry(layer, value)
-                else:
-                    landing, delta = self.carry(layer, axes[k][prev])
+                todo = np.flatnonzero(~known[i])
+                layer = np.insert(plane[todo], k, axes[k][i], axis=1)
+                if len(todo) and prev_layer is None:
+                    _, layers[i, todo] = self.carry(layer, value)
+                elif len(todo):
+                    landing, delta = self.carry(layer, axes[k][prev_layer])
                     inbox = chart.contains(landing, shrink=chart.margin / 2.0)
-                    interp = build_interpolator(across, layers[prev].reshape(shape))
-                    start = np.empty(len(plane))
+                    interp = build_interpolator(across, layers[prev_layer].reshape(shape))
+                    start = np.empty(len(todo))
                     start[inbox] = interp(np.delete(landing[inbox], k, axis=1))
                     start[~inbox] = self.solve(landing[~inbox])
-                    layers[i] = delta + start
-                prev = i
+                    layers[i, todo] = delta + start
+                prev_layer = i
         return axes, np.moveaxis(layers.reshape([len(axes[k])] + shape), 0, k)
+
+
+def _counterparts(count, prev_count):
+    """Per node of an axis of ``count`` nodes, the index of the node of the
+    ``prev_count``-node axis over the same interval that it lies on, or -1:
+    i -> i on an unchanged axis, 4j -> j on a refined one (n -> 4n - 3) and
+    j -> 2j on a halved one (7 -> 4)."""
+    scaled = np.arange(count) * (prev_count - 1)
+    return np.where(scaled % (count - 1) == 0, scaled // (count - 1), -1)
 
 
 def preferred_frame(
@@ -368,27 +404,36 @@ def preferred_frame(
 
     ``ln Phi`` vanishes on the seed slice and is memoized on a tensor grid
     behind a cubic spline; ``solve_at`` integrates to the slice directly.
-    ``params.grid_nodes`` fixes the nodes per axis; else each axis whose
-    error estimate is above a tenth of ``tol`` is refined and the grid
-    solved again, and a grid past the ceiling raises before it is solved.
+    ``params.grid_nodes`` fixes the nodes per axis.  Else the grid starts at
+    7 nodes per axis and each axis whose error estimate is above a tenth of
+    ``tol`` is refined n -> 4n - 3; when it does, each axis still at 7
+    nodes whose estimate is within a sixteenth of that target drops to its
+    4 even-indexed nodes.  Each new grid copies the nodes it shares with
+    the grid before and carries only the others, and a grid past the
+    ceiling raises before it is solved.
     """
     params = params or FrameSolverParams()
     transport = _Transport(g, n, engine, seed_slice.axis, seed_slice.value)
-    counts = [params.grid_nodes or 7] * g.chart.dim
+    counts = [params.grid_nodes or ESTIMATE_NODES] * g.chart.dim
     axes, values = transport.memo_grid(counts)
-    while params.grid_nodes is None:
-        estimate = error_estimate(axes, values)
-        coarse = np.flatnonzero(estimate > 0.1 * tol)
+    estimate = None if params.grid_nodes is not None else error_estimate(axes, values)
+    target = 0.1 * tol
+    while estimate is not None:
+        coarse = np.flatnonzero(estimate > target)
         if not coarse.size:
             break
-        counts = [4 * c - 3 if j in coarse else c for j, c in enumerate(counts)]
+        counts = [4 * c - 3 if j in coarse
+                  else (c + 1) // 2 if c == ESTIMATE_NODES and estimate[j] <= target / 16
+                  else c for j, c in enumerate(counts)]
         if np.prod(counts) > _MAX_NODES:
             raise WeylFluidError("frame memo grid past the ceiling of {} nodes: {}".format(
                 _MAX_NODES, ", ".join(f"axis {g.chart.names[j]!r} at {len(axes[j])} nodes "
                                       f"estimates {estimate[j]:.3g}" for j in coarse)))
-        axes, values = transport.memo_grid(counts)
+        axes, values = transport.memo_grid(counts, (axes, values))
+        fresh = error_estimate(axes, values)
+        estimate = np.where(np.isnan(fresh), estimate, fresh)
     ln = scalar_field(g.chart, eval_fn=build_interpolator(axes, values), name="ln(frame-factor)")
-    return FrameFactor(ln, axes, values, transport.solve)
+    return FrameFactor(ln, axes, values, transport.solve, estimate)
 
 
 def transport_residual(

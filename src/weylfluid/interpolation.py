@@ -28,6 +28,9 @@ class TensorSpline:
         return self.spline(np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
+ESTIMATE_NODES = 2 * (TensorSpline.DEGREE + 1) - 1  # the fewest an estimate takes
+
+
 def build_interpolator(axes, values: np.ndarray) -> TensorSpline:
     """The cubic tensor spline through ``values`` on the grid ``axes``."""
     return TensorSpline(axes, values)
@@ -36,10 +39,14 @@ def build_interpolator(axes, values: np.ndarray) -> TensorSpline:
 def error_estimate(axes, values: np.ndarray) -> np.ndarray:
     """Per axis, the largest gap between the values at the odd-indexed nodes
     and the cubic through the even-indexed ones: the spline's error at twice
-    the spacing, a bound on its own error, which falls at order 4.  Each
-    axis needs 7 nodes, so that 4 even-indexed ones carry a cubic."""
+    the spacing, a bound on its own error, which falls at order 4.  An axis
+    needs 7 nodes, so that 4 even-indexed ones carry a cubic; an axis with
+    fewer is skipped, its estimate NaN."""
     gaps = []
     for j, ax in enumerate(axes):
+        if len(ax) < ESTIMATE_NODES:
+            gaps.append(np.nan)
+            continue
         even, odd = values.take(range(0, len(ax), 2), j), values.take(range(1, len(ax), 2), j)
         half = make_interp_spline(ax[::2], even, k=TensorSpline.DEGREE, axis=j)
         gaps.append(np.max(np.abs(half(ax[1::2]) - odd)))

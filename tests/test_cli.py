@@ -381,6 +381,14 @@ class TestOtherCommands:
         assert data.shape == (5**4, 5)
         assert np.abs(data[:, 4]).max() < 1e-12  # already incompressible
 
+    def test_sized_frame_prints_its_estimates(self, tmp_path, capsys):
+        # a grid sized by the error estimate prints the per-axis estimates,
+        # in units of the frame tolerance, beside its counts
+        cfg = PASS_CFG.replace("suites = connection fluid", "suites = frame")
+        path = _write(tmp_path, "frame.cfg", cfg)
+        assert cli.main(["frame", "--config", path, "--out", str(tmp_path / "grid.csv")]) == 0
+        assert "7x7x7x7 = 2401 grid values, estimate/tol 0 0 0 0" in capsys.readouterr().out
+
 
 class TestMalformedReport:
     @pytest.mark.parametrize("text, message", [

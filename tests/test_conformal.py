@@ -21,7 +21,16 @@ from weylfluid.conformal import (
 from weylfluid.conservation import SliceSpec, condition_scalars, number_on_slice, particle_current
 from weylfluid.errors import GaugeError, ReachabilityError, WeylFluidError
 from weylfluid.fluid import fluid_connection, fluid_covector, geodesic_defect, stress_energy
-from weylfluid.geometry import DerivativeEngine, constant_scalar, scalar_field
+from weylfluid import autodiff as ad
+from weylfluid.geometry import (
+    Chart,
+    DerivativeEngine,
+    MetricField,
+    constant_scalar,
+    normalize_timelike,
+    scalar_field,
+    vector_field,
+)
 from weylfluid.harness import run_suite
 from weylfluid.interpolation import error_estimate
 from weylfluid.suites import Tolerances
@@ -308,18 +317,88 @@ class TestPreferredFrame:
         assert sized == sum(counted)
 
     def test_refinement_past_the_ceiling_is_refused(self, monkeypatch):
-        # the power-law time axis needs 25 nodes after the 7-node grid; with
-        # the ceiling below 25 x 7^3 nodes that grid is never transported
+        # the power-law time axis needs 25 nodes after the 7-node grid, and
+        # the space axes drop to 4; with the ceiling below 25 x 4^3 nodes
+        # that grid is never transported
         preset = build("flrw-power-dust")
         counted = _count_transport_points(monkeypatch)
         fixed = preset.solve_frame(ENG, FrameSolverParams(grid_nodes=7))
         estimate = error_estimate(fixed.grid_axes, fixed.grid_values)
         first = sum(counted)
-        monkeypatch.setattr(conformal, "_MAX_NODES", 25 * 7**3 - 1)
+        monkeypatch.setattr(conformal, "_MAX_NODES", 25 * 4**3 - 1)
         with pytest.raises(WeylFluidError, match="ceiling") as err:
             preset.solve_frame(ENG)
         assert f"axis 't' at 7 nodes estimates {estimate[0]:.3g}" in str(err.value)
         assert sum(counted) == 2 * first
+
+    def test_refined_grid_copies_the_coarse_solve(self, monkeypatch):
+        # the time axis is refined 7 -> 25 -> 97 and the space axes, far
+        # below the target, drop to their 4 even-indexed nodes; every node
+        # the 7-node grid solved is copied, not carried again
+        preset = build("flrw-power-dust")
+        fixed = preset.solve_frame(ENG, FrameSolverParams(grid_nodes=7))
+        counted = _count_transport_points(monkeypatch)
+        sized = preset.solve_frame(ENG)
+        assert [len(ax) for ax in sized.grid_axes] == [97, 4, 4, 4]
+        assert np.array_equal(sized.grid_values[::16], fixed.grid_values[:, ::2, ::2, ::2])
+        assert sum(counted) <= 130_000
+        # the halved axes keep the estimates of their 7-node cubics
+        target = 0.1 * Tolerances().frame
+        assert sized.estimate[0] <= target
+        assert np.all(sized.estimate[1:] <= target / 16)
+        assert np.array_equal(sized.estimate[1:],
+                              error_estimate(fixed.grid_axes, fixed.grid_values)[1:])
+
+    def test_plane_axis_refinement_carries_only_new_plane_nodes(self, monkeypatch):
+        # at a tighter tolerance the sheared chart refines its x axis 7 -> 25
+        # while t, y and z drop to 4 nodes: every layer is kept, and each
+        # carries the 18 x 4 x 4 nodes of its plane that are new
+        preset = build("minkowski-sheared")
+        carried = []
+        carry = _Transport.carry
+
+        def recording(transport, pts, to):
+            carried.append(np.asarray(pts))
+            return carry(transport, pts, to)
+
+        monkeypatch.setattr(_Transport, "carry", recording)
+        fac = preset.solve_frame(ENG, tol=1e-6)
+        assert [len(ax) for ax in fac.grid_axes] == [4, 25, 4, 4]
+        nodes = fac.grid_points()
+        on_grid = [tuple(p) for p in np.concatenate(carried)
+                   if all(np.isin(p[j], ax) for j, ax in enumerate(fac.grid_axes))]
+        # each node was carried once: by the 7^4 solve if its x node is one
+        # of that grid's, else by the refined solve
+        assert sorted(on_grid) == sorted(map(tuple, nodes))
+        x7 = np.linspace(*fac.grid_axes[1][[0, -1]], 7)
+        assert sum(not np.isin(p[1], x7) for p in on_grid) == 4 * 18 * 4 * 4
+        assert np.abs(fac.grid_values.ravel() - fac.solve_at(nodes)).max() <= 1e-8
+
+    def test_refined_grid_copies_along_a_later_slice_axis(self):
+        # the power-law cosmology with time as the second coordinate: the
+        # slice axis is refined and the others halved, and the copied
+        # nodes are the coarse grid's own values
+        chart = Chart(("x", "t", "y", "z"), ((-1.0, 1.0), (0.5, 4.0), (-1.0, 1.0), (-1.0, 1.0)))
+
+        def metric(c):
+            a2 = c[1] ** (4.0 / 3.0)
+            return ad.diag(ad.stack([a2, np.full_like(ad.value(c[1]), -1.0), a2, a2]))
+
+        g = MetricField(chart, metric)
+        n = normalize_timelike(g, vector_field(chart, lambda c: ad.stack(
+            [np.zeros_like(ad.value(c[0])), np.ones_like(ad.value(c[0]))] + [
+                np.zeros_like(ad.value(c[0]))] * 2)))
+        transport = _Transport(g, n, ENG, 1, 1.0)
+        coarse = transport.memo_grid([7] * 4)
+        axes, values = transport.memo_grid([4, 25, 4, 4], coarse)
+        assert np.array_equal(values[:, ::4], coarse[1][::2, :, ::2, ::2])
+        nodes = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        assert np.abs(values.ravel() - transport.solve(nodes)).max() <= 1e-8
+
+    def test_fixed_grid_carries_no_estimate(self):
+        preset = build("minkowski-sheared")
+        assert preset.solve_frame(ENG, FrameSolverParams(grid_nodes=5)).estimate is None
+        assert preset.solve_frame(ENG).estimate.shape == (4,)
 
     def test_csv_layout(self, tmp_path):
         # a header of the coordinate names and ln_factor, then one row per

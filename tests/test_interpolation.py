@@ -1,6 +1,7 @@
 """The cubic tensor spline behind the preferred-frame memo grid."""
 
 import numpy as np
+import pytest
 
 from weylfluid.catalog import build
 from weylfluid.interpolation import TensorSpline, error_estimate
@@ -63,3 +64,19 @@ class TestErrorOrder:
             # the estimate is the error at twice the spacing: above the
             # actual error, and at order 4 about 16 times it
             assert actual[n] <= estimate[n] <= 32.0 * actual[n], n
+
+
+class TestErrorEstimate:
+    def test_axes_under_seven_nodes_are_skipped(self):
+        values = _cubic(_grid_points(AXES)).reshape([len(a) for a in AXES])
+        estimate = error_estimate(AXES, values)
+        assert np.isnan(estimate[:2]).all() and np.isfinite(estimate[2])
+
+    def test_estimate_is_the_error_of_the_halved_axis(self):
+        # a 7-node axis halved to its even-indexed nodes keeps its estimate,
+        # the largest gap of the halved grid's spline at the dropped nodes
+        x = np.linspace(0.0, 1.0, 7)
+        values = np.exp(2.0 * x)
+        halved = TensorSpline([x[::2]], values[::2])
+        gap = np.abs(halved(x[1::2, None]) - values[1::2]).max()
+        assert error_estimate([x], values)[0] == pytest.approx(gap, rel=1e-12)

@@ -7,9 +7,10 @@ itself."""
 import numpy as np
 import pytest
 
-from weylfluid import autodiff as ad, fluid, suites
+from weylfluid import autodiff as ad, conformal, fluid, suites
 from weylfluid.catalog import build
 from weylfluid.conservation import VectorDensityField
+from weylfluid.errors import WeylFluidError
 from weylfluid.geometry import DerivativeEngine, tensor2_field
 
 
@@ -103,6 +104,32 @@ def test_planted_defect_fails_the_check(suite, check, plant, monkeypatch):
     assert run(planted=False).passed
     record = run(planted=True)
     assert not record.passed and record.max_residual > record.tol
+
+
+def test_planted_frame_copy_is_refused(monkeypatch):
+    # each node that a refined memo grid copies from the coarse grid reads
+    # the next coarse layer's value instead of its own: the refined time
+    # axis's estimate sees the shifted copies on every grid, so the sizing
+    # refines until it reaches the ceiling rather than passing the checks
+    # on a wrong grid
+    preset = build("flrw-power-dust")
+    counterparts = conformal._counterparts
+
+    def next_layer(count, prev_count):
+        old = counterparts(count, prev_count)
+        if count <= prev_count:
+            return old
+        return np.where(old >= 0, np.minimum(old + 1, prev_count - 1), -1)
+
+    def run():
+        ctx = suites.SuiteContext(preset, DerivativeEngine(), preset.chart.sample_points(2, 8, 3))
+        return {c.name: c for c in suites.frame_suite(ctx)}
+
+    records = run()
+    assert records["frame-closed-form"].passed and records["frame-transport"].passed
+    monkeypatch.setattr(conformal, "_counterparts", next_layer)
+    with pytest.raises(WeylFluidError, match="ceiling of 83521 nodes: axis 't' at 385 nodes"):
+        run()
 
 
 def test_non_finite_current_names_the_field(monkeypatch):
