@@ -170,7 +170,9 @@ def load_config(path: str = None, overrides: dict = None) -> SuiteConfig:
 
     if parser.has_section("tolerances"):
         sec = parser["tolerances"]
-        kwargs = {k: _get_finite(sec, k, getattr(Tolerances, k)) for k in sec}
+        # a frame tolerance of 0 would refine the sized memo grid to its ceiling
+        kwargs = {k: _get_finite(sec, k, getattr(Tolerances, k), positive=k == "frame")
+                  for k in sec}
         cfg.tols = Tolerances(**kwargs)
 
     if parser.has_section("samples"):

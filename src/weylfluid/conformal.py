@@ -239,10 +239,10 @@ FRAME_TOL = 1e-4
 _MAX_NODES = 17 ** 4
 
 # Characteristic integrator controls, in units of the slice coordinate.
-# The step cap is an eighth of the slice-axis interval, and the first
-# attempt of a carry is the cap or the whole carry if that is shorter;
-# accuracy is controlled by the embedded error estimate.  A carry shorter
-# than the minimum step counts as lying on its target slice.
+# The first attempt of a carry is an eighth of the slice-axis interval, or
+# the whole carry if that is shorter; the error controller sizes every step
+# after it.  A carry shorter than the minimum step counts as lying on its
+# target slice.
 _RTOL = 1e-8
 _ATOL = 1e-10
 _MAX_STEPS = 4000
@@ -253,9 +253,9 @@ _CHUNK = 24576  # points per integration batch
 
 
 class _Transport:
-    """Characteristic transport of the log-factor, stepped on the slice
-    coordinate ``x_k``: ``dx/dx_k = n / n^k`` and
-    ``d ln Phi/dx_k = -src / n^k``."""
+    """Characteristic transport of the log-factor along the flow,
+    ``dx/dt = n`` and ``d ln Phi/dt = -src``, which the integrator steps on
+    the slice coordinate ``x_k`` as ``dx/dx_k = n / n^k``."""
 
     def __init__(self, g, n, engine, axis, value):
         self.g = g
@@ -268,8 +268,17 @@ class _Transport:
         self.max_step = (b - a) / 8.0
 
     def _flow_and_source(self, pts):
+        """``(n, src)`` on ``pts``, side by side: the derivative of the
+        transport state along the flow."""
         jet = flow_jet(self.g, self.n, self.engine, pts)
-        return jet.n, jet.div / (self.m - 1.0)
+        bad = jet.n[:, self.axis] <= _TRANSVERSALITY_EPS
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise TransversalityError(
+                f"flow component along slice axis is "
+                f"{jet.n[i, self.axis]:.3e} <= 0 near point {pts[i]}"
+            )
+        return np.concatenate([jet.n, jet.div[:, None] / (self.m - 1.0)], axis=1)
 
     def solve(self, pts) -> np.ndarray:
         """Log-factor values at the given points: each characteristic is
@@ -281,55 +290,27 @@ class _Transport:
         ``x_k = to``; returns the landing points and
         ``ln Phi(pts) - ln Phi(landing)``, in batches of ``_CHUNK`` points."""
         pts = self.g.chart.as_points(pts)
-        landing = np.empty_like(pts)
-        delta = np.empty(len(pts))
-        for start in range(0, len(pts), _CHUNK):
-            block = slice(start, start + _CHUNK)
-            landing[block], delta[block] = self._carry_block(pts[block], to)
-        return landing, delta
-
-    def _carry_block(self, pts, to):
-        b, m, k = len(pts), self.m, self.axis
-        # x_k advances by dirs * h in a step of size h, so the integrator's
-        # `remaining` ends each ray exactly on the slice
-        dirs = np.sign(to - pts[:, k])
-        left = np.abs(to - pts[:, k])
-        active = left > _MIN_STEP
-
         # state: m coordinates plus the accumulated source integral
-        y = np.concatenate([pts, np.zeros((b, 1))], axis=1)
+        y = np.concatenate([pts, np.zeros((len(pts), 1))], axis=1)
+        for start in range(0, len(pts), _CHUNK):
+            block = y[start:start + _CHUNK]  # a view: integrated in place
 
-        def rhs(idx, state):
-            q = state[:, :m]
-            nval, src = self._flow_and_source(q)
-            bad = nval[:, k] <= _TRANSVERSALITY_EPS
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise TransversalityError(
-                    f"flow component along slice axis is "
-                    f"{nval[i, k]:.3e} <= 0 near point {q[i]}"
-                )
-            rate = dirs[idx] / nval[:, k]
-            return np.concatenate([rate[:, None] * nval, (rate * src)[:, None]], axis=1)
+            def advance(idx, y_new, ratio, start=start):
+                outside = ~self.g.chart.contains(y_new[:, :self.m])
+                if np.any(outside):
+                    i = start + idx[np.argmax(outside)]
+                    raise ReachabilityError(
+                        f"characteristic from point {pts[i]} left the chart "
+                        f"before reaching the seed slice"
+                    )
+                return outside
 
-        def advance(acc_idx, y_old, y_new, h, ratio):
-            inside = self.g.chart.contains(y_new[:, :m])
-            if not np.all(inside):
-                i = int(np.argmax(~inside))
-                raise ReachabilityError(
-                    f"characteristic from point {pts[acc_idx[i]]} left the chart "
-                    f"before reaching the seed slice"
-                )
-            y[acc_idx] = y_new
-            left[acc_idx] -= h
-            active[acc_idx[left[acc_idx] <= _MIN_STEP]] = False
-
-        integrate_adaptive(
-            rhs, y, np.full(b, self.max_step), active, advance,
-            rtol=_RTOL, atol=_ATOL, step_cap=self.max_step, max_growth=_MAX_GROWTH,
-            min_step=_MIN_STEP, max_steps=_MAX_STEPS, remaining=lambda idx: left[idx])
-        y[:, k] = to
-        return y[:, :m], y[:, m]
+            integrate_adaptive(
+                lambda idx, state: self._flow_and_source(state[:, :self.m]), block,
+                np.full(len(block), self.max_step), self.axis, to, advance=advance,
+                rtol=_RTOL, atol=_ATOL, max_growth=_MAX_GROWTH, min_step=_MIN_STEP,
+                max_steps=_MAX_STEPS)
+        return y[:, :self.m], y[:, self.m]
 
     def memo_grid(self, counts, prev=None):
         """The axes of ``counts[j]`` nodes over the half-margin inset box and

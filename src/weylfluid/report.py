@@ -73,11 +73,16 @@ def to_json(report: VerificationReport) -> str:
 
 def parse_report(text: str) -> VerificationReport:
     """Read a report written by :func:`to_json`.  Raises ``ValueError`` when
-    the text is not JSON, its top level is not an object, or a key is
-    missing."""
+    the text is not JSON, its top level is not an object, a key is missing,
+    or ``checks`` is not a list of objects."""
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError("report top level is not a JSON object")
+    listed = raw.get("checks", [])  # a missing key is named below
+    if not isinstance(listed, list):
+        raise ValueError("report key 'checks' is not a list")
+    if not all(isinstance(c, dict) for c in listed):
+        raise ValueError("report key 'checks' holds a check that is not an object")
     try:
         checks = [
             CheckRecord(

@@ -23,7 +23,7 @@ from .connections import ConnectionField, gamma_vv, levi_civita
 from .errors import ComparisonError
 from .fluid import flow_jet
 from .geometry import Chart, DerivativeEngine, MetricField, TensorField, metric_aux
-from .integrators import embedded_step, integrate_adaptive
+from .integrators import integrate_adaptive
 
 # adaptive stepper controls
 _RTOL = 1e-10
@@ -76,17 +76,18 @@ class WorldlinePath:
 
 def _land_on_wall(rhs, idx, base, trial, lo, hi):
     """Nodes on the chart wall for rays ``idx`` stepping from ``base``
-    (inside the box ``lo``..``hi``) to ``trial`` (outside), and the
-    parameter advance to each; ``rhs(idx, states)`` is the derivative.
+    (inside the box ``lo``..``hi``) to ``trial`` (outside);
+    ``rhs(idx, states)`` is the derivative of the states ``(x, v, s)``.
 
-    The coordinate ``x^j`` crossed first is the independent variable of one
-    embedded step (Henon 1982, *Physica D* 5:412): ``d(x, v, s)/dx^j =
-    (v, a, 1) / v^j`` over the length ``wall_j - x^j``.  ``j`` is the crossed
-    axis whose linearly estimated crossing comes first; a node past another
-    wall (a crossing near a corner) is landed again on that wall.
+    Each ray is integrated from ``base`` along the coordinate ``x^j`` it
+    crosses, up to the wall, with the error control of every other ray
+    (:func:`~weylfluid.integrators.integrate_adaptive`); its first attempt
+    is the whole way.  ``j`` is the crossed axis whose linearly estimated
+    crossing comes first; a node past another wall (a crossing near a
+    corner) is landed again on that wall.
     """
     m = len(lo)
-    nodes, ds = trial.copy(), np.zeros(len(base))
+    nodes = trial.copy()
     for _ in range(m):
         past = (nodes[:, :m] < lo) | (nodes[:, :m] > hi)
         todo = np.flatnonzero(np.any(past, axis=1))
@@ -95,18 +96,15 @@ def _land_on_wall(rhs, idx, base, trial, lo, hi):
         walls = np.where(nodes[todo, :m] > hi, hi, lo)
         frac = np.divide(walls - base[todo, :m], nodes[todo, :m] - base[todo, :m],
                          out=np.full(walls.shape, np.inf), where=past[todo])
-        rows, axis = np.arange(len(todo)), np.argmin(frac, axis=1)
-        wall = walls[rows, axis]
-
-        def per_axis(state):
-            d = np.concatenate([rhs(idx[todo], state[:, :-1]), np.ones((len(state), 1))], axis=1)
-            return d / d[rows, axis][:, None]
-
-        start = np.concatenate([base[todo], np.zeros((len(todo), 1))], axis=1)
-        end = embedded_step(per_axis, start, wall - base[todo, axis])[0]
-        nodes[todo], ds[todo] = end[:, :-1], end[:, -1]
-        nodes[todo, axis] = wall
-    return nodes, ds
+        axis = np.argmin(frac, axis=1)
+        wall = walls[np.arange(len(todo)), axis]
+        landed = base[todo]
+        integrate_adaptive(
+            lambda rows, states: rhs(idx[todo[rows]], states), landed, np.full(len(todo), np.inf),
+            axis, wall, rtol=_RTOL, atol=_ATOL, max_growth=_MAX_GROWTH, min_step=_MIN_STEP,
+            max_steps=_MAX_STEPS)
+        nodes[todo] = landed
+    return nodes
 
 
 def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float):
@@ -114,11 +112,11 @@ def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float):
     independent rays with per-ray steps sized by the error controller alone.
 
     ``accel(idx, X, V)`` maps the ``(B, m)`` pairs of rays ``idx`` to
-    accelerations ``(B, m)``.  A step that leaves the chart box ends the
-    ray, which is flagged ``exited``; once every ray has ended, each such
-    step is replaced by one that ends on the wall it crosses, all in one
-    batch (:func:`_land_on_wall`).  Returns one :class:`WorldlinePath` per
-    ray.
+    accelerations ``(B, m)``.  The state is ``(x, v, s)``, stepped on ``s``
+    up to ``s_max``.  A step that leaves the chart box ends the ray, which
+    is flagged ``exited``; once every ray has ended, each such step is
+    replaced by one that ends on the wall it crosses, all in one batch
+    (:func:`_land_on_wall`).  Returns one :class:`WorldlinePath` per ray.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     v0s = np.atleast_2d(np.asarray(v0s, dtype=float))
@@ -126,52 +124,42 @@ def _integrate_batch(chart: Chart, accel, x0s, v0s, s_max: float):
     lo, hi = chart.bounds(0.0)
 
     def rhs(idx, state):
-        return np.concatenate([state[:, m:], accel(idx, state[:, :m], state[:, m:])], axis=1)
+        v = state[:, m:2 * m]
+        return np.concatenate([v, accel(idx, state[:, :m], v), np.ones((len(state), 1))], axis=1)
 
-    y = np.concatenate([x0s, v0s], axis=1)
-    s = np.zeros(nrays)
-    nodes_s = [[0.0] for _ in range(nrays)]
-    nodes_y = [[y[i].copy()] for i in range(nrays)]
+    y = np.concatenate([x0s, v0s, np.zeros((nrays, 1))], axis=1)
+    nodes = [[row] for row in y.copy()]
     max_ratio = np.zeros(nrays)
     exited = np.zeros(nrays, dtype=bool)
-    active = np.ones(nrays, dtype=bool)
-    exits = []  # (rays, states before, trial states) of the steps out of the chart
+    trial = np.empty_like(y)  # the state each exited ray stepped to out of the chart
 
-    def record(rays, nodes, steps):
-        # a ray that steps from a point on the wall adds no node
-        for ray, node, step in zip(rays, nodes, steps):
-            if step > 0.0:
-                s[ray] += step
-                y[ray] = node
-                nodes_s[ray].append(s[ray])
-                nodes_y[ray].append(node)
-
-    def advance(acc, y_old, y_new, h_acc, ratio):
+    def advance(acc, y_new, ratio):
         inside = chart.contains(y_new[:, :m])
         max_ratio[acc[inside]] = np.maximum(max_ratio[acc[inside]], ratio[inside])
-        if not np.all(inside):
-            exits.append((acc[~inside], y_old[~inside], y_new[~inside]))
-            exited[acc[~inside]] = True
-            active[acc[~inside]] = False
-        record(acc[inside], y_new[inside], h_acc[inside])
-        active[acc[s[acc] >= s_max * (1.0 - 1e-14)]] = False
+        for ray, node in zip(acc[inside], y_new[inside]):
+            nodes[ray].append(node)
+        trial[acc[~inside]] = y_new[~inside]
+        exited[acc[~inside]] = True
+        return ~inside
 
-    h = np.full(nrays, min(_INITIAL_STEP, s_max))
     attempts = integrate_adaptive(
-        rhs, y, h, active, advance,
-        rtol=_RTOL, atol=_ATOL, max_growth=_MAX_GROWTH, min_step=_MIN_STEP, max_steps=_MAX_STEPS,
-        remaining=lambda idx: s_max - s[idx])
-    if exits:
-        rays, base, trial = (np.concatenate(part) for part in zip(*exits))
-        record(rays, *_land_on_wall(rhs, rays, base, trial, lo, hi))
+        rhs, y, np.full(nrays, _INITIAL_STEP), 2 * m, s_max, advance=advance,
+        rtol=_RTOL, atol=_ATOL, max_growth=_MAX_GROWTH, min_step=_MIN_STEP, max_steps=_MAX_STEPS)
+    # a stopped ray keeps its state before the step out, and one that steps
+    # from a point on the wall adds no node
+    rays = np.flatnonzero(exited)
+    landed = _land_on_wall(rhs, rays, y[rays], trial[rays], lo, hi)
+    for ray, start, node in zip(rays, y[rays], landed):
+        if node[-1] > start[-1]:
+            nodes[ray].append(node)
 
     paths = []
     for i in range(nrays):
-        stacked = np.asarray(nodes_y[i])
+        stacked = np.asarray(nodes[i])
         paths.append(WorldlinePath(
-            s=np.asarray(nodes_s[i]),
+            s=stacked[:, -1],
             points=stacked[:, :m],
-            tangents=stacked[:, m:],
+            tangents=stacked[:, m:2 * m],
             steps=int(attempts[i]),
             max_error=float(max_ratio[i]),
             exited=bool(exited[i]),
@@ -338,18 +326,13 @@ def trajectory_compare(path_a: WorldlinePath, path_b: WorldlinePath, count: int 
     return float(np.max(np.linalg.norm(interp_a - interp_b, axis=1)))
 
 
-def integral_curve(n: TensorField, x0, s_max: float, engine: DerivativeEngine) -> WorldlinePath:
-    """Integral curve of a vector field.
-
-    Solved in second-order form ``x'' = (dn) x'`` with ``x'(0) = n(x0)``,
-    whose unique solution keeps ``x' = n(x)``; this reuses the worldline
-    stepper and records the velocity for trajectory comparison.
-    """
-
-    def accel(idx, xs, vs):
-        jac = engine.jacobian(n, xs)
-        return np.einsum("nad,nd->na", jac, vs)
-
+def integral_curve(g: MetricField, n: TensorField, x0, s_max: float,
+                   engine: DerivativeEngine) -> WorldlinePath:
+    """Integral curve of the flow ``n`` of ``g``: the one-row ``FLOW_LINE``
+    batch of :func:`integrate_fluid_worldlines`, solved in the second-order
+    form ``x'' = (dn) x'`` with ``x'(0) = n(x0)``, whose unique solution
+    keeps ``x' = n(x)``; the velocity is recorded for trajectory
+    comparison."""
     x0 = np.asarray(x0, dtype=float)
-    v0 = n(x0[None, :])[0]
-    return _integrate_batch(n.chart, accel, x0, v0, s_max)[0]
+    return integrate_fluid_worldlines(g, n, None, engine, [FLOW_LINE], [x0],
+                                      n(x0[None, :]), s_max)[0]

@@ -76,7 +76,9 @@ OUT_OF_RANGE = [
     ("engine", "richardson", ["2"]),
     ("run", "suites", ["", "fluid fluid", "connection fluid connection"]),
     ("run", "out", [""]),
-    *(("tolerances", f.name, ["-1e-9", "nan", "inf"]) for f in fields(suites.Tolerances)),
+    # a frame tolerance of 0 would refine the sized memo grid to its ceiling
+    *(("tolerances", f.name, ["-1e-9", "nan", "inf"] + (["0"] if f.name == "frame" else []))
+      for f in fields(suites.Tolerances)),
 ]
 
 
@@ -394,7 +396,9 @@ class TestMalformedReport:
     @pytest.mark.parametrize("text, message", [
         ('{"suite": []}', "report has no key 'checks'"),
         ("[1, 2]", "report top level is not a JSON object"),
-    ], ids=["missing-key", "not-an-object"])
+        ('{"checks": 5}', "report key 'checks' is not a list"),
+        ('{"checks": [1]}', "report key 'checks' holds a check that is not an object"),
+    ], ids=["missing-key", "not-an-object", "checks-not-a-list", "check-not-an-object"])
     def test_report_command_exits_three(self, tmp_path, capsys, text, message):
         path = _write(tmp_path, "bad.json", text)
         assert cli.main(["report", path]) == 3

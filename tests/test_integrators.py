@@ -49,27 +49,25 @@ def test_last_stage_is_the_derivative_at_the_new_state():
         embedded_step(rhs, y, np.array([0.1, 0.05]), rhs(y))[0], y_new)
 
 
-def _run(h0, max_steps, min_step=1e-13, end=1.0, rhs=_growth):
-    y = np.ones((2, 1))
-    s = np.zeros(2)
-    active = np.ones(2, dtype=bool)
+def _clock(rhs):
+    """The right-hand side of the state ``(t, y)`` for ``dy/dt = rhs(y)``."""
+    return lambda idx, states: np.concatenate(
+        [np.ones((len(states), 1)), rhs(states[:, 1:])], axis=1)
 
-    def advance(idx, y_old, y_new, h, ratio):
-        y[idx] = y_new
-        s[idx] += h
-        active[idx[s[idx] >= end]] = False
 
+def _run(h0, max_steps, min_step=1e-13, end=1.0, rhs=_growth, advance=None, axis=0):
+    # two rays of (t, y) from (0, 1), stepped on t to end unless told otherwise
+    y = np.tile([0.0, 1.0], (2, 1))
     attempts = integrate_adaptive(
-        lambda idx, states: rhs(states), y, np.full(2, h0), active, advance,
-        rtol=1e-10, atol=1e-10, max_growth=5.0, min_step=min_step,
-        max_steps=max_steps, remaining=lambda idx: end - s[idx])
-    return y, s, attempts
+        _clock(rhs), y, np.full(2, h0), axis, end, advance=advance,
+        rtol=1e-10, atol=1e-10, max_growth=5.0, min_step=min_step, max_steps=max_steps)
+    return y, attempts
 
 
 def test_adaptive_run_lands_on_the_end():
-    y, s, attempts = _run(1e-3, 1000)
-    assert np.all(s == 1.0)
-    assert np.abs(y[:, 0] - np.e).max() < 1e-9
+    y, attempts = _run(1e-3, 1000)
+    assert np.all(y[:, 0] == 1.0)
+    assert np.abs(y[:, 1] - np.e).max() < 1e-9
     assert np.all(attempts == attempts[0]) and attempts[0] > 10
 
 
@@ -82,7 +80,7 @@ def test_each_attempt_costs_six_stages():
         calls.append(len(states))
         return _growth(states)
 
-    _, _, attempts = _run(1e-3, 1000, rhs=counted)
+    _, attempts = _run(1e-3, 1000, rhs=counted)
     assert len(calls) == 6 * attempts[0] + 1
 
 
@@ -94,8 +92,8 @@ def test_rejected_steps_reuse_the_start_derivative():
         calls.append(len(states))
         return _growth(states)
 
-    y, s, attempts = _run(0.5, 1000, rhs=counted)
-    assert np.all(s == 1.0) and np.abs(y[:, 0] - np.e).max() < 1e-9
+    y, attempts = _run(0.5, 1000, rhs=counted)
+    assert np.all(y[:, 0] == 1.0) and np.abs(y[:, 1] - np.e).max() < 1e-9
     assert len(calls) == 6 * attempts[0] + 1
 
 
@@ -110,9 +108,56 @@ def test_non_finite_trial_is_rejected():
         big = np.where(np.abs(states) < 10.0, 1.0, 1e300)
         return -states * big * big
 
-    y, s, _ = _run(10.0, 1000, rhs=rhs, end=10.0)
+    y, _ = _run(10.0, 1000, rhs=rhs, end=10.0)
     assert any(overflowed)
-    assert np.all(s == 10.0) and np.abs(y[:, 0] - np.exp(-10.0)).max() < 1e-9
+    assert np.all(y[:, 0] == 10.0) and np.abs(y[:, 1] - np.exp(-10.0)).max() < 1e-9
+
+
+def test_negative_direction_lands_on_the_end():
+    y, attempts = _run(1e-3, 1000, end=-1.0)
+    assert np.all(y[:, 0] == -1.0)
+    assert np.abs(y[:, 1] - np.exp(-1.0)).max() < 1e-9
+    assert attempts[0] > 10
+
+
+def test_per_ray_axis():
+    # ray 0 runs on t to 1, ray 1 on y to e, which it reaches at t = 1:
+    # each lands exactly on its own coordinate and the other agrees
+    y, _ = _run(1e-3, 1000, axis=np.array([0, 1]), end=np.array([1.0, np.e]))
+    assert y[0, 0] == 1.0 and y[1, 1] == np.e
+    assert abs(y[0, 1] - np.e) < 1e-9 and abs(y[1, 0] - 1.0) < 1e-9
+
+
+def test_ray_at_its_end_takes_no_step():
+    # within the minimum step of its end, a ray is already there: its
+    # coordinate is set to the end and nothing else moves
+    calls = []
+
+    def counted(states):
+        calls.append(len(states))
+        return _growth(states)
+
+    y, attempts = _run(1e-3, 1000, rhs=counted, end=0.5e-13)
+    assert attempts.tolist() == [0, 0] and not calls
+    assert y.tolist() == [[0.5e-13, 1.0]] * 2
+
+
+def test_advance_stops_rays():
+    # the second ray stops on its first step past y = 2, keeping the state
+    # before it; advance sees the last step of the other ray on its end
+    seen = []
+
+    def advance(idx, y_new, ratio):
+        seen.append((idx.copy(), y_new.copy()))
+        return (idx == 1) & (y_new[:, 1] > 2.0)
+
+    y, attempts = _run(1e-3, 1000, advance=advance)
+    assert y[0, 0] == 1.0 and abs(y[0, 1] - np.e) < 1e-9
+    assert 0.5 < y[1, 0] < np.log(2.0) < 1.0 and y[1, 1] <= 2.0
+    assert attempts[1] < attempts[0]
+    idx, y_new = seen[-1]
+    assert idx.tolist() == [0] and y_new[0, 0] == 1.0
+    assert not any(1 in idx for idx, _ in seen[attempts[1]:])
 
 
 def test_step_budget_raises():
@@ -127,13 +172,15 @@ def test_step_underflow_raises():
 
 
 def test_stalled_ray_raises_before_the_budget_runs_out():
-    # every step is accepted but none shortens the remaining range
-    y = np.ones((1, 1))
+    # y' = -1e12 y is stiff: past its transient, which needs steps below
+    # 1e-13, the explicit pair holds its step near its stability bound of
+    # some 3e-12, and 20000 such steps cover far less than t = 1
     calls = []
+
+    def stiff(states):
+        calls.append(len(states))
+        return -1e12 * states
+
     with pytest.raises(StiffnessError, match="no progress on ray 0"):
-        integrate_adaptive(
-            lambda idx, states: _growth(states), y, np.full(1, 1e-3), np.ones(1, dtype=bool),
-            lambda idx, y_old, y_new, h, ratio: calls.append(1),
-            rtol=1e-10, atol=1e-10, max_growth=5.0, min_step=1e-13,
-            max_steps=20000, remaining=lambda idx: np.ones(len(idx)))
-    assert len(calls) < 2000
+        _run(1e-3, 20000, min_step=1e-20, rhs=stiff)
+    assert len(calls) < 6 * 2000

@@ -110,18 +110,19 @@ class TestAutoparallel:
         assert path.points[-1, 3] == pytest.approx(2 * np.pi, abs=1e-6)
 
 class TestChartExit:
-    """A ray that leaves the chart ends with one step onto the wall."""
+    """A ray that leaves the chart ends with one integration onto the wall."""
 
     @pytest.fixture
     def landings(self, monkeypatch):
+        # the rays of each integration: the worldlines' own, then each landing
         calls = []
-        step = worldlines.embedded_step
+        integrate = worldlines.integrate_adaptive
 
-        def counted(rhs, y, h):
+        def counted(rhs, y, *args, **kwargs):
             calls.append(len(y))
-            return step(rhs, y, h)
+            return integrate(rhs, y, *args, **kwargs)
 
-        monkeypatch.setattr(worldlines, "embedded_step", counted)
+        monkeypatch.setattr(worldlines, "integrate_adaptive", counted)
         return calls
 
     @pytest.mark.parametrize("v0, axis, wall", [
@@ -135,7 +136,7 @@ class TestChartExit:
         lo, hi = preset.chart.bounds()
         path = integrate_autoparallel(bundle.gamma, np.zeros(4), np.array(v0), 50.0)
         assert path.exited
-        assert landings == [1]
+        assert landings == [1, 1]
         assert path.points[-1, axis] == wall
         assert np.all((path.points[-1] >= lo) & (path.points[-1] <= hi))
         assert np.all(np.diff(path.s) > 0)
@@ -146,7 +147,7 @@ class TestChartExit:
         paths = integrate_autoparallel_batch(bundle.gamma, np.zeros((2, 4)), v0s, 50.0)
         assert [p.exited for p in paths] == [True, True]
         assert paths[0].steps != paths[1].steps
-        assert landings == [2]
+        assert landings == [2, 2]
         for path, v0 in zip(paths, v0s):
             alone = integrate_autoparallel(bundle.gamma, np.zeros(4), v0, 50.0)
             _assert_same_path(path, alone)
@@ -164,7 +165,7 @@ class TestChartExit:
                                        50.0, ENG)
         # the chord of the last step meets the time wall first; the node
         # landed there lies past x = 1, so the ray is landed again on x = 1
-        assert path.exited and landings == [1, 1]
+        assert path.exited and landings == [1, 1, 1]
         assert path.points[-1, 1] == 1.0
         assert 6.0 - 1e-3 < path.points[-1, 0] < 6.0
         assert np.all((path.points[-1] >= lo) & (path.points[-1] <= hi))
@@ -274,7 +275,7 @@ class TestTrajectoryCompare:
         preset = build("minkowski-sheared")
         bundle = fluid_connection(preset.g, preset.state.n, preset.state.phi, ENG)
         x0 = np.array([-0.2, 0.4, 0.1, -0.1])
-        flow = integral_curve(preset.state.n, x0, 0.5, ENG)
+        flow = integral_curve(preset.g, preset.state.n, x0, 0.5, ENG)
         auto = integrate_autoparallel(bundle.gamma, x0,
                                       preset.state.n(x0[None, :])[0], 0.5)
         assert trajectory_compare(flow, auto) < 1e-6
@@ -329,10 +330,7 @@ class TestFluidBatch:
         auto = integrate_autoparallel(bundle.gamma, starts[5], tangents[5], s_max)
         for path, single in zip(paths[:4] + paths[5:], null + weyl + [auto]):
             _assert_same_path(path, single)
-        # the flow line reads the array-level unit jet, integral_curve the
-        # dual one: the same curve up to rounding
-        flow = integral_curve(st.n, starts[4], s_max, ENG)
-        assert trajectory_compare(paths[4], flow) < 1e-14
+        _assert_same_path(paths[4], integral_curve(preset.g, st.n, starts[4], s_max, ENG))
 
     def test_one_metric_evaluation_per_stage(self, batch, metric_calls):
         preset, kinds, starts, tangents, s_max, _ = batch
@@ -389,7 +387,6 @@ class TestWorkGuards:
             return wrapper
 
         monkeypatch.setattr(integrators, "embedded_step", counted(integrators.embedded_step))
-        monkeypatch.setattr(worldlines, "embedded_step", counted(worldlines.embedded_step))
         for name in verification_matrix():
             entry = PRESETS[name]
             report = run_suite(SuiteConfig(spacetime=entry.spacetime, fluid=entry.fluid, seed=0,
