@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -76,30 +76,39 @@ class CatalogBundle:
 # -- polynomial ingredients ---------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _upper(m: int):
+    """The upper-triangle pairs ``(iu, ju)`` of an ``m x m`` matrix and the
+    table ``sym`` that reads pair ``(min(i, j), max(i, j))`` at ``[i, j]``,
+    formed once per dimension and read-only."""
+    iu, ju = np.triu_indices(m)
+    sym = np.empty((m, m), dtype=int)
+    sym[iu, ju] = sym[ju, iu] = np.arange(len(iu))
+    for arr in (iu, ju, sym):
+        arr.flags.writeable = False
+    return iu, ju, sym
+
+
 def _seeded_polynomials(chart: Chart, rng, scale: float, count: int):
     """Component function of ``count`` degree-<=2 polynomials in
     box-normalized coordinates ``xi``, with seeded coefficients of size
     ``scale``.
 
     Each polynomial draws its ``c0``, ``c1`` and ``c2`` from ``rng`` in
-    turn, so ``count`` polynomials take the same draws as ``count`` single
-    ones.  All of them are evaluated in one contraction by
+    turn, all in one call, so ``count`` polynomials take the same draws as
+    ``count`` single ones.  All of them are evaluated in one contraction by
     :func:`_polynomials`; these polynomials sit inside perturbed metrics, so
     this path is hot.
     """
     m = chart.dim
-    iu, ju = np.triu_indices(m)
-    coef = np.empty((1 + m + len(iu), count))
-    c1s = np.empty((count, m))
-    c2s = np.empty((count, m, m))
-    for k in range(count):
-        c0 = scale * rng.uniform(-1.0, 1.0)
-        c1 = scale * rng.uniform(-1.0, 1.0, m)
-        c2 = scale * rng.uniform(-1.0, 1.0, (m, m))
-        c2 = 0.5 * (c2 + c2.T)
-        # xi_i xi_j (i < j) stands for both c2_ij and c2_ji
-        coef[:, k] = np.concatenate([[c0], c1, np.where(iu == ju, 1.0, 2.0) * c2[iu, ju]])
-        c1s[k], c2s[k] = c1, c2
+    iu, ju, _ = _upper(m)
+    draws = scale * rng.uniform(-1.0, 1.0, (count, 1 + m + m * m))
+    c1s = draws[:, 1:1 + m]
+    c2s = draws[:, 1 + m:].reshape(count, m, m)
+    c2s = 0.5 * (c2s + c2s.transpose(0, 2, 1))
+    # xi_i xi_j (i < j) stands for both c2_ij and c2_ji
+    c2u = np.where(iu == ju, 1.0, 2.0) * c2s[:, iu, ju]
+    coef = np.concatenate([draws[:, :1].T, c1s.T, c2u.T])
     mid = np.array([0.5 * (a + b) for a, b in chart.intervals])
     half = np.array([0.5 * (b - a) for a, b in chart.intervals])
     # d(poly_k)/d(x_j) = (c1 + 2 c2 xi)_kj / half_j, as xi @ dc2 + dc1 over (k, j)
@@ -160,11 +169,9 @@ def perturbed_metric(base: MetricField, eps: float, seed: int) -> MetricField:
     chart = base.chart
     m = chart.dim
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(m)
-    poly = _seeded_polynomials(chart, rng, 1.0, len(iu))
+    iu, _, sym = _upper(m)
     # h_ij = h_ji reads the polynomial of the pair (min(i, j), max(i, j))
-    sym = np.empty((m, m), dtype=int)
-    sym[iu, ju] = sym[ju, iu] = np.arange(len(iu))
+    poly = _seeded_polynomials(chart, rng, 1.0, len(iu))
 
     def fn(coords):
         return base.fn(coords) + eps * poly(coords)[:, sym]

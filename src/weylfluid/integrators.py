@@ -68,6 +68,7 @@ def integrate_adaptive(rhs, y, h, axis, end, *, advance=None, rtol, atol, max_gr
     attempts raises :class:`StiffnessError`.  Returns the attempts per ray.
     """
     rays = np.arange(len(y))
+    column = axis if np.ndim(axis) == 0 else None  # one axis for every ray
     axis = np.broadcast_to(axis, rays.shape)
     end = np.broadcast_to(np.asarray(end, dtype=float), rays.shape)
     sign = np.sign(end - y[rays, axis])
@@ -77,7 +78,8 @@ def integrate_adaptive(rhs, y, h, axis, end, *, advance=None, rtol, atol, max_gr
 
     def along(idx, states):
         f = rhs(idx, states)
-        return f * (sign[idx] / f[np.arange(len(idx)), axis[idx]])[:, None]
+        fa = f[:, column] if column is not None else f[np.arange(len(idx)), axis[idx]]
+        return f * (sign[idx] / fa)[:, None]
 
     attempts = np.zeros(len(y), dtype=int)
     mark = np.full(len(y), np.inf)  # each ray's remaining length at the last check

@@ -1,10 +1,14 @@
 """Tensor-product cubic interpolation on rectangular grids: a not-a-knot
-spline that reproduces the grid data and is exact on per-axis cubics."""
+spline that reproduces the grid data and is exact on per-axis cubics.
+
+``scipy.interpolate`` loads on first use, when a spline is built or an
+estimate is taken, so a run that never solves a preferred frame does not
+pay for it.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import NdBSpline, make_interp_spline
 
 
 class TensorSpline:
@@ -15,6 +19,9 @@ class TensorSpline:
     DEGREE = 3
 
     def __init__(self, axes, values: np.ndarray):
+        # some 0.5 s to import, scipy.special with it; paid on first use
+        from scipy.interpolate import NdBSpline, make_interp_spline
+
         coef = np.asarray(values, dtype=float)
         knots = []
         for j, ax in enumerate(axes):
@@ -42,6 +49,8 @@ def error_estimate(axes, values: np.ndarray) -> np.ndarray:
     the spacing, a bound on its own error, which falls at order 4.  An axis
     needs 7 nodes, so that 4 even-indexed ones carry a cubic; an axis with
     fewer is skipped, its estimate NaN."""
+    from scipy.interpolate import make_interp_spline  # loaded on first use, as above
+
     gaps = []
     for j, ax in enumerate(axes):
         if len(ax) < ESTIMATE_NODES:

@@ -9,6 +9,9 @@ proportional to the tangent.  The proportionality is tested by projecting
 the defect orthogonally to the tangent under an auxiliary Euclidean
 coordinate metric, since the physical norm of a null-parallel defect is
 degenerate.
+
+``scipy.interpolate`` loads on first use, when a path is resampled, so a
+run that never compares trajectories does not pay for it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .connections import ConnectionField, gamma_vv, levi_civita
 from .errors import ComparisonError
@@ -58,6 +60,8 @@ class WorldlinePath:
     def hermite_resample(self, count: int):
         """Dense output: cubic Hermite interpolation on the accepted nodes,
         evaluated at ``count`` uniform parameter values."""
+        from scipy.interpolate import CubicHermiteSpline  # some 0.5 s to import, paid on first use
+
         svals = np.linspace(self.s[0], self.s[-1], count)
         return svals, CubicHermiteSpline(self.s, self.points, self.tangents)(svals)
 

@@ -189,6 +189,32 @@ class TestSeededPolynomials:
             _assert_close(val.reshape(len(pts), count), ref_val)
             _assert_close(jac.reshape(len(pts), count, m), ref_jac)
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_coefficients_take_the_per_polynomial_draw_order(self, m):
+        # every seeded record depends on this order: each polynomial's c0,
+        # c1 and c2 in turn, drawn one polynomial at a time
+        chart = minkowski_chart(m)
+        count = m * (m + 1) // 2
+        rng = np.random.default_rng(11)
+        mid, half, (iu, ju), coef, dc1, dc2 = catalog._seeded_polynomials(
+            chart, rng, 0.3, count).args
+        ref_rng = np.random.default_rng(11)
+        ref_coef, c1s, c2s = [], [], []
+        for _ in range(count):
+            c0 = 0.3 * ref_rng.uniform(-1.0, 1.0)
+            c1 = 0.3 * ref_rng.uniform(-1.0, 1.0, m)
+            c2 = 0.3 * ref_rng.uniform(-1.0, 1.0, (m, m))
+            c2 = 0.5 * (c2 + c2.T)
+            ref_coef.append(np.concatenate([[c0], c1, np.where(iu == ju, 1.0, 2.0) * c2[iu, ju]]))
+            c1s.append(c1)
+            c2s.append(c2)
+        np.testing.assert_array_equal(coef, np.stack(ref_coef, axis=1))
+        np.testing.assert_array_equal(dc1, (np.array(c1s) / half).ravel())
+        np.testing.assert_array_equal(
+            dc2, (2.0 * np.array(c2s) / half).transpose(1, 0, 2).reshape(m, count * m))
+        # the stream goes on where the per-polynomial draws leave it
+        np.testing.assert_array_equal(rng.uniform(size=4), ref_rng.uniform(size=4))
+
     @pytest.mark.parametrize("m", [2, 4])
     def test_perturbed_metric_matches_per_term_reference(self, m):
         chart = minkowski_chart(m)

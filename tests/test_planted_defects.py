@@ -4,6 +4,8 @@ fails when one defect is planted in the shared value or in the arithmetic
 that a suite builds on it, so no check compares a shared value with
 itself."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,19 @@ def _stale_covector(ctx, monkeypatch):
     jet = ctx.jet
     jet.Gamma  # formed from the covector before it moves
     jet.__dict__["A"] = jet.A + 1e-3
+
+
+def _inverse_scaled(ctx, monkeypatch):
+    # the shared inverse metric off by a constant factor
+    ctx.__dict__["data"] = dataclasses.replace(ctx.data, inv=ctx.data.inv * (1.0 + 1e-3))
+
+
+def _seeded_covector_scaled(ctx, monkeypatch):
+    # each seeded pair's connection formed from a scaled covector, so it is
+    # not the Weyl connection of the covector it is checked against
+    weyl_gamma = suites._weyl_gamma
+    monkeypatch.setattr(suites, "_weyl_gamma",
+                        lambda data, aval: weyl_gamma(data, (1.0 + 1e-3) * aval))
 
 
 def _scalar_ignored(ctx, monkeypatch):
@@ -80,6 +95,8 @@ def _stress_energy_perturbed(ctx, monkeypatch):
 @pytest.mark.parametrize("suite, check, plant", [
     ("connection", "torsion-free", _skew_connection),
     ("connection", "nonmetricity", _stale_covector),
+    ("connection", "metric-inverse", _inverse_scaled),
+    ("connection", "nonmetricity-seeded-pairs", _seeded_covector_scaled),
     ("fluid", "geodesic-defect-family", _scalar_ignored),
     ("conformal", "connection-orbit-invariance", _shift_drops_dln),
     ("conformal", "gauge-group-law", _shift_from_base),
