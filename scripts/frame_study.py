@@ -4,13 +4,13 @@ cosmology and sheared-chart presets, compare against closed forms where
 available, and export the solved grids.
 
 Usage:
-    python scripts/frame_study.py [--nodes N] [--outdir frame_out]
+    python scripts/frame_study.py [--outdir frame_out]
 
-Without ``--nodes`` each preset's memo grid is sized by the solver's error
-estimate; the counts it solved on and the per-axis estimates it was sized
-by, in units of the frame tolerance, are printed.  Exits 1 when a preset's
-transport or divergence residual is above the frame tolerance, or its gap
-to the closed form above the closed-form tolerance.
+Each preset's memo grid is sized by the solver's error estimate to the
+default frame tolerance; the counts it solved on and the per-axis
+estimates it was sized by, in units of that tolerance, are printed.  Exits
+1 when a preset's transport or divergence residual is above the frame
+tolerance, or its gap to the closed form above the closed-form tolerance.
 """
 
 import argparse
@@ -23,31 +23,23 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from weylfluid.catalog import build
-from weylfluid.conformal import (
-    FrameSolverParams,
-    conformal_rescale,
-    incompressibility_residual,
-    transport_residual,
-)
+from weylfluid.conformal import conformal_rescale, incompressibility_residual, transport_residual
 from weylfluid.fluid import fluid_connection
 from weylfluid.geometry import DerivativeEngine
 from weylfluid.suites import Tolerances
 
 
-def study(name: str, nodes: int, outdir: pathlib.Path, tols: Tolerances) -> bool:
+def study(name: str, outdir: pathlib.Path, tols: Tolerances) -> bool:
     """Solve, print and export one preset's frame; whether it keeps every limit."""
     engine = DerivativeEngine()
     preset = build(name)
     meta = preset.meta
 
     t0 = time.perf_counter()
-    factor = preset.solve_frame(engine, FrameSolverParams(grid_nodes=nodes), tols.frame)
+    factor = preset.solve_frame(engine, tols.frame)
     solve_s = time.perf_counter() - t0
     counts = "x".join(str(len(ax)) for ax in factor.grid_axes)
-    if factor.estimate is None:
-        estimate = "fixed grid"
-    else:
-        estimate = "estimate/tol " + " ".join(f"{e / tols.frame:.2g}" for e in factor.estimate)
+    estimate = "estimate/tol " + " ".join(f"{e / tols.frame:.2g}" for e in factor.estimate)
 
     pts = preset.chart.sample_points(5, 64, seed=0)
     transport = np.abs(transport_residual(factor, preset.g, preset.state.n, engine)(pts)).max()
@@ -71,14 +63,12 @@ def study(name: str, nodes: int, outdir: pathlib.Path, tols: Tolerances) -> bool
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--nodes", type=int, default=None,
-                    help="fixed memo nodes per axis (default: sized by the error estimate)")
     ap.add_argument("--outdir", default="frame_out")
     args = ap.parse_args()
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(exist_ok=True)
     tols = Tolerances()
-    kept = [study(name, args.nodes, outdir, tols)
+    kept = [study(name, outdir, tols)
             for name in ("flrw-comoving-dust", "flrw-power-dust", "minkowski-sheared")]
     return 0 if all(kept) else 1
 

@@ -50,7 +50,6 @@ from .conformal import (
     ConformalFactor,
     ConformalWeights,
     FrameFactor,
-    FrameSolverParams,
     conformal_rescale,
     current_invariance_check,
     incompressibility_residual,

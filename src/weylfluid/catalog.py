@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .conformal import FRAME_TOL, ConformalFactor, FrameFactor, FrameSolverParams, preferred_frame
+from .conformal import FRAME_TOL, ConformalFactor, FrameFactor, preferred_frame
 from .conservation import SliceSpec
 from .errors import ConstructionError
 from .fluid import FluidState
@@ -66,11 +66,10 @@ class CatalogBundle:
         meta = self.meta
         return SliceSpec(meta.slice_axis, meta.slice_values[i], meta.slice_box)
 
-    def solve_frame(self, engine: DerivativeEngine, params: FrameSolverParams = None,
-                    tol: float = FRAME_TOL) -> FrameFactor:
-        """The preferred frame of the preset's flow from its seed slice, on
-        the fixed memo grid of ``params`` or else one sized to ``tol``."""
-        return preferred_frame(self.g, self.state.n, self.slice_spec(), engine, params, tol)
+    def solve_frame(self, engine: DerivativeEngine, tol: float = FRAME_TOL) -> FrameFactor:
+        """The preferred frame of the preset's flow from its seed slice, on a
+        memo grid sized to ``tol``."""
+        return preferred_frame(self.g, self.state.n, self.slice_spec(), engine, tol)
 
 
 # -- polynomial ingredients ---------------------------------------------------

@@ -93,12 +93,12 @@ def _cmd_frame(args) -> int:
     if args.out is None and config.out.endswith(".json"):
         config.out = "frame_grid.csv"
     preset = build(config.preset_name, config.parameters, config.seed)
-    factor = preset.solve_frame(config.engine, config.frame_params, config.tols.frame)
+    factor = preset.solve_frame(config.engine, config.tols.frame)
     factor.write_csv(config.out)
     counts = "x".join(str(len(ax)) for ax in factor.grid_axes)
-    sized = ("" if factor.estimate is None else ", estimate/tol "
-             + " ".join(f"{e / config.tols.frame:.2g}" for e in factor.estimate))
-    print(f"wrote {config.out}: {counts} = {factor.grid_values.size} grid values{sized}")
+    estimate = " ".join(f"{e / config.tols.frame:.2g}" for e in factor.estimate)
+    print(f"wrote {config.out}: {counts} = {factor.grid_values.size} grid values, "
+          f"estimate/tol {estimate}")
     return EXIT_PASS
 
 

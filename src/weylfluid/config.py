@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .catalog import validate_parameters
-from .conformal import FrameSolverParams
 from .errors import ConfigError, ConstructionError
 from .geometry import DerivativeEngine
 from .suites import SUITES, Tolerances
@@ -27,7 +26,6 @@ _KNOWN_KEYS = {
     },
     "samples": {"grid_per_axis", "random_points"},
     "conformal": {"weight", "seeded_factors"},
-    "frame": {"grid_nodes"},
     "run": {"suites", "seed", "out", "format", "timing", "rays", "nonmetricity_pairs"},
     "geodesic": {"kind", "start", "tangent", "direction", "s_max"},
 }
@@ -45,7 +43,6 @@ class SuiteConfig:
     random_points: int = 64
     weight_override: int = None
     seeded_factors: int = 10
-    frame_params: FrameSolverParams = dc_field(default_factory=FrameSolverParams)
     suites: tuple = tuple(SUITES)
     seed: int = 0
     out: str = "report.json"
@@ -81,7 +78,6 @@ class SuiteConfig:
                 "weight": "auto" if self.weight_override is None else self.weight_override,
                 "seeded_factors": self.seeded_factors,
             },
-            "frame": {"grid_nodes": self.frame_params.grid_nodes},
             "suites": list(self.suites),
             "seed": self.seed,
             "rays": self.rays,
@@ -103,10 +99,10 @@ def _get_int(section, key, default):
         raise ConfigError(f"key {key!r} must be an integer: {exc}") from exc
 
 
-def _get_count(section, key, default, least=1):
+def _get_count(section, key, default):
     value = _get_int(section, key, default)
-    if value < least:
-        raise ConfigError(f"key {key!r} must be at least {least}, got {value}")
+    if value < 1:
+        raise ConfigError(f"key {key!r} must be at least 1, got {value}")
     return value
 
 
@@ -189,10 +185,6 @@ def load_config(path: str = None, overrides: dict = None) -> SuiteConfig:
             except ValueError as exc:
                 raise ConfigError("conformal weight must be 'auto' or an integer") from exc
         cfg.seeded_factors = _get_count(sec, "seeded_factors", cfg.seeded_factors)
-
-    if parser.has_section("frame") and "grid_nodes" in parser["frame"]:
-        nodes = _get_count(parser["frame"], "grid_nodes", 0, FrameSolverParams.MIN_NODES)
-        cfg.frame_params = FrameSolverParams(nodes)
 
     if parser.has_section("run"):
         sec = parser["run"]

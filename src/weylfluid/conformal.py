@@ -84,11 +84,11 @@ class FrameFactor(ConformalFactor):
     """The solved preferred-frame factor: the log factor interpolating
     ``grid_values`` on the memo grid spanned by ``grid_axes``, and
     ``solve_at``, the direct solve of the log factor at given points.
-    ``estimate`` holds the per-axis error estimates the grid was sized by,
-    ``None`` on a fixed grid; a 4-node axis keeps the estimate of the 7-node
-    axis it was halved from, as it has too few nodes to be estimated again."""
+    ``estimate`` holds the per-axis error estimates the grid was sized by; a
+    4-node axis keeps the estimate of the 7-node axis it was halved from, as
+    it has too few nodes to be estimated again."""
 
-    def __init__(self, ln: TensorField, grid_axes, grid_values, solve_at, estimate=None):
+    def __init__(self, ln: TensorField, grid_axes, grid_values, solve_at, estimate):
         super().__init__(_exp(ln), ln)
         self.grid_axes = grid_axes
         self.grid_values = grid_values
@@ -213,20 +213,6 @@ def current_invariance_check(J: TensorField, J2: TensorField, pts) -> float:
 
 
 # -- preferred frame ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FrameSolverParams:
-    """Memo-grid settings of the preferred-frame solver: ``grid_nodes`` fixes
-    the nodes of every axis; ``None`` sizes each axis by its error estimate."""
-
-    grid_nodes: int = None
-    MIN_NODES = 4  # per axis, the least that a cubic spline takes
-
-    def __post_init__(self):
-        n = self.grid_nodes
-        if n is not None and not (isinstance(n, (int, np.integer)) and n >= self.MIN_NODES):
-            raise ValueError(f"grid_nodes must be an integer >= {self.MIN_NODES}, got {n!r}")
 
 
 # Memo-grid sizing: 7 nodes per axis first, the fewest whose even-indexed
@@ -378,28 +364,25 @@ def preferred_frame(
     n: TensorField,
     seed_slice: SliceSpec,
     engine: DerivativeEngine,
-    params: FrameSolverParams = None,
     tol: float = FRAME_TOL,
 ) -> FrameFactor:
     """Solve for the gauge factor making the flow divergence-free.
 
     ``ln Phi`` vanishes on the seed slice and is memoized on a tensor grid
     behind a cubic spline; ``solve_at`` integrates to the slice directly.
-    ``params.grid_nodes`` fixes the nodes per axis.  Else the grid starts at
-    7 nodes per axis and each axis whose error estimate is above a tenth of
-    ``tol`` is refined n -> 4n - 3; when it does, each axis still at 7
-    nodes whose estimate is within a sixteenth of that target drops to its
-    4 even-indexed nodes.  Each new grid copies the nodes it shares with
-    the grid before and carries only the others, and a grid past the
-    ceiling raises before it is solved.
+    The grid starts at 7 nodes per axis and each axis whose error estimate
+    is above a tenth of ``tol`` is refined n -> 4n - 3; when it does, each
+    axis still at 7 nodes whose estimate is within a sixteenth of that
+    target drops to its 4 even-indexed nodes.  Each new grid copies the
+    nodes it shares with the grid before and carries only the others, and
+    a grid past the ceiling raises before it is solved.
     """
-    params = params or FrameSolverParams()
     transport = _Transport(g, n, engine, seed_slice.axis, seed_slice.value)
-    counts = [params.grid_nodes or ESTIMATE_NODES] * g.chart.dim
+    counts = [ESTIMATE_NODES] * g.chart.dim
     axes, values = transport.memo_grid(counts)
-    estimate = None if params.grid_nodes is not None else error_estimate(axes, values)
+    estimate = error_estimate(axes, values)
     target = 0.1 * tol
-    while estimate is not None:
+    while True:
         coarse = np.flatnonzero(estimate > target)
         if not coarse.size:
             break

@@ -293,9 +293,17 @@ class DerivativeEngine:
             for j in range(field.chart.dim):
                 dp = np.zeros_like(pts)
                 dp[:, j] = h
-                for shifted in (pts + dp, pts - dp):
+                plus, minus = pts + dp, pts - dp
+                for shifted in (plus, minus):
                     field.chart.require_inside(shifted)
-                cols.append((field(pts + dp) - field(pts - dp)) / (2.0 * h))
+                    # a step below the coordinate's spacing would difference
+                    # a point with itself and read every derivative as 0
+                    unmoved = shifted[:, j] == pts[:, j]
+                    if np.any(unmoved):
+                        raise ValueError(
+                            f"difference step h = {h:g} leaves coordinate {field.chart.names[j]!r} "
+                            f"of point {pts[np.argmax(unmoved)]} unmoved")
+                cols.append((field(plus) - field(minus)) / (2.0 * h))
             return np.stack(cols, axis=-1)
 
         d1 = stencil(self.h)

@@ -46,7 +46,6 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
             tols=config.tols,
             seed=config.seed,
             weight_override=config.weight_override,
-            frame_params=config.frame_params,
             seeded_factors=config.seeded_factors,
             rays=config.rays,
             nonmetricity_pairs=config.nonmetricity_pairs,

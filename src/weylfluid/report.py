@@ -71,10 +71,29 @@ def to_json(report: VerificationReport) -> str:
     return json.dumps(report_to_dict(report), indent=2) + "\n"
 
 
+# the JSON types that to_json writes under each checked key, as a message names them
+_NUMBER = ((int, float), "a number")
+_KEY_TYPES = {"suite": (list, "a list of suite names"), "settings": (dict, "an object"),
+              "max_residual": _NUMBER, "tol": _NUMBER, "pass": (bool, "true or false"),
+              "runtime_seconds": _NUMBER}
+
+
+def _typed(obj: dict, key: str):
+    """``obj[key]``; ``ValueError`` naming the key when the value is not of
+    the JSON type that :func:`to_json` writes there (a bool is no number)."""
+    value = obj[key]
+    types, kind = _KEY_TYPES[key]
+    if (not isinstance(value, types) or isinstance(value, bool) != (types is bool)
+            or key == "suite" and not all(isinstance(s, str) for s in value)):
+        raise ValueError(f"report key {key!r} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
 def parse_report(text: str) -> VerificationReport:
     """Read a report written by :func:`to_json`.  Raises ``ValueError`` when
     the text is not JSON, its top level is not an object, a key is missing,
-    or ``checks`` is not a list of objects."""
+    ``checks`` is not a list of objects, or a value is not of the type the
+    report writes under its key."""
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError("report top level is not a JSON object")
@@ -88,19 +107,19 @@ def parse_report(text: str) -> VerificationReport:
             CheckRecord(
                 name=c["name"],
                 anchor=c["anchor"],
-                max_residual=float(c["max_residual"]),
-                tol=float(c["tol"]),
-                passed=bool(c["pass"]),
+                max_residual=float(_typed(c, "max_residual")),
+                tol=float(_typed(c, "tol")),
+                passed=_typed(c, "pass"),
             )
             for c in raw["checks"]
         ]
         return VerificationReport(
-            suite=list(raw["suite"]),
+            suite=list(_typed(raw, "suite")),
             spacetime=raw["spacetime"],
             fluid=raw["fluid"],
-            settings=raw["settings"],
+            settings=_typed(raw, "settings"),
             checks=checks,
-            runtime_seconds=float(raw["runtime_seconds"]),
+            runtime_seconds=float(_typed(raw, "runtime_seconds")),
         )
     except KeyError as exc:
         raise ValueError(f"report has no key {exc}") from exc

@@ -27,7 +27,6 @@ from .conformal import (
     FRAME_TOL,
     ConformalFactor,
     ConformalWeights,
-    FrameSolverParams,
     _shifted_covector,
     conformal_rescale,
     current_invariance_check,
@@ -127,7 +126,6 @@ class SuiteContext:
     tols: Tolerances = dc_field(default_factory=Tolerances)
     seed: int = 0
     weight_override: int = None
-    frame_params: FrameSolverParams = dc_field(default_factory=FrameSolverParams)
     rays: int = 5
     nonmetricity_pairs: int = 20
     seeded_factors: int = 10
@@ -453,7 +451,7 @@ def frame_suite(ctx: SuiteContext):
     chart = g.chart
     checks = []
 
-    factor = ctx.preset.solve_frame(engine, ctx.frame_params, tols.frame)
+    factor = ctx.preset.solve_frame(engine, tols.frame)
 
     checks.append(ctx.record(
         "frame-transport", "solved factor satisfies the transport equation",

@@ -70,7 +70,6 @@ OUT_OF_RANGE = [
     ("conformal", "seeded_factors", ["0"]),
     ("samples", "grid_per_axis", ["0"]),
     ("samples", "random_points", ["0"]),
-    ("frame", "grid_nodes", ["3", "0"]),
     ("engine", "h", ["nan", "inf", "0", "-1e-4"]),
     ("engine", "mode", ["bogus"]),
     ("engine", "richardson", ["2"]),
@@ -202,15 +201,15 @@ class TestConfig:
                 "[samples]\ngrid_per_axis = 1\nrandom_points = 1\n"
                 "[conformal]\nseeded_factors = 1\n"
                 "[engine]\nmode = central-difference\nh = 1e-300\n"
-                "[tolerances]\nidentity = 0\n"
-                "[frame]\ngrid_nodes = 4\n")
+                "[tolerances]\nidentity = 0\n")
         cfg = load_config(_write(tmp_path, "edge.cfg", text))
-        assert (cfg.rays, cfg.seeded_factors, cfg.frame_params.grid_nodes) == (1, 1, 4)
+        assert (cfg.rays, cfg.seeded_factors) == (1, 1)
         assert cfg.engine.h == 1e-300 and cfg.tols.identity == 0.0
-        # [frame] takes grid_nodes alone
-        path = _write(tmp_path, "lin.cfg", "[frame]\ninterpolation = linear\ngrid_nodes = 4\n")
+        # the memo grid is sized by the frame tolerance alone, so a config
+        # with a [frame] section is refused whatever its keys
+        path = _write(tmp_path, "old.cfg", "[frame]\n")
         assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "r.json")]) == 2
-        assert "unknown key 'interpolation' in section [frame]" in capsys.readouterr().err
+        assert "unknown config section [frame]" in capsys.readouterr().err
         # the eps bound is the perturbed metric's; on the sheared flow eps is the shear
         for fluid, eps in (("perturbed", "0.01"), ("perturbed", "-0.01"), ("sheared", "0.5")):
             text = f"[spacetime]\npreset = minkowski\neps = {eps}\n[fluid]\npreset = {fluid}\n"
@@ -326,6 +325,18 @@ class TestExitCodes:
                     cwd=tmp_path)
         assert proc.returncode == 3, proc.stderr
 
+    def test_step_that_moves_no_coordinate_is_three(self, tmp_path, capsys):
+        # t + 1e-300 == t - 1e-300: every difference would read 0, and the
+        # connection and fluid suites would pass on derivatives never taken
+        text = PASS_CFG.replace("preset = minkowski", "preset = flrw").replace(
+            "preset = dust-rest", "preset = comoving-dust")
+        text += "[engine]\nmode = central-difference\nh = 1e-300\n"
+        path = _write(tmp_path, "tiny-h.cfg", text)
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--config", path, "--out", str(out)]) == 3
+        assert "difference step h = 1e-300 leaves coordinate 't'" in capsys.readouterr().err
+        assert json.loads(out.read_text())["checks"][-1]["name"] == "error"
+
     def test_build_failure_writes_partial_report(self, tmp_path):
         # parameters that parse but fail construction (a Hubble rate this
         # large overflows the scale factor exp(H t) on the chart): runtime
@@ -373,14 +384,13 @@ class TestOtherCommands:
 
     def test_frame_export(self, tmp_path):
         cfg = PASS_CFG.replace("suites = connection fluid", "suites = frame")
-        cfg += "\n[frame]\ngrid_nodes = 5\n"
         path = _write(tmp_path, "frame.cfg", cfg)
         out = str(tmp_path / "grid.csv")
         proc = _cli(["frame", "--config", path, "--out", out], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert "5x5x5x5 = 625 grid values" in proc.stdout
+        assert "7x7x7x7 = 2401 grid values" in proc.stdout
         data = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert data.shape == (5**4, 5)
+        assert data.shape == (7**4, 5)
         assert np.abs(data[:, 4]).max() < 1e-12  # already incompressible
 
     def test_sized_frame_prints_its_estimates(self, tmp_path, capsys):
@@ -392,13 +402,38 @@ class TestOtherCommands:
         assert "7x7x7x7 = 2401 grid values, estimate/tol 0 0 0 0" in capsys.readouterr().out
 
 
+def _report_text(key, value):
+    """A one-check report's JSON text with ``value`` under ``key``, a key of
+    the check when the check has it, else a top-level key."""
+    check = {"name": "connection:torsion-free", "anchor": "a", "max_residual": 0.0,
+             "tol": 1e-12, "pass": True}
+    raw = {"suite": ["connection"], "spacetime": "minkowski", "fluid": "dust-rest",
+           "settings": {}, "checks": [check], "runtime_seconds": 0.0, "pass": True}
+    (check if key in check else raw)[key] = value
+    return json.dumps(raw)
+
+
 class TestMalformedReport:
+    # a value of the wrong type exits 3 with a message naming its key; a
+    # traceback would exit 1, the code of a failed check
     @pytest.mark.parametrize("text, message", [
         ('{"suite": []}', "report has no key 'checks'"),
         ("[1, 2]", "report top level is not a JSON object"),
         ('{"checks": 5}', "report key 'checks' is not a list"),
         ('{"checks": [1]}', "report key 'checks' holds a check that is not an object"),
-    ], ids=["missing-key", "not-an-object", "checks-not-a-list", "check-not-an-object"])
+        (_report_text("max_residual", None), "report key 'max_residual' must be a number, got null"),
+        (_report_text("max_residual", [1]), "report key 'max_residual' must be a number, got [1]"),
+        (_report_text("max_residual", "abc"),
+         "report key 'max_residual' must be a number, got \"abc\""),
+        (_report_text("tol", True), "report key 'tol' must be a number, got true"),
+        (_report_text("pass", 1), "report key 'pass' must be true or false, got 1"),
+        (_report_text("suite", 5), "report key 'suite' must be a list of suite names, got 5"),
+        (_report_text("settings", []), "report key 'settings' must be an object, got []"),
+        (_report_text("runtime_seconds", "0"),
+         "report key 'runtime_seconds' must be a number, got \"0\""),
+    ], ids=["missing-key", "not-an-object", "checks-not-a-list", "check-not-an-object",
+            "residual-null", "residual-list", "residual-string", "tol-bool", "pass-int",
+            "suite-int", "settings-list", "runtime-string"])
     def test_report_command_exits_three(self, tmp_path, capsys, text, message):
         path = _write(tmp_path, "bad.json", text)
         assert cli.main(["report", path]) == 3

@@ -95,3 +95,12 @@ class TestCompareReports:
         assert done.returncode == 2
         assert done.stderr.splitlines()[-1].endswith(
             f"error: {new / 'flrw-radiation.json'}: report has no key 'checks'")
+
+    def test_wrongly_typed_report_exits_two(self, dirs):
+        old, new = dirs
+        (new / "flrw-radiation.json").write_text('{"suite": 5, "checks": []}')
+        done = _compare(old, new)
+        assert done.returncode == 2
+        assert done.stderr.splitlines()[-1].endswith(
+            f"error: {new / 'flrw-radiation.json'}: "
+            "report key 'suite' must be a list of suite names, got 5")

@@ -9,7 +9,6 @@ from weylfluid.config import SuiteConfig
 from weylfluid.conformal import (
     ConformalFactor,
     ConformalWeights,
-    FrameSolverParams,
     _Transport,
     conformal_rescale,
     current_invariance_check,
@@ -33,10 +32,9 @@ from weylfluid.geometry import (
 )
 from weylfluid.harness import run_suite
 from weylfluid.interpolation import error_estimate
-from weylfluid.suites import Tolerances
+from weylfluid.suites import SuiteContext, Tolerances, frame_suite
 
 ENG = DerivativeEngine()
-FAST_FRAME = FrameSolverParams(grid_nodes=9)
 
 
 def _count_transport_points(monkeypatch):
@@ -51,6 +49,14 @@ def _count_transport_points(monkeypatch):
 
     monkeypatch.setattr(_Transport, "_flow_and_source", counting)
     return counted
+
+
+def _memo_grid(preset, nodes=7):
+    """The ``(axes, values)`` of the preset's frame on the memo grid of
+    ``nodes`` per axis; 7 is the grid the sized solve starts from."""
+    meta = preset.meta
+    transport = _Transport(preset.g, preset.state.n, ENG, meta.slice_axis, meta.slice_values[0])
+    return transport.memo_grid([nodes] * preset.chart.dim)
 
 
 def _setup(name, **params):
@@ -200,14 +206,14 @@ class TestPreferredFrame:
     def test_already_incompressible(self):
         preset, bundle, pts = _setup("minkowski-dust-rest")
         spec = SliceSpec(0, 0.0, ((-0.5, 0.5),) * 3)
-        fac = preferred_frame(preset.g, preset.state.n, spec, ENG, FAST_FRAME)
+        fac = preferred_frame(preset.g, preset.state.n, spec, ENG)
         assert np.abs(fac.grid_values).max() < 1e-12
         assert np.abs(fac.ln(pts)).max() < 1e-12
 
     def test_cosmology_closed_form(self):
         preset, bundle, pts = _setup("flrw-comoving-dust")
         spec = SliceSpec(0, 0.0, ((-0.5, 0.5),) * 3)
-        fac = preferred_frame(preset.g, preset.state.n, spec, ENG, FAST_FRAME)
+        fac = preferred_frame(preset.g, preset.state.n, spec, ENG)
         t = fac.grid_axes[0]
         assert np.abs(fac.grid_values[:, 0, 0, 0] + 0.1 * t).max() < 1e-10
         # spot check by direct integration away from the memo grid
@@ -217,8 +223,7 @@ class TestPreferredFrame:
     def test_transport_residual_sheared(self):
         preset, bundle, pts = _setup("minkowski-sheared")
         spec = SliceSpec(0, 0.0, ((-0.5, 0.5),) * 3)
-        fac = preferred_frame(preset.g, preset.state.n, spec, ENG,
-                              FrameSolverParams(grid_nodes=11))
+        fac = preferred_frame(preset.g, preset.state.n, spec, ENG)
         res = transport_residual(fac, preset.g, preset.state.n, ENG)(pts)
         assert np.abs(res).max() < 1e-4
         b2, s2 = conformal_rescale(bundle, preset.state, fac, ENG)
@@ -244,8 +249,8 @@ class TestPreferredFrame:
         assert np.abs(geodesic_defect(pb, s2.n, zero, ENG)(pts)).max() < 1e-10
 
     def test_sweep_matches_direct_transport(self, monkeypatch):
-        # on the 9-node grid some one-layer landings leave the memo box and
-        # are finished by the direct solve
+        # on the sized 7-node grid some one-layer landings leave the memo
+        # box and are finished by the direct solve
         preset, bundle, pts = _setup("minkowski-sheared")
         spec = SliceSpec(0, 0.0, ((-0.5, 0.5),) * 3)
         finished = []
@@ -256,7 +261,7 @@ class TestPreferredFrame:
             return solve(transport, q)
 
         monkeypatch.setattr(_Transport, "solve", counting_solve)
-        fac = preferred_frame(preset.g, preset.state.n, spec, ENG, FAST_FRAME)
+        fac = preferred_frame(preset.g, preset.state.n, spec, ENG)
         assert sum(finished) > 0
         nodes = np.stack(
             [a.ravel() for a in np.meshgrid(*fac.grid_axes, indexing="ij")], axis=-1)
@@ -264,13 +269,13 @@ class TestPreferredFrame:
 
     @pytest.mark.parametrize("name", ["flrw-comoving-dust", "minkowski-sheared"])
     def test_sweep_work_per_node(self, name, monkeypatch):
-        # one layer per carry: about one embedded step (six stages and the
-        # derivative at the start) per node
-        preset, bundle, pts = _setup(name)
-        spec = SliceSpec(0, preset.meta.slice_values[0], preset.meta.slice_box)
+        # one layer per carry: on 9 nodes per axis, a layer is about the
+        # first step's length apart, so about one embedded step (six stages
+        # and the derivative at the start) per node
+        preset = build(name)
         counted = _count_transport_points(monkeypatch)
-        fac = preferred_frame(preset.g, preset.state.n, spec, ENG, FAST_FRAME)
-        assert sum(counted) <= 8 * fac.grid_values.size
+        _, values = _memo_grid(preset, 9)
+        assert sum(counted) <= 8 * values.size
 
     @pytest.mark.parametrize("name", ["minkowski-sheared", "flrw-power-dust"])
     def test_one_metric_evaluation_per_stage(self, name, monkeypatch):
@@ -292,20 +297,10 @@ class TestPreferredFrame:
             transport._flow_and_source(pts)
         assert len(calls) == 3
 
-    # fewer nodes than a cubic takes, and counts that are not one integer
-    @pytest.mark.parametrize("nodes", [3, (7, 7, 7, 7), 7.0], ids=["3", "tuple", "float"])
-    def test_too_few_nodes_rejected_before_transport(self, nodes, monkeypatch):
-        preset, bundle, pts = _setup("minkowski-sheared")
-        spec = SliceSpec(0, 0.0, ((-0.5, 0.5),) * 3)
-        counted = _count_transport_points(monkeypatch)
-        with pytest.raises(ValueError, match="grid_nodes"):
-            preferred_frame(preset.g, preset.state.n, spec, ENG, FrameSolverParams(grid_nodes=nodes))
-        assert not counted
-
     def test_estimation_adds_no_transport(self, monkeypatch):
         # the estimate reads the solved memo values only: on a preset whose
-        # 7-node grid meets the target, the sized grid costs what the fixed
-        # 7-node grid does
+        # 7-node grid meets the target, the sized grid costs what the
+        # 7-node memo grid does
         preset = build("minkowski-sheared")
         counted = _count_transport_points(monkeypatch)
         fac = preset.solve_frame(ENG)
@@ -313,7 +308,7 @@ class TestPreferredFrame:
         assert error_estimate(fac.grid_axes, fac.grid_values).max() <= 0.1 * Tolerances().frame
         sized = sum(counted)
         counted.clear()
-        preset.solve_frame(ENG, FrameSolverParams(grid_nodes=7))
+        _memo_grid(preset)
         assert sized == sum(counted)
 
     def test_refinement_past_the_ceiling_is_refused(self, monkeypatch):
@@ -322,8 +317,7 @@ class TestPreferredFrame:
         # that grid is never transported
         preset = build("flrw-power-dust")
         counted = _count_transport_points(monkeypatch)
-        fixed = preset.solve_frame(ENG, FrameSolverParams(grid_nodes=7))
-        estimate = error_estimate(fixed.grid_axes, fixed.grid_values)
+        estimate = error_estimate(*_memo_grid(preset))
         first = sum(counted)
         monkeypatch.setattr(conformal, "_MAX_NODES", 25 * 4**3 - 1)
         with pytest.raises(WeylFluidError, match="ceiling") as err:
@@ -336,18 +330,17 @@ class TestPreferredFrame:
         # below the target, drop to their 4 even-indexed nodes; every node
         # the 7-node grid solved is copied, not carried again
         preset = build("flrw-power-dust")
-        fixed = preset.solve_frame(ENG, FrameSolverParams(grid_nodes=7))
+        axes7, values7 = _memo_grid(preset)
         counted = _count_transport_points(monkeypatch)
         sized = preset.solve_frame(ENG)
         assert [len(ax) for ax in sized.grid_axes] == [97, 4, 4, 4]
-        assert np.array_equal(sized.grid_values[::16], fixed.grid_values[:, ::2, ::2, ::2])
+        assert np.array_equal(sized.grid_values[::16], values7[:, ::2, ::2, ::2])
         assert sum(counted) <= 130_000
         # the halved axes keep the estimates of their 7-node cubics
         target = 0.1 * Tolerances().frame
         assert sized.estimate[0] <= target
         assert np.all(sized.estimate[1:] <= target / 16)
-        assert np.array_equal(sized.estimate[1:],
-                              error_estimate(fixed.grid_axes, fixed.grid_values)[1:])
+        assert np.array_equal(sized.estimate[1:], error_estimate(axes7, values7)[1:])
 
     def test_plane_axis_refinement_carries_only_new_plane_nodes(self, monkeypatch):
         # at a tighter tolerance the sheared chart refines its x axis 7 -> 25
@@ -395,17 +388,30 @@ class TestPreferredFrame:
         nodes = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
         assert np.abs(values.ravel() - transport.solve(nodes)).max() <= 1e-8
 
-    def test_fixed_grid_carries_no_estimate(self):
+    @pytest.mark.parametrize("name", ["minkowski-dust-phi", "minkowski-radiation",
+                                      "minkowski-perturbed", "minkowski3-dust",
+                                      "schwarzschild-static"])
+    def test_frame_suite_passes_where_the_sweep_skips_it(self, name):
+        # the sweep runs the frame suite on frame-ready presets only; the
+        # sized grid passes it on the others too, a 3-d chart among them
+        preset = build(name)
+        assert not preset.meta.frame_ready
+        records = frame_suite(SuiteContext(preset, ENG, preset.chart.sample_points(2, 8, 3)))
+        assert records and all(c.passed for c in records), [
+            (c.name, c.max_residual) for c in records if not c.passed]
+
+    def test_sized_grid_carries_its_estimate(self):
+        # a grid the first estimate accepts carries that very estimate
         preset = build("minkowski-sheared")
-        assert preset.solve_frame(ENG, FrameSolverParams(grid_nodes=5)).estimate is None
-        assert preset.solve_frame(ENG).estimate.shape == (4,)
+        fac = preset.solve_frame(ENG)
+        assert np.array_equal(fac.estimate, error_estimate(*_memo_grid(preset)))
 
     def test_csv_layout(self, tmp_path):
         # a header of the coordinate names and ln_factor, then one row per
         # memo node in C order of the grid, each number as %.17g
         preset, bundle, pts = _setup("flrw-comoving-dust")
         spec = SliceSpec(0, 0.0, ((-0.5, 0.5),) * 3)
-        fac = preferred_frame(preset.g, preset.state.n, spec, ENG, FrameSolverParams(grid_nodes=4))
+        fac = preferred_frame(preset.g, preset.state.n, spec, ENG)
         path = tmp_path / "frame.csv"
         fac.write_csv(path)
         mesh = np.meshgrid(*fac.grid_axes, indexing="ij")
@@ -414,25 +420,27 @@ class TestPreferredFrame:
             ",".join(f"{x:.17g}" for x in [*node, val])
             for node, val in zip(nodes, fac.grid_values.ravel())]
         assert path.read_bytes().decode() == "".join(row + "\r\n" for row in rows)
-        assert len(rows) == 1 + 4**4
+        assert len(rows) == 1 + 7**4
 
     def test_reachability_error(self):
         # a characteristic from the box corner drifts out before reaching
         # the seed slice
         preset, bundle, pts = _setup("minkowski-sheared")
         spec = SliceSpec(0, 0.0, ((-0.5, 0.5),) * 3)
-        fac = preferred_frame(preset.g, preset.state.n, spec, ENG, FAST_FRAME)
+        fac = preferred_frame(preset.g, preset.state.n, spec, ENG)
         with pytest.raises(ReachabilityError):
             fac.solve_at(np.array([[-0.49, 0.9995, 0.0, 0.0]]))
 
     def test_transversality_error(self):
-        # the sheared flow is not transversal to constant-x slices
+        # the sheared flow is not transversal to constant-x slices: its x
+        # component, a positive multiple of x, is negative on the first
+        # layer after the seed slice x = -0.5
         preset, bundle, pts = _setup("minkowski-sheared")
         from weylfluid.errors import TransversalityError
 
-        spec = SliceSpec(1, 0.0, ((-0.4, 0.4),) * 3)
-        with pytest.raises(TransversalityError):
-            preferred_frame(preset.g, preset.state.n, spec, ENG, FAST_FRAME)
+        spec = SliceSpec(1, -0.5, ((-0.4, 0.4),) * 3)
+        with pytest.raises(TransversalityError, match="near point"):
+            preferred_frame(preset.g, preset.state.n, spec, ENG)
 
 
 class TestCentralDifferenceMode:

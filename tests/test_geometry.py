@@ -96,6 +96,15 @@ class TestGradScalar:
         with pytest.raises(DomainExitError, match="'t'"):
             grad_scalar(FD, f, at_edge)
 
+    def test_fd_step_that_moves_no_coordinate_is_refused(self):
+        # 0.5 + 8e-17 rounds up to the next double, but 0.5 + 4e-17 rounds
+        # back to 0.5: the Richardson half step would difference x with itself
+        f = scalar_field(self.chart, lambda c: c[1])
+        x = np.array([[0.0, 0.5, 0.0, 0.0]])
+        assert grad_scalar(DerivativeEngine("central-difference", 8e-17), f, x)[0, 1] != 0.0
+        with pytest.raises(ValueError, match=r"h = 4e-17 leaves coordinate 'x' of point"):
+            grad_scalar(DerivativeEngine("central-difference", 8e-17, 1), f, x)
+
     def test_dual_matches_analytic_to_rounding(self):
         # forward-dual derivatives of a polynomial are exact to a few ulp
         f = scalar_field(self.chart,

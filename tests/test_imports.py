@@ -20,7 +20,6 @@ _CHILD = textwrap.dedent("""
     import weylfluid
     from weylfluid import suites
     from weylfluid.catalog import build, verification_matrix
-    from weylfluid.conformal import FrameSolverParams
     from weylfluid.geometry import DerivativeEngine
 
     def loaded():
@@ -33,7 +32,7 @@ _CHILD = textwrap.dedent("""
     passed = all(c.passed for suite in ("connection", "fluid", "conservation", "conformal")
                  for c in suites.SUITES[suite](ctx))
     pointwise = loaded()
-    frame = preset.solve_frame(DerivativeEngine(), FrameSolverParams(grid_nodes=5))
+    frame = preset.solve_frame(DerivativeEngine())
     pts = preset.chart.sample_points(2, 0, 3)
     # the spline through the memo grid against the direct solve at the same points
     gap = float(abs(frame.ln(pts) - frame.solve_at(pts)).max())

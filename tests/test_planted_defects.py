@@ -2,7 +2,8 @@
 or the stress-energy and current that the conservation suite forms once,
 fails when one defect is planted in the shared value or in the arithmetic
 that a suite builds on it, so no check compares a shared value with
-itself."""
+itself; the frame checks fail under a defect in the transport's source or
+in the closed-form factor they are compared with."""
 
 import dataclasses
 
@@ -13,7 +14,7 @@ from weylfluid import autodiff as ad, conformal, fluid, suites
 from weylfluid.catalog import build
 from weylfluid.conservation import VectorDensityField
 from weylfluid.errors import WeylFluidError
-from weylfluid.geometry import DerivativeEngine, tensor2_field
+from weylfluid.geometry import DerivativeEngine, scalar_field, tensor2_field
 
 
 def _skew_connection(ctx, monkeypatch):
@@ -92,6 +93,34 @@ def _stress_energy_perturbed(ctx, monkeypatch):
     monkeypatch.setattr(suites, "raise_indices2", planted)
 
 
+def _source_scaled(ctx, monkeypatch):
+    # the frame transport's source column 1 % too large: the solved log
+    # factor drifts from the closed form, and neither its transport equation
+    # nor the rescaled flow's divergence balances
+    flow_and_source = conformal._Transport._flow_and_source
+
+    def planted(transport, pts):
+        rates = flow_and_source(transport, pts)
+        rates[:, -1] *= 1.01
+        return rates
+
+    monkeypatch.setattr(conformal._Transport, "_flow_and_source", planted)
+
+
+def _closed_frame_scaled(ctx, monkeypatch):
+    # the preset's closed-form frame factor with its log 1 % too large
+    meta = ctx.preset.meta
+    closed_frame = meta.closed_frame
+
+    def planted(value):
+        ln = closed_frame(value).ln
+        return conformal.ConformalFactor.from_log(
+            scalar_field(ln.chart, lambda c: 1.01 * ln.fn(c), reads=(ln,), name=ln.name))
+
+    ctx.preset = dataclasses.replace(
+        ctx.preset, meta=dataclasses.replace(meta, closed_frame=planted))
+
+
 @pytest.mark.parametrize("suite, check, plant", [
     ("connection", "torsion-free", _skew_connection),
     ("connection", "nonmetricity", _stale_covector),
@@ -107,6 +136,10 @@ def _stress_energy_perturbed(ctx, monkeypatch):
     ("conservation", "divergence-decomposition-flow", _stress_energy_perturbed),
     ("conservation", "divergence-decomposition-orthogonal", _stress_energy_perturbed),
     ("conservation", "current-divergence-identity", _stress_energy_perturbed),
+    ("frame", "frame-transport", _source_scaled),
+    ("frame", "frame-closed-form", _source_scaled),
+    ("frame", "incompressibility", _source_scaled),
+    ("frame", "incompressibility-closed-form", _closed_frame_scaled),
 ])
 def test_planted_defect_fails_the_check(suite, check, plant, monkeypatch):
     preset = build("flrw-comoving-dust")
