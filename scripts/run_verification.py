@@ -3,8 +3,7 @@
 the reports.
 
 Writes one JSON report per preset into ``reports/`` and prints a summary
-line per preset, with its wall time.  The frame suite runs only where the
-preset is marked frame-ready (a flow transversal to its seed slice).
+line per preset, with its wall time.  Every preset runs every suite.
 
 Reports are written with ``timing = off``, so two sweeps at one seed on one
 machine give byte-identical files unless a residual moved: ``diff -r`` of the
@@ -21,10 +20,13 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from weylfluid.catalog import PRESETS, build, verification_matrix
+from weylfluid.catalog import PRESETS, verification_matrix
 from weylfluid.config import SuiteConfig
 from weylfluid.harness import run_suite
 from weylfluid.report import emit_report
+
+# every suite of weylfluid.suites.SUITES, in the order the reports list them
+SWEEP_SUITES = ("connection", "fluid", "conservation", "conformal", "worldlines", "frame")
 
 
 def main():
@@ -39,12 +41,9 @@ def main():
     overall = True
     t_start = time.perf_counter()
     for name in verification_matrix():
-        suites = ["connection", "fluid", "conservation", "conformal", "worldlines"]
-        if build(name, seed=args.seed).meta.frame_ready:
-            suites.append("frame")
         entry = PRESETS[name]
         cfg = SuiteConfig(spacetime=entry.spacetime, fluid=entry.fluid, seed=args.seed,
-                          suites=tuple(suites), timing=False)
+                          suites=SWEEP_SUITES, timing=False)
         t0 = time.perf_counter()
         report = run_suite(cfg)
         emit_report(report, str(outdir / f"{name}.json"))

@@ -40,11 +40,9 @@ class PresetMeta:
     seed-slice value to the closed-form frame factor."""
 
     conserved: bool
-    eos_w: float
     slice_axis: int
     slice_values: tuple
     slice_box: tuple
-    frame_ready: bool
     ray_s_max: float
     closed_frame: Callable = None
     rs: float = None
@@ -263,15 +261,13 @@ def comoving_flow(chart: Chart, g: MetricField) -> TensorField:
     return normalize_timelike(g, vector_field(chart, fn, name="dt"))
 
 
-def sheared_flow(chart: Chart, g: MetricField, eps: float, profile=None) -> TensorField:
-    """``normalize(d_t + eps * s(x) * d_x)`` with a polynomial default
-    profile ``s(x) = x``."""
+def sheared_flow(chart: Chart, g: MetricField, eps: float) -> TensorField:
+    """``normalize(d_t + eps * x * d_x)``."""
     m = chart.dim
 
     def fn(coords):
         zero = np.zeros_like(ad.value(coords[0]))
-        s = coords[1] if profile is None else profile(coords)
-        return ad.stack([zero + 1.0, eps * s] + [zero] * (m - 2))
+        return ad.stack([zero + 1.0, eps * coords[1]] + [zero] * (m - 2))
 
     return normalize_timelike(g, vector_field(chart, fn, name="sheared"))
 
@@ -332,11 +328,9 @@ def _build_minkowski(kind: str, params: dict, seed: int):
 
     meta = PresetMeta(
         conserved=kind == "rest",
-        eos_w=params["w"],
         slice_axis=0,
         slice_values=(0.0, 0.25) if kind == "sheared" else (0.0, 0.5),
         slice_box=tuple((-0.5, 0.5) for _ in range(m - 1)),
-        frame_ready=kind in ("rest", "sheared"),
         ray_s_max=0.8 if kind == "sheared" else 1.5,
     )
     return chart, g, state, meta
@@ -375,11 +369,9 @@ def _build_flrw(kind: str, params: dict, seed: int):
     state = FluidState(n=n, p=p, rho=rho, phi=phi)
     meta = PresetMeta(
         conserved=conserved,
-        eos_w=params["w"],
         slice_axis=0,
         slice_values=slice_values,
         slice_box=tuple((-0.5, 0.5) for _ in range(m - 1)),
-        frame_ready=True,
         ray_s_max=1.5,
         closed_frame=_flrw_closed_frame(chart, sf_kind, sf_param),
     )
@@ -399,11 +391,9 @@ def _build_schwarzschild(params: dict, seed: int):
     )
     meta = PresetMeta(
         conserved=False,
-        eos_w=params["w"],
         slice_axis=0,
         slice_values=(10.0, 30.0),
         slice_box=((3.0, 9.0), (0.9, 2.2), (0.5, 5.5)),
-        frame_ready=False,
         ray_s_max=2.0,
         rs=rs,
     )

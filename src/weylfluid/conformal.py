@@ -314,6 +314,9 @@ class _Transport:
         across = axes[:k] + axes[k + 1:]
         shape = [len(a) for a in across]
         plane = np.stack([a.ravel() for a in np.meshgrid(*across, indexing="ij")], axis=-1)
+        # a flow tangent to the seed slice raises TransversalityError at a
+        # seed node, before any characteristic is carried off the slice
+        self._flow_and_source(np.insert(plane, k, value, axis=1))
         # the grid with the slice axis first, reshaped to one row per layer
         layers = np.zeros([len(axes[k])] + shape)
         known = np.zeros(layers.shape, dtype=bool)

@@ -195,12 +195,12 @@ def _require_start(chart: Chart, x0s, v0s) -> None:
         raise ValueError(f"initial tangent {int(np.argmax(zero))} must be nonzero")
 
 
-def _require_null(g: MetricField, x0s, k0s, null_eps: float, rows=True) -> None:
+def _require_null(g: MetricField, x0s, k0s, rows=True) -> None:
     """Raise ``ValueError`` on the first of the ``rows`` (a mask) whose
-    initial tangent is not null."""
+    initial tangent is not null to ``_NULL_EPS``."""
     x0s, k0s = g.chart.as_points(x0s), g.chart.as_points(k0s)
     norms = np.where(rows, np.einsum("nij,ni,nj->n", g(x0s), k0s, k0s), 0.0)
-    if np.any(np.abs(norms) > null_eps):
+    if np.any(np.abs(norms) > _NULL_EPS):
         k = int(np.argmax(np.abs(norms)))
         raise ValueError(f"initial tangent {k} is not null: g(k,k) = {norms[k]:.3e}")
 
@@ -209,31 +209,30 @@ def _require_null(g: MetricField, x0s, k0s, null_eps: float, rows=True) -> None:
 NULL_GEODESIC, WEYL_AUTOPARALLEL, FLOW_LINE = range(3)
 
 
-def integrate_null_geodesic(g: MetricField, x0, k0, s_max: float, engine: DerivativeEngine,
-                            null_eps: float = _NULL_EPS) -> WorldlinePath:
+def integrate_null_geodesic(g: MetricField, x0, k0, s_max: float,
+                            engine: DerivativeEngine) -> WorldlinePath:
     """Affine null geodesic of the metric; the initial tangent must already
-    be null to ``null_eps``.  The squared tangent norm is a first integral
+    be null to ``_NULL_EPS``.  The squared tangent norm is a first integral
     and is monitored through :func:`null_norm_drift`."""
-    return integrate_null_geodesic_batch(g, [x0], [k0], s_max, engine, null_eps)[0]
+    return integrate_null_geodesic_batch(g, [x0], [k0], s_max, engine)[0]
 
 
-def integrate_null_geodesic_batch(g: MetricField, x0s, k0s, s_max: float, engine: DerivativeEngine,
-                                  null_eps: float = _NULL_EPS):
+def integrate_null_geodesic_batch(g: MetricField, x0s, k0s, s_max: float,
+                                  engine: DerivativeEngine):
     """Independent null geodesics integrated together."""
     kinds = [NULL_GEODESIC] * len(np.atleast_2d(k0s))
-    return integrate_fluid_worldlines(g, None, None, engine, kinds, x0s, k0s, s_max, null_eps)
+    return integrate_fluid_worldlines(g, None, None, engine, kinds, x0s, k0s, s_max)
 
 
 def integrate_fluid_worldlines(g: MetricField, n: TensorField, phi: TensorField,
-                               engine: DerivativeEngine, kinds, x0s, v0s, s_max: float,
-                               null_eps: float = _NULL_EPS):
+                               engine: DerivativeEngine, kinds, x0s, v0s, s_max: float):
     """The worldlines of a fluid's Weyl structure as one batch with per-ray
     step control, so that no ray's nodes depend on the other rows.
 
     Row ``i`` is, by ``kinds[i]``:
 
     * ``NULL_GEODESIC``: an affine null geodesic of ``g``, whose tangent
-      must be null to ``null_eps``;
+      must be null to ``_NULL_EPS``;
     * ``WEYL_AUTOPARALLEL``: an autoparallel of the connection that
       :func:`~weylfluid.fluid.fluid_connection` builds from ``(g, n, phi)``;
     * ``FLOW_LINE``: an integral curve of ``n`` in the second-order form of
@@ -247,7 +246,7 @@ def integrate_fluid_worldlines(g: MetricField, n: TensorField, phi: TensorField,
     the same way whatever the batch around it.
     """
     kinds = np.asarray(kinds)
-    _require_null(g, x0s, v0s, null_eps, rows=kinds == NULL_GEODESIC)
+    _require_null(g, x0s, v0s, rows=kinds == NULL_GEODESIC)
     _require_start(g.chart, x0s, v0s)
 
     def accel(idx, xs, vs):

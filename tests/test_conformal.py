@@ -1,5 +1,7 @@
 """Gauge-orbit transport of the bundle and the preferred-frame solver."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from weylfluid.conformal import (
     transport_residual,
 )
 from weylfluid.conservation import SliceSpec, condition_scalars, number_on_slice, particle_current
-from weylfluid.errors import GaugeError, ReachabilityError, WeylFluidError
+from weylfluid.errors import GaugeError, ReachabilityError, TransversalityError, WeylFluidError
 from weylfluid.fluid import fluid_connection, fluid_covector, geodesic_defect, stress_energy
 from weylfluid import autodiff as ad
 from weylfluid.geometry import (
@@ -391,11 +393,10 @@ class TestPreferredFrame:
     @pytest.mark.parametrize("name", ["minkowski-dust-phi", "minkowski-radiation",
                                       "minkowski-perturbed", "minkowski3-dust",
                                       "schwarzschild-static"])
-    def test_frame_suite_passes_where_the_sweep_skips_it(self, name):
-        # the sweep runs the frame suite on frame-ready presets only; the
-        # sized grid passes it on the others too, a 3-d chart among them
+    def test_frame_suite_passes_without_closed_form(self, name):
+        # the sized grid passes the frame suite where no closed form checks
+        # it, a 3-d chart and Schwarzschild among them
         preset = build(name)
-        assert not preset.meta.frame_ready
         records = frame_suite(SuiteContext(preset, ENG, preset.chart.sample_points(2, 8, 3)))
         assert records and all(c.passed for c in records), [
             (c.name, c.max_residual) for c in records if not c.passed]
@@ -441,6 +442,22 @@ class TestPreferredFrame:
         spec = SliceSpec(1, -0.5, ((-0.4, 0.4),) * 3)
         with pytest.raises(TransversalityError, match="near point"):
             preferred_frame(preset.g, preset.state.n, spec, ENG)
+
+    @pytest.mark.parametrize("nodes", [7, 9])
+    def test_tangent_seed_slice_is_refused_at_a_seed_node(self, nodes):
+        # on the slice x = 0 the sheared flow's x component vanishes: every
+        # grid names a node of that slice, before any characteristic leaves it
+        preset = build("minkowski-sheared")
+        chart = preset.chart
+        transport = conformal._Transport(preset.g, preset.state.n, ENG, 1, 0.0)
+        with pytest.raises(TransversalityError, match="near point") as err:
+            transport.memo_grid([nodes] * 4)
+        point = np.array(re.search(r"near point \[(.*)\]", str(err.value)).group(1).split(),
+                         dtype=float)
+        lo, hi = chart.bounds(chart.margin / 2.0)
+        axes = [np.linspace(lo[j], hi[j], nodes) for j in range(chart.dim)]
+        assert point[1] == 0.0
+        assert all(np.abs(ax - x).min() < 1e-6 for ax, x in zip(axes, point)), point
 
 
 class TestCentralDifferenceMode:
