@@ -148,10 +148,13 @@ def polynomial_covector(chart: Chart, rng, scale: float, name: str = "A(poly)") 
     return covector_field(chart, _seeded_polynomials(chart, rng, scale, chart.dim), name=name)
 
 
-def seeded_positive_factor(chart: Chart, seed: int, scale: float = 0.2) -> ConformalFactor:
+_FACTOR_SCALE = 0.2  # coefficient size of a seeded factor's log polynomial
+
+
+def seeded_positive_factor(chart: Chart, seed: int) -> ConformalFactor:
     """Gauge factor ``exp(polynomial)``, strictly positive and dual-capable."""
     rng = np.random.default_rng(seed)
-    ln = polynomial_scalar(chart, rng, scale, name=f"lnPhi(seed={seed})")
+    ln = polynomial_scalar(chart, rng, _FACTOR_SCALE, name=f"lnPhi(seed={seed})")
     return ConformalFactor.from_log(ln)
 
 

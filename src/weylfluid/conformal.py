@@ -44,12 +44,16 @@ from .geometry import DerivativeEngine, MetricField, TensorField, scalar_field
 from .integrators import integrate_adaptive
 
 
+_LOG_TOL = 1e-12  # largest |ln - log(phi)| that ConformalFactor.validate accepts
+
+
 class ConformalFactor:
     """A positive gauge factor together with its cached logarithm.
 
-    Closed-form factors stay dual-differentiable; solver output is wrapped
-    from the log side, and the factor built from it is differentiated by
-    finite differences only.
+    A closed-form factor, the solved frame factor among them (its log is
+    the memo grid's spline, whose component function differentiates
+    itself), stays dual-differentiable; a factor built from a numeric
+    field is differentiated by central differences only.
     """
 
     def __init__(self, phi: TensorField, ln: TensorField):
@@ -66,13 +70,13 @@ class ConformalFactor:
     def from_log(cls, ln: TensorField) -> "ConformalFactor":
         return cls(_exp(ln), ln)
 
-    def validate(self, pts, tol: float = 1e-12) -> None:
+    def validate(self, pts) -> None:
         v = self.phi(pts)
         if np.any(v <= 0.0):
             k = int(np.argmax(v <= 0.0))
             raise GaugeError(f"conformal factor {v[k]:.6g} <= 0 at point {np.asarray(pts)[k]}")
         worst = float(np.max(np.abs(self.ln(pts) - np.log(v))))
-        if worst > tol:
+        if worst > _LOG_TOL:
             raise GaugeError(f"cached log is inconsistent with the factor: {worst:.3e}")
 
 
@@ -399,7 +403,7 @@ def preferred_frame(
         axes, values = transport.memo_grid(counts, (axes, values))
         fresh = error_estimate(axes, values)
         estimate = np.where(np.isnan(fresh), estimate, fresh)
-    ln = scalar_field(g.chart, eval_fn=build_interpolator(axes, values), name="ln(frame-factor)")
+    ln = scalar_field(g.chart, build_interpolator(axes, values).components, name="ln(frame-factor)")
     return FrameFactor(ln, axes, values, transport.solve, estimate)
 
 

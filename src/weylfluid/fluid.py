@@ -40,6 +40,9 @@ from .geometry import (
 )
 
 
+_UNIT_TOL = 1e-10  # largest |g(n,n) + 1| that FluidState.validate accepts
+
+
 @dataclass(frozen=True)
 class FluidState:
     """Unit flow plus thermodynamic scalars (geometric units).
@@ -53,12 +56,12 @@ class FluidState:
     rho: TensorField
     phi: TensorField
 
-    def validate(self, g: MetricField, pts, tol: float = 1e-10) -> None:
+    def validate(self, g: MetricField, pts) -> None:
         nv = self.n(pts)
         gv = g(pts)
         norm = np.einsum("nij,ni,nj->n", gv, nv, nv)
         worst = float(np.max(np.abs(norm + 1.0)))
-        if worst > tol:
+        if worst > _UNIT_TOL:
             raise ValueError(f"flow field is not unit timelike: |g(n,n)+1| = {worst:.3e}")
         rho = self.rho(pts)
         if np.any(rho < 0.0):

@@ -26,10 +26,12 @@ Conventions
 Each composite field (one built from other fields) is written once, as a
 component function that reads its inputs' component functions and returns
 an ``(N, *shape)`` array or jet (:mod:`.autodiff`); it is exact under
-forward-mode jets only when every input is closed-form, and numeric inputs
-make it a finite-difference field.  A constant component is a plain array,
-``np.full_like(ad.value(coords[0]), c)`` as in :func:`constant_scalar`,
-whose jacobian is zero without dual arithmetic.
+forward-mode jets when every input is closed-form, and a numeric input makes
+it value-only under them.  Each engine mode has one derivative rule:
+forward duals differentiate every field through jets and refuse a numeric
+one, and central differences difference every field.  A constant component
+is a plain array, ``np.full_like(ad.value(coords[0]), c)`` as in
+:func:`constant_scalar`, whose jacobian is zero without dual arithmetic.
 
 All field evaluations are pure functions of the point; every object here is
 immutable after construction and safe to share between workers.
@@ -145,7 +147,8 @@ def _numeric_components(eval_fn, shape: tuple, name: str, coords):
     ``functools.partial`` so that it holds the numeric map but not the
     field."""
     if any(isinstance(c, ad.Jet) for c in coords):
-        raise CapabilityError(f"field {name or '<anonymous>'} is numeric; use finite differences")
+        raise CapabilityError(f"field {name or '<anonymous>'} is numeric; "
+                              "differentiate it with central differences")
     pts = np.stack(coords, axis=-1)
     out = np.asarray(eval_fn(pts), dtype=float)
     full = (len(pts), *shape)
@@ -162,15 +165,17 @@ class TensorField:
       composite (a field built from other fields, such as a unit flow or a
       stress-energy tensor) is written once, as ``fn``, and names every
       field whose ``fn`` it reads in ``reads``.
-    * ``eval_fn(points)``: a numeric map over point batches (solver output,
-      interpolants, derived diagnostics).  Its ``fn`` is the same map
-      applied to the stacked coordinates, so composites read it like any
-      other field; handed jets it raises :class:`CapabilityError`.
+    * ``eval_fn(points)``: a numeric map over point batches (derived
+      diagnostics, rescaled bundles).  Its ``fn`` is the same map applied to
+      the stacked coordinates, so composites read it like any other field;
+      handed jets it raises :class:`CapabilityError`.
 
     ``supports_ad`` is true only for a closed-form field: one built from
-    ``fn`` whose every read field is closed-form.  Such a field
-    differentiates exactly through forward-mode jets; any other by
-    central differences only.
+    ``fn`` whose every read field is closed-form, an interpolant's
+    component function among them (:meth:`.TensorSpline.components`).
+    Such a field differentiates exactly through forward-mode jets; any
+    other is value-only under them, and only the central-difference engine
+    differentiates it.
     """
 
     def __init__(self, chart: Chart, variance: tuple, fn=None, *, eval_fn=None, reads=(),
@@ -202,7 +207,8 @@ class TensorField:
         """Exact value and jacobian via forward-mode jets."""
         if not self.supports_ad:
             raise CapabilityError(
-                f"field {self.name or '<anonymous>'} is numeric; use finite differences"
+                f"field {self.name or '<anonymous>'} is numeric or reads a numeric field; "
+                "differentiate it with central differences"
             )
         pts = self.chart.as_points(pts)
         return ad.parts(self.fn(ad.seed(pts)), (len(pts), *self.shape), self.chart.dim)
@@ -255,10 +261,11 @@ class MetricField(TensorField):
 class DerivativeEngine:
     """First-derivative engine for fields.
 
-    ``mode`` selects forward-dual differentiation (exact for closed-form
-    fields) or central differences with step ``h`` (O(h^2), O(h^4) with one
-    Richardson level).  Fields that are not closed-form always fall back to
-    differences.
+    ``mode`` selects forward-dual differentiation, exact and defined for
+    closed-form fields only (a numeric field raises the
+    :class:`CapabilityError` of :meth:`TensorField.dual_eval`), or central
+    differences with step ``h`` (O(h^2), O(h^4) with one Richardson level)
+    for every field.  ``h`` and ``richardson`` matter only to the latter.
     """
 
     mode: str = "forward-dual"
@@ -276,14 +283,13 @@ class DerivativeEngine:
     def jacobian(self, field: TensorField, pts) -> np.ndarray:
         """d(components)/d(coordinates), derivative index last."""
         pts = field.chart.as_points(pts)
-        if self.mode == "forward-dual" and field.supports_ad:
-            _, jac = field.dual_eval(pts)
-            return jac
+        if self.mode == "forward-dual":
+            return field.dual_eval(pts)[1]
         return self._fd_jacobian(field, pts)
 
     def value_and_jacobian(self, field: TensorField, pts):
         pts = field.chart.as_points(pts)
-        if self.mode == "forward-dual" and field.supports_ad:
+        if self.mode == "forward-dual":
             return field.dual_eval(pts)
         return field(pts), self._fd_jacobian(field, pts)
 

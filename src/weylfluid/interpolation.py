@@ -1,6 +1,11 @@
 """Tensor-product cubic interpolation on rectangular grids: a not-a-knot
 spline that reproduces the grid data and is exact on per-axis cubics.
 
+The spline is also a closed-form scalar field: its component function
+(:meth:`TensorSpline.components`) differentiates a jet through the
+spline's own first partials, so a field built on it is exact under
+forward-mode jets and never differences the spline.
+
 ``scipy.interpolate`` loads on first use, when a spline is built or an
 estimate is taken, so a run that never solves a preferred frame does not
 pay for it.
@@ -9,6 +14,8 @@ pay for it.
 from __future__ import annotations
 
 import numpy as np
+
+from . import autodiff as ad
 
 
 class TensorSpline:
@@ -31,8 +38,21 @@ class TensorSpline:
             knots.append(spline.t)
         self.spline = NdBSpline(tuple(knots), coef, self.DEGREE, extrapolate=True)
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.spline(np.atleast_2d(np.asarray(pts, dtype=float)))
+    def __call__(self, pts: np.ndarray, nu=None) -> np.ndarray:
+        """Values at the points ``pts``, or with ``nu`` (a derivative order
+        per axis) the spline's own partial derivative there."""
+        return self.spline(np.atleast_2d(np.asarray(pts, dtype=float)), nu=nu)
+
+    def components(self, coords):
+        """Component function of the spline as a scalar field (see
+        :mod:`.autodiff`): the values at the stacked coordinates, and for
+        jets the gradient ``d_c s = (d_j s) d_c x^j`` through the first
+        partials ``nu = e_j``."""
+        return ad.apply(ad.stack(coords), self, self._chain)
+
+    def _chain(self, pts, values, grad):
+        partials = np.stack([self(pts, nu=e) for e in np.eye(pts.shape[1], dtype=int)], axis=-1)
+        return np.einsum("nj,njc->nc", partials, grad)
 
 
 ESTIMATE_NODES = 2 * (TensorSpline.DEGREE + 1) - 1  # the fewest an estimate takes

@@ -205,7 +205,7 @@ def connection_suite(ctx: SuiteContext):
     base = ctx.preset.g
     for k in range(ctx.nonmetricity_pairs):
         rng_seed = ctx.seed * 1000 + k
-        gk = perturbed_metric(base, 0.01, rng_seed) if base.supports_ad else base
+        gk = perturbed_metric(base, 0.01, rng_seed)
         ak = polynomial_covector(chart, np.random.default_rng(rng_seed + 1), 0.3)
         # one metric jet and one covector evaluation per pair
         data, aval = metric_aux(gk, pts, engine), ak(pts)
@@ -228,11 +228,9 @@ def _fluid_family(ctx: SuiteContext):
     g = ctx.preset.g
     chart = g.chart
     rng = np.random.default_rng(ctx.seed + 7)
-    flows = [ctx.preset.state.n]
-    if g.supports_ad:
-        flows.append(comoving_flow(chart, g))
-        if chart.intervals[1][0] <= 0.0 <= chart.intervals[1][1]:
-            flows.append(sheared_flow(chart, g, 0.1))
+    flows = [ctx.preset.state.n, comoving_flow(chart, g)]
+    if chart.intervals[1][0] <= 0.0 <= chart.intervals[1][1]:
+        flows.append(sheared_flow(chart, g, 0.1))
     phis = [
         ctx.preset.state.phi,
         constant_scalar(chart, 0.0),

@@ -35,6 +35,7 @@ _MIN_STEP = 1e-13
 _MAX_STEPS = 200000
 _MAX_GROWTH = 5.0
 _NULL_EPS = 1e-10  # largest |g(k,k)| of an initial null tangent
+_COMPARE_SAMPLES = 2500  # arc-length samples per path in trajectory_compare
 
 
 @dataclass
@@ -312,17 +313,18 @@ def _arclength_samples(path: WorldlinePath, count: int):
     return arc, pts
 
 
-def trajectory_compare(path_a: WorldlinePath, path_b: WorldlinePath, count: int = 2500) -> float:
+def trajectory_compare(path_a: WorldlinePath, path_b: WorldlinePath) -> float:
     """Maximum pointwise distance between two paths after reparametrizing
-    both by auxiliary-Euclidean arc length over the common arc range."""
+    both by auxiliary-Euclidean arc length over the common arc range, on
+    ``_COMPARE_SAMPLES`` samples."""
     if np.linalg.norm(path_a.start - path_b.start) > 1e-9:
         raise ComparisonError("paths do not share a starting point")
-    arc_a, pts_a = _arclength_samples(path_a, count)
-    arc_b, pts_b = _arclength_samples(path_b, count)
+    arc_a, pts_a = _arclength_samples(path_a, _COMPARE_SAMPLES)
+    arc_b, pts_b = _arclength_samples(path_b, _COMPARE_SAMPLES)
     common = min(arc_a[-1], arc_b[-1])
     if common <= 0.0:
         raise ComparisonError("paths have no common arc range")
-    grid = np.linspace(0.0, common, count)
+    grid = np.linspace(0.0, common, _COMPARE_SAMPLES)
     m = pts_a.shape[1]
     interp_a = np.stack([np.interp(grid, arc_a, pts_a[:, j]) for j in range(m)], axis=1)
     interp_b = np.stack([np.interp(grid, arc_b, pts_b[:, j]) for j in range(m)], axis=1)

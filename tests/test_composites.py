@@ -1,8 +1,11 @@
 """Each tensor composite is written once: numeric inputs feed the same
-component path as closed-form ones, and the result is differentiated by
-central differences only."""
+component path as closed-form ones.  A composite with a numeric input is
+value-only under forward duals, which refuse it with a
+:class:`CapabilityError`; the central-difference engine differentiates
+it."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -25,6 +28,7 @@ from weylfluid.geometry import (
 )
 
 ENG = DerivativeEngine()
+CENTRAL = DerivativeEngine("central-difference")
 
 
 def numeric(field):
@@ -77,7 +81,10 @@ def test_numeric_inputs_take_the_component_path(flrw, name):
     assert closed.supports_ad and not num.supports_ad
     np.testing.assert_allclose(num(pts), closed(pts), rtol=1e-13, atol=1e-15)
     _, exact = closed.dual_eval(pts)
-    assert np.abs(ENG.jacobian(num, pts) - exact).max() < 1e-6
+    assert np.abs(CENTRAL.jacobian(num, pts) - exact).max() < 1e-6
+    # forward duals do not fall back to differences: the field is named
+    with pytest.raises(CapabilityError, match=re.escape(f"field {num.name} ")):
+        ENG.jacobian(num, pts)
     with pytest.raises(CapabilityError):
         num.dual_eval(pts)
 

@@ -401,6 +401,18 @@ class TestPreferredFrame:
         assert records and all(c.passed for c in records), [
             (c.name, c.max_residual) for c in records if not c.passed]
 
+    @pytest.mark.parametrize("name", ["flrw-power-dust", "minkowski-sheared",
+                                      "schwarzschild-static"])
+    def test_frame_records_do_not_read_the_difference_step(self, name):
+        # under forward duals the frame spline differentiates itself and no
+        # field is differenced, so the difference step reaches no record
+        preset = build(name)
+        pts = preset.chart.sample_points(2, 8, 3)
+        runs = [[(c.name, c.max_residual)
+                 for c in frame_suite(SuiteContext(preset, DerivativeEngine(h=h), pts))]
+                for h in (1e-4, 2.5e-5, 4e-4)]
+        assert runs[1] == runs[0] and runs[2] == runs[0], runs
+
     def test_sized_grid_carries_its_estimate(self):
         # a grid the first estimate accepts carries that very estimate
         preset = build("minkowski-sheared")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from weylfluid import autodiff as ad
 from weylfluid.catalog import build
 from weylfluid.interpolation import TensorSpline, error_estimate
 
@@ -35,6 +36,43 @@ class TestTensorSpline:
         # inside the grid, and up to 5 % of each axis beyond it
         pts = lo + (hi - lo) * rng.uniform(-0.05, 1.05, size=(200, 3))
         assert np.abs(spline(pts) - _cubic(pts)).max() < 1e-13
+
+
+def _cubic_gradient(pts):
+    x, y, z = pts.T
+    return np.stack([(1.0 - 4.0 * x + 1.5 * x**2) * (2.0 - y**3),
+                     -3.0 * y**2 * (1.0 + x - 2.0 * x**2 + 0.5 * x**3) - 0.3 * (z**3 + z),
+                     (3.0 * z**2 + 1.0) * (1.0 - 0.3 * y)], axis=-1)
+
+
+class TestComponents:
+    """The spline as a closed-form scalar field: its component function
+    reads values and first partials off the spline itself."""
+
+    @pytest.fixture(scope="class")
+    def spline_and_points(self):
+        spline = TensorSpline(AXES, _cubic(_grid_points(AXES)).reshape([len(a) for a in AXES]))
+        lo = np.array([a[0] for a in AXES])
+        hi = np.array([a[-1] for a in AXES])
+        pts = lo + (hi - lo) * np.random.default_rng(2).uniform(-0.05, 1.05, size=(50, 3))
+        return spline, pts
+
+    def test_values_are_the_spline_call(self, spline_and_points):
+        spline, pts = spline_and_points
+        out = spline.components(tuple(pts.T))
+        assert not isinstance(out, ad.Jet)
+        np.testing.assert_array_equal(out, spline(pts))
+
+    def test_jet_gradient_is_the_spline_partials(self, spline_and_points):
+        spline, pts = spline_and_points
+        jet = spline.components(ad.seed(pts))
+        np.testing.assert_array_equal(jet.val, spline(pts))
+        for j, e in enumerate(np.eye(3, dtype=int)):
+            np.testing.assert_array_equal(jet.grad[:, j], spline(pts, nu=e))
+
+    def test_jet_gradient_is_exact_on_per_axis_cubics(self, spline_and_points):
+        spline, pts = spline_and_points
+        assert np.abs(spline.components(ad.seed(pts)).grad - _cubic_gradient(pts)).max() < 1e-12
 
 
 class TestErrorOrder:

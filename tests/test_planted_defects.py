@@ -2,8 +2,9 @@
 or the stress-energy and current that the conservation suite forms once,
 fails when one defect is planted in the shared value or in the arithmetic
 that a suite builds on it, so no check compares a shared value with
-itself; the frame checks fail under a defect in the transport's source or
-in the closed-form factor they are compared with."""
+itself; the frame checks fail under a defect in the transport's source,
+in the closed-form factor they are compared with, or in the scalar that
+the frame's bundle and geodesic defect are formed with."""
 
 import dataclasses
 
@@ -121,6 +122,21 @@ def _closed_frame_scaled(ctx, monkeypatch):
         ctx.preset, meta=dataclasses.replace(meta, closed_frame=planted))
 
 
+def _defect_scalar_shifted(ctx, monkeypatch):
+    # the frame's geodesic defect reads a scalar 1e-3 off the zero scalar
+    # that its jet and connection were formed with
+    defect = suites._defect
+    monkeypatch.setattr(suites, "_defect", lambda n, dn, gam, phi: defect(n, dn, gam, phi + 1e-3))
+
+
+def _frame_scalar_shifted(ctx, monkeypatch):
+    # the frame's bundle formed for the scalar 1e-3, not for the affine 0:
+    # the obstruction scalars read rho phi and (rho + (m-1) p) phi
+    constant = suites.constant_scalar
+    monkeypatch.setattr(suites, "constant_scalar",
+                        lambda chart, c, name="": constant(chart, c + 1e-3, name))
+
+
 @pytest.mark.parametrize("suite, check, plant", [
     ("connection", "torsion-free", _skew_connection),
     ("connection", "nonmetricity", _stale_covector),
@@ -140,6 +156,9 @@ def _closed_frame_scaled(ctx, monkeypatch):
     ("frame", "frame-closed-form", _source_scaled),
     ("frame", "incompressibility", _source_scaled),
     ("frame", "incompressibility-closed-form", _closed_frame_scaled),
+    ("frame", "preferred-geodesic-defect", _defect_scalar_shifted),
+    ("frame", "preferred-scalar-transport", _frame_scalar_shifted),
+    ("frame", "preferred-scalar-covector", _frame_scalar_shifted),
 ])
 def test_planted_defect_fails_the_check(suite, check, plant, monkeypatch):
     preset = build("flrw-comoving-dust")
@@ -153,6 +172,23 @@ def test_planted_defect_fails_the_check(suite, check, plant, monkeypatch):
 
     assert run(planted=False).passed
     record = run(planted=True)
+    assert not record.passed and record.max_residual > record.tol
+
+
+@pytest.mark.parametrize("check", ["preferred-scalar-transport", "preferred-scalar-covector"])
+def test_accelerated_frame_sees_a_stress_off_the_perfect_fluid_form(check, monkeypatch):
+    # the comoving cosmology's frame flow is geodesic, so its covector A
+    # vanishes and the covector scalar T^{ab} A_a n_b reads no stress
+    # defect; the static observers of Schwarzschild accelerate in the frame
+    preset = build("schwarzschild-static")
+
+    def run():
+        ctx = suites.SuiteContext(preset, DerivativeEngine(), preset.chart.sample_points(2, 8, 3))
+        return {c.name: c for c in suites.frame_suite(ctx)}[check]
+
+    assert run().passed
+    _stress_energy_perturbed(None, monkeypatch)
+    record = run()
     assert not record.passed and record.max_residual > record.tol
 
 
