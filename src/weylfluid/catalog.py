@@ -176,7 +176,7 @@ def perturbed_metric(base: MetricField, eps: float, seed: int) -> MetricField:
     def fn(coords):
         return base.fn(coords) + eps * poly(coords)[:, sym]
 
-    return MetricField(chart, fn, reads=(base,), name=f"{base.name}+{eps}h")
+    return MetricField(chart, fn, name=f"{base.name}+{eps}h")
 
 
 # -- metric constructors ------------------------------------------------------
@@ -368,7 +368,7 @@ def _build_flrw(kind: str, params: dict, seed: int):
     def p_fn(coords):
         return params["w"] * rho.fn(coords)
 
-    p = scalar_field(chart, p_fn, reads=(rho,), name="p")
+    p = scalar_field(chart, p_fn, name="p")
     state = FluidState(n=n, p=p, rho=rho, phi=phi)
     meta = PresetMeta(
         conserved=conserved,

@@ -63,7 +63,7 @@ class ConformalFactor:
 
     @classmethod
     def from_scalar(cls, phi: TensorField) -> "ConformalFactor":
-        return cls(phi, scalar_field(phi.chart, lambda c: ad.log(phi.fn(c)), reads=(phi,),
+        return cls(phi, scalar_field(phi.chart, lambda c: ad.log(phi.fn(c)),
                                      name=f"ln({phi.name})"))
 
     @classmethod
@@ -81,7 +81,7 @@ class ConformalFactor:
 
 
 def _exp(ln: TensorField) -> TensorField:
-    return scalar_field(ln.chart, lambda c: ad.exp(ln.fn(c)), reads=(ln,), name=f"exp({ln.name})")
+    return scalar_field(ln.chart, lambda c: ad.exp(ln.fn(c)), name=f"exp({ln.name})")
 
 
 class FrameFactor(ConformalFactor):
@@ -144,7 +144,7 @@ def _pow_scale(field: TensorField, factor: ConformalFactor, power: float, name: 
     def fn(coords):
         return field.fn(coords) * (phi.fn(coords) ** power)[axes]
 
-    return TensorField(field.chart, field.variance, fn, reads=(field, phi), name=name)
+    return TensorField(field.chart, field.variance, fn, name=name)
 
 
 def conformal_rescale(
@@ -171,7 +171,7 @@ def conformal_rescale(
     phi_f, ln_f = factor.phi, factor.ln
 
     g2_scaled = _pow_scale(bundle.g, factor, 2.0, name=f"{bundle.g.name}~")
-    g2 = MetricField(bundle.g.chart, g2_scaled.fn, reads=(g2_scaled,), name=g2_scaled.name)
+    g2 = MetricField(bundle.g.chart, g2_scaled.fn, name=g2_scaled.name)
     n2 = _pow_scale(state.n, factor, -1.0, name=f"{state.n.name}~")
     p2 = _pow_scale(state.p, factor, float(weights.w), name=f"{state.p.name}~")
     rho2 = _pow_scale(state.rho, factor, float(weights.w), name=f"{state.rho.name}~")

@@ -48,8 +48,8 @@ class VectorDensityField(TensorField):
 
     weight = 1
 
-    def __init__(self, chart, fn=None, *, eval_fn=None, reads=(), name=""):
-        super().__init__(chart, ("u",), fn, eval_fn=eval_fn, reads=reads, name=name)
+    def __init__(self, chart, fn=None, *, eval_fn=None, name=""):
+        super().__init__(chart, ("u",), fn, eval_fn=eval_fn, name=name)
 
 
 def raise_indices2(g: MetricField, T: TensorField) -> TensorField:
@@ -59,7 +59,7 @@ def raise_indices2(g: MetricField, T: TensorField) -> TensorField:
         ginv, _ = ad.mat_inv_det(g.fn(coords))
         return ad.einsum("nad,nbd->nab", ad.einsum("nac,ncd->nad", ginv, T.fn(coords)), ginv)
 
-    return tensor2_field(g.chart, fn, reads=(g, T), variance=("u", "u"), name=f"raise({T.name})")
+    return tensor2_field(g.chart, fn, variance=("u", "u"), name=f"raise({T.name})")
 
 
 def _pair(field: TensorField, engine: DerivativeEngine, pts):
@@ -166,7 +166,7 @@ def particle_current(g: MetricField, T: TensorField, n: TensorField) -> VectorDe
         tn = ad.einsum("nab,nb->na", T.fn(coords), n.fn(coords))
         return ad.sqrt(ad.absolute(det))[:, None] * ad.einsum("nma,na->nm", ginv, tn)
 
-    return VectorDensityField(g.chart, fn, reads=(g, T, n), name="J")
+    return VectorDensityField(g.chart, fn, name="J")
 
 
 def current_divergence(J: TensorField, engine: DerivativeEngine) -> TensorField:

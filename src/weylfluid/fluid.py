@@ -224,4 +224,4 @@ def stress_energy(
         n_low = ad.einsum("nab,nb->na", gc, n.fn(coords))
         return pc * gc + w * n_low[:, :, None] * n_low[:, None, :]
 
-    return tensor2_field(g.chart, fn, reads=(g, n, p, rho), name="T")
+    return tensor2_field(g.chart, fn, name="T")

@@ -26,12 +26,13 @@ Conventions
 Each composite field (one built from other fields) is written once, as a
 component function that reads its inputs' component functions and returns
 an ``(N, *shape)`` array or jet (:mod:`.autodiff`); it is exact under
-forward-mode jets when every input is closed-form, and a numeric input makes
-it value-only under them.  Each engine mode has one derivative rule:
-forward duals differentiate every field through jets and refuse a numeric
-one, and central differences difference every field.  A constant component
-is a plain array, ``np.full_like(ad.value(coords[0]), c)`` as in
-:func:`constant_scalar`, whose jacobian is zero without dual arithmetic.
+forward-mode jets when every input is closed-form.  A numeric field refuses
+jets itself, with a :class:`CapabilityError` that names it, so a composite
+reading one raises that error.  Each engine mode has one derivative rule:
+forward duals differentiate every field through jets, and central
+differences difference every field.  A constant component is a plain array,
+``np.full_like(ad.value(coords[0]), c)`` as in :func:`constant_scalar`,
+whose jacobian is zero without dual arithmetic.
 
 All field evaluations are pure functions of the point; every object here is
 immutable after construction and safe to share between workers.
@@ -163,30 +164,26 @@ class TensorField:
     * ``fn(coords)``: a component function of the coordinate tuple that
       returns an ``(N, *shape)`` array or jet (see :mod:`.autodiff`).  A
       composite (a field built from other fields, such as a unit flow or a
-      stress-energy tensor) is written once, as ``fn``, and names every
-      field whose ``fn`` it reads in ``reads``.
+      stress-energy tensor) is written once, as ``fn``, and reads its
+      inputs' ``fn``.
     * ``eval_fn(points)``: a numeric map over point batches (derived
       diagnostics, rescaled bundles).  Its ``fn`` is the same map applied to
       the stacked coordinates, so composites read it like any other field;
-      handed jets it raises :class:`CapabilityError`.
+      handed jets it raises :class:`CapabilityError` naming this field, and
+      so does every composite that reads it, however deep.
 
-    ``supports_ad`` is true only for a closed-form field: one built from
-    ``fn`` whose every read field is closed-form, an interpolant's
-    component function among them (:meth:`.TensorSpline.components`).
-    Such a field differentiates exactly through forward-mode jets; any
-    other is value-only under them, and only the central-difference engine
-    differentiates it.
+    A field built from ``fn`` on closed-form inputs only, an interpolant's
+    component function among them (:meth:`.TensorSpline.components`),
+    differentiates exactly through forward-mode jets.
     """
 
-    def __init__(self, chart: Chart, variance: tuple, fn=None, *, eval_fn=None, reads=(),
-                 name: str = ""):
+    def __init__(self, chart: Chart, variance: tuple, fn=None, *, eval_fn=None, name: str = ""):
         if (fn is None) == (eval_fn is None):
             raise ValueError("provide exactly one of fn or eval_fn")
         self.chart = chart
         self.variance = tuple(variance)
         self.name = name
         self.eval_fn = eval_fn
-        self.supports_ad = eval_fn is None and all(f.supports_ad for f in reads)
         self.fn = fn if eval_fn is None else partial(_numeric_components, eval_fn, self.shape, name)
 
     @property
@@ -204,31 +201,26 @@ class TensorField:
                               f"field {self.name or '<anonymous>'}")
 
     def dual_eval(self, pts):
-        """Exact value and jacobian via forward-mode jets."""
-        if not self.supports_ad:
-            raise CapabilityError(
-                f"field {self.name or '<anonymous>'} is numeric or reads a numeric field; "
-                "differentiate it with central differences"
-            )
+        """Exact value and jacobian via forward-mode jets; a numeric input
+        raises its :class:`CapabilityError`."""
         pts = self.chart.as_points(pts)
         return ad.parts(self.fn(ad.seed(pts)), (len(pts), *self.shape), self.chart.dim)
 
 
-def scalar_field(chart, fn=None, *, eval_fn=None, reads=(), name="") -> TensorField:
-    return TensorField(chart, (), fn, eval_fn=eval_fn, reads=reads, name=name)
+def scalar_field(chart, fn=None, *, eval_fn=None, name="") -> TensorField:
+    return TensorField(chart, (), fn, eval_fn=eval_fn, name=name)
 
 
-def vector_field(chart, fn=None, *, eval_fn=None, reads=(), name="") -> TensorField:
-    return TensorField(chart, ("u",), fn, eval_fn=eval_fn, reads=reads, name=name)
+def vector_field(chart, fn=None, *, eval_fn=None, name="") -> TensorField:
+    return TensorField(chart, ("u",), fn, eval_fn=eval_fn, name=name)
 
 
-def covector_field(chart, fn=None, *, eval_fn=None, reads=(), name="") -> TensorField:
-    return TensorField(chart, ("d",), fn, eval_fn=eval_fn, reads=reads, name=name)
+def covector_field(chart, fn=None, *, eval_fn=None, name="") -> TensorField:
+    return TensorField(chart, ("d",), fn, eval_fn=eval_fn, name=name)
 
 
-def tensor2_field(chart, fn=None, *, eval_fn=None, reads=(), variance=("d", "d"),
-                  name="") -> TensorField:
-    return TensorField(chart, variance, fn, eval_fn=eval_fn, reads=reads, name=name)
+def tensor2_field(chart, fn=None, *, eval_fn=None, variance=("d", "d"), name="") -> TensorField:
+    return TensorField(chart, variance, fn, eval_fn=eval_fn, name=name)
 
 
 def constant_scalar(chart, c: float, name="") -> TensorField:
@@ -241,8 +233,8 @@ class MetricField(TensorField):
     component function gives them: a function that is not symmetric fails
     the symmetry check of the connection suite."""
 
-    def __init__(self, chart, fn=None, *, eval_fn=None, reads=(), name="g"):
-        super().__init__(chart, ("d", "d"), fn, eval_fn=eval_fn, reads=reads, name=name)
+    def __init__(self, chart, fn=None, *, eval_fn=None, name="g"):
+        super().__init__(chart, ("d", "d"), fn, eval_fn=eval_fn, name=name)
 
     def check_signature(self, pts) -> None:
         """Require eigenvalue signature (1 negative, m-1 positive)."""
@@ -262,8 +254,8 @@ class DerivativeEngine:
     """First-derivative engine for fields.
 
     ``mode`` selects forward-dual differentiation, exact and defined for
-    closed-form fields only (a numeric field raises the
-    :class:`CapabilityError` of :meth:`TensorField.dual_eval`), or central
+    closed-form fields only (a field that is or reads a numeric field raises
+    the numeric field's :class:`CapabilityError`), or central
     differences with step ``h`` (O(h^2), O(h^4) with one Richardson level)
     for every field.  ``h`` and ``richardson`` matter only to the latter.
     """
@@ -386,7 +378,7 @@ class UnitVectorField(TensorField):
     jet at array level (:func:`unit_jet`)."""
 
     def __init__(self, g: MetricField, u: TensorField, fn):
-        super().__init__(g.chart, ("u",), fn, reads=(g, u), name=f"unit({u.name})")
+        super().__init__(g.chart, ("u",), fn, name=f"unit({u.name})")
         self.g = g
         self.u = u
 
@@ -449,4 +441,4 @@ def lower_index(g: MetricField, v: TensorField) -> TensorField:
     def fn(coords):
         return ad.einsum("nab,nb->na", g.fn(coords), v.fn(coords))
 
-    return covector_field(g.chart, fn, reads=(g, v), name=f"flat({v.name})")
+    return covector_field(g.chart, fn, name=f"flat({v.name})")

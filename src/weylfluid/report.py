@@ -73,7 +73,9 @@ def to_json(report: VerificationReport) -> str:
 
 # the JSON types that to_json writes under each checked key, as a message names them
 _NUMBER = ((int, float), "a number")
-_KEY_TYPES = {"suite": (list, "a list of suite names"), "settings": (dict, "an object"),
+_STRING = (str, "a string")
+_KEY_TYPES = {"suite": (list, "a list of suite names"), "spacetime": _STRING, "fluid": _STRING,
+              "settings": (dict, "an object"), "name": _STRING, "anchor": _STRING,
               "max_residual": _NUMBER, "tol": _NUMBER, "pass": (bool, "true or false"),
               "runtime_seconds": _NUMBER}
 
@@ -105,8 +107,8 @@ def parse_report(text: str) -> VerificationReport:
     try:
         checks = [
             CheckRecord(
-                name=c["name"],
-                anchor=c["anchor"],
+                name=_typed(c, "name"),
+                anchor=_typed(c, "anchor"),
                 max_residual=float(_typed(c, "max_residual")),
                 tol=float(_typed(c, "tol")),
                 passed=_typed(c, "pass"),
@@ -115,8 +117,8 @@ def parse_report(text: str) -> VerificationReport:
         ]
         return VerificationReport(
             suite=list(_typed(raw, "suite")),
-            spacetime=raw["spacetime"],
-            fluid=raw["fluid"],
+            spacetime=_typed(raw, "spacetime"),
+            fluid=_typed(raw, "fluid"),
             settings=_typed(raw, "settings"),
             checks=checks,
             runtime_seconds=float(_typed(raw, "runtime_seconds")),

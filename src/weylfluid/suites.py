@@ -390,7 +390,7 @@ def conformal_suite(ctx: SuiteContext):
     b_i, s_i = conformal_rescale(bundle, st, f1, engine)
     b_ii, s_ii = conformal_rescale(b_i, s_i, f2, engine)
     prod = ConformalFactor.from_log(
-        scalar_field(chart, lambda c: f1.ln.fn(c) + f2.ln.fn(c), reads=(f1.ln, f2.ln)))
+        scalar_field(chart, lambda c: f1.ln.fn(c) + f2.ln.fn(c)))
     b_p, s_p = conformal_rescale(bundle, st, prod, engine)
     a_ii = _rescaled_covector(ctx, b_ii, _rescaled_covector(ctx, b_i, jet.A, f1), f2)
     group = max(

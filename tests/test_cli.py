@@ -431,9 +431,14 @@ class TestMalformedReport:
         (_report_text("settings", []), "report key 'settings' must be an object, got []"),
         (_report_text("runtime_seconds", "0"),
          "report key 'runtime_seconds' must be a number, got \"0\""),
+        (_report_text("name", 5), "report key 'name' must be a string, got 5"),
+        (_report_text("anchor", None), "report key 'anchor' must be a string, got null"),
+        (_report_text("spacetime", 7), "report key 'spacetime' must be a string, got 7"),
+        (_report_text("fluid", ["x"]), "report key 'fluid' must be a string, got [\"x\"]"),
     ], ids=["missing-key", "not-an-object", "checks-not-a-list", "check-not-an-object",
             "residual-null", "residual-list", "residual-string", "tol-bool", "pass-int",
-            "suite-int", "settings-list", "runtime-string"])
+            "suite-int", "settings-list", "runtime-string", "name-int", "anchor-null",
+            "spacetime-int", "fluid-list"])
     def test_report_command_exits_three(self, tmp_path, capsys, text, message):
         path = _write(tmp_path, "bad.json", text)
         assert cli.main(["report", path]) == 3

@@ -104,3 +104,12 @@ class TestCompareReports:
         assert done.stderr.splitlines()[-1].endswith(
             f"error: {new / 'flrw-radiation.json'}: "
             "report key 'suite' must be a list of suite names, got 5")
+
+    def test_check_name_not_a_string_exits_two(self, dirs):
+        old, new = dirs
+        text = (old / "flrw-radiation.json").read_text()
+        (new / "flrw-radiation.json").write_text(text.replace('"nonmetricity"', "5"))
+        done = _compare(old, new)
+        assert done.returncode == 2
+        assert done.stderr.splitlines()[-1].endswith(
+            f"error: {new / 'flrw-radiation.json'}: report key 'name' must be a string, got 5")

@@ -221,7 +221,7 @@ class TestMetricData:
         def fn(c):
             return base.fn(c) + c[1][:, None, None] * skew
 
-        bad = replace(preset, g=MetricField(preset.chart, fn, reads=(base,), name="skewed"))
+        bad = replace(preset, g=MetricField(preset.chart, fn, name="skewed"))
         ctx = suites.SuiteContext(bad, AD, preset.chart.sample_points(2, 8, seed=3),
                                   nonmetricity_pairs=1)
         record = {c.name: c for c in suites.connection_suite(ctx)}["metric-symmetry"]

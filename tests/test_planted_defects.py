@@ -75,7 +75,7 @@ def _current_perturbed(ctx, monkeypatch):
         J = current(g, T, n)
         bump = np.eye(g.chart.dim)[0]
         return VectorDensityField(g.chart, lambda c: J.fn(c) + 1e-3 * c[0][:, None] * bump,
-                                  reads=(J,), name=J.name)
+                                  name=J.name)
 
     monkeypatch.setattr(suites, "particle_current", planted)
 
@@ -89,7 +89,7 @@ def _stress_energy_perturbed(ctx, monkeypatch):
         t_up = raise_indices2(g, T)
         ones = np.ones((g.chart.dim,) * 2)
         return tensor2_field(g.chart, lambda c: t_up.fn(c) + 1e-3 * c[0][:, None, None] * ones,
-                             reads=(t_up,), variance=("u", "u"), name=t_up.name)
+                             variance=("u", "u"), name=t_up.name)
 
     monkeypatch.setattr(suites, "raise_indices2", planted)
 
@@ -116,15 +116,15 @@ def _closed_frame_scaled(ctx, monkeypatch):
     def planted(value):
         ln = closed_frame(value).ln
         return conformal.ConformalFactor.from_log(
-            scalar_field(ln.chart, lambda c: 1.01 * ln.fn(c), reads=(ln,), name=ln.name))
+            scalar_field(ln.chart, lambda c: 1.01 * ln.fn(c), name=ln.name))
 
     ctx.preset = dataclasses.replace(
         ctx.preset, meta=dataclasses.replace(meta, closed_frame=planted))
 
 
 def _defect_scalar_shifted(ctx, monkeypatch):
-    # the frame's geodesic defect reads a scalar 1e-3 off the zero scalar
-    # that its jet and connection were formed with
+    # each geodesic defect, the fluid's and the frame's, reads a scalar 1e-3
+    # off the scalar that its jet and connection were formed with
     defect = suites._defect
     monkeypatch.setattr(suites, "_defect", lambda n, dn, gam, phi: defect(n, dn, gam, phi + 1e-3))
 
@@ -142,7 +142,11 @@ def _frame_scalar_shifted(ctx, monkeypatch):
     ("connection", "nonmetricity", _stale_covector),
     ("connection", "metric-inverse", _inverse_scaled),
     ("connection", "nonmetricity-seeded-pairs", _seeded_covector_scaled),
+    ("connection", "volume-trace", _stale_covector),
+    ("fluid", "geodesic-defect", _defect_scalar_shifted),
     ("fluid", "geodesic-defect-family", _scalar_ignored),
+    ("fluid", "covector-flow-contraction", _stale_covector),
+    ("fluid", "flow-eigenvector", _inverse_scaled),
     ("conformal", "connection-orbit-invariance", _shift_drops_dln),
     ("conformal", "gauge-group-law", _shift_from_base),
     ("conformal", "covector-transformation-closure", _shift_drops_dln),
@@ -152,6 +156,7 @@ def _frame_scalar_shifted(ctx, monkeypatch):
     ("conservation", "divergence-decomposition-flow", _stress_energy_perturbed),
     ("conservation", "divergence-decomposition-orthogonal", _stress_energy_perturbed),
     ("conservation", "current-divergence-identity", _stress_energy_perturbed),
+    ("conservation", "condition-scalar-covector", _stale_covector),
     ("frame", "frame-transport", _source_scaled),
     ("frame", "frame-closed-form", _source_scaled),
     ("frame", "incompressibility", _source_scaled),
@@ -232,7 +237,7 @@ def test_non_finite_current_names_the_field(monkeypatch):
             nan[-1, 1] = np.nan
             return J.fn(c) + nan
 
-        return VectorDensityField(g.chart, fn, reads=(J,), name=J.name)
+        return VectorDensityField(g.chart, fn, name=J.name)
 
     monkeypatch.setattr(suites, "particle_current", planted)
     ctx = suites.SuiteContext(preset, DerivativeEngine(), preset.chart.sample_points(2, 8, 3))
