@@ -20,7 +20,9 @@ divergence-free.  Its log-factor solves the transport equation
 integrated along the flow characteristics with the slice coordinate as the
 independent variable.  The solution is memoized on a tensor grid, filled
 layer by layer outward from the seed slice: each node is carried back one
-layer and reads its start value off that layer's interpolant.  The grid
+layer and reads its start value off that layer's interpolant.  The carries
+of every layer run as one batch, since a characteristic depends only on its
+node; only the fill waits for the layer before.  The grid
 sizes itself from the error estimate of its solved values: an axis above
 the target is refined, an axis far below it drops to the 4 nodes a cubic
 takes, and a grid solved again copies every node the grid before it had
@@ -229,17 +231,21 @@ FRAME_TOL = 1e-4
 _MAX_NODES = 17 ** 4
 
 # Characteristic integrator controls, in units of the slice coordinate.
-# The first attempt of a carry is an eighth of the slice-axis interval, or
-# the whole carry if that is shorter; the error controller sizes every step
-# after it.  A carry shorter than the minimum step counts as lying on its
-# target slice.
+# The first attempt of a carry is the whole carry; the error controller
+# sizes every step after it.  A carry shorter than the minimum step counts
+# as lying on its target slice.
 _RTOL = 1e-8
 _ATOL = 1e-10
 _MAX_STEPS = 4000
 _MAX_GROWTH = 2.5
 _MIN_STEP = 1e-14
 _TRANSVERSALITY_EPS = 1e-8
-_CHUNK = 24576  # points per integration batch
+# The one memory bound of a carry: a memo grid carries all its layers in one
+# call, integrated in blocks of at most this many points.  Each point of a
+# block adds about 2 KiB to the peak memory of the right-hand side; 1536
+# splits the 2058 points of a 7^4 grid and the 4608 of a refined 97 x 4^3
+# grid into as many blocks as 2048 would.
+_CHUNK = 1536
 
 
 class _Transport:
@@ -254,8 +260,6 @@ class _Transport:
         self.axis = axis
         self.value = value
         self.m = g.chart.dim
-        a, b = g.chart.intervals[axis]
-        self.max_step = (b - a) / 8.0
 
     def _flow_and_source(self, pts):
         """``(n, src)`` on ``pts``, side by side: the derivative of the
@@ -277,9 +281,11 @@ class _Transport:
 
     def carry(self, pts, to):
         """Follow the characteristic through each point to the slice
-        ``x_k = to``; returns the landing points and
-        ``ln Phi(pts) - ln Phi(landing)``, in batches of ``_CHUNK`` points."""
+        ``x_k = to``, one value for all points or one per point; returns the
+        landing points and ``ln Phi(pts) - ln Phi(landing)``, in batches of
+        ``_CHUNK`` points."""
         pts = self.g.chart.as_points(pts)
+        to = np.broadcast_to(np.asarray(to, dtype=float), len(pts))
         # state: m coordinates plus the accumulated source integral
         y = np.concatenate([pts, np.zeros((len(pts), 1))], axis=1)
         for start in range(0, len(pts), _CHUNK):
@@ -297,7 +303,7 @@ class _Transport:
 
             integrate_adaptive(
                 lambda idx, state: self._flow_and_source(state[:, :self.m]), block,
-                np.full(len(block), self.max_step), self.axis, to, advance=advance,
+                np.full(len(block), np.inf), self.axis, to[start:start + _CHUNK], advance=advance,
                 rtol=_RTOL, atol=_ATOL, max_growth=_MAX_GROWTH, min_step=_MIN_STEP,
                 max_steps=_MAX_STEPS)
         return y[:, :self.m], y[:, self.m]
@@ -307,6 +313,11 @@ class _Transport:
         the log factor on them, filled one slice-axis layer at a time outward
         from the seed slice (semi-Lagrangian, Staniforth & Cote 1991): each
         layer is carried one layer back and reads that layer's interpolant.
+
+        A characteristic depends only on its node, so every layer's carries
+        run in one batch, bounded in memory by ``_CHUNK``, and every landing
+        outside the box in one direct solve; only the fill from the
+        interpolant, layer by layer, waits for the layer before.
 
         ``prev`` is the ``(axes, values)`` of a grid solved before on the same
         box.  A node that lies on a node of that grid on every axis copies
@@ -334,26 +345,33 @@ class _Transport:
             known[np.ix_(*new)] = True
         layers, known = layers.reshape(len(axes[k]), -1), known.reshape(len(axes[k]), -1)
 
-        # a layer within a minimum step of the seed slice lies on it
+        # each layer with the layer before it on its side of the seed slice,
+        # None for the first, whose characteristics run to the seed slice
+        # itself; a layer within a minimum step of the seed slice lies on it
         offset = axes[k] - value
         after = np.flatnonzero(offset > _MIN_STEP)
         before = np.flatnonzero(offset < -_MIN_STEP)[::-1]
-        for side in (after, before):
-            prev_layer = None
-            for i in side:
-                todo = np.flatnonzero(~known[i])
-                layer = np.insert(plane[todo], k, axes[k][i], axis=1)
-                if len(todo) and prev_layer is None:
-                    _, layers[i, todo] = self.carry(layer, value)
-                elif len(todo):
-                    landing, delta = self.carry(layer, axes[k][prev_layer])
-                    inbox = chart.contains(landing, shrink=chart.margin / 2.0)
-                    interp = build_interpolator(across, layers[prev_layer].reshape(shape))
-                    start = np.empty(len(todo))
-                    start[inbox] = interp(np.delete(landing[inbox], k, axis=1))
-                    start[~inbox] = self.solve(landing[~inbox])
-                    layers[i, todo] = delta + start
-                prev_layer = i
+        order = [(i, p) for side in (after, before) for i, p in zip(side, [None, *side[:-1]])]
+        todo = [np.flatnonzero(~known[i]) for i, _ in order]
+        sizes = [len(t) for t in todo]
+        landing, delta = self.carry(
+            np.concatenate([np.insert(plane[t], k, axes[k][i], axis=1)
+                            for (i, _), t in zip(order, todo)]),
+            np.repeat([value if p is None else axes[k][p] for _, p in order], sizes))
+        # a landing on a layer but outside the box is solved on to the seed slice
+        later = np.repeat([p is not None for _, p in order], sizes)
+        solved = later & ~chart.contains(landing, shrink=chart.margin / 2.0)
+        start = np.zeros(len(landing))
+        start[solved] = self.solve(landing[solved])
+        layer_rows = np.split(np.arange(len(landing)), np.cumsum(sizes)[:-1])
+        for (i, p), t, rows in zip(order, todo, layer_rows):
+            if p is None:
+                layers[i, t] = delta[rows]
+            elif len(t):
+                inbox = rows[~solved[rows]]
+                interp = build_interpolator(across, layers[p].reshape(shape))
+                start[inbox] = interp(np.delete(landing[inbox], k, axis=1))
+                layers[i, t] = delta[rows] + start[rows]
         return axes, np.moveaxis(layers.reshape([len(axes[k])] + shape), 0, k)
 
 

@@ -222,6 +222,8 @@ def stress_energy(
         pc = p.fn(coords)[:, None, None]
         w = pc + rho.fn(coords)[:, None, None]
         n_low = ad.einsum("nab,nb->na", gc, n.fn(coords))
-        return pc * gc + w * n_low[:, :, None] * n_low[:, None, :]
+        # n_a n_b first: a product of two floats commutes, so T is symmetric
+        # bit for bit, where (w n_a) n_b and (w n_b) n_a round differently
+        return pc * gc + w * (n_low[:, :, None] * n_low[:, None, :])
 
     return tensor2_field(g.chart, fn, name="T")

@@ -33,7 +33,7 @@ from weylfluid.geometry import (
     vector_field,
 )
 from weylfluid.harness import run_suite
-from weylfluid.interpolation import error_estimate
+from weylfluid.interpolation import build_interpolator, error_estimate
 from weylfluid.suites import SuiteContext, Tolerances, frame_suite
 
 ENG = DerivativeEngine()
@@ -56,9 +56,43 @@ def _count_transport_points(monkeypatch):
 def _memo_grid(preset, nodes=7):
     """The ``(axes, values)`` of the preset's frame on the memo grid of
     ``nodes`` per axis; 7 is the grid the sized solve starts from."""
+    return _transport(preset).memo_grid([nodes] * preset.chart.dim)
+
+
+def _transport(preset):
     meta = preset.meta
-    transport = _Transport(preset.g, preset.state.n, ENG, meta.slice_axis, meta.slice_values[0])
-    return transport.memo_grid([nodes] * preset.chart.dim)
+    return _Transport(preset.g, preset.state.n, ENG, meta.slice_axis, meta.slice_values[0])
+
+
+def _layer_by_layer(transport, counts):
+    """The memo grid of ``counts`` nodes filled with one carry per layer:
+    each layer's nodes carried alone to the layer before (the first layer
+    of a side to the seed slice), reading that layer's interpolant, or the
+    direct solve for a landing outside the box."""
+    chart, k, value = transport.g.chart, transport.axis, transport.value
+    lo, hi = chart.bounds(chart.margin / 2.0)
+    axes = [np.linspace(lo[j], hi[j], c) for j, c in enumerate(counts)]
+    across = axes[:k] + axes[k + 1:]
+    shape = [len(a) for a in across]
+    plane = np.stack([a.ravel() for a in np.meshgrid(*across, indexing="ij")], axis=-1)
+    layers = np.zeros((len(axes[k]), len(plane)))
+    offset = axes[k] - value
+    for side in (np.flatnonzero(offset > conformal._MIN_STEP),
+                 np.flatnonzero(offset < -conformal._MIN_STEP)[::-1]):
+        for n, i in enumerate(side):
+            nodes = np.insert(plane, k, axes[k][i], axis=1)
+            if n == 0:
+                _, layers[i] = transport.carry(nodes, value)
+                continue
+            before = side[n - 1]
+            landing, delta = transport.carry(nodes, axes[k][before])
+            inbox = chart.contains(landing, shrink=chart.margin / 2.0)
+            start = np.empty(len(nodes))
+            start[inbox] = build_interpolator(across, layers[before].reshape(shape))(
+                np.delete(landing[inbox], k, axis=1))
+            start[~inbox] = transport.solve(landing[~inbox])
+            layers[i] = delta + start
+    return np.moveaxis(layers.reshape([len(axes[k])] + shape), 0, k)
 
 
 def _setup(name, **params):
@@ -271,9 +305,8 @@ class TestPreferredFrame:
 
     @pytest.mark.parametrize("name", ["flrw-comoving-dust", "minkowski-sheared"])
     def test_sweep_work_per_node(self, name, monkeypatch):
-        # one layer per carry: on 9 nodes per axis, a layer is about the
-        # first step's length apart, so about one embedded step (six stages
-        # and the derivative at the start) per node
+        # each node is carried one layer: on 9 nodes per axis, about one
+        # embedded step (six stages and the derivative at the start) per node
         preset = build(name)
         counted = _count_transport_points(monkeypatch)
         _, values = _memo_grid(preset, 9)
@@ -298,6 +331,39 @@ class TestPreferredFrame:
         for _ in range(3):
             transport._flow_and_source(pts)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("name, counts", [("minkowski-sheared", [7] * 4),
+                                              ("flrw-power-dust", [97, 4, 4, 4])])
+    def test_batched_layers_match_one_carry_per_layer(self, name, counts):
+        # a characteristic depends only on its node, and the integrator and
+        # the right-hand side are row-stable, so carrying every layer in one
+        # batch changes no bit of the grid
+        transport = _transport(build(name))
+        _, values = transport.memo_grid(counts)
+        assert np.array_equal(values, _layer_by_layer(transport, counts))
+
+    def test_one_batch_and_one_solve_per_memo_grid(self, monkeypatch):
+        # the sized power-law grid: three memo grids, each one carry of all
+        # its layers and at most one direct solve of the landings outside
+        # the box
+        preset = build("flrw-power-dust")
+        carried, grids = [], []
+        carry, memo_grid = _Transport.carry, _Transport.memo_grid
+
+        def recording_carry(transport, pts, to):
+            carried.append(len(pts))
+            return carry(transport, pts, to)
+
+        def recording_grid(transport, counts, prev=None):
+            grids.append(len(carried))
+            return memo_grid(transport, counts, prev)
+
+        monkeypatch.setattr(_Transport, "carry", recording_carry)
+        monkeypatch.setattr(_Transport, "memo_grid", recording_grid)
+        fac = preset.solve_frame(ENG)
+        assert [len(ax) for ax in fac.grid_axes] == [97, 4, 4, 4]
+        assert len(grids) == 3
+        assert all(b - a <= 2 for a, b in zip(grids, grids[1:] + [len(carried)]))
 
     def test_estimation_adds_no_transport(self, monkeypatch):
         # the estimate reads the solved memo values only: on a preset whose

@@ -287,6 +287,16 @@ class TestStressEnergy:
         tn = np.einsum("nma,nab,nb->nm", data.inv, T(pts), n(pts))
         assert np.abs(tn + rho(pts)[:, None] * n(pts)).max() < 1e-12
 
+    def test_symmetric_off_the_unit_weight(self):
+        # at rho0 = 1.5 the weight p + rho is not 1, so forming (w n_a) n_b
+        # rounds differently from (w n_b) n_a; the check's tolerance is 0
+        cfg = SuiteConfig(spacetime="minkowski", fluid="sheared", parameters={"rho0": 1.5},
+                          suites=("fluid",), timing=False)
+        report = harness.run_suite(cfg)
+        assert report.passed
+        (record,) = [c for c in report.checks if c.name == "fluid:stress-energy-symmetry"]
+        assert record.tol == 0.0 and record.max_residual == 0.0
+
     def test_negative_density_warns(self, flat):
         chart, g, n, pts = flat
         state = FluidState(

@@ -197,6 +197,31 @@ def test_accelerated_frame_sees_a_stress_off_the_perfect_fluid_form(check, monke
     assert not record.passed and record.max_residual > record.tol
 
 
+def test_weight_first_stress_energy_is_not_symmetric(monkeypatch):
+    # T_ab with the weight multiplied into n_a before n_b, (w n_a) n_b:
+    # off the unit weight p + rho = 1 the two orders round differently
+    preset = build("minkowski-sheared", {"rho0": 1.5})
+
+    def weight_first(g, n, p, rho):
+        def fn(coords):
+            gc = g.fn(coords)
+            pc = p.fn(coords)[:, None, None]
+            w = pc + rho.fn(coords)[:, None, None]
+            n_low = ad.einsum("nab,nb->na", gc, n.fn(coords))
+            return pc * gc + w * n_low[:, :, None] * n_low[:, None, :]
+
+        return tensor2_field(g.chart, fn, name="T")
+
+    def run():
+        ctx = suites.SuiteContext(preset, DerivativeEngine(), preset.chart.sample_points(2, 8, 3))
+        return {c.name: c for c in suites.fluid_suite(ctx)}["stress-energy-symmetry"]
+
+    assert run().passed
+    monkeypatch.setattr(suites, "stress_energy", weight_first)
+    record = run()
+    assert not record.passed and record.max_residual > record.tol
+
+
 def test_planted_frame_copy_is_refused(monkeypatch):
     # each node that a refined memo grid copies from the coarse grid reads
     # the next coarse layer's value instead of its own: the refined time
