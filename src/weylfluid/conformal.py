@@ -20,9 +20,11 @@ divergence-free.  Its log-factor solves the transport equation
 integrated along the flow characteristics with the slice coordinate as the
 independent variable.  The solution is memoized on a tensor grid, filled
 layer by layer outward from the seed slice: each node is carried back one
-layer and reads its start value off that layer's interpolant.  The carries
+layer and reads its start value off that layer's cubic spline.  The carries
 of every layer run as one batch, since a characteristic depends only on its
-node; only the fill waits for the layer before.  The grid
+node, and so do the spline's per-axis cardinal weights at the landings;
+only the fill, which contracts a layer's weights with the values of the
+layer before, waits for it.  The grid
 sizes itself from the error estimate of its solved values: an axis above
 the target is refined, an axis far below it drops to the 4 nodes a cubic
 takes, and a grid solved again copies every node the grid before it had
@@ -37,12 +39,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .interpolation import ESTIMATE_NODES, build_interpolator, error_estimate
+from .interpolation import (
+    ESTIMATE_NODES,
+    build_interpolator,
+    cardinal_weights,
+    error_estimate,
+    interpolate,
+)
 from .connections import eps_connection
 from .conservation import SliceSpec
 from .errors import GaugeError, ReachabilityError, TransversalityError, WeylFluidError
-from .fluid import FluidState, WeylBundle, flow_jet
-from .geometry import DerivativeEngine, MetricField, TensorField, scalar_field
+from .fluid import FlowJet, FluidState, WeylBundle, flow_jet
+from .geometry import DerivativeEngine, MetricData, MetricField, TensorField, scalar_field
 from .integrators import integrate_adaptive
 
 
@@ -312,12 +320,16 @@ class _Transport:
         """The axes of ``counts[j]`` nodes over the half-margin inset box and
         the log factor on them, filled one slice-axis layer at a time outward
         from the seed slice (semi-Lagrangian, Staniforth & Cote 1991): each
-        layer is carried one layer back and reads that layer's interpolant.
+        layer is carried one layer back and reads that layer's cubic spline.
 
         A characteristic depends only on its node, so every layer's carries
         run in one batch, bounded in memory by ``_CHUNK``, and every landing
-        outside the box in one direct solve; only the fill from the
-        interpolant, layer by layer, waits for the layer before.
+        outside the box in one direct solve.  The spline of a layer is read
+        at its landings through cardinal weights (:func:`cardinal_weights`),
+        formed for every in-box landing of the grid at once, as every layer
+        shares the plane axes; only the fill, which contracts each layer's
+        rows of weights with the values of the layer before, waits for it,
+        and no layer builds a spline.
 
         ``prev`` is the ``(axes, values)`` of a grid solved before on the same
         box.  A node that lies on a node of that grid on every axis copies
@@ -363,14 +375,19 @@ class _Transport:
         solved = later & ~chart.contains(landing, shrink=chart.margin / 2.0)
         start = np.zeros(len(landing))
         start[solved] = self.solve(landing[solved])
+        # every other landing of a later layer reads the layer before through
+        # the cardinal weights of its plane coordinates, formed once per grid
+        inbox = later & ~solved
+        weights = cardinal_weights(across, np.delete(landing[inbox], k, axis=1))
+        slot = np.cumsum(inbox) - 1  # an in-box landing's row of the weights
         layer_rows = np.split(np.arange(len(landing)), np.cumsum(sizes)[:-1])
         for (i, p), t, rows in zip(order, todo, layer_rows):
             if p is None:
                 layers[i, t] = delta[rows]
             elif len(t):
-                inbox = rows[~solved[rows]]
-                interp = build_interpolator(across, layers[p].reshape(shape))
-                start[inbox] = interp(np.delete(landing[inbox], k, axis=1))
+                here = rows[inbox[rows]]
+                start[here] = interpolate([w[slot[here]] for w in weights],
+                                          layers[p].reshape(shape))
                 layers[i, t] = delta[rows] + start[rows]
         return axes, np.moveaxis(layers.reshape([len(axes[k])] + shape), 0, k)
 
@@ -430,14 +447,40 @@ def transport_residual(
 ) -> TensorField:
     """Residual ``n^a d_a ln Phi + (1/(m-1)) nabla^g_a n^a`` of the
     preferred-frame transport equation."""
-    m = g.chart.dim
 
     def eval_fn(pts):
-        dln = engine.jacobian(factor.ln, pts)
-        jet = flow_jet(g, n, engine, pts)
-        return np.einsum("na,na->n", jet.n, dln) + jet.div / (m - 1.0)
+        return _transport_residual(flow_jet(g, n, engine, pts), engine.jacobian(factor.ln, pts))
 
     return scalar_field(g.chart, eval_fn=eval_fn, name="transport-residual")
+
+
+def _transport_residual(jet: FlowJet, dln: np.ndarray) -> np.ndarray:
+    """:func:`transport_residual` from the flow jet and the gradient ``dln``
+    of ``ln Phi`` on its batch."""
+    return np.einsum("na,na->n", jet.n, dln) + jet.div / (jet.n.shape[1] - 1.0)
+
+
+def _rescaled_jet(jet: FlowJet, ln: np.ndarray, dln: np.ndarray, phi: TensorField) -> FlowJet:
+    """The flow jet of the rescaled pair ``(Phi^2 g, n / Phi)`` for the
+    scalar ``phi``, from the base pair's jet and the values ``ln`` and
+    gradient ``dln`` of ``ln Phi`` on its batch, with no field read again:
+
+        g~ = Phi^2 g        d g~ = Phi^2 (d g + 2 g (x) d ln Phi)
+        g~^-1 = Phi^-2 g^-1       sqrt|g~| = Phi^m sqrt|g|
+        n~ = n / Phi        d n~ = (d n - n (x) d ln Phi) / Phi
+
+    (derivative index last), the chain rule through first-order jets
+    (Griewank & Walther, *Evaluating Derivatives*, 2008).  It agrees with
+    :func:`flow_jet` of :func:`conformal_rescale`'s ``g~`` and ``n~`` to
+    rounding."""
+    data, m = jet.data, jet.n.shape[1]
+    scale = np.exp(ln)
+    sq = (scale * scale)[:, None, None]
+    dg = sq[..., None] * (data.dg + 2.0 * data.val[..., None] * dln[:, None, None, :])
+    rescaled = MetricData(sq * data.val, data.inv / sq, scale ** m * data.sqrt_det, dg)
+    n = jet.n / scale[:, None]
+    dn = (jet.dn - jet.n[:, :, None] * dln[:, None, :]) / scale[:, None, None]
+    return FlowJet(rescaled, n, dn, phi, jet.pts)
 
 
 def incompressibility_residual(g2: MetricField, n2: TensorField, engine: DerivativeEngine) -> TensorField:

@@ -6,9 +6,17 @@ The spline is also a closed-form scalar field: its component function
 spline's own first partials, so a field built on it is exact under
 forward-mode jets and never differences the spline.
 
-``scipy.interpolate`` loads on first use, when a spline is built or an
-estimate is taken, so a run that never solves a preferred frame does not
-pay for it.
+The spline is a linear map of the grid values that factors per axis
+(de Boor, *A Practical Guide to Splines*, rev. ed. 2001, ch. XVII): its
+value at a point is the grid values contracted with one row of cardinal
+weights per axis, the values there of the splines through the unit
+vectors.  :func:`cardinal_weights` forms those rows for a batch of points
+once, and :func:`interpolate` contracts them with the values of any grid
+on the same axes, so many grids read at known points need no spline each.
+
+``scipy.interpolate`` loads on first use, when a spline is built, weights
+are formed or an estimate is taken, so a run that never solves a preferred
+frame does not pay for it.
 """
 
 from __future__ import annotations
@@ -61,6 +69,35 @@ ESTIMATE_NODES = 2 * (TensorSpline.DEGREE + 1) - 1  # the fewest an estimate tak
 def build_interpolator(axes, values: np.ndarray) -> TensorSpline:
     """The cubic tensor spline through ``values`` on the grid ``axes``."""
     return TensorSpline(axes, values)
+
+
+def cardinal_weights(axes, pts: np.ndarray) -> list:
+    """Per axis ``j``, the ``(N, len(axes[j]))`` values at the points' ``j``
+    coordinates of the not-a-knot cubics through the unit vectors on that
+    axis: row ``r`` of the spline of ``values`` at ``pts[r]`` is
+    :func:`interpolate` of these rows with ``values``.  A row depends only
+    on its point."""
+    from scipy.interpolate import make_interp_spline  # loaded on first use, as above
+
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    weights = []
+    for j, ax in enumerate(axes):
+        cardinal = make_interp_spline(np.asarray(ax, dtype=float), np.eye(len(ax)),
+                                      k=TensorSpline.DEGREE)
+        weights.append(cardinal(pts[:, j]))
+    return weights
+
+
+def interpolate(weights, values: np.ndarray) -> np.ndarray:
+    """The spline through ``values`` at the points that ``weights``
+    (:func:`cardinal_weights`) were formed for, contracted from the last
+    axis to the first.  Each product is elementwise and each sum runs over
+    one row's nodes, so a point's value does not depend on the rows it is
+    batched with, as a BLAS product over the point axis would."""
+    acc = np.asarray(values, dtype=float)[None]
+    for w in reversed(weights):
+        acc = (acc * w.reshape(w.shape[:1] + (1,) * (acc.ndim - 2) + w.shape[1:])).sum(axis=-1)
+    return acc
 
 
 def error_estimate(axes, values: np.ndarray) -> np.ndarray:

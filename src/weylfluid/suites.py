@@ -27,12 +27,13 @@ from .conformal import (
     FRAME_TOL,
     ConformalFactor,
     ConformalWeights,
+    _rescaled_jet,
     _shifted_covector,
+    _transport_residual,
     conformal_rescale,
     current_invariance_check,
     incompressibility_residual,
     rescaled_stress_energy_check,
-    transport_residual,
 )
 from .connections import (
     _nonmetricity,
@@ -450,10 +451,13 @@ def frame_suite(ctx: SuiteContext):
     checks = []
 
     factor = ctx.preset.solve_frame(engine, tols.frame)
-
+    # ln Phi and its gradient, read off the spline once, and the base flow's
+    # jet: the transport residual and the rescaled pair's jet come from them
+    ln, dln = engine.value_and_jacobian(factor.ln, pts)
+    base = flow_jet(g, st.n, engine, pts)
     checks.append(ctx.record(
         "frame-transport", "solved factor satisfies the transport equation",
-        _maxabs(transport_residual(factor, g, st.n, engine)(pts)), tols.frame))
+        _maxabs(_transport_residual(base, dln)), tols.frame))
 
     if meta.closed_frame is not None:
         closed = meta.closed_frame(meta.slice_values[0])
@@ -468,16 +472,19 @@ def frame_suite(ctx: SuiteContext):
             _maxabs(incompressibility_residual(b2c.g, s2c.n, engine)(pts)),
             tols.frame_closed))
 
-    # one flow jet of the rescaled pair feeds the last four checks
-    b2, s2 = conformal_rescale(ctx.bundle, st, factor, engine)
+    # one flow jet of the rescaled pair feeds the last four checks; the
+    # stress-energy and scalars carry their weights from the base bundle
     zero = constant_scalar(chart, 0.0)
-    jet = flow_jet(b2.g, s2.n, engine, pts, zero)
+    jet = _rescaled_jet(base, ln, dln, zero)
     checks.append(ctx.record(
         "incompressibility", "solved gauge makes the flow divergence-free",
         _maxabs(require_finite(jet.div, "field incompressibility-residual")), tols.frame))
 
-    t2 = raise_indices2(b2.g, stress_energy(b2.g, s2.n, s2.p, s2.rho))
-    cs = _condition_scalars(jet, t2(pts), s2.p(pts), s2.rho(pts))
+    w = ConformalWeights(chart.dim).w
+    scale = np.exp(ln)
+    t_up = raise_indices2(g, stress_energy(g, st.n, st.p, st.rho))(pts)
+    cs = _condition_scalars(jet, (scale ** (w - 2))[:, None, None] * t_up,
+                            scale ** w * st.p(pts), scale ** w * st.rho(pts))
     checks.append(ctx.record(
         "preferred-scalar-transport", "first obstruction scalar vanishes in the frame",
         _maxabs(cs.s1), tols.frame))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from weylfluid import conformal
-from weylfluid.catalog import build, seeded_positive_factor
+from weylfluid.catalog import build, seeded_positive_factor, verification_matrix
 from weylfluid.config import SuiteConfig
 from weylfluid.conformal import (
     ConformalFactor,
@@ -21,7 +21,13 @@ from weylfluid.conformal import (
 )
 from weylfluid.conservation import SliceSpec, condition_scalars, number_on_slice, particle_current
 from weylfluid.errors import GaugeError, ReachabilityError, TransversalityError, WeylFluidError
-from weylfluid.fluid import fluid_connection, fluid_covector, geodesic_defect, stress_energy
+from weylfluid.fluid import (
+    flow_jet,
+    fluid_connection,
+    fluid_covector,
+    geodesic_defect,
+    stress_energy,
+)
 from weylfluid import autodiff as ad
 from weylfluid.geometry import (
     Chart,
@@ -33,7 +39,7 @@ from weylfluid.geometry import (
     vector_field,
 )
 from weylfluid.harness import run_suite
-from weylfluid.interpolation import build_interpolator, error_estimate
+from weylfluid.interpolation import TensorSpline, cardinal_weights, error_estimate, interpolate
 from weylfluid.suites import SuiteContext, Tolerances, frame_suite
 
 ENG = DerivativeEngine()
@@ -67,8 +73,9 @@ def _transport(preset):
 def _layer_by_layer(transport, counts):
     """The memo grid of ``counts`` nodes filled with one carry per layer:
     each layer's nodes carried alone to the layer before (the first layer
-    of a side to the seed slice), reading that layer's interpolant, or the
-    direct solve for a landing outside the box."""
+    of a side to the seed slice), reading that layer's values through the
+    cardinal weights of its own landings, or the direct solve for a
+    landing outside the box."""
     chart, k, value = transport.g.chart, transport.axis, transport.value
     lo, hi = chart.bounds(chart.margin / 2.0)
     axes = [np.linspace(lo[j], hi[j], c) for j, c in enumerate(counts)]
@@ -88,8 +95,8 @@ def _layer_by_layer(transport, counts):
             landing, delta = transport.carry(nodes, axes[k][before])
             inbox = chart.contains(landing, shrink=chart.margin / 2.0)
             start = np.empty(len(nodes))
-            start[inbox] = build_interpolator(across, layers[before].reshape(shape))(
-                np.delete(landing[inbox], k, axis=1))
+            weights = cardinal_weights(across, np.delete(landing[inbox], k, axis=1))
+            start[inbox] = interpolate(weights, layers[before].reshape(shape))
             start[~inbox] = transport.solve(landing[~inbox])
             layers[i] = delta + start
     return np.moveaxis(layers.reshape([len(axes[k])] + shape), 0, k)
@@ -238,6 +245,49 @@ class TestWeightChecks:
         assert abs(n1 - n2) < 1e-10
 
 
+class TestRescaledJet:
+    """The rescaled pair's flow jet formed at array level from the base
+    jet and ``(ln Phi, d ln Phi)``, against the jet of the rescaled fields."""
+
+    @pytest.mark.parametrize("name", verification_matrix())
+    def test_matches_the_jet_of_the_rescaled_fields(self, name):
+        preset = build(name)
+        st, chart = preset.state, preset.chart
+        pts = chart.sample_points(2, 8, 3)
+        fac = seeded_positive_factor(chart, 7)
+        bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
+        b2, s2 = conformal_rescale(bundle, st, fac, ENG)
+        phi = constant_scalar(chart, 0.25)
+        direct = flow_jet(b2.g, s2.n, ENG, pts, phi)
+        ln, dln = ENG.value_and_jacobian(fac.ln, pts)
+        jet = conformal._rescaled_jet(flow_jet(preset.g, st.n, ENG, pts), ln, dln, phi)
+        for attr in ("val", "inv", "sqrt_det", "dg", "gamma"):
+            want, got = getattr(direct.data, attr), getattr(jet.data, attr)
+            assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0), attr
+        for attr in ("n", "dn", "div", "acc_low", "A", "Gamma"):
+            want, got = getattr(direct, attr), getattr(jet, attr)
+            assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0), attr
+
+
+class TestFrameSuiteReadsTheSplineOnce:
+    @pytest.mark.parametrize("name", ["flrw-power-dust", "minkowski3-dust"])
+    def test_spline_calls_on_the_check_batch(self, name, monkeypatch):
+        # one value and one partial per coordinate of the solved ln Phi, on
+        # the suite's batch; the memo fill calls no spline at all
+        preset = build(name)
+        pts = preset.chart.sample_points(2, 8, 3)
+        calls = []
+        call = TensorSpline.__call__
+
+        def counting(spline, q, nu=None):
+            calls.append(len(q))
+            return call(spline, q, nu)
+
+        monkeypatch.setattr(TensorSpline, "__call__", counting)
+        assert all(c.passed for c in frame_suite(SuiteContext(preset, ENG, pts)))
+        assert calls == [len(pts)] * (preset.chart.dim + 1)
+
+
 class TestPreferredFrame:
     def test_already_incompressible(self):
         preset, bundle, pts = _setup("minkowski-dust-rest")
@@ -333,7 +383,8 @@ class TestPreferredFrame:
         assert len(calls) == 3
 
     @pytest.mark.parametrize("name, counts", [("minkowski-sheared", [7] * 4),
-                                              ("flrw-power-dust", [97, 4, 4, 4])])
+                                              ("flrw-power-dust", [97, 4, 4, 4]),
+                                              ("minkowski3-dust", [7] * 3)])
     def test_batched_layers_match_one_carry_per_layer(self, name, counts):
         # a characteristic depends only on its node, and the integrator and
         # the right-hand side are row-stable, so carrying every layer in one
@@ -451,6 +502,9 @@ class TestPreferredFrame:
                 np.zeros_like(ad.value(c[0]))] * 2)))
         transport = _Transport(g, n, ENG, 1, 1.0)
         coarse = transport.memo_grid([7] * 4)
+        # the batched fill is bit for bit the layer-by-layer one on a slice
+        # axis that is not the first
+        assert np.array_equal(coarse[1], _layer_by_layer(transport, [7] * 4))
         axes, values = transport.memo_grid([4, 25, 4, 4], coarse)
         assert np.array_equal(values[:, ::4], coarse[1][::2, :, ::2, ::2])
         nodes = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)

@@ -5,7 +5,7 @@ import pytest
 
 from weylfluid import autodiff as ad
 from weylfluid.catalog import build
-from weylfluid.interpolation import TensorSpline, error_estimate
+from weylfluid.interpolation import TensorSpline, cardinal_weights, error_estimate, interpolate
 
 AXES = [np.array([-1.0, -0.7, -0.1, 0.3, 0.8, 1.0]),
         np.linspace(0.0, 2.0, 5),
@@ -73,6 +73,44 @@ class TestComponents:
     def test_jet_gradient_is_exact_on_per_axis_cubics(self, spline_and_points):
         spline, pts = spline_and_points
         assert np.abs(spline.components(ad.seed(pts)).grad - _cubic_gradient(pts)).max() < 1e-12
+
+
+class TestCardinalWeights:
+    """The spline read through per-axis cardinal weights, as the memo grid
+    fills each layer from the layer before."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("nodes", [4, 7])
+    def test_weights_are_the_spline(self, dim, nodes):
+        rng = np.random.default_rng(10 * dim + nodes)
+        axes = [np.sort(rng.uniform(-1.0, 1.0, nodes)) for _ in range(dim)]
+        values = rng.normal(size=[nodes] * dim)
+        lo, hi = np.array([a[0] for a in axes]), np.array([a[-1] for a in axes])
+        pts = lo + (hi - lo) * rng.uniform(size=(300, dim))
+        expected = TensorSpline(axes, values)(pts)
+        got = interpolate(cardinal_weights(axes, pts), values)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("nodes", [4, 7])
+    def test_exact_on_per_axis_cubics(self, nodes):
+        rng = np.random.default_rng(3)
+        axes = [np.sort(rng.uniform(lo, hi, nodes)) for lo, hi in ((-1, 1), (0, 2), (-0.5, 0.9))]
+        lo, hi = np.array([a[0] for a in axes]), np.array([a[-1] for a in axes])
+        pts = lo + (hi - lo) * rng.uniform(size=(200, 3))
+        values = _cubic(_grid_points(axes)).reshape([nodes] * 3)
+        assert np.abs(interpolate(cardinal_weights(axes, pts), values) - _cubic(pts)).max() < 1e-13
+
+    def test_a_row_does_not_depend_on_its_batch(self):
+        # the memo grid carries every layer in one batch: a point's value is
+        # the same read alone or among others
+        values = np.random.default_rng(4).normal(size=[len(a) for a in AXES])
+        pts = _grid_points(AXES)[::7] + 0.01
+        together = interpolate(cardinal_weights(AXES, pts), values)
+        alone = [interpolate(cardinal_weights(AXES, p[None]), values)[0] for p in pts]
+        np.testing.assert_array_equal(together, alone)
+        # a layer whose landings all left the box reads no row
+        assert interpolate(cardinal_weights(AXES, pts[:0]), values).shape == (0,)
 
 
 class TestErrorOrder:

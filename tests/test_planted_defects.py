@@ -129,6 +129,19 @@ def _defect_scalar_shifted(ctx, monkeypatch):
     monkeypatch.setattr(suites, "_defect", lambda n, dn, gam, phi: defect(n, dn, gam, phi + 1e-3))
 
 
+def _flow_power_scaled(ctx, monkeypatch):
+    # every rescaled flow scaled by Phi^(-1.001), not by 1 / Phi: the
+    # rescaled flow is no longer unit for the rescaled metric
+    pow_scale = conformal._pow_scale
+
+    def planted(field, factor, power, name):
+        if field.variance == ("u",):
+            power *= 1.001
+        return pow_scale(field, factor, power, name)
+
+    monkeypatch.setattr(conformal, "_pow_scale", planted)
+
+
 def _frame_scalar_shifted(ctx, monkeypatch):
     # the frame's bundle formed for the scalar 1e-3, not for the affine 0:
     # the obstruction scalars read rho phi and (rho + (m-1) p) phi
@@ -150,6 +163,7 @@ def _frame_scalar_shifted(ctx, monkeypatch):
     ("conformal", "connection-orbit-invariance", _shift_drops_dln),
     ("conformal", "gauge-group-law", _shift_from_base),
     ("conformal", "covector-transformation-closure", _shift_drops_dln),
+    ("conformal", "rescaled-normalization", _flow_power_scaled),
     ("conservation", "current-perfect-fluid-form", _current_perturbed),
     ("conservation", "current-divergence-identity", _current_perturbed),
     ("conservation", "current-conservation", _current_perturbed),
