@@ -9,7 +9,9 @@ after, then a summary line that names the largest new headroom among the
 moved records.  Exits 1 when a record is on
 one side only or a check's pass flipped, and 0 otherwise, so residuals that
 moved within their tolerances are listed but do not fail the comparison.
-A file that is not a report ends the run with exit 2 and a message naming it.
+A directory with no ``*.json`` report, or a file that is not a report, ends
+the run with exit 2 and a message naming it, so a mistyped directory cannot
+pass as a comparison of nothing.
 
 Usage:
     python scripts/compare_reports.py OLD_DIR NEW_DIR
@@ -26,8 +28,11 @@ from weylfluid.report import parse_report
 
 def load_records(directory: pathlib.Path) -> dict:
     """``{(preset, check): CheckRecord}`` over the directory's reports."""
+    paths = sorted(directory.glob("*.json"))
+    if not paths:
+        raise ValueError(f"{directory}: no *.json report")
     records = {}
-    for path in sorted(directory.glob("*.json")):
+    for path in paths:
         try:
             checks = parse_report(path.read_text()).checks
         except ValueError as exc:

@@ -13,8 +13,6 @@ from .geometry import (
     TensorField,
     covector_field,
     constant_scalar,
-    grad_scalar,
-    metric_data,
     normalize_timelike,
     scalar_field,
     tensor2_field,
@@ -22,10 +20,8 @@ from .geometry import (
 )
 from .connections import (
     ConnectionField,
-    covariant_derivative,
     eps_connection,
     levi_civita,
-    nonmetricity_residual,
 )
 from .fluid import (
     FluidState,
@@ -38,13 +34,9 @@ from .fluid import (
 from .conservation import (
     SliceSpec,
     VectorDensityField,
-    condition_scalars,
-    conservation_condition_residuals,
-    current_divergence,
     current_identity_residual,
     number_on_slice,
     particle_current,
-    weyl_divergence_T,
 )
 from .conformal import (
     ConformalFactor,
@@ -55,15 +47,12 @@ from .conformal import (
     incompressibility_residual,
     preferred_frame,
     rescaled_stress_energy_check,
-    transport_residual,
 )
 from .worldlines import (
     WorldlinePath,
-    eps_null_check,
     integral_curve,
     integrate_autoparallel,
     integrate_null_geodesic,
-    null_norm_drift,
     trajectory_compare,
 )
 from .catalog import CatalogBundle, build, preset_names, verification_matrix

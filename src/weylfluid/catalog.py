@@ -527,18 +527,3 @@ def null_tangent(g: MetricField, x0, spatial) -> np.ndarray:
     if k0 < 0:
         k0 = (-b + math.sqrt(disc)) / a
     return np.concatenate([[k0], d[1:]])
-
-
-def circular_orbit_init(bundle: CatalogBundle, r: float):
-    """Timelike circular-orbit initial data in the equatorial plane of the
-    static spherically symmetric preset.  Returns ``(x0, v0, proper_period)``.
-    """
-    rs = bundle.meta.rs
-    if rs is None:
-        raise ConstructionError("circular orbits are defined for the Schwarzschild preset")
-    omega = math.sqrt(0.5 * rs / r**3)
-    ut = 1.0 / math.sqrt(1.0 - rs / r - r * r * omega * omega)
-    x0 = np.array([0.0, r, 0.5 * math.pi, 0.0])
-    v0 = np.array([ut, 0.0, 0.0, ut * omega])
-    proper_period = 2.0 * math.pi / omega / ut
-    return x0, v0, proper_period

@@ -442,21 +442,10 @@ def preferred_frame(
     return FrameFactor(ln, axes, values, transport.solve, estimate)
 
 
-def transport_residual(
-    factor: ConformalFactor, g: MetricField, n: TensorField, engine: DerivativeEngine
-) -> TensorField:
-    """Residual ``n^a d_a ln Phi + (1/(m-1)) nabla^g_a n^a`` of the
-    preferred-frame transport equation."""
-
-    def eval_fn(pts):
-        return _transport_residual(flow_jet(g, n, engine, pts), engine.jacobian(factor.ln, pts))
-
-    return scalar_field(g.chart, eval_fn=eval_fn, name="transport-residual")
-
-
 def _transport_residual(jet: FlowJet, dln: np.ndarray) -> np.ndarray:
-    """:func:`transport_residual` from the flow jet and the gradient ``dln``
-    of ``ln Phi`` on its batch."""
+    """Residual ``n^a d_a ln Phi + (1/(m-1)) nabla^g_a n^a`` of the
+    preferred-frame transport equation, from the flow jet and the gradient
+    ``dln`` of ``ln Phi`` on its batch."""
     return np.einsum("na,na->n", jet.n, dln) + jet.div / (jet.n.shape[1] - 1.0)
 
 

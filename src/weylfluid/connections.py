@@ -1,5 +1,5 @@
-"""Levi-Civita and Weyl-compatible connections, covariant derivatives, and
-non-metricity diagnostics.
+"""Levi-Civita and Weyl-compatible connections and their non-metricity
+diagnostics.
 
 Connection coefficients are indexed ``gamma[n, a, b, c] = Gamma^a_{bc}``;
 both constructors are torsion-free by construction (symmetric in ``b, c``).
@@ -107,99 +107,23 @@ def eps_connection(g: MetricField, A: TensorField, engine: DerivativeEngine) -> 
     return ConnectionField(g.chart, eval_fn, provenance="eps(A)", name=f"eps({g.name},{A.name})")
 
 
-def external_connection(chart: Chart, eval_fn, name: str = "external") -> ConnectionField:
-    """Wrap arbitrary coefficients for defect diagnostics."""
-    return ConnectionField(chart, eval_fn, provenance="external", name=name)
-
-
-def _gamma_contract(gl: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``sum_l t[..., l] gl[l, b, c]`` from ``gl`` ``(N, m, m, m)`` and ``t``
-    ``(N, ..., m)``, shape ``t.shape[:-1] + (m, m)``, as one batched
-    ``matmul``."""
-    n, m = gl.shape[:2]
-    return (t.reshape(n, -1, m) @ gl.reshape(n, m, m * m)).reshape(t.shape[:-1] + (m, m))
-
-
-def covariant_derivative(
-    gamma: ConnectionField, F: TensorField, engine: DerivativeEngine
-) -> TensorField:
-    """Covariant derivative of a field of rank <= 2.
-
-    Returns a field of rank+1 whose last index is the derivative index:
-    the partial derivative plus one ``+Gamma`` contraction per upper index
-    and one ``-Gamma`` contraction per lower index.  Reduces to the
-    coordinate gradient on scalars.
-    """
-    if F.rank > 2:
-        raise CapabilityError("covariant_derivative supports rank <= 2")
-    variance = F.variance + ("d",)
-
-    sign = {"u": 1.0, "d": -1.0}
-
-    def eval_fn(pts):
-        val, jac = engine.value_and_jacobian(F, pts)
-        if F.rank == 0:
-            return jac
-        gam = gamma(pts)
-        # gl[l, b, c] is Gamma^b_lc for an upper index and Gamma^l_bc for a lower one
-        gl = {"u": np.swapaxes(gam, 1, 2), "d": gam}
-        out = jac.copy()
-        if F.rank == 1:
-            out += sign[F.variance[0]] * _gamma_contract(gl[F.variance[0]], val)
-            return out
-        first, second = F.variance
-        out += sign[first] * np.swapaxes(_gamma_contract(gl[first], np.swapaxes(val, 1, 2)), 1, 2)
-        out += sign[second] * _gamma_contract(gl[second], val)
-        return out
-
-    return TensorField(gamma.chart, variance, eval_fn=eval_fn, name=f"D[{F.name}]")
-
-
-def density_divergence_sqrtg(
-    g: MetricField, gamma: ConnectionField, engine: DerivativeEngine, pts
-) -> np.ndarray:
-    """Weight-1 covariant derivative of the volume factor:
-    ``d_c sqrt|g| - Gamma^l_{lc} sqrt|g|``, shape ``(N, m)``."""
-    return _density_divergence(metric_aux(g, pts, engine), gamma(pts))
-
-
-def _density_divergence(data, gam) -> np.ndarray:
-    return data.dsqrt_det - np.einsum("nllc->nc", gam) * data.sqrt_det[:, None]
-
-
-def nonmetricity_residuals(
-    g: MetricField, gamma: ConnectionField, A: TensorField, engine: DerivativeEngine, pts
-):
-    """``(nabla^Gamma_c g_ab - 2 A_c g_ab, nabla^Gamma_c sqrt|g| - m A_c sqrt|g|)``,
-    shapes ``(N, m, m, m)`` (derivative index last) and ``(N, m)``, from one
-    evaluation each of the metric data, ``Gamma`` and ``A``.  Both vanish
-    exactly when ``Gamma`` is the Weyl-compatible connection of ``(g, A)``."""
-    pts = g.chart.as_points(pts)
-    return _nonmetricity(metric_aux(g, pts, engine), gamma(pts), A(pts))
-
-
 def _nonmetricity(data, gam: np.ndarray, aval: np.ndarray):
-    """:func:`nonmetricity_residuals` from the metric data and the values of
-    ``Gamma`` and ``A`` on one point batch."""
+    """The non-metricity residuals of the coefficients ``gam`` against the
+    covector values ``aval``, from the metric data (with derivatives) on one
+    point batch:
+
+        nabla^Gamma_c g_ab - 2 A_c g_ab                     (N, m, m, m)
+        d_c sqrt|g| - Gamma^l_lc sqrt|g| - m A_c sqrt|g|    (N, m)
+
+    (derivative index last); the second is the weight-1 covariant
+    derivative of the volume factor less its trace identity.  Both vanish
+    exactly when ``Gamma`` is the Weyl-compatible connection of ``(g, A)``,
+    and with ``A = 0`` they measure the metric compatibility of ``Gamma``."""
     n, m = aval.shape
     # g_al Gamma^l_bc; by the symmetry of g, g_lb Gamma^l_ac is its a <-> b swap
     g_gam = (data.val @ gam.reshape(n, m, m * m)).reshape(n, m, m, m)
     nabla_g = data.dg - np.swapaxes(g_gam, 1, 2) - g_gam
     metric = nabla_g - 2.0 * aval[:, None, None, :] * data.val[:, :, :, None]
-    trace = _density_divergence(data, gam) - m * aval * data.sqrt_det[:, None]
+    trace = (data.dsqrt_det - np.einsum("nllc->nc", gam) * data.sqrt_det[:, None]
+             - m * aval * data.sqrt_det[:, None])
     return metric, trace
-
-
-def nonmetricity_residual(
-    gamma: ConnectionField, g: MetricField, A: TensorField, engine: DerivativeEngine
-) -> TensorField:
-    """The first of :func:`nonmetricity_residuals` as a rank-3 field."""
-    return TensorField(g.chart, ("d", "d", "d"), name="nonmetricity-residual",
-                       eval_fn=lambda pts: nonmetricity_residuals(g, gamma, A, engine, pts)[0])
-
-
-def sqrt_det_trace_residual(
-    g: MetricField, gamma: ConnectionField, A: TensorField, engine: DerivativeEngine, pts
-) -> np.ndarray:
-    """The density trace residual of :func:`nonmetricity_residuals`."""
-    return nonmetricity_residuals(g, gamma, A, engine, pts)[1]

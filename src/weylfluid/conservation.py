@@ -28,9 +28,8 @@ import numpy as np
 
 from . import autodiff as ad
 from ._signs import SIGN_FLOW, SIGN_ORTHO
-from .connections import ConnectionField, gamma_vv, gamma_w
-from .errors import CapabilityError
-from .fluid import FlowJet, flow_jet, stress_energy
+from .connections import gamma_vv, gamma_w
+from .fluid import FlowJet, flow_jet
 from .geometry import (
     Chart,
     DerivativeEngine,
@@ -39,7 +38,6 @@ from .geometry import (
     require_finite,
     scalar_field,
     tensor2_field,
-    vector_field,
 )
 
 
@@ -79,18 +77,16 @@ def _divergence_T(gam: np.ndarray, t_up) -> np.ndarray:
     return require_finite(div, "field divT")
 
 
-def weyl_divergence_T(
-    g: MetricField, gamma: ConnectionField, T: TensorField, engine: DerivativeEngine
-) -> TensorField:
-    """``nabla^Gamma_nu T^{mu nu}`` with indices raised by the metric."""
-    t_up = raise_indices2(g, T)
-    return vector_field(g.chart, name=f"divT({T.name})", eval_fn=lambda pts: _divergence_T(
-        gamma(pts), engine.value_and_jacobian(t_up, pts)))
-
-
 def _conditions(jet: FlowJet, p, rho):
-    """``(C1 (N,), C2 (N, m))`` of :func:`conservation_condition_residuals`
-    from the flow jet and the ``(value, jacobian)`` pairs of ``p`` and ``rho``."""
+    """The two conditions whose joint vanishing is equivalent to
+    ``nabla^Gamma_nu T^{mu nu} = 0`` for the bundle of the flow jet's
+    ``(g, n, phi)``, from the jet and the ``(value, jacobian)`` pairs of
+    ``p`` and ``rho`` on its batch:
+
+        C1    = (p + rho) nabla^Gamma_nu n^nu - (p - rho) phi + n^nu d_nu rho
+        C2^mu = (g^{mu nu} + n^mu n^nu) d_nu p - 2 p n^nu nabla^g_nu n^mu
+
+    Returns ``(C1 (N,), C2 (N, m))``."""
     (pv, dp), (rv, drho) = p, rho
     div_gamma = np.einsum("naa->n", jet.dn) + np.einsum("nvlv,nl->n", jet.Gamma, jet.n)
     c1 = (pv + rv) * div_gamma - (pv - rv) * jet.phival + np.einsum("na,na->n", jet.n, drho)
@@ -100,58 +96,18 @@ def _conditions(jet: FlowJet, p, rho):
     return require_finite(c1, "field C1"), require_finite(c2, "field C2")
 
 
-def conservation_condition_residuals(
-    g: MetricField,
-    n: TensorField,
-    p: TensorField,
-    rho: TensorField,
-    phi: TensorField,
-    engine: DerivativeEngine,
-):
-    """The two scalars whose joint vanishing is equivalent to
-    ``nabla^Gamma_nu T^{mu nu} = 0`` for the bundle built from ``(g, n, phi)``:
-
-        C1   = (p + rho) nabla^Gamma_nu n^nu - (p - rho) phi + n^nu d_nu rho
-        C2^mu = (g^{mu nu} + n^mu n^nu) d_nu p - 2 p n^nu nabla^g_nu n^mu
-
-    Returns ``(C1 scalar field, C2 vector field)``.
-    """
-
-    def conditions(pts):
-        jet = flow_jet(g, n, engine, pts, phi)
-        return _conditions(jet, _pair(p, engine, jet.pts), _pair(rho, engine, jet.pts))
-
-    c1 = scalar_field(g.chart, eval_fn=lambda pts: conditions(pts)[0], name="C1")
-    c2 = vector_field(g.chart, eval_fn=lambda pts: conditions(pts)[1], name="C2")
-    return c1, c2
-
-
-def decomposition_residuals(
-    g: MetricField,
-    n: TensorField,
-    p: TensorField,
-    rho: TensorField,
-    phi: TensorField,
-    engine: DerivativeEngine,
-    pts,
-):
+def _decomposition_residuals(jet: FlowJet, t_up, p, rho):
     """Residuals of the sign-fixed decomposition of the stress-energy
-    divergence of the ``(g, n, phi)`` bundle into the condition pair:
+    divergence of the flow jet's ``(g, n, phi)`` bundle into the
+    conditions of :func:`_conditions`:
 
         n_mu nabla_nu T^{mu nu}                    = SIGN_FLOW  * C1
         (delta^mu_l + n^mu n_l) nabla_nu T^{l nu}  = SIGN_ORTHO * C2^mu
 
     with the two signs frozen from the brute-force oracle run recorded in
-    ``_signs.py``.  Returns ``(flow_residual (N,), ortho_residual (N, m))``.
-    """
-    jet = flow_jet(g, n, engine, pts, phi)
-    t_up = raise_indices2(g, stress_energy(g, n, p, rho))
-    return _decomposition_residuals(jet, *(_pair(f, engine, jet.pts) for f in (t_up, p, rho)))
-
-
-def _decomposition_residuals(jet: FlowJet, t_up, p, rho):
-    """:func:`decomposition_residuals` from the flow jet and the ``(value,
-    jacobian)`` pairs of ``T^{ab}``, ``p`` and ``rho`` on its batch."""
+    ``_signs.py``, from the jet and the ``(value, jacobian)`` pairs of
+    ``T^{ab}``, ``p`` and ``rho`` on its batch.  Returns ``(flow_residual
+    (N,), ortho_residual (N, m))``."""
     div = _divergence_T(jet.Gamma, t_up)
     c1, c2 = _conditions(jet, p, rho)
     flow_div = np.einsum("na,na->n", jet.n_low, div)
@@ -167,15 +123,6 @@ def particle_current(g: MetricField, T: TensorField, n: TensorField) -> VectorDe
         return ad.sqrt(ad.absolute(det))[:, None] * ad.einsum("nma,na->nm", ginv, tn)
 
     return VectorDensityField(g.chart, fn, name="J")
-
-
-def current_divergence(J: TensorField, engine: DerivativeEngine) -> TensorField:
-    """Plain coordinate divergence ``d_mu J^mu`` (covariant for weight-1
-    densities under any symmetric connection)."""
-    if getattr(J, "weight", 0) != 1:
-        raise CapabilityError("current_divergence expects a weight-1 vector density")
-    return scalar_field(J.chart, eval_fn=lambda pts: np.einsum("naa->n", engine.jacobian(J, pts)),
-                        name=f"div({J.name})")
 
 
 # Gauss-Legendre nodes per axis of a slice count and of its error reference
@@ -271,26 +218,11 @@ def _contractions(jet: FlowJet, tv: np.ndarray):
     return np.einsum("nmv,nvm->n", tv, cov_low), np.einsum("nm,nmv,nv->n", jet.A, tv, jet.n_low)
 
 
-def condition_scalars(
-    g: MetricField,
-    n: TensorField,
-    p: TensorField,
-    rho: TensorField,
-    phi: TensorField,
-    engine: DerivativeEngine,
-    pts,
-) -> ConditionScalars:
-    """Contract the condition scalars of the bundle built from
-    ``(g, n, phi)`` directly at ``pts`` and compare with their closed
-    forms."""
-    pts = g.chart.as_points(pts)
-    t_up = raise_indices2(g, stress_energy(g, n, p, rho))
-    return _condition_scalars(flow_jet(g, n, engine, pts, phi), t_up(pts), p(pts), rho(pts))
-
-
 def _condition_scalars(jet: FlowJet, tv, pv, rv) -> ConditionScalars:
-    """:func:`condition_scalars` from the flow jet and the values ``tv``,
-    ``pv`` and ``rv`` of ``T^{ab}``, ``p`` and ``rho`` on its batch."""
+    """Contract the condition scalars of the flow jet's ``(g, n, phi)``
+    bundle directly and compare them with their closed forms, from the jet
+    and the values ``tv``, ``pv`` and ``rv`` of ``T^{ab}``, ``p`` and
+    ``rho`` on its batch."""
     m = jet.n.shape[1]
     s1, s2 = _contractions(jet, tv)
     closed = pv * jet.div + (rv + (m - 1) * pv) * jet.phival

@@ -311,13 +311,6 @@ class DerivativeEngine:
         return (4.0 * d2 - d1) / 3.0
 
 
-def grad_scalar(engine: DerivativeEngine, f: TensorField, pts) -> np.ndarray:
-    """Coordinate gradient of a scalar field: covector components ``(N, m)``."""
-    if f.rank != 0:
-        raise CapabilityError("grad_scalar expects a scalar field")
-    return engine.jacobian(f, pts)
-
-
 @dataclass(frozen=True)
 class MetricData:
     """Pointwise metric package: values, inverse, volume factor and (when a
@@ -364,12 +357,6 @@ def metric_aux(g: MetricField, pts, engine: DerivativeEngine = None) -> MetricDa
     val, dg = (g(pts), None) if engine is None else engine.value_and_jacobian(g, pts)
     inv, det = inverse_det(val, pts)
     return MetricData(val, inv, np.sqrt(np.abs(det)), dg)
-
-
-def metric_data(g: MetricField, pts):
-    """Inverse components and ``sqrt(|det g|)`` at the given points."""
-    data = metric_aux(g, pts)
-    return data.inv, data.sqrt_det
 
 
 class UnitVectorField(TensorField):
@@ -433,12 +420,3 @@ def unit_jet(data: MetricData, u: np.ndarray, du: np.ndarray, pts):
     dq = (uu @ data.dg.reshape(b, m * m, m))[:, 0] + 2.0 * np.einsum("na,nac->nc", u_low, du)
     dn = du / s[:, None, None] - 0.5 * n[:, :, None] * (dq / q[:, None])[:, None, :]
     return n, dn
-
-
-def lower_index(g: MetricField, v: TensorField) -> TensorField:
-    """Covector ``v_a = g_ab v^b``."""
-
-    def fn(coords):
-        return ad.einsum("nab,nb->na", g.fn(coords), v.fn(coords))
-
-    return covector_field(g.chart, fn, name=f"flat({v.name})")

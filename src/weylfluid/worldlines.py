@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import ConnectionField, gamma_vv, levi_civita
+from .connections import ConnectionField, gamma_vv
 from .errors import ComparisonError
 from .fluid import flow_jet
 from .geometry import Chart, DerivativeEngine, MetricField, TensorField, metric_aux
@@ -214,7 +214,7 @@ def integrate_null_geodesic(g: MetricField, x0, k0, s_max: float,
                             engine: DerivativeEngine) -> WorldlinePath:
     """Affine null geodesic of the metric; the initial tangent must already
     be null to ``_NULL_EPS``.  The squared tangent norm is a first integral
-    and is monitored through :func:`null_norm_drift`."""
+    and is monitored through :func:`_null_norm_max`."""
     return integrate_null_geodesic_batch(g, [x0], [k0], s_max, engine)[0]
 
 
@@ -265,34 +265,24 @@ def integrate_fluid_worldlines(g: MetricField, n: TensorField, phi: TensorField,
     return _integrate_batch(g.chart, accel, x0s, v0s, s_max)
 
 
-def null_norm_drift(g: MetricField, path: WorldlinePath) -> float:
-    """Maximum |g(k,k)| along the path."""
-    return _null_norm_max(g(path.points), path.tangents)
-
-
 def _null_norm_max(gval: np.ndarray, k: np.ndarray) -> float:
-    """:func:`null_norm_drift` from the metric values on the path's nodes."""
+    """Maximum ``|g(k,k)|`` along a path, from the metric values ``gval`` on
+    its nodes and the tangents ``k`` there: the squared norm is a first
+    integral of an affine null geodesic, so it stays at its initial zero."""
     return float(np.max(np.abs(np.einsum("nij,ni,nj->n", gval, k, k))))
 
 
-def eps_null_check(
-    g: MetricField, gamma: ConnectionField, path: WorldlinePath, engine: DerivativeEngine
-) -> dict:
-    """Transport defect of a metric null geodesic under another connection.
-
-    Along the path, ``D^a = k^b nabla^Gamma_b k^a`` equals the connection
-    deformation contracted with the tangent (the metric part cancels by
-    construction of the path), so it is evaluated pointwise.  Reports the
-    maximum Euclidean-orthogonal component (must vanish for compatible
-    connections) and the maximum parallel magnitude.
-    """
-    lc = levi_civita(g, engine)
-    return _null_defect(gamma(path.points) - lc(path.points), path.tangents)
-
-
 def _null_defect(dgam: np.ndarray, k: np.ndarray) -> dict:
-    """:func:`eps_null_check` from the connection deformation ``dgam`` on
-    the path's nodes and the tangents ``k`` there."""
+    """Transport defect of a metric null geodesic under another connection,
+    from the deformation ``dgam = Gamma - {g}`` of the metric connection on
+    the path's nodes and the tangents ``k`` there.
+
+    Along the path, ``D^a = k^b nabla^Gamma_b k^a`` equals the deformation
+    contracted with the tangent (the metric part cancels by construction of
+    the path), so it is evaluated pointwise.  Reports the maximum
+    Euclidean-orthogonal component (must vanish for compatible connections)
+    and the maximum parallel magnitude.
+    """
     defect = gamma_vv(dgam, k)
     k_norm = np.linalg.norm(k, axis=1)
     k_hat = k / k_norm[:, None]

@@ -6,6 +6,7 @@ every derivative.  None of these
 routines share code with the library paths they check.
 """
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -23,12 +24,6 @@ def fd_gradient(f, x, h=H_FD):
         xm[j] -= h
         out[j] = (f(xp) - f(xm)) / (2 * h)
     return out
-
-
-def fd_richardson_gradient(f, x, h=1e-4):
-    d1 = fd_gradient(f, x, h)
-    d2 = fd_gradient(f, x, h / 2)
-    return (4 * d2 - d1) / 3
 
 
 def metric_at(g_field, x):
@@ -179,17 +174,14 @@ def leibniz_det(a):
     return total
 
 
-def covariant_derivative_einsum(gam, val, jac, variance):
-    """Covariant derivative of a rank <= 2 field from ``Gamma^a_bc``, the
-    field's values and its jacobian, in index notation: one ``+Gamma``
-    contraction per upper index and one ``-Gamma`` per lower index."""
-    out = jac.copy()
-    if variance == ("u",):
-        return out + np.einsum("nabc,nb->nac", gam, val)
-    if variance == ("d",):
-        return out - np.einsum("nbac,nb->nac", gam, val)
-    first = {"u": np.einsum("nalc,nlb->nabc", gam, val),
-             "d": -np.einsum("nlac,nlb->nabc", gam, val)}
-    second = {"u": np.einsum("nblc,nal->nabc", gam, val),
-              "d": -np.einsum("nlbc,nal->nabc", gam, val)}
-    return out + first[variance[0]] + second[variance[1]]
+def circular_orbit_init(bundle, r: float):
+    """Timelike circular-orbit initial data at radius ``r`` in the
+    equatorial plane of the Schwarzschild preset, from the Kepler rate
+    ``omega^2 = rs / (2 r^3)`` of the metric with ``g_tt = -(1 - rs/r)``.
+    Returns ``(x0, v0, proper_period)``."""
+    rs = bundle.meta.rs
+    omega = math.sqrt(0.5 * rs / r**3)
+    ut = 1.0 / math.sqrt(1.0 - rs / r - r * r * omega * omega)
+    x0 = np.array([0.0, r, 0.5 * math.pi, 0.0])
+    v0 = np.array([ut, 0.0, 0.0, ut * omega])
+    return x0, v0, 2.0 * math.pi / omega / ut

@@ -5,12 +5,11 @@ worst residual and its threshold.  Tolerances are pinned here and nowhere
 else; run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 """
 
-import json
-
 import numpy as np
 import pytest
 
 from weylfluid.catalog import (
+    PRESETS,
     build,
     null_tangent,
     perturbed_metric,
@@ -25,25 +24,25 @@ from weylfluid.conformal import (
     ConformalWeights,
     conformal_rescale,
     current_invariance_check,
-    incompressibility_residual,
-    preferred_frame,
     rescaled_stress_energy_check,
-    transport_residual,
 )
-from weylfluid.connections import eps_connection, nonmetricity_residual, sqrt_det_trace_residual
+from weylfluid.config import SuiteConfig
+from weylfluid.connections import _nonmetricity, _weyl_gamma, eps_shift
 from weylfluid.conservation import (
-    SliceSpec,
-    condition_scalars,
-    current_divergence,
+    _condition_scalars,
     current_identity_residual,
-    decomposition_residuals,
-    number_on_slice,
     particle_current,
+    raise_indices2,
 )
-from weylfluid.fluid import fluid_connection, geodesic_defect, stress_energy
-from weylfluid.geometry import DerivativeEngine, constant_scalar, scalar_field
+from weylfluid.fluid import flow_jet, fluid_connection, geodesic_defect, stress_energy
+from weylfluid.geometry import DerivativeEngine, metric_aux, scalar_field
+from weylfluid.harness import run_suite
+from weylfluid.suites import SuiteContext
 from weylfluid.worldlines import (
-    eps_null_check,
+    NULL_GEODESIC,
+    WEYL_AUTOPARALLEL,
+    _null_defect,
+    integrate_fluid_worldlines,
     trajectory_compare,
 )
 
@@ -60,6 +59,21 @@ def _report(criterion: int, label: str, worst: float, tol: float) -> None:
     print(f"[{status}] criterion {criterion:2d}: {label}: "
           f"max residual {worst:.3e} (tolerance {tol:.1e})")
     assert worst < tol, f"criterion {criterion}: {label}: {worst:.3e} >= {tol:.1e}"
+
+
+def _sweep_records(name, suite):
+    """The records of ``suite`` on preset ``name`` by check name, as the
+    sweep forms them: through the harness, on this file's point set."""
+    entry = PRESETS[name]
+    report = run_suite(SuiteConfig(
+        spacetime=entry.spacetime, fluid=entry.fluid, suites=(suite,), seed=SEED,
+        grid_per_axis=GRID_PER_AXIS, random_points=RANDOM_POINTS, timing=False))
+    return {c.name.split(":", 1)[1]: c.max_residual for c in report.checks}
+
+
+@pytest.fixture(scope="module")
+def conservation_records():
+    return {name: _sweep_records(name, "conservation") for name in verification_matrix()}
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +97,8 @@ def test_c01_geodesy_of_fluid_bundles(presets):
 
 
 def test_c02_nonmetricity_identity():
+    # the connection suite's seeded-pair path: one metric jet and one
+    # covector evaluation per pair, and the Weyl connection formed from them
     chart = minkowski_chart(4)
     base = minkowski_metric(chart)
     pts = chart.sample_points(GRID_PER_AXIS, RANDOM_POINTS, seed=SEED)
@@ -90,9 +106,9 @@ def test_c02_nonmetricity_identity():
     for k in range(20):
         g = perturbed_metric(base, 0.01, seed=k)
         A = polynomial_covector(chart, np.random.default_rng(1000 + k), 0.4)
-        gamma = eps_connection(g, A, ENGINE)
-        worst = max(worst, float(np.abs(nonmetricity_residual(gamma, g, A, ENGINE)(pts)).max()))
-        worst = max(worst, float(np.abs(sqrt_det_trace_residual(g, gamma, A, ENGINE, pts)).max()))
+        data, aval = metric_aux(g, pts, ENGINE), A(pts)
+        metric, trace = _nonmetricity(data, _weyl_gamma(data, aval), aval)
+        worst = max(worst, float(np.abs(metric).max()), float(np.abs(trace).max()))
     _report(2, "non-metricity and volume-trace identities on seeded pairs", worst, 1e-9)
 
 
@@ -161,80 +177,61 @@ def test_c05_current_divergence_identity(presets):
             worst, 1e-8)
 
 
-def test_c06_conservation_decomposition(presets):
-    worst = 0.0
-    for preset, bundle, pts in presets.values():
-        st = preset.state
-        flow, ortho = decomposition_residuals(
-            preset.g, st.n, st.p, st.rho, st.phi, ENGINE, pts)
-        worst = max(worst, float(np.abs(flow).max()), float(np.abs(ortho).max()))
+def test_c06_conservation_decomposition(conservation_records):
+    worst = max(records[name] for records in conservation_records.values()
+                for name in ("divergence-decomposition-flow",
+                             "divergence-decomposition-orthogonal"))
     _report(6, "divergence projections match the frozen-sign conditions", worst, 1e-8)
 
 
-def test_c07_condition_scalar_closed_forms(presets):
-    worst = 0.0
+def test_c07_condition_scalar_closed_forms(presets, conservation_records):
+    worst = max(records[name] for records in conservation_records.values()
+                for name in ("condition-scalar-transport", "condition-scalar-covector"))
     worst_dust = 0.0
     for preset, bundle, pts in presets.values():
         st = preset.state
-        cs = condition_scalars(
-            preset.g, st.n, st.p, st.rho, st.phi, ENGINE, pts)
-        worst = max(worst, float(np.abs(cs.s1_residual).max()),
-                    float(np.abs(cs.s2_residual).max()))
-        if not np.any(st.p(pts)):
-            dust = cs.s1 - st.rho(pts) * st.phi(pts)
-            worst_dust = max(worst_dust, float(np.abs(dust).max()))
+        if np.any(st.p(pts)):
+            continue
+        # the conservation suite's contraction, on its flow jet and T^{ab}
+        jet = SuiteContext(preset, ENGINE, pts).jet
+        t_up = raise_indices2(preset.g, stress_energy(preset.g, st.n, st.p, st.rho))
+        cs = _condition_scalars(jet, t_up(pts), st.p(pts), st.rho(pts))
+        dust = cs.s1 - st.rho(pts) * st.phi(pts)
+        worst_dust = max(worst_dust, float(np.abs(dust).max()))
     _report(7, "condition scalars match their closed forms", worst, 1e-9)
     _report(7, "pressureless transport scalar reduces to rho phi", worst_dust, 1e-9)
 
 
-def test_c08_preferred_frame(presets):
-    preset, bundle, pts = presets["flrw-comoving-dust"]
-    spec = SliceSpec(0, 0.0, ((-0.5, 0.5),) * 3)
-    factor = preferred_frame(preset.g, preset.state.n, spec, ENGINE)
-    closed = -0.1 * factor.grid_axes[0]
-    worst_grid = float(np.abs(
-        factor.grid_values - closed[:, None, None, None]).max())
+def test_c08_preferred_frame():
+    # each preset's frame is solved from its seed slice x^0 = 0 over the box
+    # (-0.5, 0.5)^3, as the frame suite solves it
+    records = _sweep_records("flrw-comoving-dust", "frame")
     _report(8, "cosmology log factor matches the closed form on the memo grid",
-            worst_grid, 1e-6)
+            records["frame-closed-form"], 1e-6)
 
-    mk, mk_bundle, mk_pts = presets["minkowski-sheared"]
-    spec2 = SliceSpec(0, 0.0, ((-0.5, 0.5),) * 3)
-    fac2 = preferred_frame(mk.g, mk.state.n, spec2, ENGINE)
-    worst_transport = float(np.abs(
-        transport_residual(fac2, mk.g, mk.state.n, ENGINE)(mk_pts)).max())
-    b2, s2 = conformal_rescale(mk_bundle, mk.state, fac2, ENGINE)
-    worst_inc = float(np.abs(incompressibility_residual(b2.g, s2.n, ENGINE)(mk_pts)).max())
-    _report(8, "sheared-chart transport residual", worst_transport, 1e-4)
-    _report(8, "sheared-chart rescaled flow divergence", worst_inc, 1e-4)
-
-    zero = constant_scalar(mk.chart, 0.0)
-    cs = condition_scalars(b2.g, s2.n, s2.p, s2.rho, zero, ENGINE, mk_pts)
-    worst_s = max(float(np.abs(cs.s1).max()), float(np.abs(cs.s2).max()))
+    records = _sweep_records("minkowski-sheared", "frame")
+    _report(8, "sheared-chart transport residual", records["frame-transport"], 1e-4)
+    _report(8, "sheared-chart rescaled flow divergence", records["incompressibility"], 1e-4)
+    worst_s = max(records["preferred-scalar-transport"], records["preferred-scalar-covector"])
     _report(8, "obstruction scalars vanish in the preferred frame", worst_s, 1e-4)
 
 
-def test_c09_particle_number_conservation(presets):
-    preset, bundle, pts = presets["flrw-comoving-dust"]
-    st = preset.state
-    J = particle_current(preset.g, stress_energy(preset.g, st.n, st.p, st.rho), st.n)
-    worst_div = float(np.abs(current_divergence(J, ENGINE)(pts)).max())
-    _report(9, "conserved dust current is divergence-free", worst_div, 1e-8)
-
-    box = ((-0.5, 0.5),) * 3
-    n0, e0 = number_on_slice(J, SliceSpec(0, 0.0, box))
-    n5, e5 = number_on_slice(J, SliceSpec(0, 5.0, box))
-    rel = abs(n0 - n5) / max(abs(n0), abs(n5))
-    print(f"           slice counts: {n0:.12f} at t=0 vs {n5:.12f} at t=5 "
-          f"(quadrature error estimates {e0:.1e}, {e5:.1e})")
-    _report(9, "slice counts agree along the flow", rel, 1e-6)
+def test_c09_particle_number_conservation(conservation_records):
+    # the conserved dust's slices are x^0 = 0 and x^0 = 5 over (-0.5, 0.5)^3
+    records = conservation_records["flrw-comoving-dust"]
+    _report(9, "conserved dust current is divergence-free", records["current-conservation"],
+            1e-8)
+    _report(9, "slice counts agree along the flow", records["slice-count-conservation"], 1e-6)
 
 
 def test_c10_null_compatibility(presets):
-    from weylfluid.worldlines import integrate_autoparallel_batch, integrate_null_geodesic_batch
-
+    # the worldlines suite's path: the null rays and the bundle's
+    # autoparallels in one batch, and the defect of the bundle connection's
+    # deformation of the metric one, from one flow jet on each ray's nodes
     worst_dev = 0.0
     worst_ortho = 0.0
     for name, (preset, bundle, pts) in presets.items():
+        g, st = preset.g, preset.state
         rng = np.random.default_rng(SEED + 77)
         lo, hi = preset.chart.bounds(preset.chart.margin + 0.15)
         s_max = preset.meta.ray_s_max
@@ -242,11 +239,13 @@ def test_c10_null_compatibility(presets):
         x0s = lo + rng.random((5, m)) * (hi - lo)
         dirs = rng.normal(size=(5, m - 1))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        k0s = np.stack([null_tangent(preset.g, x0, d) for x0, d in zip(x0s, dirs)])
-        paths_g = integrate_null_geodesic_batch(preset.g, x0s, k0s, s_max, ENGINE)
-        paths_w = integrate_autoparallel_batch(bundle.gamma, x0s, k0s, s_max)
-        for path_g, path_w in zip(paths_g, paths_w):
-            report = eps_null_check(preset.g, bundle.gamma, path_g, ENGINE)
+        k0s = np.stack([null_tangent(g, x0, d) for x0, d in zip(x0s, dirs)])
+        paths = integrate_fluid_worldlines(
+            g, st.n, st.phi, ENGINE, [NULL_GEODESIC] * 5 + [WEYL_AUTOPARALLEL] * 5,
+            np.concatenate([x0s, x0s]), np.concatenate([k0s, k0s]), s_max)
+        for path_g, path_w in zip(paths[:5], paths[5:]):
+            jet = flow_jet(g, st.n, ENGINE, path_g.points, st.phi)
+            report = _null_defect(eps_shift(jet.data.inv, jet.data.val, jet.A), path_g.tangents)
             worst_ortho = max(worst_ortho, report["max_orthogonal"])
             arc = max(trajectory_arc(path_g), 1e-6)
             worst_dev = max(worst_dev, trajectory_compare(path_g, path_w) / arc)

@@ -113,3 +113,16 @@ class TestCompareReports:
         assert done.returncode == 2
         assert done.stderr.splitlines()[-1].endswith(
             f"error: {new / 'flrw-radiation.json'}: report key 'name' must be a string, got 5")
+
+    @pytest.mark.parametrize("empty", ["old", "new", "both"])
+    def test_directory_without_reports_exits_two(self, tmp_path, dirs, empty):
+        # a mistyped --outdir leaves an empty directory: no comparison of nothing
+        old, new = dirs
+        _write(new, "flrw-radiation", {"nonmetricity": 3e-15})
+        blank = tmp_path / "blank"
+        blank.mkdir()
+        (blank / "notes.txt").write_text("not a report")
+        old, new = {"old": (blank, new), "new": (old, blank), "both": (blank, blank)}[empty]
+        done = _compare(old, new)
+        assert done.returncode == 2
+        assert done.stderr.splitlines()[-1].endswith(f"error: {blank}: no *.json report")

@@ -21,7 +21,6 @@ from weylfluid.geometry import (
     DerivativeEngine,
     MetricField,
     TensorField,
-    lower_index,
     normalize_timelike,
     scalar_field,
     vector_field,
@@ -55,7 +54,6 @@ def composites(preset):
     bundle = fluid_connection(g, st.n, st.phi, ENG)
     return {
         "normalize_timelike": ((g, u), normalize_timelike),
-        "lower_index": ((g, st.n), lower_index),
         "stress_energy": ((g, st.n, st.p, st.rho), stress_energy),
         "raise_indices2": ((g, T), raise_indices2),
         "particle_current": ((g, T, st.n), particle_current),
@@ -68,7 +66,7 @@ def composites(preset):
     }
 
 
-NAMES = ("normalize_timelike", "lower_index", "stress_energy", "raise_indices2",
+NAMES = ("normalize_timelike", "stress_energy", "raise_indices2",
          "particle_current", "from_scalar", "from_log", "_pow_scale", "rescaled_metric")
 
 

@@ -12,14 +12,20 @@ from weylfluid.conformal import (
     ConformalFactor,
     ConformalWeights,
     _Transport,
+    _transport_residual,
     conformal_rescale,
     current_invariance_check,
     incompressibility_residual,
     preferred_frame,
     rescaled_stress_energy_check,
-    transport_residual,
 )
-from weylfluid.conservation import SliceSpec, condition_scalars, number_on_slice, particle_current
+from weylfluid.conservation import (
+    SliceSpec,
+    _condition_scalars,
+    number_on_slice,
+    particle_current,
+    raise_indices2,
+)
 from weylfluid.errors import GaugeError, ReachabilityError, TransversalityError, WeylFluidError
 from weylfluid.fluid import (
     flow_jet,
@@ -310,7 +316,8 @@ class TestPreferredFrame:
         preset, bundle, pts = _setup("minkowski-sheared")
         spec = SliceSpec(0, 0.0, ((-0.5, 0.5),) * 3)
         fac = preferred_frame(preset.g, preset.state.n, spec, ENG)
-        res = transport_residual(fac, preset.g, preset.state.n, ENG)(pts)
+        res = _transport_residual(flow_jet(preset.g, preset.state.n, ENG, pts),
+                                  ENG.jacobian(fac.ln, pts))
         assert np.abs(res).max() < 1e-4
         b2, s2 = conformal_rescale(bundle, preset.state, fac, ENG)
         inc = incompressibility_residual(b2.g, s2.n, ENG)(pts)
@@ -329,7 +336,9 @@ class TestPreferredFrame:
         b2, s2 = conformal_rescale(bundle, preset.state, closed, ENG)
         zero = constant_scalar(preset.chart, 0.0)
         pb = fluid_connection(b2.g, s2.n, zero, ENG)
-        cs = condition_scalars(b2.g, s2.n, s2.p, s2.rho, zero, ENG, pts)
+        t_up = raise_indices2(b2.g, stress_energy(b2.g, s2.n, s2.p, s2.rho))
+        cs = _condition_scalars(flow_jet(b2.g, s2.n, ENG, pts, zero), t_up(pts), s2.p(pts),
+                                s2.rho(pts))
         assert np.abs(cs.s1).max() < 1e-10
         assert np.abs(cs.s2).max() < 1e-10
         assert np.abs(geodesic_defect(pb, s2.n, zero, ENG)(pts)).max() < 1e-10

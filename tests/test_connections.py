@@ -1,4 +1,4 @@
-"""Connection constructors, covariant derivatives and non-metricity."""
+"""Connection constructors and non-metricity."""
 
 import numpy as np
 import pytest
@@ -17,32 +17,23 @@ from weylfluid.catalog import (
 )
 from weylfluid.connections import (
     _nonmetricity,
-    covariant_derivative,
-    density_divergence_sqrtg,
     eps_connection,
     eps_shift,
-    external_connection,
     gamma_vv,
     levi_civita,
-    nonmetricity_residual,
-    nonmetricity_residuals,
-    sqrt_det_trace_residual,
 )
-from weylfluid.errors import CapabilityError
+from weylfluid.fluid import flow_jet
 from weylfluid.geometry import (
     DerivativeEngine,
     MetricData,
-    TensorField,
     covector_field,
     metric_aux,
-    scalar_field,
     vector_field,
 )
 
 from oracles import (
     KERNEL_BATCHES,
     christoffel_fd,
-    covariant_derivative_einsum,
     eps_shift_loops,
     metric_at,
     random_metric_batch,
@@ -66,6 +57,12 @@ def flrw():
 
 def const_covector(chart, comps):
     return covector_field(chart, lambda c: ad.stack([0.0 * c[0] + v for v in comps]))
+
+
+def nonmetricity(g, gamma, A, pts):
+    """The non-metricity residuals of ``gamma`` against ``A`` on ``pts``,
+    from the metric data of ``g`` with derivatives."""
+    return _nonmetricity(metric_aux(g, pts, ENG), gamma(pts), A(pts))
 
 
 class TestLeviCivita:
@@ -102,8 +99,8 @@ class TestLeviCivita:
     def test_metric_compatibility(self, flrw):
         chart, g = flrw
         pts = chart.sample_points(3, 8, seed=2)
-        res = nonmetricity_residual(levi_civita(g, ENG), g, const_covector(chart, [0.0] * 4), ENG)
-        assert np.abs(res(pts)).max() < 1e-12
+        res, _ = nonmetricity(g, levi_civita(g, ENG), const_covector(chart, [0.0] * 4), pts)
+        assert np.abs(res).max() < 1e-12
 
 
 class TestEpsConnection:
@@ -187,67 +184,12 @@ class TestConnectionKernels:
 
 
 class TestCovariantDerivative:
-    def test_scalar_reduces_to_gradient(self, minkowski):
-        chart, g = minkowski
-        f = scalar_field(chart, lambda c: c[0] * c[1])
-        lc = levi_civita(g, ENG)
-        pts = chart.sample_points(3, 4, seed=6)
-        got = covariant_derivative(lc, f, ENG)(pts)
-        assert np.allclose(got, np.stack(
-            [pts[:, 1], pts[:, 0], 0 * pts[:, 0], 0 * pts[:, 0]], axis=1), atol=1e-14)
-
-    def test_flat_vector_partials(self, minkowski):
-        chart, g = minkowski
-        v = vector_field(chart, lambda c: ad.stack([c[0], c[1], 0.0 * c[0], 0.0 * c[0]]))
-        lc = levi_civita(g, ENG)
-        got = covariant_derivative(lc, v, ENG)([[0.1, 0.2, 0.0, 0.0]])[0]
-        expect = np.zeros((4, 4))
-        expect[0, 0] = 1.0
-        expect[1, 1] = 1.0
-        assert np.allclose(got, expect, atol=1e-14)
-
     def test_flrw_comoving_expansion_rate(self, flrw):
+        # the metric divergence of the comoving flow, read off its flow jet
         chart, g = flrw
         n = vector_field(chart, lambda c: ad.stack([0.0 * c[0] + 1.0] + [0.0 * c[0]] * 3))
-        lc = levi_civita(g, ENG)
         pts = chart.sample_points(3, 8, seed=7)
-        dn = covariant_derivative(lc, n, ENG)(pts)
-        trace = np.einsum("naa->n", dn)
-        assert np.allclose(trace, 0.3, atol=1e-12)
-
-    @pytest.mark.parametrize("variance", [("u", "u"), ("d", "d"), ("u", "d"), ("d", "u"),
-                                          ("u",), ("d",)])
-    def test_matches_the_einsum_form(self, flrw, variance):
-        chart, _ = flrw
-        pts = chart.random_points(689, seed=4)
-        gam = np.random.default_rng(5).normal(size=(len(pts), 4, 4, 4))
-        a = polynomial_covector(chart, np.random.default_rng(6), 0.5)
-        b = polynomial_covector(chart, np.random.default_rng(7), 0.5)
-        if len(variance) == 1:
-            F = TensorField(chart, variance, a.fn)
-        else:
-            F = TensorField(chart, variance, lambda c: a.fn(c)[:, :, None] * b.fn(c)[:, None, :])
-        got = covariant_derivative(external_connection(chart, lambda p: gam), F, ENG)(pts)
-        val, jac = ENG.value_and_jacobian(F, pts)
-        assert rel_err(got, covariant_derivative_einsum(gam, val, jac, variance)) <= 1e-13
-
-    def test_rank_cap(self, minkowski):
-        chart, g = minkowski
-        t3 = TensorField(chart, ("d", "d", "d"), eval_fn=lambda pts: np.zeros((len(pts), 4, 4, 4)))
-        with pytest.raises(CapabilityError):
-            covariant_derivative(levi_civita(g, ENG), t3, ENG)
-
-    def test_mixed_variance_leibniz(self, flrw):
-        # nabla of delta^a_b must vanish for any connection
-        chart, g = flrw
-        delta = TensorField(chart, ("u", "d"),
-                            lambda c: ad.stack([ad.stack([0.0 * c[0] + float(i == j)
-                                                          for j in range(4)])
-                                                for i in range(4)]))
-        A = polynomial_covector(chart, np.random.default_rng(3), 0.3)
-        gam = eps_connection(g, A, ENG)
-        got = covariant_derivative(gam, delta, ENG)(chart.sample_points(3, 4, seed=8))
-        assert np.abs(got).max() < 1e-13
+        assert np.allclose(flow_jet(g, n, ENG, pts).div, 0.3, atol=1e-12)
 
 
 class TestNonMetricity:
@@ -256,8 +198,9 @@ class TestNonMetricity:
         A = const_covector(chart, [-0.5, 0, 0, 0])
         gam = eps_connection(g, A, ENG)
         pts = chart.sample_points(3, 8, seed=9)
-        assert np.abs(nonmetricity_residual(gam, g, A, ENG)(pts)).max() < 1e-12
-        assert np.abs(sqrt_det_trace_residual(g, gam, A, ENG, pts)).max() < 1e-12
+        metric, trace = nonmetricity(g, gam, A, pts)
+        assert np.abs(metric).max() < 1e-12
+        assert np.abs(trace).max() < 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -267,22 +210,13 @@ class TestNonMetricity:
         A = polynomial_covector(chart, np.random.default_rng(seed + 1), 0.4)
         gam = eps_connection(g, A, ENG)
         pts = chart.sample_points(2, 6, seed=seed)
-        assert np.abs(nonmetricity_residual(gam, g, A, ENG)(pts)).max() < 1e-9
-        assert np.abs(sqrt_det_trace_residual(g, gam, A, ENG, pts)).max() < 1e-9
-
-    def test_seeded_pair_evaluates_metric_at_most_twice(self, metric_calls):
-        # once inside the connection, once for the metric data of the pair
-        chart = minkowski_chart(4)
-        g = perturbed_metric(minkowski_metric(chart), 0.01, 5)
-        A = polynomial_covector(chart, np.random.default_rng(6), 0.3)
-        gam = eps_connection(g, A, ENG)
-        metric, trace = nonmetricity_residuals(g, gam, A, ENG, chart.sample_points(2, 6, seed=5))
-        assert len(metric_calls) <= 2
-        assert np.abs(metric).max() < 1e-9 and np.abs(trace).max() < 1e-9
+        metric, trace = nonmetricity(g, gam, A, pts)
+        assert np.abs(metric).max() < 1e-9
+        assert np.abs(trace).max() < 1e-9
 
     def test_density_derivative_metric_connection(self, flrw):
         # Levi-Civita transports the volume factor: weight-1 derivative vanishes
         chart, g = flrw
         pts = chart.sample_points(3, 8, seed=10)
-        res = density_divergence_sqrtg(g, levi_civita(g, ENG), ENG, pts)
+        _, res = nonmetricity(g, levi_civita(g, ENG), const_covector(chart, [0.0] * 4), pts)
         assert np.abs(res).max() < 1e-12

@@ -13,17 +13,17 @@ from weylfluid.conservation import (
     QUAD_CHECK_NODES,
     QUAD_NODES,
     SliceSpec,
-    condition_scalars,
-    conservation_condition_residuals,
-    current_divergence,
+    _condition_scalars,
+    _conditions,
+    _decomposition_residuals,
+    _divergence_T,
+    _pair,
     current_identity_residual,
-    decomposition_residuals,
     number_on_slice,
     particle_current,
     raise_indices2,
-    weyl_divergence_T,
 )
-from weylfluid.fluid import fluid_connection, stress_energy
+from weylfluid.fluid import flow_jet, fluid_connection, stress_energy
 from weylfluid.geometry import DerivativeEngine, TensorField, constant_scalar, scalar_field
 from weylfluid.harness import run_suite
 
@@ -34,6 +34,34 @@ from oracles import (
 )
 
 ENG = DerivativeEngine()
+
+
+def suite_arrays(g, n, p, rho, phi, pts, engine=ENG):
+    """The flow jet of ``(g, n, phi)`` and the ``(value, jacobian)`` pairs of
+    ``T^{ab}``, ``p`` and ``rho`` on ``pts``, as the conservation suite forms
+    them for its cores."""
+    jet = flow_jet(g, n, engine, pts, phi)
+    t_up = raise_indices2(g, stress_energy(g, n, p, rho))
+    return (jet, *(_pair(f, engine, jet.pts) for f in (t_up, p, rho)))
+
+
+def divergence_T(g, bundle, T, pts):
+    """``nabla^Gamma_nu T^{mu nu}`` of the bundle's connection on ``pts``."""
+    return _divergence_T(bundle.gamma(pts), ENG.value_and_jacobian(raise_indices2(g, T), pts))
+
+
+def conditions(preset, pts):
+    """``(C1, C2)`` of the preset's fluid on ``pts``."""
+    st = preset.state
+    jet, _, p, rho = suite_arrays(preset.g, st.n, st.p, st.rho, st.phi, pts)
+    return _conditions(jet, p, rho)
+
+
+def contracted_scalars(g, n, p, rho, phi, pts, engine=ENG):
+    """The condition scalars of the ``(g, n, phi)`` bundle and the fluid's
+    ``p`` and ``rho`` on ``pts``, with their closed-form residuals."""
+    jet, t_up, pp, rp = suite_arrays(g, n, p, rho, phi, pts, engine)
+    return _condition_scalars(jet, t_up[0], pp[0], rp[0])
 
 
 @pytest.fixture(scope="module")
@@ -60,13 +88,13 @@ class TestDivergenceT:
         bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
         T = stress_energy(preset.g, st.n, st.p, st.rho)
         pts = preset.chart.sample_points(3, 8, seed=2)
-        assert np.abs(weyl_divergence_T(preset.g, bundle.gamma, T, ENG)(pts)).max() == 0.0
+        assert np.abs(divergence_T(preset.g, bundle, T, pts)).max() == 0.0
 
     def test_reparametrized_dust_against_oracle(self, flat_phi):
         preset, bundle, pts = flat_phi
         st = preset.state
         T = stress_energy(preset.g, st.n, st.p, st.rho)
-        div = weyl_divergence_T(preset.g, bundle.gamma, T, ENG)(pts)
+        div = divergence_T(preset.g, bundle, T, pts)
         # frozen from the index-loop oracle: rho (m+1) phi along the flow
         assert np.allclose(div, [2.5, 0.0, 0.0, 0.0], atol=1e-12)
         t_up = raise_indices2(preset.g, T)
@@ -78,7 +106,7 @@ class TestDivergenceT:
         preset, bundle, pts = flrw_dust
         st = preset.state
         T = stress_energy(preset.g, st.n, st.p, st.rho)
-        div = weyl_divergence_T(preset.g, bundle.gamma, T, ENG)(pts)
+        div = divergence_T(preset.g, bundle, T, pts)
         assert np.abs(div).max() < 1e-12  # conserved preset
         t_up = raise_indices2(preset.g, T)
         ref = divergence_T_fd(preset.g, bundle.gamma,
@@ -91,34 +119,31 @@ class TestConditionResiduals:
         preset = build("minkowski-dust-rest")
         st = preset.state
         pts = preset.chart.sample_points(3, 8, seed=3)
-        c1, c2 = conservation_condition_residuals(
-            preset.g, st.n, st.p, st.rho, st.phi, ENG)
-        assert np.abs(c1(pts)).max() == 0.0
-        assert np.abs(c2(pts)).max() == 0.0
+        c1, c2 = conditions(preset, pts)
+        assert np.abs(c1).max() == 0.0
+        assert np.abs(c2).max() == 0.0
 
     def test_reparametrized_dust_value(self, flat_phi):
         # frozen from the index-loop oracle: C1 = rho (m+1) phi = 2.5
         preset, bundle, pts = flat_phi
         st = preset.state
-        c1, c2 = conservation_condition_residuals(
-            preset.g, st.n, st.p, st.rho, st.phi, ENG)
-        assert np.allclose(c1(pts), 2.5, atol=1e-13)
-        assert np.abs(c2(pts)).max() < 1e-13
+        c1, c2 = conditions(preset, pts)
+        assert np.allclose(c1, 2.5, atol=1e-13)
+        assert np.abs(c2).max() < 1e-13
 
     def test_constant_pressure_fluid(self):
         preset = build("minkowski-radiation", {"phi": 0.0})
         st = preset.state
         pts = preset.chart.sample_points(3, 8, seed=4)
-        c1, c2 = conservation_condition_residuals(
-            preset.g, st.n, st.p, st.rho, st.phi, ENG)
-        assert np.abs(c1(pts)).max() < 1e-14
-        assert np.abs(c2(pts)).max() < 1e-14
+        c1, c2 = conditions(preset, pts)
+        assert np.abs(c1).max() < 1e-14
+        assert np.abs(c2).max() < 1e-14
 
     def test_decomposition_signs(self, flat_phi):
         preset, bundle, pts = flat_phi
         st = preset.state
-        flow, ortho = decomposition_residuals(
-            preset.g, st.n, st.p, st.rho, st.phi, ENG, pts)
+        flow, ortho = _decomposition_residuals(
+            *suite_arrays(preset.g, st.n, st.p, st.rho, st.phi, pts))
         assert np.abs(flow).max() < 1e-12
         assert np.abs(ortho).max() < 1e-12
 
@@ -126,8 +151,8 @@ class TestConditionResiduals:
         preset = build("flrw-radiation")
         st = preset.state
         pts = preset.chart.sample_points(3, 8, seed=5)
-        flow, ortho = decomposition_residuals(
-            preset.g, st.n, st.p, st.rho, st.phi, ENG, pts)
+        flow, ortho = _decomposition_residuals(
+            *suite_arrays(preset.g, st.n, st.p, st.rho, st.phi, pts))
         assert np.abs(flow).max() < 1e-10
         assert np.abs(ortho).max() < 1e-10
 
@@ -156,7 +181,7 @@ class TestParticleCurrent:
         jv = J(pts)
         assert np.abs(jv[:, 0] + 1.0).max() < 1e-12  # - a^3 rho = -1 for all t
         assert np.abs(jv[:, 1:]).max() < 1e-12
-        assert np.abs(current_divergence(J, ENG)(pts)).max() < 1e-12
+        assert np.abs(np.einsum("naa->n", ENG.jacobian(J, pts))).max() < 1e-12
 
     def test_linear_density_divergence(self):
         preset = build("minkowski-dust-rest")
@@ -166,7 +191,7 @@ class TestParticleCurrent:
         T = stress_energy(preset.g, st.n, st.p, rho)
         J = particle_current(preset.g, T, st.n)
         pts = chart.sample_points(3, 8, seed=7)
-        div = current_divergence(J, ENG)(pts)
+        div = np.einsum("naa->n", ENG.jacobian(J, pts))
         assert np.allclose(div, -0.1, atol=1e-13)
         ref = vector_divergence_fd(J, pts[0])
         assert div[0] == pytest.approx(ref, abs=1e-9)
@@ -289,8 +314,7 @@ class TestConditionScalars:
         # pressureless: transport scalar reduces to rho phi
         preset, bundle, pts = flat_phi
         st = preset.state
-        cs = condition_scalars(
-            preset.g, st.n, st.p, st.rho, st.phi, ENG, pts)
+        cs = contracted_scalars(preset.g, st.n, st.p, st.rho, st.phi, pts)
         assert np.allclose(cs.s1, 0.5, atol=1e-13)
         assert np.allclose(cs.s2, 0.5, atol=1e-13)
         assert np.abs(cs.s1_residual).max() < 1e-13
@@ -300,16 +324,14 @@ class TestConditionScalars:
         preset = build("minkowski-dust-phi", {"rho0": 2.0})
         st = preset.state
         pts = preset.chart.sample_points(3, 4, seed=8)
-        cs = condition_scalars(
-            preset.g, st.n, st.p, st.rho, st.phi, ENG, pts)
+        cs = contracted_scalars(preset.g, st.n, st.p, st.rho, st.phi, pts)
         assert np.allclose(cs.s1, 1.0, atol=1e-13)  # rho phi = 2 * 0.5
 
     def test_vanishing_case(self):
         preset = build("minkowski-radiation", {"phi": 0.0})
         st = preset.state
         pts = preset.chart.sample_points(3, 4, seed=9)
-        cs = condition_scalars(
-            preset.g, st.n, st.p, st.rho, st.phi, ENG, pts)
+        cs = contracted_scalars(preset.g, st.n, st.p, st.rho, st.phi, pts)
         assert np.abs(cs.s1).max() < 1e-14
         assert np.abs(cs.s2).max() < 1e-14
 
@@ -324,8 +346,7 @@ class TestConditionScalars:
         rho = constant_scalar(chart, 1.0)
         bundle = fluid_connection(preset.g, st.n, st.phi, ENG)
         pts = chart.sample_points(3, 4, seed=10)
-        cs = condition_scalars(
-            preset.g, st.n, p, rho, st.phi, ENG, pts)
+        cs = contracted_scalars(preset.g, st.n, p, rho, st.phi, pts)
         assert np.allclose(cs.s1, 0.54, atol=1e-12)
         assert np.abs(cs.s1_residual).max() < 1e-12
 
@@ -377,7 +398,8 @@ class TestCurrentIdentity:
         # through the suite context the decomposition and the condition
         # scalars read the shared jet, of the context's engine, while the
         # current identity takes its own Richardson-level engine and jet;
-        # each record is the public function's residual bit for bit
+        # each record is bit for bit the residual of its core on arrays
+        # formed apart from the context, or of the public current identity
         preset = build("flrw-power-dust")
         engine = DerivativeEngine(mode="central-difference")
         pts = preset.chart.sample_points(2, 8, seed=3)
@@ -385,8 +407,9 @@ class TestCurrentIdentity:
                    for c in suites.conservation_suite(suites.SuiteContext(preset, engine, pts))}
         g, st = preset.g, preset.state
         T = stress_energy(g, st.n, st.p, st.rho)
-        flow, ortho = decomposition_residuals(g, st.n, st.p, st.rho, st.phi, engine, pts)
-        cs = condition_scalars(g, st.n, st.p, st.rho, st.phi, engine, pts)
+        flow, ortho = _decomposition_residuals(
+            *suite_arrays(g, st.n, st.p, st.rho, st.phi, pts, engine))
+        cs = contracted_scalars(g, st.n, st.p, st.rho, st.phi, pts, engine)
         public = {
             "current-divergence-identity": current_identity_residual(
                 g, T, st.n, st.phi, engine)(pts),
@@ -400,23 +423,23 @@ class TestCurrentIdentity:
 
 
 class TestWorkGuards:
-    """Each residual of the flow-built bundle reads one flow jet per call."""
+    """Each residual of the flow-built bundle reads one flow jet per call:
+    the cores evaluate no metric beyond the jet the suite forms for them."""
 
     @pytest.mark.parametrize("residual", ["condition_scalars", "decomposition_residuals",
                                           "C1", "C2", "current_identity_residual"])
     def test_one_metric_evaluation_per_call(self, flrw_dust, metric_calls, residual):
         preset, _, pts = flrw_dust
         g, st = preset.g, preset.state
-        c1, c2 = conservation_condition_residuals(g, st.n, st.p, st.rho, st.phi, ENG)
         identity = current_identity_residual(
             g, stress_energy(g, st.n, st.p, st.rho), st.n, st.phi, ENG)
         call = {
-            "condition_scalars": lambda: condition_scalars(
-                g, st.n, st.p, st.rho, st.phi, ENG, pts),
-            "decomposition_residuals": lambda: decomposition_residuals(
-                g, st.n, st.p, st.rho, st.phi, ENG, pts),
-            "C1": lambda: c1(pts),
-            "C2": lambda: c2(pts),
+            "condition_scalars": lambda: contracted_scalars(
+                g, st.n, st.p, st.rho, st.phi, pts),
+            "decomposition_residuals": lambda: _decomposition_residuals(
+                *suite_arrays(g, st.n, st.p, st.rho, st.phi, pts)),
+            "C1": lambda: conditions(preset, pts)[0],
+            "C2": lambda: conditions(preset, pts)[1],
             "current_identity_residual": lambda: identity(pts),
         }[residual]
         before = len(metric_calls)
@@ -448,6 +471,6 @@ class TestWorkGuards:
         monkeypatch.setattr(connections, "eps_shift", lambda ginv, gval, aval: np.full(
             (len(aval),) + (aval.shape[1],) * 3, np.nan))
         with pytest.raises(ValueError, match="connection .* is not finite"):
-            condition_scalars(g, st.n, st.p, st.rho, st.phi, ENG, pts)
+            contracted_scalars(g, st.n, st.p, st.rho, st.phi, pts)
         with pytest.raises(ValueError, match="connection .* is not finite"):
-            decomposition_residuals(g, st.n, st.p, st.rho, st.phi, ENG, pts)
+            _decomposition_residuals(*suite_arrays(g, st.n, st.p, st.rho, st.phi, pts))

@@ -22,12 +22,9 @@ from weylfluid.geometry import (
     Chart,
     DerivativeEngine,
     MetricField,
-    grad_scalar,
     inverse_trace,
     metric_aux,
-    metric_data,
     normalize_timelike,
-    lower_index,
     scalar_field,
     unit_jet,
     vector_field,
@@ -69,48 +66,50 @@ class TestChart:
 
 
 class TestGradScalar:
+    """The engine's coordinate gradient of a scalar field."""
+
     def setup_method(self):
         self.chart = minkowski_chart(4)
 
     def test_constant(self):
         f = scalar_field(self.chart, lambda c: 0.0 * c[0] + 5.0)
         for eng in (AD, FD):
-            assert np.allclose(grad_scalar(eng, f, [[0.1, 0.2, 0.3, 0.4]]), 0.0)
+            assert np.allclose(eng.jacobian(f, [[0.1, 0.2, 0.3, 0.4]]), 0.0)
 
     def test_bilinear(self):
         f = scalar_field(self.chart, lambda c: c[0] * c[1])
         x = np.array([[0.5, 0.25, 0.0, 0.0]])
-        g = grad_scalar(AD, f, x)[0]
+        g = AD.jacobian(f, x)[0]
         assert np.allclose(g, [0.25, 0.5, 0.0, 0.0], atol=1e-15)
 
     def test_exponential_profile(self):
         f = scalar_field(self.chart, lambda c: ad.exp(0.1 * c[0]))
         x = np.array([[0.0, 0.3, -0.2, 0.1]])
         expect = np.array([0.1, 0.0, 0.0, 0.0])
-        assert np.allclose(grad_scalar(AD, f, x)[0], expect, atol=1e-15)
-        assert np.allclose(grad_scalar(FD, f, x)[0], expect, atol=1e-10)
+        assert np.allclose(AD.jacobian(f, x)[0], expect, atol=1e-15)
+        assert np.allclose(FD.jacobian(f, x)[0], expect, atol=1e-10)
 
     def test_fd_stencil_domain_exit(self):
         f = scalar_field(self.chart, lambda c: c[0])
         at_edge = np.array([[1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(DomainExitError, match="'t'"):
-            grad_scalar(FD, f, at_edge)
+            FD.jacobian(f, at_edge)
 
     def test_fd_step_that_moves_no_coordinate_is_refused(self):
         # 0.5 + 8e-17 rounds up to the next double, but 0.5 + 4e-17 rounds
         # back to 0.5: the Richardson half step would difference x with itself
         f = scalar_field(self.chart, lambda c: c[1])
         x = np.array([[0.0, 0.5, 0.0, 0.0]])
-        assert grad_scalar(DerivativeEngine("central-difference", 8e-17), f, x)[0, 1] != 0.0
+        assert DerivativeEngine("central-difference", 8e-17).jacobian(f, x)[0, 1] != 0.0
         with pytest.raises(ValueError, match=r"h = 4e-17 leaves coordinate 'x' of point"):
-            grad_scalar(DerivativeEngine("central-difference", 8e-17, 1), f, x)
+            DerivativeEngine("central-difference", 8e-17, 1).jacobian(f, x)
 
     def test_dual_matches_analytic_to_rounding(self):
         # forward-dual derivatives of a polynomial are exact to a few ulp
         f = scalar_field(self.chart,
                          lambda c: 2.0 + 3.0 * c[0] - c[1] * c[1] + c[0] * c[1] * c[2])
         pts = self.chart.sample_points(per_axis=3, extra=16, seed=3)
-        got = grad_scalar(AD, f, pts)
+        got = AD.jacobian(f, pts)
         t, x, y = pts[:, 0], pts[:, 1], pts[:, 2]
         analytic = np.stack([3.0 + x * y, -2.0 * x + t * y, t * x, 0.0 * t], axis=1)
         assert np.abs(got - analytic).max() < 10 * np.finfo(float).eps
@@ -122,7 +121,7 @@ class TestGradScalar:
         pts = chart.sample_points(per_axis=3, extra=4, seed=1)
         for k in range(20):
             f = polynomial_scalar(chart, rng, 1.0)
-            got = grad_scalar(AD, f, pts)
+            got = AD.jacobian(f, pts)
             for i in (0, len(pts) // 2):
                 ref = fd_gradient(lambda x: f(x[None, :])[0], pts[i], h=1e-5)
                 assert np.allclose(got[i], ref, atol=2e-6)
@@ -134,7 +133,7 @@ class TestGradScalar:
         worst = 0.0
         for _ in range(20):
             f = polynomial_scalar(chart, rng, 1.0)
-            worst = max(worst, np.abs(grad_scalar(AD, f, pts) - grad_scalar(FD, f, pts)).max())
+            worst = max(worst, np.abs(AD.jacobian(f, pts) - FD.jacobian(f, pts)).max())
         assert worst < max(Tolerances().tol_fd, 1e-6)
 
 
@@ -180,25 +179,24 @@ class TestMetricData:
     def test_minkowski(self):
         chart = minkowski_chart(4)
         g = minkowski_metric(chart)
-        inv, sq = metric_data(g, [[0.1, 0.2, -0.3, 0.0]])
-        assert np.allclose(inv[0], np.diag([-1.0, 1, 1, 1]))
-        assert sq[0] == pytest.approx(1.0)
+        data = metric_aux(g, [[0.1, 0.2, -0.3, 0.0]])
+        assert np.allclose(data.inv[0], np.diag([-1.0, 1, 1, 1]))
+        assert data.sqrt_det[0] == pytest.approx(1.0)
 
     def test_flrw_volume_factor(self):
         chart = flrw_chart(4, t_interval=(-1.0, 11.0))
         g = flrw_metric(chart, "exp", 0.1)
-        inv, sq = metric_data(g, [[0.0, 0.0, 0.0, 0.0]])
-        assert np.allclose(inv[0], np.diag([-1.0, 1, 1, 1]), atol=1e-15)
-        assert sq[0] == pytest.approx(1.0)
-        _, sq10 = metric_data(g, [[10.0, 0.0, 0.0, 0.0]])
-        assert sq10[0] == pytest.approx(np.e**3, rel=1e-12)
+        data = metric_aux(g, [[0.0, 0.0, 0.0, 0.0]])
+        assert np.allclose(data.inv[0], np.diag([-1.0, 1, 1, 1]), atol=1e-15)
+        assert data.sqrt_det[0] == pytest.approx(1.0)
+        assert metric_aux(g, [[10.0, 0.0, 0.0, 0.0]]).sqrt_det[0] == pytest.approx(
+            np.e**3, rel=1e-12)
 
     def test_inverse_identity_residual(self):
         chart = flrw_chart(4)
         g = flrw_metric(chart, "exp", 0.1)
         pts = chart.sample_points(per_axis=4, extra=16, seed=0)
-        inv, _ = metric_data(g, pts)
-        res = np.einsum("nab,nbc->nac", inv, g(pts)) - np.eye(4)
+        res = np.einsum("nab,nbc->nac", metric_aux(g, pts).inv, g(pts)) - np.eye(4)
         assert np.abs(res).max() < 1e-12
 
     def test_signature_check_rejects_riemannian(self):
@@ -238,7 +236,7 @@ class TestMetricData:
             ad.stack([0.0 * c[0], 0.0 * c[0], 0.0 * c[0] + 1.0]),
         ]))
         with pytest.raises(SingularMetricError):
-            metric_data(degenerate, [[0.0, 0.2, 0.1]])
+            metric_aux(degenerate, [[0.0, 0.2, 0.1]])
 
 
 def perturbed_batch(n, m, seed=0):
@@ -358,5 +356,5 @@ class TestNormalizeTimelike:
 
     def test_lower_index_roundtrip(self):
         v = self._const_vector([1.0, 0.2, -0.4, 0.0])
-        low = lower_index(self.g, v)
-        assert np.allclose(low(self.pts), [-1.0, 0.2, -0.4, 0.0])
+        low = flow_jet(self.g, v, AD, self.pts).n_low
+        assert np.allclose(low, [-1.0, 0.2, -0.4, 0.0])

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from weylfluid import autodiff as ad, conformal, fluid, suites
+from weylfluid import autodiff as ad, conformal, fluid, suites, worldlines
 from weylfluid.catalog import build
 from weylfluid.conservation import VectorDensityField
 from weylfluid.errors import WeylFluidError
@@ -150,6 +150,57 @@ def _frame_scalar_shifted(ctx, monkeypatch):
                         lambda chart, c, name="": constant(chart, c + 1e-3, name))
 
 
+def _metric_bumped(ctx, monkeypatch):
+    # a non-conformal bump in the metric values of each ray's flow jet: the
+    # null tangents are not null for the metric the first integral reads
+    form = suites.flow_jet
+
+    def planted(*args, **kwargs):
+        jet = form(*args, **kwargs)
+        bump = np.zeros_like(jet.data.val)
+        bump[:, 1, 1] = 1e-3
+        return dataclasses.replace(jet, data=dataclasses.replace(jet.data, val=jet.data.val + bump))
+
+    monkeypatch.setattr(suites, "flow_jet", planted)
+
+
+def _deformation_off_parallel(ctx, monkeypatch):
+    # a term Gamma^0_11 in the deformation of the metric connection, which
+    # moves each ray's transport defect off its tangent
+    shift = suites.eps_shift
+
+    def planted(ginv, gval, aval):
+        out = shift(ginv, gval, aval)
+        out[:, 0, 1, 1] += 1e-3
+        return out
+
+    monkeypatch.setattr(suites, "eps_shift", planted)
+
+
+def _sheared_paths(monkeypatch, kind):
+    # every path of the batch of that kind sheared off its start along x by
+    # 1e-3 per unit parameter, so it leaves the trajectory it is compared with
+    integrate = suites.integrate_fluid_worldlines
+
+    def planted(g, n, phi, engine, kinds, *args):
+        paths = integrate(g, n, phi, engine, kinds, *args)
+        bump = np.eye(g.chart.dim)[1]
+        for path, row in zip(paths, kinds):
+            if row == kind:
+                path.points = path.points + 1e-3 * path.s[:, None] * bump
+        return paths
+
+    monkeypatch.setattr(suites, "integrate_fluid_worldlines", planted)
+
+
+def _null_rays_sheared(ctx, monkeypatch):
+    _sheared_paths(monkeypatch, worldlines.NULL_GEODESIC)
+
+
+def _flow_line_sheared(ctx, monkeypatch):
+    _sheared_paths(monkeypatch, worldlines.FLOW_LINE)
+
+
 @pytest.mark.parametrize("suite, check, plant", [
     ("connection", "torsion-free", _skew_connection),
     ("connection", "nonmetricity", _stale_covector),
@@ -171,6 +222,7 @@ def _frame_scalar_shifted(ctx, monkeypatch):
     ("conservation", "divergence-decomposition-orthogonal", _stress_energy_perturbed),
     ("conservation", "current-divergence-identity", _stress_energy_perturbed),
     ("conservation", "condition-scalar-covector", _stale_covector),
+    ("conservation", "condition-scalar-transport", _stress_energy_perturbed),
     ("frame", "frame-transport", _source_scaled),
     ("frame", "frame-closed-form", _source_scaled),
     ("frame", "incompressibility", _source_scaled),
@@ -178,13 +230,17 @@ def _frame_scalar_shifted(ctx, monkeypatch):
     ("frame", "preferred-geodesic-defect", _defect_scalar_shifted),
     ("frame", "preferred-scalar-transport", _frame_scalar_shifted),
     ("frame", "preferred-scalar-covector", _frame_scalar_shifted),
+    ("worldlines", "null-first-integral", _metric_bumped),
+    ("worldlines", "null-compatibility-defect", _deformation_off_parallel),
+    ("worldlines", "null-trajectory-coincidence", _null_rays_sheared),
+    ("worldlines", "flow-line-trajectory", _flow_line_sheared),
 ])
 def test_planted_defect_fails_the_check(suite, check, plant, monkeypatch):
     preset = build("flrw-comoving-dust")
 
     def run(planted):
         ctx = suites.SuiteContext(preset, DerivativeEngine(), preset.chart.sample_points(2, 8, 3),
-                                  nonmetricity_pairs=1, seeded_factors=2)
+                                  nonmetricity_pairs=1, seeded_factors=2, rays=3)
         if planted:
             plant(ctx, monkeypatch)
         return {c.name: c for c in suites.SUITES[suite](ctx)}[check]
