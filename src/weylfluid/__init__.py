@@ -1,9 +1,10 @@
 """Weyl geometries sourced by relativistic perfect fluids.
 
 Construction of the compatible connection induced by a fluid flow on a
-Lorentzian chart, conformal gauge transport of the whole bundle, and
-numerical verification of the geodesy, conservation, current-invariance and
-preferred-frame identities that tie them together.
+Lorentzian chart, transport of the metric and fluid along the gauge orbit
+of a log factor ``ln Phi`` (``g -> exp(2 ln Phi) g``, ``A -> A + d ln Phi``),
+and numerical verification of the geodesy, conservation, current-invariance
+and preferred-frame identities that tie them together.
 """
 
 from .geometry import (
@@ -33,20 +34,14 @@ from .fluid import (
 )
 from .conservation import (
     SliceSpec,
-    VectorDensityField,
     current_identity_residual,
     number_on_slice,
     particle_current,
 )
 from .conformal import (
-    ConformalFactor,
-    ConformalWeights,
     FrameFactor,
     conformal_rescale,
-    current_invariance_check,
-    incompressibility_residual,
     preferred_frame,
-    rescaled_stress_energy_check,
 )
 from .worldlines import (
     WorldlinePath,

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .conformal import FRAME_TOL, ConformalFactor, FrameFactor, preferred_frame
+from .conformal import FRAME_TOL, FrameFactor, preferred_frame
 from .conservation import SliceSpec
 from .errors import ConstructionError
 from .fluid import FluidState
@@ -37,7 +37,7 @@ from .geometry import (
 @dataclass(frozen=True)
 class PresetMeta:
     """Suite hints a preset records about itself; ``closed_frame`` maps a
-    seed-slice value to the closed-form frame factor."""
+    seed-slice value to the closed-form log factor ``ln Phi`` of the frame."""
 
     conserved: bool
     slice_axis: int
@@ -151,11 +151,11 @@ def polynomial_covector(chart: Chart, rng, scale: float, name: str = "A(poly)") 
 _FACTOR_SCALE = 0.2  # coefficient size of a seeded factor's log polynomial
 
 
-def seeded_positive_factor(chart: Chart, seed: int) -> ConformalFactor:
-    """Gauge factor ``exp(polynomial)``, strictly positive and dual-capable."""
+def seeded_positive_factor(chart: Chart, seed: int) -> TensorField:
+    """The log ``ln Phi`` of a seeded gauge factor: a polynomial, so that
+    ``Phi = exp(ln Phi)`` is strictly positive and dual-capable."""
     rng = np.random.default_rng(seed)
-    ln = polynomial_scalar(chart, rng, _FACTOR_SCALE, name=f"lnPhi(seed={seed})")
-    return ConformalFactor.from_log(ln)
+    return polynomial_scalar(chart, rng, _FACTOR_SCALE, name=f"lnPhi(seed={seed})")
 
 
 def perturbed_metric(base: MetricField, eps: float, seed: int) -> MetricField:
@@ -291,17 +291,17 @@ def _flrw_conserved_density(chart, kind, param, rho0):
 
 
 def _flrw_closed_frame(chart, kind, param):
-    """Closed-form incompressible-gauge factor for a comoving cosmology:
+    """Closed-form incompressible-gauge log factor for a comoving cosmology:
     ``ln Phi = ln a(t0) - ln a(t)``, parametrized by the seed-slice time."""
 
-    def build(t0: float) -> ConformalFactor:
+    def build(t0: float) -> TensorField:
         if kind == "exp":
             def fn(coords):
                 return param * (t0 - coords[0])
         else:
             def fn(coords):
                 return param * (math.log(t0) - ad.log(coords[0]))
-        return ConformalFactor.from_log(scalar_field(chart, fn, name="lnPhi(frame)"))
+        return scalar_field(chart, fn, name="lnPhi(frame)")
 
     return build
 

@@ -1,7 +1,9 @@
-"""Conformal rescaling of the whole geometric bundle, invariance checks,
-and the preferred-frame solver.
+"""Conformal rescaling of the metric and fluid along the gauge orbit, and
+the preferred-frame solver.
 
-Rescaling by a positive factor ``Phi`` acts as
+A Weyl gauge transformation is parametrized by the log factor ``ln Phi``
+alone (Folland, "Weyl manifolds", J. Differential Geom. 4, 1970); with
+``Phi = exp(ln Phi)``, positive by construction, it acts as
 
     g   -> Phi^2 g          n   -> n / Phi
     A   -> A + d ln Phi     phi -> (phi - n^a d_a ln Phi) / Phi
@@ -34,7 +36,6 @@ solved, so each node is transported once.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,64 +47,25 @@ from .interpolation import (
     error_estimate,
     interpolate,
 )
-from .connections import eps_connection
 from .conservation import SliceSpec
-from .errors import GaugeError, ReachabilityError, TransversalityError, WeylFluidError
-from .fluid import FlowJet, FluidState, WeylBundle, flow_jet
+from .errors import ReachabilityError, TransversalityError, WeylFluidError
+from .fluid import FlowJet, FluidState, flow_jet
 from .geometry import DerivativeEngine, MetricData, MetricField, TensorField, scalar_field
 from .integrators import integrate_adaptive
 
 
-_LOG_TOL = 1e-12  # largest |ln - log(phi)| that ConformalFactor.validate accepts
-
-
-class ConformalFactor:
-    """A positive gauge factor together with its cached logarithm.
-
-    A closed-form factor, the solved frame factor among them (its log is
-    the memo grid's spline, whose component function differentiates
-    itself), stays dual-differentiable; a factor built from a numeric
-    field is differentiated by central differences only.
-    """
-
-    def __init__(self, phi: TensorField, ln: TensorField):
-        self.phi = phi
-        self.ln = ln
-        self.chart = phi.chart
-
-    @classmethod
-    def from_scalar(cls, phi: TensorField) -> "ConformalFactor":
-        return cls(phi, scalar_field(phi.chart, lambda c: ad.log(phi.fn(c)),
-                                     name=f"ln({phi.name})"))
-
-    @classmethod
-    def from_log(cls, ln: TensorField) -> "ConformalFactor":
-        return cls(_exp(ln), ln)
-
-    def validate(self, pts) -> None:
-        v = self.phi(pts)
-        if np.any(v <= 0.0):
-            k = int(np.argmax(v <= 0.0))
-            raise GaugeError(f"conformal factor {v[k]:.6g} <= 0 at point {np.asarray(pts)[k]}")
-        worst = float(np.max(np.abs(self.ln(pts) - np.log(v))))
-        if worst > _LOG_TOL:
-            raise GaugeError(f"cached log is inconsistent with the factor: {worst:.3e}")
-
-
-def _exp(ln: TensorField) -> TensorField:
-    return scalar_field(ln.chart, lambda c: ad.exp(ln.fn(c)), name=f"exp({ln.name})")
-
-
-class FrameFactor(ConformalFactor):
-    """The solved preferred-frame factor: the log factor interpolating
-    ``grid_values`` on the memo grid spanned by ``grid_axes``, and
+class FrameFactor:
+    """The solved preferred-frame gauge: ``ln``, the log factor interpolating
+    ``grid_values`` on the memo grid spanned by ``grid_axes`` (the grid's
+    spline differentiates itself, so ``ln`` stays dual-differentiable), and
     ``solve_at``, the direct solve of the log factor at given points.
     ``estimate`` holds the per-axis error estimates the grid was sized by; a
     4-node axis keeps the estimate of the 7-node axis it was halved from, as
     it has too few nodes to be estimated again."""
 
     def __init__(self, ln: TensorField, grid_axes, grid_values, solve_at, estimate):
-        super().__init__(_exp(ln), ln)
+        self.ln = ln
+        self.chart = ln.chart
         self.grid_axes = grid_axes
         self.grid_values = grid_values
         self.solve_at = solve_at
@@ -123,107 +85,60 @@ class FrameFactor(ConformalFactor):
                 writer.writerow([f"{x:.17g}" for x in row] + [f"{val:.17g}"])
 
 
-@dataclass(frozen=True)
-class ConformalWeights:
-    """Scaling exponents of the thermodynamic scalars and their derived
-    tensor weights.  The admissible value is ``w = 1 - m`` (current weight
-    zero); anything else is only useful as a negative control."""
-
-    m: int
-    w: int = None
-
-    def __post_init__(self):
-        if self.w is None:
-            object.__setattr__(self, "w", 1 - self.m)
-
-    @property
-    def stress_weight(self) -> int:
-        return self.w + 2
-
-    @property
-    def current_weight(self) -> int:
-        return self.m + self.w - 1
+def _admissible_weight(m: int) -> int:
+    """The density weight ``w = 1 - m`` of ``p`` and ``rho``, under which the
+    particle current is a fixed point of the orbit (and ``T_ab`` carries
+    ``Phi^(3-m)``); any other weight is only useful as a negative control."""
+    return 1 - m
 
 
-def _pow_scale(field: TensorField, factor: ConformalFactor, power: float, name: str):
-    """Multiply a scalar/vector/tensor field by ``Phi**power``."""
-    phi = factor.phi
+def _pow_scale(field: TensorField, ln: TensorField, power: float, name: str):
+    """Multiply a scalar/vector/tensor field by ``Phi**power``, with
+    ``Phi = exp(ln)``."""
     # the factor's values broadcast over the component axes
     axes = (slice(None),) + (None,) * field.rank
 
     def fn(coords):
-        return field.fn(coords) * (phi.fn(coords) ** power)[axes]
+        return field.fn(coords) * (ad.exp(ln.fn(coords)) ** power)[axes]
 
     return TensorField(field.chart, field.variance, fn, name=name)
 
 
 def conformal_rescale(
-    bundle: WeylBundle,
+    g: MetricField,
     state: FluidState,
-    factor: ConformalFactor,
+    ln: TensorField,
     engine: DerivativeEngine,
-    weights: ConformalWeights = None,
-    check_pts=None,
+    w: int = None,
 ):
-    """Push the whole bundle along the gauge orbit.
+    """Push the metric and fluid along the gauge orbit of the log factor
+    ``ln = ln Phi``.
 
-    Returns the rescaled ``(WeylBundle, FluidState)``.  With the default
-    weights the connection, the current and slice counts are unchanged;
-    ``weights`` may be overridden for negative controls.  When
-    ``check_pts`` is given the factor is validated there first
-    (:class:`GaugeError` on non-positive values).
+    Returns the rescaled ``(g~, FluidState~)``.  With the default density
+    weight ``w = 1 - m`` the connection, the current and slice counts are
+    unchanged; ``w`` may be overridden for negative controls.  The rescaled
+    covector ``A + d ln Phi`` on a batch is :func:`_shifted_covector`.
     """
-    m = bundle.g.chart.dim
-    if weights is None:
-        weights = ConformalWeights(m)
-    if check_pts is not None:
-        factor.validate(check_pts)
-    phi_f, ln_f = factor.phi, factor.ln
-
-    g2_scaled = _pow_scale(bundle.g, factor, 2.0, name=f"{bundle.g.name}~")
-    g2 = MetricField(bundle.g.chart, g2_scaled.fn, name=g2_scaled.name)
-    n2 = _pow_scale(state.n, factor, -1.0, name=f"{state.n.name}~")
-    p2 = _pow_scale(state.p, factor, float(weights.w), name=f"{state.p.name}~")
-    rho2 = _pow_scale(state.rho, factor, float(weights.w), name=f"{state.rho.name}~")
-
-    A = bundle.A
-
-    def a2_eval(pts):
-        return _shifted_covector(A(pts), ln_f, engine, pts)
-
-    A2 = TensorField(bundle.g.chart, ("d",), eval_fn=a2_eval, name=f"{A.name}~")
+    if w is None:
+        w = _admissible_weight(g.chart.dim)
+    name = f"{g.name}~"
+    g2 = MetricField(g.chart, _pow_scale(g, ln, 2.0, name=name).fn, name=name)
+    n2 = _pow_scale(state.n, ln, -1.0, name=f"{state.n.name}~")
+    p2 = _pow_scale(state.p, ln, float(w), name=f"{state.p.name}~")
+    rho2 = _pow_scale(state.rho, ln, float(w), name=f"{state.rho.name}~")
 
     def phi2_eval(pts):
-        dln = engine.jacobian(ln_f, pts)
-        return (state.phi(pts) - np.einsum("na,na->n", state.n(pts), dln)) / phi_f(pts)
+        dln = engine.jacobian(ln, pts)
+        return (state.phi(pts) - np.einsum("na,na->n", state.n(pts), dln)) / np.exp(ln(pts))
 
-    phi2 = scalar_field(bundle.g.chart, eval_fn=phi2_eval, name=f"{state.phi.name}~")
-
-    bundle2 = WeylBundle(g=g2, A=A2, gamma=eps_connection(g2, A2, engine))
-    state2 = FluidState(n=n2, p=p2, rho=rho2, phi=phi2)
-    return bundle2, state2
+    phi2 = scalar_field(g.chart, eval_fn=phi2_eval, name=f"{state.phi.name}~")
+    return g2, FluidState(n=n2, p=p2, rho=rho2, phi=phi2)
 
 
 def _shifted_covector(a: np.ndarray, ln: TensorField, engine: DerivativeEngine, pts) -> np.ndarray:
     """The rescaled covector ``A + d ln Phi`` on ``pts`` from the values
-    ``a`` of ``A`` there; the one home of that shift, so a caller that
-    holds ``A``'s values gets the rescaled bundle's covector bit for bit."""
+    ``a`` of ``A`` there; the one home of that shift."""
     return a + engine.jacobian(ln, pts)
-
-
-def rescaled_stress_energy_check(
-    T: TensorField, T2: TensorField, factor: ConformalFactor, pts
-) -> float:
-    """Max-norm of ``T~ - Phi^(3-m) T``; zero exactly when the rescale used
-    the admissible weight (and identically in dimension three)."""
-    m = T.chart.dim
-    scale = factor.phi(pts) ** (3 - m)
-    return float(np.max(np.abs(T2(pts) - scale[:, None, None] * T(pts))))
-
-
-def current_invariance_check(J: TensorField, J2: TensorField, pts) -> float:
-    """Max-norm of ``J~ - J`` over the sample batch."""
-    return float(np.max(np.abs(J2(pts) - J(pts))))
 
 
 # -- preferred frame ---------------------------------------------------------
@@ -432,9 +347,12 @@ def preferred_frame(
                   else (c + 1) // 2 if c == ESTIMATE_NODES and estimate[j] <= target / 16
                   else c for j, c in enumerate(counts)]
         if np.prod(counts) > _MAX_NODES:
-            raise WeylFluidError("frame memo grid past the ceiling of {} nodes: {}".format(
-                _MAX_NODES, ", ".join(f"axis {g.chart.names[j]!r} at {len(axes[j])} nodes "
-                                      f"estimates {estimate[j]:.3g}" for j in coarse)))
+            raise WeylFluidError(
+                "frame memo grid past the ceiling of {} nodes: {}; each axis must estimate at "
+                "most 0.1 * tol = {:.3g}, with tol = {:.3g} from [tolerances] frame".format(
+                    _MAX_NODES, ", ".join(f"axis {g.chart.names[j]!r} at {len(axes[j])} nodes "
+                                          f"estimates {estimate[j]:.3g}" for j in coarse),
+                    target, tol))
         axes, values = transport.memo_grid(counts, (axes, values))
         fresh = error_estimate(axes, values)
         estimate = np.where(np.isnan(fresh), estimate, fresh)
@@ -470,11 +388,3 @@ def _rescaled_jet(jet: FlowJet, ln: np.ndarray, dln: np.ndarray, phi: TensorFiel
     n = jet.n / scale[:, None]
     dn = (jet.dn - jet.n[:, :, None] * dln[:, None, :]) / scale[:, None, None]
     return FlowJet(rescaled, n, dn, phi, jet.pts)
-
-
-def incompressibility_residual(g2: MetricField, n2: TensorField, engine: DerivativeEngine) -> TensorField:
-    """Metric divergence of the rescaled flow, ``nabla^{g~}_a n~^a``."""
-
-    return scalar_field(g2.chart, eval_fn=lambda pts: flow_jet(g2, n2, engine, pts).div,
-                        name="incompressibility-residual")
-

@@ -41,9 +41,6 @@ class ConnectionField:
         pts = self.chart.as_points(pts)
         return require_finite(np.asarray(self.eval_fn(pts), dtype=float), f"connection {self.name}")
 
-    def torsion(self, pts) -> np.ndarray:
-        return _torsion(self(pts))
-
 
 def _torsion(gam: np.ndarray) -> np.ndarray:
     """``Gamma^a_bc - Gamma^a_cb`` from coefficients already evaluated."""

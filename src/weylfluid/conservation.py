@@ -38,16 +38,8 @@ from .geometry import (
     require_finite,
     scalar_field,
     tensor2_field,
+    vector_field,
 )
-
-
-class VectorDensityField(TensorField):
-    """Contravariant components carrying density weight 1."""
-
-    weight = 1
-
-    def __init__(self, chart, fn=None, *, eval_fn=None, name=""):
-        super().__init__(chart, ("u",), fn, eval_fn=eval_fn, name=name)
 
 
 def raise_indices2(g: MetricField, T: TensorField) -> TensorField:
@@ -114,7 +106,7 @@ def _decomposition_residuals(jet: FlowJet, t_up, p, rho):
     return flow_div - SIGN_FLOW * c1, div + jet.n * flow_div[:, None] - SIGN_ORTHO * c2
 
 
-def particle_current(g: MetricField, T: TensorField, n: TensorField) -> VectorDensityField:
+def particle_current(g: MetricField, T: TensorField, n: TensorField) -> TensorField:
     """``J^mu = sqrt|g| T^{mu nu} n_nu``, a weight-1 vector density."""
 
     def fn(coords):
@@ -122,7 +114,7 @@ def particle_current(g: MetricField, T: TensorField, n: TensorField) -> VectorDe
         tn = ad.einsum("nab,nb->na", T.fn(coords), n.fn(coords))
         return ad.sqrt(ad.absolute(det))[:, None] * ad.einsum("nma,na->nm", ginv, tn)
 
-    return VectorDensityField(g.chart, fn, name="J")
+    return vector_field(g.chart, fn, name="J")
 
 
 # Gauss-Legendre nodes per axis of a slice count and of its error reference

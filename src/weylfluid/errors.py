@@ -34,10 +34,6 @@ class CapabilityError(WeylFluidError):
     """Requested an operation outside the supported tensor ranks."""
 
 
-class GaugeError(WeylFluidError):
-    """Conformal factor is non-positive at a sample point."""
-
-
 class TransversalityError(WeylFluidError):
     """Flow component normal to the seed slice is non-positive."""
 

@@ -25,15 +25,11 @@ from .catalog import (
 )
 from .conformal import (
     FRAME_TOL,
-    ConformalFactor,
-    ConformalWeights,
+    _admissible_weight,
     _rescaled_jet,
     _shifted_covector,
     _transport_residual,
     conformal_rescale,
-    current_invariance_check,
-    incompressibility_residual,
-    rescaled_stress_energy_check,
 )
 from .connections import (
     _nonmetricity,
@@ -55,15 +51,7 @@ from .conservation import (
     raise_indices2,
 )
 from .errors import WeylFluidError
-from .fluid import (
-    FlowJet,
-    WeylBundle,
-    _defect,
-    flow_jet,
-    fluid_connection,
-    fluid_covector,
-    stress_energy,
-)
+from .fluid import FlowJet, _defect, flow_jet, fluid_covector, stress_energy
 from .geometry import DerivativeEngine, constant_scalar, metric_aux, require_finite, scalar_field
 from .worldlines import (
     FLOW_LINE,
@@ -130,11 +118,6 @@ class SuiteContext:
     rays: int = 5
     nonmetricity_pairs: int = 20
     seeded_factors: int = 10
-
-    @cached_property
-    def bundle(self) -> WeylBundle:
-        st = self.preset.state
-        return fluid_connection(self.preset.g, st.n, st.phi, self.engine)
 
     @cached_property
     def data(self):
@@ -354,20 +337,16 @@ def conservation_suite(ctx: SuiteContext):
 # -- conformal suite ----------------------------------------------------------
 
 
-def _rescaled_covector(ctx: SuiteContext, b2: WeylBundle, a: np.ndarray, factor) -> np.ndarray:
-    """``b2.A`` on the sample, for the bundle ``b2`` rescaled by ``factor``
-    from one whose covector takes the values ``a`` there."""
-    a2 = _shifted_covector(a, factor.ln, ctx.engine, ctx.pts)
-    return require_finite(a2, f"field {b2.A.name}")
+def _rescaled_covector(ctx: SuiteContext, a: np.ndarray, ln) -> np.ndarray:
+    """The covector ``A + d ln Phi`` on the sample, rescaled by the log factor
+    ``ln`` from one that takes the values ``a`` there."""
+    return require_finite(_shifted_covector(a, ln, ctx.engine, ctx.pts), "field A~")
 
 
 def conformal_suite(ctx: SuiteContext):
     g, engine, pts, tols = ctx.preset.g, ctx.engine, ctx.pts, ctx.tols
     st = ctx.preset.state
-    bundle = ctx.bundle
     chart = g.chart
-    m = chart.dim
-    weights = None if ctx.weight_override is None else ConformalWeights(m, w=ctx.weight_override)
     checks = []
 
     # the rescaled covectors on the sample are shifted from the shared A
@@ -375,29 +354,29 @@ def conformal_suite(ctx: SuiteContext):
     gamma_ref = jet.Gamma
     worst_orbit = 0.0
     for k in range(ctx.seeded_factors):
-        fac = seeded_positive_factor(chart, ctx.seed * 100 + k)
-        b2, _ = conformal_rescale(bundle, st, fac, engine, check_pts=pts)
-        # b2.gamma on the sample, from its covector there and its metric's own data
-        a2 = _rescaled_covector(ctx, b2, jet.A, fac)
-        gamma2 = require_finite(_weyl_gamma(metric_aux(b2.g, pts, engine), a2),
-                                f"connection {b2.gamma.name}")
+        ln = seeded_positive_factor(chart, ctx.seed * 100 + k)
+        g2, _ = conformal_rescale(g, st, ln, engine)
+        # the rescaled connection on the sample, from its covector there and
+        # its metric's own data
+        a2 = _rescaled_covector(ctx, jet.A, ln)
+        gamma2 = require_finite(_weyl_gamma(metric_aux(g2, pts, engine), a2),
+                                f"connection eps({g2.name},A~)")
         worst_orbit = max(worst_orbit, _maxabs(gamma2 - gamma_ref))
     checks.append(ctx.record(
         "connection-orbit-invariance", "the connection is unchanged along the gauge orbit",
         worst_orbit, tols.derivative(engine)))
 
-    f1 = seeded_positive_factor(chart, ctx.seed * 100 + 41)
-    f2 = seeded_positive_factor(chart, ctx.seed * 100 + 42)
-    b_i, s_i = conformal_rescale(bundle, st, f1, engine)
-    b_ii, s_ii = conformal_rescale(b_i, s_i, f2, engine)
-    prod = ConformalFactor.from_log(
-        scalar_field(chart, lambda c: f1.ln.fn(c) + f2.ln.fn(c)))
-    b_p, s_p = conformal_rescale(bundle, st, prod, engine)
-    a_ii = _rescaled_covector(ctx, b_ii, _rescaled_covector(ctx, b_i, jet.A, f1), f2)
+    ln1 = seeded_positive_factor(chart, ctx.seed * 100 + 41)
+    ln2 = seeded_positive_factor(chart, ctx.seed * 100 + 42)
+    g_i, s_i = conformal_rescale(g, st, ln1, engine)
+    g_ii, s_ii = conformal_rescale(g_i, s_i, ln2, engine)
+    prod = scalar_field(chart, lambda c: ln1.fn(c) + ln2.fn(c))
+    g_p, s_p = conformal_rescale(g, st, prod, engine)
+    a_ii = _rescaled_covector(ctx, _rescaled_covector(ctx, jet.A, ln1), ln2)
     group = max(
-        _maxabs(b_ii.g(pts) - b_p.g(pts)),
+        _maxabs(g_ii(pts) - g_p(pts)),
         _maxabs(s_ii.n(pts) - s_p.n(pts)),
-        _maxabs(a_ii - _rescaled_covector(ctx, b_p, jet.A, prod)),
+        _maxabs(a_ii - _rescaled_covector(ctx, jet.A, prod)),
         _maxabs(s_ii.phi(pts) - s_p.phi(pts)),
         _maxabs(s_ii.p(pts) - s_p.p(pts)),
         _maxabs(s_ii.rho(pts) - s_p.rho(pts)),
@@ -406,30 +385,33 @@ def conformal_suite(ctx: SuiteContext):
         "gauge-group-law", "successive rescalings compose multiplicatively", group,
         tols.derivative(engine)))
 
-    fac = seeded_positive_factor(chart, ctx.seed * 100 + 43)
-    b2, s2 = conformal_rescale(bundle, st, fac, engine, weights=weights)
-    norm = np.einsum("nij,ni,nj->n", b2.g(pts), s2.n(pts), s2.n(pts))
+    ln = seeded_positive_factor(chart, ctx.seed * 100 + 43)
+    g2, s2 = conformal_rescale(g, st, ln, engine, w=ctx.weight_override)
+    norm = np.einsum("nij,ni,nj->n", g2(pts), s2.n(pts), s2.n(pts))
     checks.append(ctx.record(
         "rescaled-normalization", "rescaled flow is unit for the rescaled metric",
         _maxabs(norm + 1.0), tols.derivative(engine)))
 
-    closure = fluid_covector(b2.g, s2.n, s2.phi, engine)
+    closure = fluid_covector(g2, s2.n, s2.phi, engine)
     checks.append(ctx.record(
         "covector-transformation-closure",
         "rescaled covector is induced by the rescaled flow and scalar",
-        _maxabs(_rescaled_covector(ctx, b2, jet.A, fac) - closure(pts)), tols.identity))
+        _maxabs(_rescaled_covector(ctx, jet.A, ln) - closure(pts)), tols.identity))
 
+    # T~ - Phi^(3-m) T vanishes exactly at the admissible weight (and
+    # identically in dimension three)
     T = stress_energy(g, st.n, st.p, st.rho)
-    T2 = stress_energy(b2.g, s2.n, s2.p, s2.rho)
+    T2 = stress_energy(g2, s2.n, s2.p, s2.rho)
+    scale = np.exp(ln(pts)) ** (3 - chart.dim)
     checks.append(ctx.record(
         "stress-energy-weight", "rescaled stress-energy carries exponent 3-m",
-        rescaled_stress_energy_check(T, T2, fac, pts), tols.stress_weight))
+        _maxabs(T2(pts) - scale[:, None, None] * T(pts)), tols.stress_weight))
 
     J = particle_current(g, T, st.n)
-    J2 = particle_current(b2.g, T2, s2.n)
+    J2 = particle_current(g2, T2, s2.n)
     checks.append(ctx.record(
         "current-weight", "the current is a gauge-orbit fixed point",
-        current_invariance_check(J, J2, pts), tols.current_weight))
+        _maxabs(J2(pts) - J(pts)), tols.current_weight))
 
     spec = ctx.preset.slice_spec()
     n1, _ = number_on_slice(J, spec)
@@ -463,13 +445,14 @@ def frame_suite(ctx: SuiteContext):
         closed = meta.closed_frame(meta.slice_values[0])
         checks.append(ctx.record(
             "frame-closed-form", "solved log factor matches the closed form on the grid",
-            _maxabs(factor.grid_values.ravel() - closed.ln(factor.grid_points())),
+            _maxabs(factor.grid_values.ravel() - closed(factor.grid_points())),
             tols.frame_closed))
-        b2c, s2c = conformal_rescale(ctx.bundle, st, closed, engine)
+        g2c, s2c = conformal_rescale(g, st, closed, engine)
         checks.append(ctx.record(
             "incompressibility-closed-form",
             "closed-form gauge makes the flow divergence-free",
-            _maxabs(incompressibility_residual(b2c.g, s2c.n, engine)(pts)),
+            _maxabs(require_finite(flow_jet(g2c, s2c.n, engine, pts).div,
+                                   "field incompressibility-residual")),
             tols.frame_closed))
 
     # one flow jet of the rescaled pair feeds the last four checks; the
@@ -480,7 +463,7 @@ def frame_suite(ctx: SuiteContext):
         "incompressibility", "solved gauge makes the flow divergence-free",
         _maxabs(require_finite(jet.div, "field incompressibility-residual")), tols.frame))
 
-    w = ConformalWeights(chart.dim).w
+    w = _admissible_weight(chart.dim)
     scale = np.exp(ln)
     t_up = raise_indices2(g, stress_energy(g, st.n, st.p, st.rho))(pts)
     cs = _condition_scalars(jet, (scale ** (w - 2))[:, None, None] * t_up,

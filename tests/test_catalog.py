@@ -23,7 +23,7 @@ from weylfluid.conformal import conformal_rescale
 from weylfluid.config import SuiteConfig
 from weylfluid.conservation import particle_current, raise_indices2
 from weylfluid.errors import ConstructionError
-from weylfluid.fluid import fluid_connection, stress_energy
+from weylfluid.fluid import stress_energy
 from weylfluid.geometry import (
     DerivativeEngine,
     MetricField,
@@ -255,9 +255,8 @@ class TestSeededPolynomials:
             g, st = preset.g, preset.state
             pts = preset.chart.sample_points(2, 8, seed=2)
             T = stress_energy(g, st.n, st.p, st.rho)
-            bundle = fluid_connection(g, st.n, st.phi, DerivativeEngine())
             factor = seeded_positive_factor(preset.chart, 5)
-            rescaled = conformal_rescale(bundle, st, factor, DerivativeEngine())[0].g
+            rescaled = conformal_rescale(g, st, factor, DerivativeEngine())[0]
             fields = (g, st.n, st.p, st.rho, st.phi, T,
                       raise_indices2(g, T), particle_current(g, T, st.n), rescaled,
                       polynomial_covector(preset.chart, np.random.default_rng(1), 0.3))

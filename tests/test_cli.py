@@ -337,6 +337,18 @@ class TestExitCodes:
         assert "difference step h = 1e-300 leaves coordinate 't'" in capsys.readouterr().err
         assert json.loads(out.read_text())["checks"][-1]["name"] == "error"
 
+    def test_frame_ceiling_names_its_target(self, tmp_path, capsys):
+        # a frame tolerance no grid below the ceiling meets: the error names
+        # the target each axis estimate was sized to and the key that sets it
+        text = PASS_CFG.replace("preset = dust-rest", "preset = sheared").replace(
+            "suites = connection fluid", "suites = frame")
+        text += "[tolerances]\nframe = 1e-300\n"
+        path = _write(tmp_path, "tiny-frame.cfg", text)
+        assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert "frame memo grid past the ceiling of 83521 nodes: axis 't' at 7 nodes" in err
+        assert "0.1 * tol = 1e-301, with tol = 1e-300 from [tolerances] frame" in err
+
     def test_build_failure_writes_partial_report(self, tmp_path):
         # parameters that parse but fail construction (a Hubble rate this
         # large overflows the scale factor exp(H t) on the chart): runtime

@@ -13,10 +13,10 @@ import pytest
 
 from weylfluid import autodiff as ad
 from weylfluid.catalog import build, seeded_positive_factor
-from weylfluid.conformal import ConformalFactor, _pow_scale, conformal_rescale
+from weylfluid.conformal import _pow_scale, conformal_rescale
 from weylfluid.conservation import particle_current, raise_indices2
 from weylfluid.errors import CapabilityError, NotTimelikeError
-from weylfluid.fluid import fluid_connection, stress_energy
+from weylfluid.fluid import stress_energy
 from weylfluid.geometry import (
     DerivativeEngine,
     MetricField,
@@ -51,23 +51,18 @@ def composites(preset):
     u = vector_field(preset.chart, lambda c: ad.stack([1.5 + 0.0 * c[0], 0.1 * c[1],
                                                        0.0 * c[0], -0.2 * c[3]]), name="u")
     T = stress_energy(g, st.n, st.p, st.rho)
-    bundle = fluid_connection(g, st.n, st.phi, ENG)
     return {
         "normalize_timelike": ((g, u), normalize_timelike),
         "stress_energy": ((g, st.n, st.p, st.rho), stress_energy),
         "raise_indices2": ((g, T), raise_indices2),
         "particle_current": ((g, T, st.n), particle_current),
-        "from_scalar": ((fac.phi,), lambda phi: ConformalFactor.from_scalar(phi).ln),
-        "from_log": ((fac.ln,), lambda ln: ConformalFactor.from_log(ln).phi),
-        "_pow_scale": ((st.n, fac.phi, fac.ln),
-                       lambda n, phi, ln: _pow_scale(n, ConformalFactor(phi, ln), -1.0, "n~")),
-        "rescaled_metric": ((fac.phi, fac.ln), lambda phi, ln: conformal_rescale(
-            bundle, st, ConformalFactor(phi, ln), ENG)[0].g),
+        "_pow_scale": ((st.n, fac), lambda n, ln: _pow_scale(n, ln, -1.0, "n~")),
+        "rescaled_metric": ((fac,), lambda ln: conformal_rescale(g, st, ln, ENG)[0]),
     }
 
 
 NAMES = ("normalize_timelike", "stress_energy", "raise_indices2",
-         "particle_current", "from_scalar", "from_log", "_pow_scale", "rescaled_metric")
+         "particle_current", "_pow_scale", "rescaled_metric")
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -113,7 +108,7 @@ def test_numeric_field_is_freed_without_the_collector(flrw):
     gc.disable()
     try:
         num = numeric(preset.state.rho)
-        composite = ConformalFactor.from_scalar(num).ln
+        composite = _pow_scale(num, seeded_positive_factor(preset.chart, 7), 3.0, "rho~")
         composite(pts)
         refs = weakref.ref(num), weakref.ref(composite)
         del num, composite

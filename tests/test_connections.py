@@ -17,6 +17,7 @@ from weylfluid.catalog import (
 )
 from weylfluid.connections import (
     _nonmetricity,
+    _torsion,
     eps_connection,
     eps_shift,
     gamma_vv,
@@ -133,7 +134,7 @@ class TestEpsConnection:
         chart, g = flrw
         A = polynomial_covector(chart, np.random.default_rng(9), 0.4)
         pts = chart.sample_points(3, 8, seed=5)
-        assert np.abs(eps_connection(g, A, ENG).torsion(pts)).max() == 0.0
+        assert np.abs(_torsion(eps_connection(g, A, ENG)(pts))).max() == 0.0
 
 
 class TestConnectionKernels:

@@ -126,7 +126,7 @@ class TestErrorOrder:
         def exact(t):
             pts = np.tile(0.5 * (lo + hi), (len(t), 1))
             pts[:, 0] = t
-            return closed.ln(pts)
+            return closed(pts)
 
         actual, estimate = {}, {}
         for n in (25, 49, 97):

@@ -4,18 +4,44 @@ fails when one defect is planted in the shared value or in the arithmetic
 that a suite builds on it, so no check compares a shared value with
 itself; the frame checks fail under a defect in the transport's source,
 in the closed-form factor they are compared with, or in the scalar that
-the frame's bundle and geodesic defect are formed with."""
+the frame's bundle and geodesic defect are formed with.  Every check name
+the suites emit is failed by a plant here or by a named test elsewhere."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 
-from weylfluid import autodiff as ad, conformal, fluid, suites, worldlines
+from weylfluid import autodiff as ad, conformal, connections, fluid, suites, worldlines
 from weylfluid.catalog import build
-from weylfluid.conservation import VectorDensityField
 from weylfluid.errors import WeylFluidError
-from weylfluid.geometry import DerivativeEngine, scalar_field, tensor2_field
+from weylfluid.geometry import DerivativeEngine, MetricField, scalar_field, tensor2_field, vector_field
+
+
+def _riemannian_metric(ctx, monkeypatch):
+    # the preset's metric swapped for the Riemannian diag(1, ..., 1): no
+    # eigenvalue is negative
+    chart = ctx.preset.chart
+
+    def fn(coords):
+        one = np.ones_like(ad.value(coords[0]))
+        return ad.diag(ad.stack([one] * chart.dim))
+
+    ctx.preset = dataclasses.replace(ctx.preset, g=MetricField(chart, fn, name="euclidean"))
+
+
+def _shift_without_covector(ctx, monkeypatch):
+    # a term in the Weyl deformation that does not vanish with the covector:
+    # the connection of A = 0 is no longer the metric connection
+    shift = connections.eps_shift
+
+    def planted(ginv, gval, aval):
+        out = shift(ginv, gval, aval)
+        out[:, 0] += 1e-3 * gval
+        return out
+
+    monkeypatch.setattr(connections, "eps_shift", planted)
 
 
 def _skew_connection(ctx, monkeypatch):
@@ -74,8 +100,7 @@ def _current_perturbed(ctx, monkeypatch):
     def planted(g, T, n):
         J = current(g, T, n)
         bump = np.eye(g.chart.dim)[0]
-        return VectorDensityField(g.chart, lambda c: J.fn(c) + 1e-3 * c[0][:, None] * bump,
-                                  name=J.name)
+        return vector_field(g.chart, lambda c: J.fn(c) + 1e-3 * c[0][:, None] * bump, name=J.name)
 
     monkeypatch.setattr(suites, "particle_current", planted)
 
@@ -114,9 +139,8 @@ def _closed_frame_scaled(ctx, monkeypatch):
     closed_frame = meta.closed_frame
 
     def planted(value):
-        ln = closed_frame(value).ln
-        return conformal.ConformalFactor.from_log(
-            scalar_field(ln.chart, lambda c: 1.01 * ln.fn(c), name=ln.name))
+        ln = closed_frame(value)
+        return scalar_field(ln.chart, lambda c: 1.01 * ln.fn(c), name=ln.name)
 
     ctx.preset = dataclasses.replace(
         ctx.preset, meta=dataclasses.replace(meta, closed_frame=planted))
@@ -134,10 +158,10 @@ def _flow_power_scaled(ctx, monkeypatch):
     # rescaled flow is no longer unit for the rescaled metric
     pow_scale = conformal._pow_scale
 
-    def planted(field, factor, power, name):
+    def planted(field, ln, power, name):
         if field.variance == ("u",):
             power *= 1.001
-        return pow_scale(field, factor, power, name)
+        return pow_scale(field, ln, power, name)
 
     monkeypatch.setattr(conformal, "_pow_scale", planted)
 
@@ -201,7 +225,9 @@ def _flow_line_sheared(ctx, monkeypatch):
     _sheared_paths(monkeypatch, worldlines.FLOW_LINE)
 
 
-@pytest.mark.parametrize("suite, check, plant", [
+PLANTED = [
+    ("connection", "metric-signature", _riemannian_metric),
+    ("connection", "zero-covector-reduction", _shift_without_covector),
     ("connection", "torsion-free", _skew_connection),
     ("connection", "nonmetricity", _stale_covector),
     ("connection", "metric-inverse", _inverse_scaled),
@@ -218,6 +244,7 @@ def _flow_line_sheared(ctx, monkeypatch):
     ("conservation", "current-perfect-fluid-form", _current_perturbed),
     ("conservation", "current-divergence-identity", _current_perturbed),
     ("conservation", "current-conservation", _current_perturbed),
+    ("conservation", "slice-count-conservation", _current_perturbed),
     ("conservation", "divergence-decomposition-flow", _stress_energy_perturbed),
     ("conservation", "divergence-decomposition-orthogonal", _stress_energy_perturbed),
     ("conservation", "current-divergence-identity", _stress_energy_perturbed),
@@ -234,13 +261,32 @@ def _flow_line_sheared(ctx, monkeypatch):
     ("worldlines", "null-compatibility-defect", _deformation_off_parallel),
     ("worldlines", "null-trajectory-coincidence", _null_rays_sheared),
     ("worldlines", "flow-line-trajectory", _flow_line_sheared),
-])
+]
+
+# check name -> the test outside the table that makes that check fail
+FAILED_ELSEWHERE = {
+    "metric-symmetry":
+        "test_geometry.py::TestMetricData::test_asymmetric_components_fail_the_symmetry_check",
+    "stress-energy-symmetry":
+        "test_planted_defects.py::test_weight_first_stress_energy_is_not_symmetric",
+    # the negative control, configs/flrw-wrong-weight.cfg's density weight -m
+    "stress-energy-weight": "test_cli.py::TestExitCodes::test_check_failure_is_one",
+    "current-weight": "test_cli.py::TestExitCodes::test_check_failure_is_one",
+    "slice-count-gauge-invariance": "test_cli.py::TestExitCodes::test_check_failure_is_one",
+}
+
+
+def _context(preset):
+    return suites.SuiteContext(preset, DerivativeEngine(), preset.chart.sample_points(2, 8, 3),
+                               nonmetricity_pairs=1, seeded_factors=2, rays=3)
+
+
+@pytest.mark.parametrize("suite, check, plant", PLANTED)
 def test_planted_defect_fails_the_check(suite, check, plant, monkeypatch):
     preset = build("flrw-comoving-dust")
 
     def run(planted):
-        ctx = suites.SuiteContext(preset, DerivativeEngine(), preset.chart.sample_points(2, 8, 3),
-                                  nonmetricity_pairs=1, seeded_factors=2, rays=3)
+        ctx = _context(preset)
         if planted:
             plant(ctx, monkeypatch)
         return {c.name: c for c in suites.SUITES[suite](ctx)}[check]
@@ -248,6 +294,23 @@ def test_planted_defect_fails_the_check(suite, check, plant, monkeypatch):
     assert run(planted=False).passed
     record = run(planted=True)
     assert not record.passed and record.max_residual > record.tol
+
+
+def test_every_check_name_can_be_made_to_fail():
+    # every name the six suites emit on the planted-defect preset, which
+    # has every check, is failed by a row of the table or by a named test
+    ctx = _context(build("flrw-comoving-dust"))
+    emitted = [c.name for suite in suites.SUITES.values() for c in suite(ctx)]
+    assert len(emitted) == len(set(emitted)) == 39
+    planted = {check for _, check, _ in PLANTED}
+    assert set(emitted) == planted | set(FAILED_ELSEWHERE), (
+        sorted(set(emitted) - planted - set(FAILED_ELSEWHERE)))
+    assert not planted & set(FAILED_ELSEWHERE)
+    for test in set(FAILED_ELSEWHERE.values()):
+        module, *path = test.split("::")
+        found = importlib.import_module(module.removesuffix(".py"))
+        for name in path:
+            found = getattr(found, name)
 
 
 @pytest.mark.parametrize("check", ["preferred-scalar-transport", "preferred-scalar-covector"])
@@ -332,7 +395,7 @@ def test_non_finite_current_names_the_field(monkeypatch):
             nan[-1, 1] = np.nan
             return J.fn(c) + nan
 
-        return VectorDensityField(g.chart, fn, name=J.name)
+        return vector_field(g.chart, fn, name=J.name)
 
     monkeypatch.setattr(suites, "particle_current", planted)
     ctx = suites.SuiteContext(preset, DerivativeEngine(), preset.chart.sample_points(2, 8, 3))

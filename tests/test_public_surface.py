@@ -1,10 +1,12 @@
 """The package is what the checks use: every public top-level function and
-class of ``src/weylfluid`` is read by the library, a script or the
-benchmark, and no module imports a name it never reads.
+class of ``src/weylfluid``, and every public method and property of its
+classes, is read by the library, a script or the benchmark, and no module
+imports a name it never reads.
 
-A name counts as read where it is loaded (``name`` or ``module.name``)
-outside its own definition. ``weylfluid/__init__.py`` only re-exports, so
-its imports read nothing; tests are not callers."""
+A name counts as read where it is loaded (``name`` or ``module.name``; a
+member only as ``.name``) outside its own definition.
+``weylfluid/__init__.py`` only re-exports, so its imports read nothing;
+tests are not callers."""
 
 import ast
 from collections import Counter
@@ -19,14 +21,16 @@ def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _reads(node):
-    """How often each name is loaded under ``node``."""
+def _reads(node, attributes_only=False):
+    """How often each name is loaded under ``node``, as ``name`` or as
+    ``.name``, or as ``.name`` alone."""
     out = Counter()
     for cur in ast.walk(node):
-        if isinstance(cur, ast.Name) and isinstance(cur.ctx, ast.Load):
-            out[cur.id] += 1
-        elif isinstance(cur, ast.Attribute) and isinstance(cur.ctx, ast.Load):
+        if isinstance(cur, ast.Attribute) and isinstance(cur.ctx, ast.Load):
             out[cur.attr] += 1
+        elif (isinstance(cur, ast.Name) and isinstance(cur.ctx, ast.Load)
+              and not attributes_only):
+            out[cur.id] += 1
     return out
 
 
@@ -47,6 +51,22 @@ def test_every_public_name_has_a_caller():
             if reads[node.name] == _reads(node)[node.name]:
                 unread.append(f"{path.stem}.{node.name}")
     assert unread == [], f"public names that only tests read: {unread}"
+
+
+def test_every_public_method_has_a_caller():
+    trees = {path: _tree(path) for path in _caller_files()}
+    reads = sum((_reads(tree, attributes_only=True) for tree in trees.values()), Counter())
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in trees.get(path, _tree(path)).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                if reads[node.name] == _reads(node, attributes_only=True)[node.name]:
+                    unread.append(f"{path.stem}.{cls.name}.{node.name}")
+    assert unread == [], f"public methods and properties that only tests read: {unread}"
 
 
 def test_no_module_imports_a_name_it_never_reads():
