@@ -5,7 +5,14 @@ Lorentzian chart, transport of the metric and fluid along the gauge orbit
 of a log factor ``ln Phi`` (``g -> exp(2 ln Phi) g``, ``A -> A + d ln Phi``),
 and numerical verification of the geodesy, conservation, current-invariance
 and preferred-frame identities that tie them together.
+
+Importing the package sets the process's allocator policy once: glibc keeps
+freed blocks below 32 MiB on the heap (:mod:`weylfluid._allocator`).
 """
+
+from . import _allocator
+
+_allocator._keep_freed_memory()
 
 from .geometry import (
     Chart,

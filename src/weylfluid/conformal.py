@@ -135,10 +135,11 @@ def conformal_rescale(
     return g2, FluidState(n=n2, p=p2, rho=rho2, phi=phi2)
 
 
-def _shifted_covector(a: np.ndarray, ln: TensorField, engine: DerivativeEngine, pts) -> np.ndarray:
-    """The rescaled covector ``A + d ln Phi`` on ``pts`` from the values
-    ``a`` of ``A`` there; the one home of that shift."""
-    return a + engine.jacobian(ln, pts)
+def _shifted_covector(a: np.ndarray, dln: np.ndarray) -> np.ndarray:
+    """The rescaled covector ``A + d ln Phi`` on a batch from the values
+    ``a`` of ``A`` and the gradient ``dln`` of ``ln Phi`` there; the one
+    home of that shift."""
+    return a + dln
 
 
 # -- preferred frame ---------------------------------------------------------
@@ -367,24 +368,35 @@ def _transport_residual(jet: FlowJet, dln: np.ndarray) -> np.ndarray:
     return np.einsum("na,na->n", jet.n, dln) + jet.div / (jet.n.shape[1] - 1.0)
 
 
-def _rescaled_jet(jet: FlowJet, ln: np.ndarray, dln: np.ndarray, phi: TensorField) -> FlowJet:
-    """The flow jet of the rescaled pair ``(Phi^2 g, n / Phi)`` for the
-    scalar ``phi``, from the base pair's jet and the values ``ln`` and
-    gradient ``dln`` of ``ln Phi`` on its batch, with no field read again:
+def _rescaled_data(data: MetricData, ln: np.ndarray, dln: np.ndarray) -> MetricData:
+    """The metric data of ``Phi^2 g`` from the data of ``g`` (with
+    derivatives) and the values ``ln`` and gradient ``dln`` of ``ln Phi``
+    on its batch, with no field read again:
 
         g~ = Phi^2 g        d g~ = Phi^2 (d g + 2 g (x) d ln Phi)
         g~^-1 = Phi^-2 g^-1       sqrt|g~| = Phi^m sqrt|g|
-        n~ = n / Phi        d n~ = (d n - n (x) d ln Phi) / Phi
 
-    (derivative index last), the chain rule through first-order jets
-    (Griewank & Walther, *Evaluating Derivatives*, 2008).  It agrees with
-    :func:`flow_jet` of :func:`conformal_rescale`'s ``g~`` and ``n~`` to
-    rounding."""
-    data, m = jet.data, jet.n.shape[1]
+    (derivative index last).  It agrees with :func:`metric_aux` of
+    :func:`conformal_rescale`'s ``g~`` to rounding."""
+    m = data.val.shape[1]
     scale = np.exp(ln)
     sq = (scale * scale)[:, None, None]
     dg = sq[..., None] * (data.dg + 2.0 * data.val[..., None] * dln[:, None, None, :])
-    rescaled = MetricData(sq * data.val, data.inv / sq, scale ** m * data.sqrt_det, dg)
+    return MetricData(sq * data.val, data.inv / sq, scale ** m * data.sqrt_det, dg)
+
+
+def _rescaled_jet(jet: FlowJet, ln: np.ndarray, dln: np.ndarray, phi: TensorField) -> FlowJet:
+    """The flow jet of the rescaled pair ``(Phi^2 g, n / Phi)`` for the
+    scalar ``phi``, from the base pair's jet and the values ``ln`` and
+    gradient ``dln`` of ``ln Phi`` on its batch: the metric data of
+    :func:`_rescaled_data`, and
+
+        n~ = n / Phi        d n~ = (d n - n (x) d ln Phi) / Phi
+
+    the chain rule through first-order jets (Griewank & Walther,
+    *Evaluating Derivatives*, 2008).  It agrees with :func:`flow_jet` of
+    :func:`conformal_rescale`'s ``g~`` and ``n~`` to rounding."""
+    scale = np.exp(ln)
     n = jet.n / scale[:, None]
     dn = (jet.dn - jet.n[:, :, None] * dln[:, None, :]) / scale[:, None, None]
-    return FlowJet(rescaled, n, dn, phi, jet.pts)
+    return FlowJet(_rescaled_data(jet.data, ln, dln), n, dn, phi, jet.pts)

@@ -26,6 +26,7 @@ from .catalog import (
 from .conformal import (
     FRAME_TOL,
     _admissible_weight,
+    _rescaled_data,
     _rescaled_jet,
     _shifted_covector,
     _transport_residual,
@@ -337,10 +338,10 @@ def conservation_suite(ctx: SuiteContext):
 # -- conformal suite ----------------------------------------------------------
 
 
-def _rescaled_covector(ctx: SuiteContext, a: np.ndarray, ln) -> np.ndarray:
-    """The covector ``A + d ln Phi`` on the sample, rescaled by the log factor
-    ``ln`` from one that takes the values ``a`` there."""
-    return require_finite(_shifted_covector(a, ln, ctx.engine, ctx.pts), "field A~")
+def _rescaled_covector(a: np.ndarray, dln: np.ndarray) -> np.ndarray:
+    """The covector ``A + d ln Phi`` on the sample, from the values ``a`` of
+    ``A`` and ``dln`` of the log factor's gradient there."""
+    return require_finite(_shifted_covector(a, dln), "field A~")
 
 
 def conformal_suite(ctx: SuiteContext):
@@ -349,18 +350,17 @@ def conformal_suite(ctx: SuiteContext):
     chart = g.chart
     checks = []
 
-    # the rescaled covectors on the sample are shifted from the shared A
+    # the rescaled connection on the sample, from the shared metric data and
+    # covector A, and one value and gradient of each log factor there
     jet = ctx.jet
     gamma_ref = jet.Gamma
     worst_orbit = 0.0
     for k in range(ctx.seeded_factors):
         ln = seeded_positive_factor(chart, ctx.seed * 100 + k)
-        g2, _ = conformal_rescale(g, st, ln, engine)
-        # the rescaled connection on the sample, from its covector there and
-        # its metric's own data
-        a2 = _rescaled_covector(ctx, jet.A, ln)
-        gamma2 = require_finite(_weyl_gamma(metric_aux(g2, pts, engine), a2),
-                                f"connection eps({g2.name},A~)")
+        lnv, dln = engine.value_and_jacobian(ln, pts)
+        gamma2 = require_finite(
+            _weyl_gamma(_rescaled_data(ctx.data, lnv, dln), _rescaled_covector(jet.A, dln)),
+            f"connection eps({g.name}~,A~)")
         worst_orbit = max(worst_orbit, _maxabs(gamma2 - gamma_ref))
     checks.append(ctx.record(
         "connection-orbit-invariance", "the connection is unchanged along the gauge orbit",
@@ -372,11 +372,12 @@ def conformal_suite(ctx: SuiteContext):
     g_ii, s_ii = conformal_rescale(g_i, s_i, ln2, engine)
     prod = scalar_field(chart, lambda c: ln1.fn(c) + ln2.fn(c))
     g_p, s_p = conformal_rescale(g, st, prod, engine)
-    a_ii = _rescaled_covector(ctx, _rescaled_covector(ctx, jet.A, ln1), ln2)
+    dln1, dln2, dln_p = (engine.jacobian(f, pts) for f in (ln1, ln2, prod))
+    a_ii = _rescaled_covector(_rescaled_covector(jet.A, dln1), dln2)
     group = max(
         _maxabs(g_ii(pts) - g_p(pts)),
         _maxabs(s_ii.n(pts) - s_p.n(pts)),
-        _maxabs(a_ii - _rescaled_covector(ctx, jet.A, prod)),
+        _maxabs(a_ii - _rescaled_covector(jet.A, dln_p)),
         _maxabs(s_ii.phi(pts) - s_p.phi(pts)),
         _maxabs(s_ii.p(pts) - s_p.p(pts)),
         _maxabs(s_ii.rho(pts) - s_p.rho(pts)),
@@ -396,7 +397,8 @@ def conformal_suite(ctx: SuiteContext):
     checks.append(ctx.record(
         "covector-transformation-closure",
         "rescaled covector is induced by the rescaled flow and scalar",
-        _maxabs(_rescaled_covector(ctx, jet.A, ln) - closure(pts)), tols.identity))
+        _maxabs(_rescaled_covector(jet.A, engine.jacobian(ln, pts)) - closure(pts)),
+        tols.identity))
 
     # T~ - Phi^(3-m) T vanishes exactly at the admissible weight (and
     # identically in dimension three)

@@ -81,7 +81,7 @@ def _scalar_ignored(ctx, monkeypatch):
 
 def _shift_drops_dln(ctx, monkeypatch):
     # the rescaled covector on the sample without its d ln Phi
-    monkeypatch.setattr(suites, "_shifted_covector", lambda a, ln, engine, pts: a)
+    monkeypatch.setattr(suites, "_shifted_covector", lambda a, dln: a)
 
 
 def _shift_from_base(ctx, monkeypatch):
@@ -89,7 +89,7 @@ def _shift_from_base(ctx, monkeypatch):
     # so a second rescaling loses the first
     shift = suites._shifted_covector
     monkeypatch.setattr(suites, "_shifted_covector",
-                        lambda a, ln, engine, pts: shift(ctx.jet.A, ln, engine, pts))
+                        lambda a, dln: shift(ctx.jet.A, dln))
 
 
 def _current_perturbed(ctx, monkeypatch):
